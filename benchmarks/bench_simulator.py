@@ -2,9 +2,9 @@
 
 These track the cost of the building blocks the table/figure harnesses are
 made of, so regressions in the models show up independently of the
-experiment-level numbers: per-network accelerator simulation, the vectorized
-fast-path engine vs the per-layer reference engine, the functional bit-serial
-engine, the event-driven tile simulator and the dynamic-precision
+experiment-level numbers: per-network accelerator simulation, the
+closed-form vector engine vs the per-layer reference engine, the functional
+bit-serial engine, the event-driven tile simulator and the dynamic-precision
 measurement.
 
 Script mode is the CI benchmark gate::
@@ -13,11 +13,15 @@ Script mode is the CI benchmark gate::
         --output BENCH_simulator.json \
         --check benchmarks/BENCH_baseline_simulator.json
 
-measures the fast-vs-event layer-simulation speedup over the benchmark
-matrix, writes the results as JSON, asserts the >= 5x ISSUE target, and --
-when given a committed baseline -- fails if the measured speedup regressed by
-more than 20%.  The gate compares the *dimensionless speedup ratio* rather
-than wall-clock seconds so it is robust on noisy shared runners.
+measures the vector-vs-event layer-simulation speedup over the benchmark
+matrix (the vector side evaluates each network's layer table as a one-design
+plane through :func:`repro.sim.batched.simulate_layer_table`), writes the
+results as JSON, asserts the >= 5x target, and -- when given a committed
+baseline -- fails if the measured speedup regressed by more than 20%.  The
+gate compares the *dimensionless speedup ratio* rather than wall-clock
+seconds so it is robust on noisy shared runners.  The JSON keeps the
+committed baseline's schema: ``fast_s`` / ``fast_total_s`` are the vector
+engine's times.
 """
 
 import argparse
@@ -42,12 +46,11 @@ from repro.core.tile import LoomTileSimulator
 from repro.experiments.common import build_profiled_network
 from repro.quant.dynamic import DynamicPrecisionModel
 from repro.sim import run_network
-from repro.sim.fastpath import build_layer_table, simulate_layers_fast
+from repro.sim.batched import build_layer_table, simulate_layer_table
 from repro.workloads.synthetic import SyntheticTensorGenerator
 
-#: Minimum acceptable fast-vs-event layer-simulation speedup (the ISSUE's
-#: acceptance criterion); the CI gate also compares against the committed
-#: baseline with a 20% tolerance.
+#: Minimum acceptable vector-vs-event layer-simulation speedup; the CI gate
+#: also compares against the committed baseline with a 20% tolerance.
 SPEEDUP_FLOOR = 5.0
 
 #: Fraction of the baseline speedup the measured speedup may lose before the
@@ -86,8 +89,8 @@ def _best_of(repeats, task):
     return best
 
 
-def measure_fastpath(repeats: int = 5) -> dict:
-    """Time fast-path vs per-layer reference simulation over the matrix.
+def measure_vector_engine(repeats: int = 5) -> dict:
+    """Time vector-engine vs per-layer reference simulation over the matrix.
 
     Also cross-checks that the two engines produced identical layer results
     on every configuration, so a benchmark run doubles as a validation run.
@@ -102,9 +105,9 @@ def measure_fastpath(repeats: int = 5) -> dict:
         table = build_layer_table(layers)
         for label, accelerator in _bench_accelerators():
             reference = [accelerator.simulate_layer(layer) for layer in layers]
-            fast = simulate_layers_fast(accelerator, table)
+            vector = simulate_layer_table(accelerator, table)
             if ([dataclasses.asdict(r) for r in reference]
-                    != [dataclasses.asdict(r) for r in fast]):
+                    != [dataclasses.asdict(r) for r in vector]):
                 raise AssertionError(
                     f"engines disagree on {network_name}/{label}; "
                     f"run `loom-repro validate`"
@@ -113,7 +116,7 @@ def measure_fastpath(repeats: int = 5) -> dict:
                 accelerator.simulate_layer(layer) for layer in layers
             ])
             fast_s = _best_of(repeats, lambda:
-                              simulate_layers_fast(accelerator, table))
+                              simulate_layer_table(accelerator, table))
             configs.append({
                 "network": network_name,
                 "accelerator": label,
@@ -137,21 +140,21 @@ def measure_fastpath(repeats: int = 5) -> dict:
     }
 
 
-def format_fastpath(measured: dict) -> str:
-    lines = ["== layer simulation: vectorized fast path vs per-layer "
+def format_vector_engine(measured: dict) -> str:
+    lines = ["== layer simulation: vector engine vs per-layer "
              "reference =="]
     for entry in measured["configs"]:
         lines.append(
             f"{entry['network']:<10s} {entry['accelerator']:<10s} "
             f"{entry['layers']:>3d} layers  "
             f"event {entry['event_s'] * 1e3:>8.3f} ms  "
-            f"fast {entry['fast_s'] * 1e3:>8.3f} ms  "
+            f"vector {entry['fast_s'] * 1e3:>8.3f} ms  "
             f"{entry['speedup']:>6.2f}x"
         )
     lines.append(
         f"{'TOTAL':<10s} {'':<10s} {measured['layers_simulated']:>3d} layers  "
         f"event {measured['event_total_s'] * 1e3:>8.3f} ms  "
-        f"fast {measured['fast_total_s'] * 1e3:>8.3f} ms  "
+        f"vector {measured['fast_total_s'] * 1e3:>8.3f} ms  "
         f"{measured['speedup']:>6.2f}x"
     )
     return "\n".join(lines)
@@ -249,19 +252,19 @@ def test_bench_run_network_loom(benchmark):
     assert result.total_cycles() > 0
 
 
-def test_bench_fastpath_engine(benchmark):
+def test_bench_vector_engine(benchmark):
     network = build_profiled_network("googlenet", "100%")
     table = build_layer_table(network.compute_layers())
     loom = Loom()
-    result = benchmark(simulate_layers_fast, loom, table)
+    result = benchmark(simulate_layer_table, loom, table)
     assert len(result) == 58
 
 
-def test_bench_fastpath_speedup(artefacts):
-    measured = measure_fastpath(repeats=3)
-    artefacts["simulator-fastpath"] = format_fastpath(measured)
+def test_bench_vector_speedup(artefacts):
+    measured = measure_vector_engine(repeats=3)
+    artefacts["simulator-fastpath"] = format_vector_engine(measured)
     assert measured["speedup"] >= SPEEDUP_FLOOR, (
-        f"fast-path speedup {measured['speedup']:.2f}x is below the "
+        f"vector-engine speedup {measured['speedup']:.2f}x is below the "
         f"{SPEEDUP_FLOOR:.0f}x target"
     )
 
@@ -313,7 +316,7 @@ def test_bench_dynamic_precision_measurement(benchmark):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Measure the fast-path engine speedup and gate it "
+        description="Measure the vector-engine speedup and gate it "
                     "against a committed baseline.",
     )
     parser.add_argument("--output", default=None, metavar="PATH",
@@ -333,10 +336,10 @@ def main(argv=None) -> int:
     was_enabled = tracer.enabled
     tracer.set_enabled(False)
     try:
-        measured = measure_fastpath(repeats=args.repeats)
+        measured = measure_vector_engine(repeats=args.repeats)
     finally:
         tracer.set_enabled(was_enabled)
-    print(format_fastpath(measured))
+    print(format_vector_engine(measured))
     overhead = measure_tracing_overhead(repeats=args.repeats)
     print(format_tracing_overhead(overhead))
     measured["tracing_overhead"] = overhead

@@ -80,7 +80,7 @@ def main():
             # Sweep through the cluster == in-process batched engine.
             remote = explore(SPACE, executor=RemoteExecutor(client, stream=True))
             with JobExecutor() as executor:
-                local = explore(SPACE, executor=executor, engine="batched")
+                local = explore(SPACE, executor=executor)
             assert len(remote.evaluated) == len(local.evaluated) == SPACE.size
             for ours, ref in zip(remote.evaluated, local.evaluated):
                 assert ours.point == ref.point
@@ -94,7 +94,7 @@ def main():
             jobs = [point_to_job(p) for p in SPACE.points()]
             served = client.submit_points([job_to_point(j) for j in jobs])
             with JobExecutor() as executor:
-                reference = executor.run(jobs, engine="batched")
+                reference = executor.run(jobs)
             for entry, ref in zip(served, reference):
                 mismatches = compare_layer_results(entry.result.layers,
                                                    ref.layers)

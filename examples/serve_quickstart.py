@@ -2,12 +2,12 @@
 
 Starts ``loom-repro serve --port 0`` as a real background *process* (the way
 an operator would), waits for it to come up, and then exercises the client
-contract the ISSUE promises:
+contract the service promises:
 
 1. ``GET /healthz`` answers;
-2. a submitted job's result is **bit-identical** (the engine validator's
-   field-for-field comparator) to the same job run in-process via
-   ``execute_job`` -- the fast path on both sides;
+2. a submitted job's result (the server's vector engine) is
+   **bit-identical** (the engine validator's field-for-field comparator) to
+   the same job run in-process on the event engine;
 3. a duplicate submission is answered from the warm store, and concurrent
    duplicates coalesce: the executor's statistics prove the simulation ran
    exactly once;
@@ -72,11 +72,12 @@ def main():
 
             # Served result == in-process result, field for field.
             served = client.submit(POINT)
-            local = execute_job(point_to_job(canonical_point(POINT)))
+            local = execute_job(point_to_job(canonical_point(POINT)),
+                                engine="event")
             mismatches = compare_layer_results(served.result.layers,
                                                local.layers)
             assert mismatches == [], mismatches
-            print(f"served result bit-identical to in-process fast path "
+            print(f"served result bit-identical to in-process event engine "
                   f"({len(served.result.layers)} layers compared, "
                   f"status: {served.status})")
 

@@ -17,7 +17,6 @@ Usage::
     loom-repro explore --axis equivalent_macs=32,64,128 \\
         --axis accelerator=loom,dstripes --base network=alexnet
     loom-repro explore --grid sweep.json --strategy random --samples 16
-    loom-repro --jobs 4 all            # fan simulations out over 4 processes
     loom-repro --cache-dir .loom-cache all   # persist results across runs
     loom-repro --verbose all           # report executor/cache statistics
     loom-repro --engine event all      # per-layer reference engine
@@ -33,20 +32,18 @@ Usage::
 Every simulation goes through one shared :class:`~repro.sim.jobs.JobExecutor`
 per invocation, so ``loom-repro all`` simulates each unique
 (network, accelerator, configuration) job exactly once even though several
-tables and figures share parts of their matrices.  ``--jobs N`` fans the
-simulations out over a process pool (results are identical to a serial run),
-``--no-cache`` disables result reuse, ``--cache-dir`` adds an on-disk JSON
+tables and figures share parts of their matrices.  ``--no-cache`` disables
+result reuse, ``--cache-dir`` adds an on-disk JSON
 store so repeated invocations skip already-simulated jobs entirely, and
 ``--verbose`` prints what the pipeline actually did (simulations run vs cache
 and dedup hits) to stderr so sweep users can confirm reuse is working.
 
-Every simulation runs on the vectorized fast-path engine by default;
-``--engine event`` selects the per-layer reference path (the one anchored to
-the event-driven tile simulator), ``--engine batched`` the batched sweep
-engine (whole design groups in one tensor pass), and ``validate``
-differentially checks the chosen candidate engine against the event
-reference bit for bit over the network zoo (non-zero exit on mismatch) --
-``loom-repro validate --engine batched`` proves the batched scatter path.
+Every simulation runs on the closed-form vector engine by default (whole
+design planes in one tensor pass); ``--engine event`` selects the per-layer
+reference path (the one anchored to the event-driven tile simulator) for the
+whole invocation, serve nodes included.  ``validate`` differentially checks
+the chosen candidate engine against the event reference bit for bit over
+the network zoo (non-zero exit on mismatch).
 
 ``summary`` prints a per-layer breakdown for one network on DPNN and Loom
 (``--csv`` exports the same rows machine-readably); ``run`` simulates one
@@ -115,7 +112,7 @@ from repro.obs import (
     set_tracer,
 )
 from repro.serve.client import ServeError
-from repro.sim.fastpath import ENGINES, use_engine
+from repro.sim.batched import ENGINES, use_engine
 from repro.sim.jobs import (
     AcceleratorSpec,
     JobExecutor,
@@ -170,16 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "(Sharify et al., DAC 2018).",
     )
     parser.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="worker processes for the simulation pipeline (default: 1; "
-             "results are identical regardless of N)",
-    )
-    parser.add_argument(
-        "--engine", choices=list(ENGINES), default="fast",
-        help="simulation engine: 'fast' (vectorized closed forms, the "
-             "default), 'event' (per-layer reference path anchored to the "
-             "event-driven tile simulator) or 'batched' (whole design "
-             "groups in one tensor pass); results are bit-identical",
+        "--engine", choices=list(ENGINES), default="vector",
+        help="simulation engine: 'vector' (closed forms over whole design "
+             "planes, the default) or 'event' (per-layer reference path "
+             "anchored to the event-driven tile simulator); results are "
+             "bit-identical",
     )
     parser.add_argument(
         "--verbose", "-v", action="store_true",
@@ -222,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("networks", help="list the zoo networks and layer counts")
     validate_cmd = sub.add_parser(
         "validate",
-        help="differentially validate the fast engine against the event "
+        help="differentially validate the vector engine against the event "
              "engine (exact per-layer equality over the zoo)",
     )
     validate_cmd.add_argument(
@@ -234,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None, metavar="ENGINE",
         help="candidate engine to validate against the event reference "
              f"({'/'.join(ENGINES)}; default: the global --engine, i.e. "
-             "'fast'); 'batched' runs the whole matrix through one "
-             "batched-sweep pass",
+             "'vector', which runs the whole matrix through one "
+             "simulate_jobs_batched pass)",
     )
     validate_cmd.add_argument(
         "--trace-out", default=None, metavar="FILE",
@@ -530,7 +522,7 @@ def build_executor(args: argparse.Namespace) -> JobExecutor:
         cache = ResultCache(args.cache_dir)
     else:
         cache = ResultCache()
-    return JobExecutor(workers=args.jobs, cache=cache)
+    return JobExecutor(cache=cache)
 
 
 def _format_overrides(groups: Optional[int], heads: Optional[int]) -> str:
@@ -686,7 +678,6 @@ def _serve(args: argparse.Namespace) -> str:
     if not args.no_store:
         backend = SQLiteResultStore(args.store, max_entries=args.max_entries)
     executor = JobExecutor(
-        workers=args.jobs,
         cache=ResultCache(backend=backend,
                           max_memory_entries=args.max_memory_entries),
     )
@@ -723,50 +714,61 @@ def _serve(args: argparse.Namespace) -> str:
 
 def _cluster(args: argparse.Namespace) -> str:
     """Run a coordinator plus N worker processes until stopped."""
-    import multiprocessing
+    import select
     import signal
+    import subprocess
+    import time
     from pathlib import Path
 
+    import repro
     from repro.cluster import ClusterCoordinator, RateLimiter
-    from repro.cluster.worker import worker_process_main
     from repro.serve import ServeClient
 
-    ctx = multiprocessing.get_context("spawn")
-    ready: multiprocessing.Queue = ctx.Queue()
     store_dir = None if args.no_store else Path(args.store_dir)
     if store_dir is not None:
         store_dir.mkdir(parents=True, exist_ok=True)
+    # Children import this very package, wherever it was loaded from.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     processes = []
     for index in range(args.workers):
         store_path = (str(store_dir / f"worker-{index}.db")
                       if store_dir is not None else None)
-        process = ctx.Process(
-            target=worker_process_main,
-            # Positional tail: (max_memory_entries, host, port) defaults,
-            # then the parent's logging flags so spawn children match.
-            args=(ready, store_path, args.queue_limit, 512, "127.0.0.1", 0,
-                  args.log_level, args.log_json),
-            name=f"loom-cluster-worker-{index}",
-        )
-        process.start()
-        processes.append(process)
+        options = dict(store_path=store_path, queue_limit=args.queue_limit,
+                       log_level=args.log_level, log_json=args.log_json,
+                       engine=args.engine)
+        processes.append(subprocess.Popen(
+            [sys.executable, "-c",
+             "import json, sys; from repro.cluster.worker import "
+             "worker_process_main; worker_process_main(**json.loads("
+             "sys.argv[1]))", json.dumps(options)],
+            env=env, stdout=subprocess.PIPE, text=True,
+        ))
 
     def _reap() -> None:
         for process in processes:
-            process.join(timeout=15)
-            if process.is_alive():  # pragma: no cover - unresponsive child
+            try:
+                process.wait(timeout=15)
+            except subprocess.TimeoutExpired:  # pragma: no cover
                 process.terminate()
-                process.join(timeout=5)
+                process.wait(timeout=5)
 
+    # Each child prints its URL once it serves (EOF: it died on the way).
     worker_urls = []
-    try:
-        for _ in processes:
-            worker_urls.append(ready.get(timeout=120))
-    except Exception:
+    deadline = time.monotonic() + 120
+    for process in processes:
+        readable, _, _ = select.select(
+            [process.stdout], [], [], max(0.0, deadline - time.monotonic()))
+        worker_urls.append(process.stdout.readline().strip()
+                           if readable else "")
+        process.stdout.close()
+    if not all(worker_urls):
         for process in processes:
             process.terminate()
         _reap()
-        raise OSError("a cluster worker failed to start") from None
+        raise OSError("a cluster worker failed to start")
 
     rate_limiter = None
     if args.rate is not None or args.quota is not None:
@@ -1000,8 +1002,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if command in ("submit", "stats", "trace") or \
             (command == "explore" and args.remote is not None):
         ignored = [flag for flag, is_set in (
-            ("--engine", args.engine != "fast"),
-            ("--jobs", args.jobs != 1),
+            ("--engine", args.engine != "vector"),
             ("--no-cache", args.no_cache),
             ("--cache-dir", args.cache_dir is not None),
         ) if is_set]

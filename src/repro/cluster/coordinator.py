@@ -984,7 +984,7 @@ class _ShardedExecutor:
         self.cache = None
         self._completed = 0
 
-    def run(self, jobs, engine=None) -> List[NetworkResult]:
+    def run(self, jobs) -> List[NetworkResult]:
         from repro.explore.space import job_to_point
 
         if self.coordinator._stopping:

@@ -131,7 +131,7 @@ class ClusterWorker:
         phase_histogram = self.metrics.histogram(
             "loom_executor_phase_seconds",
             "Executor wall time per phase (cache_lookup, layer_table_build, "
-            "simulate, transport_scatter).",
+            "simulate).",
             labelnames=("phase",))
         self.core.executor.phase_observer = (
             lambda phase, seconds: phase_histogram.observe(seconds,
@@ -453,30 +453,31 @@ class ClusterWorker:
         return payload
 
 
-def worker_process_main(ready_queue, store_path: Optional[str] = None,
+def worker_process_main(store_path: Optional[str] = None,
                         queue_limit: int = 8,
                         max_memory_entries: int = 512,
                         host: str = "127.0.0.1", port: int = 0,
                         log_level: str = "info",
-                        log_json: bool = False) -> None:
+                        log_json: bool = False,
+                        engine: str = "vector") -> None:
     """Entry point for one ``loom-repro cluster`` worker child process.
 
     Builds a :class:`ClusterWorker` around a fresh executor (backed by a
-    private SQLite store when ``store_path`` is given), reports the bound
-    URL through ``ready_queue``, and serves until a ``POST /shutdown`` or
-    SIGTERM/SIGINT stops it.  Module-level so ``multiprocessing`` spawn
-    contexts can import it by reference.  ``log_level`` / ``log_json``
-    forward the parent CLI's logging flags into the child (spawn contexts
-    start with default logging otherwise).
+    private SQLite store when ``store_path`` is given), prints the bound URL
+    as the first line on stdout, and serves until a ``POST /shutdown`` or
+    SIGTERM/SIGINT stops it.  ``log_level`` / ``log_json`` / ``engine``
+    forward the parent CLI's global flags into the child.
     """
     import signal
 
     from repro.obs import Tracer, configure_logging, set_tracer
     from repro.serve.store import SQLiteResultStore
+    from repro.sim.batched import set_default_engine
     from repro.sim.jobs import JobExecutor
     from repro.sim.jobs.cache import ResultCache
 
     configure_logging(level=log_level, json_output=log_json)
+    set_default_engine(engine)
     backend = SQLiteResultStore(store_path) if store_path else None
     executor = JobExecutor(
         cache=ResultCache(backend=backend,
@@ -493,5 +494,5 @@ def worker_process_main(ready_queue, store_path: Optional[str] = None,
             signal.signal(signum, lambda *_: worker.request_stop())
         except ValueError:  # pragma: no cover - not the main thread
             break
-    ready_queue.put(url)
+    print(url, flush=True)
     worker.wait_until_stopped()

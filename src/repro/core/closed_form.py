@@ -5,8 +5,8 @@ The scalar models (:mod:`repro.core.scheduler` / :mod:`repro.core.loom`,
 and the event-driven :class:`repro.core.tile.LoomTileSimulator` executes the
 same schedules callback by callback as the ground truth.  This module is the
 third leg: the same closed forms expressed as NumPy array expressions, so a
-whole network's layers (and, through :mod:`repro.sim.fastpath`, a whole batch
-of precision groups) are costed in a handful of vector operations.
+whole network's layers (and, through :mod:`repro.sim.batched`, whole planes
+of design points) are costed in a handful of vector operations.
 
 Exactness contract
 ------------------
@@ -24,9 +24,9 @@ products to remain exact in float64, which holds by orders of magnitude for
 every network the paper evaluates.
 
 Unlike their scalar counterparts these helpers do *not* re-validate their
-operands on every call: they sit in the fast path's inner loop (where an
+operands on every call: they sit in the vector engine's inner loop (where an
 ``np.any`` guard on a 10-element array costs as much as the arithmetic), and
-their inputs come from :class:`repro.sim.fastpath.LayerTable` columns that
+their inputs come from :class:`repro.sim.batched.LayerTable` columns that
 were validated when the layers were resolved.  :func:`check_table_operands`
 performs the full set of range checks once per table.
 """
@@ -71,7 +71,7 @@ def check_table_operands(windows, terms, outputs, act_bits, weight_bits):
 
     Mirrors the per-call validations of the scalar schedules (positive
     precisions, non-negative work counts); called by
-    ``repro.sim.fastpath.build_layer_table`` so the per-layer helpers can
+    ``repro.sim.batched.build_layer_table`` so the per-layer helpers can
     stay guard-free.
     """
     if np.any(np.asarray(windows) < 0) or np.any(np.asarray(terms) < 0):
@@ -141,7 +141,8 @@ class PlaneGeometry:
     them unchanged -- each row is costed against its own design's grid, bit
     for bit as if the matching scalar geometry had been passed row by row.
     This is what lets :mod:`repro.sim.batched` evaluate *many accelerator
-    design points* in a single closed-form pass.
+    design points* in a single closed-form pass; a one-design plane passes
+    plain integers, which broadcast the same way.
 
     ``lanes`` and ``bits_per_cycle`` stay scalar: lanes is the architectural
     constant ``LANES_PER_UNIT`` for every Loom configuration, and designs
@@ -154,16 +155,6 @@ class PlaneGeometry:
     num_sips: np.ndarray
     bits_per_cycle: int = 1
     lanes: int = LANES_PER_UNIT
-
-    def take(self, indices) -> "PlaneGeometry":
-        """The geometry rows selected by ``indices`` (conv/fc gathers)."""
-        return PlaneGeometry(
-            filter_rows=self.filter_rows[indices],
-            window_columns=self.window_columns[indices],
-            num_sips=self.num_sips[indices],
-            bits_per_cycle=self.bits_per_cycle,
-            lanes=self.lanes,
-        )
 
     def steps_for_activation_bits(self, activation_bits: float) -> float:
         """Scalar delegate (``bits_per_cycle`` is uniform across the plane)."""

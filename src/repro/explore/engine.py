@@ -86,11 +86,10 @@ class PointEvaluator:
     """
 
     def __init__(self, space: SweepSpec, executor=None,
-                 baseline: str = "dpnn", engine: str = None) -> None:
+                 baseline: str = "dpnn") -> None:
         self.space = space
         self.executor = executor if executor is not None else get_default_executor()
         self.baseline_spec = AcceleratorSpec.create(baseline)
-        self.engine = engine
         self._memo: Dict[DesignPoint, EvaluatedPoint] = {}
 
     @property
@@ -146,7 +145,7 @@ class PointEvaluator:
                 jobs.append(SimJob(network=job.network,
                                    accelerator=self.baseline_spec,
                                    config=job.config))
-            results = self.executor.run(jobs, engine=self.engine)
+            results = self.executor.run(jobs)
             for index, point in enumerate(fresh):
                 design_result = results[2 * index]
                 baseline_result = results[2 * index + 1]
@@ -348,7 +347,6 @@ def explore(
         ("speedup", "energy_efficiency", "area"),
     executor=None,
     baseline: str = "dpnn",
-    engine: str = None,
     budget: Optional[int] = None,
 ) -> ExplorationResult:
     """Run one design-space exploration end to end.
@@ -373,20 +371,16 @@ def explore(
         process-wide one.
     baseline:
         Accelerator kind the relative metrics are measured against.
-    engine:
-        Simulation engine each candidate batch is dispatched with
-        (``"fast"``, ``"event"`` or ``"batched"``); ``None`` keeps the
-        executor's own setting.  ``"batched"`` hands every strategy round's
-        candidate set (and the deduplicated baselines) to
-        :func:`repro.sim.batched.simulate_jobs_batched` as whole design
-        groups -- same results, one tensor pass.
+
+    Each strategy round's candidate set (and the deduplicated baselines)
+    goes to the executor as one batch, which the default vector engine
+    evaluates in one :func:`repro.sim.batched.simulate_jobs_batched` call.
     """
     from repro.explore.search import resolve_strategy
 
     resolved_objectives = resolve_objectives(objectives)
     resolved_strategy = resolve_strategy(strategy)
-    evaluator = PointEvaluator(space, executor=executor, baseline=baseline,
-                               engine=engine)
+    evaluator = PointEvaluator(space, executor=executor, baseline=baseline)
     evaluated = drive_search(resolved_strategy, space, evaluator,
                              resolved_objectives, budget=budget)
     ranks = dominance_ranks(evaluated, resolved_objectives)

@@ -78,7 +78,7 @@ class DRAMChannel:
     def transfer_cycles(self, bits: float, clock_ghz: float = 1.0) -> float:
         """Cycles (at the accelerator clock) needed to move ``bits`` bits.
 
-        ``bits`` may be a NumPy array (used by the fast-path engine).
+        ``bits`` may be a NumPy array (used by the vector engine).
         """
         if np.any(np.asarray(bits) < 0):
             raise ValueError(f"bits must be >= 0, got {bits}")
@@ -88,7 +88,7 @@ class DRAMChannel:
     def transfer_energy_pj(self, bits: float) -> float:
         """Energy of moving ``bits`` bits over the channel.
 
-        ``bits`` may be a NumPy array (used by the fast-path engine).
+        ``bits`` may be a NumPy array (used by the vector engine).
         """
         if np.any(np.asarray(bits) < 0):
             raise ValueError(f"bits must be >= 0, got {bits}")

@@ -75,7 +75,7 @@ class EDRAMMemory:
     def access_energy_pj(self, bits: float | None = None) -> float:
         """Energy to read or write ``bits`` bits (default one full access).
 
-        ``bits`` may be a NumPy array (the fast-path engine batches whole
+        ``bits`` may be a NumPy array (the vector engine batches whole
         networks); the expression is identical elementwise.
         """
         bits = self.width_bits if bits is None else bits

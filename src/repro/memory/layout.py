@@ -138,7 +138,7 @@ class Transposer:
         return int(math.ceil(num_values / self.width))
 
     def energy_pj(self, num_values: int) -> float:
-        """``num_values`` may be a NumPy array (used by the fast-path engine)."""
+        """``num_values`` may be a NumPy array (used by the vector engine)."""
         if np.any(np.asarray(num_values) < 0):
             raise ValueError(f"num_values must be >= 0, got {num_values}")
         return num_values * self.energy_pj_per_value

@@ -85,7 +85,7 @@ class SRAMBuffer:
     def read_energy_pj(self, bits: int | None = None) -> float:
         """Energy of reading ``bits`` bits (default: one full-width access).
 
-        ``bits`` may be a NumPy array (used by the fast-path engine).
+        ``bits`` may be a NumPy array (used by the vector engine).
         """
         bits = self.width_bits if bits is None else bits
         if np.any(np.asarray(bits) < 0):
@@ -96,7 +96,7 @@ class SRAMBuffer:
     def write_energy_pj(self, bits: int | None = None) -> float:
         """Energy of writing ``bits`` bits (default: one full-width access).
 
-        ``bits`` may be a NumPy array (used by the fast-path engine).
+        ``bits`` may be a NumPy array (used by the vector engine).
         """
         bits = self.width_bits if bits is None else bits
         if np.any(np.asarray(bits) < 0):

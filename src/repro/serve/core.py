@@ -120,11 +120,10 @@ class ServiceCore:
     wait_timeout_s:
         How long a coalesced waiter polls an owner's execution before
         giving up (a safety net; owners always publish, even on error).
-    engine:
-        Simulation engine for the cache-miss sets the core executes
-        (default ``"batched"``); ``None`` follows the executor's own
-        setting.  All engines are bit-identical, so served results are
-        unaffected by the choice.
+
+    Cache-miss sets execute on the process-wide engine (``loom-repro
+    --engine``); both engines are bit-identical, so served results are
+    unaffected by the choice.
     """
 
     def __init__(
@@ -133,7 +132,6 @@ class ServiceCore:
         queue_limit: int = 8,
         retry_after_s: int = 1,
         wait_timeout_s: float = 600.0,
-        engine: Optional[str] = "batched",
     ) -> None:
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
@@ -142,11 +140,6 @@ class ServiceCore:
         self.queue_limit = queue_limit
         self.retry_after_s = retry_after_s
         self.wait_timeout_s = wait_timeout_s
-        if engine is not None:
-            from repro.sim.fastpath import resolve_engine
-
-            resolve_engine(engine)  # fail fast on unknown names
-        self.engine = engine
         self.stats = ServiceStats()
         self.started_at: Optional[float] = None
         self._inflight: Dict[str, _Inflight] = {}
@@ -266,8 +259,7 @@ class ServiceCore:
             results: List[NetworkResult] = []
             try:
                 with self._execute_lock:
-                    results = self.executor.run([job for job, _ in own],
-                                                engine=self.engine)
+                    results = self.executor.run([job for job, _ in own])
             except BaseException as exc:  # always publish, even on error
                 error = exc
             finally:
@@ -343,7 +335,6 @@ class ServiceCore:
                     "objectives", ("speedup", "energy_efficiency", "area")),
                 executor=self.executor,
                 baseline=request.get("baseline", "dpnn"),
-                engine=self.engine,
                 budget=budget,
             )
         return result.to_dict()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Union
 
 from repro.obs.trace import get_tracer
 from repro.serve.client import ServeClient, ServeError, compute_backoff
@@ -91,13 +91,11 @@ class RemoteExecutor:
                     attempt, retry_after_s=error.retry_after_s,
                     rng=self._rng))
 
-    def run(self, jobs: Iterable[object],
-            engine: Optional[str] = None) -> List[NetworkResult]:
+    def run(self, jobs: Iterable[object]) -> List[NetworkResult]:
         """Submit ``jobs`` to the server; results in submission order.
 
-        ``engine`` is accepted for executor-protocol parity and ignored:
-        the server executes with its own engine setting, and every engine
-        is bit-identical by contract, so results are unaffected.
+        The server executes with its own engine setting; every engine is
+        bit-identical by contract, so results are unaffected.
         """
         from repro.explore.space import job_to_point
 

@@ -52,6 +52,7 @@ from repro.serve.core import (  # noqa: F401 - _Inflight/_Submitted re-exported
     _Inflight,
     _Submitted,
 )
+from repro.sim.batched import get_default_engine
 from repro.sim.jobs import JobExecutor, ResultCache
 from repro.sim.results import NetworkResult
 
@@ -85,14 +86,11 @@ class SimulationService:
     wait_timeout_s:
         How long a coalesced waiter polls an owner's execution before
         giving up (a safety net; owners always publish, even on error).
-    engine:
-        Simulation engine for the cache-miss sets the service executes
-        (default ``"batched"``: each owner batch -- and each /explore
-        round -- runs as whole design groups through
-        :func:`repro.sim.batched.simulate_jobs_batched`, falling back per
-        job for designs without a vector kernel).  ``None`` follows the
-        executor's own setting.  All engines are bit-identical, so served
-        results are unaffected by the choice.
+
+    Cache-miss sets execute on the process-wide engine: with the default
+    ``vector`` engine each owner batch -- and each /explore round -- runs as
+    whole design planes through
+    :func:`repro.sim.batched.simulate_jobs_batched`.
     """
 
     def __init__(
@@ -103,7 +101,6 @@ class SimulationService:
         queue_limit: int = 8,
         retry_after_s: int = 1,
         wait_timeout_s: float = 600.0,
-        engine: Optional[str] = "batched",
     ) -> None:
         self.core = ServiceCore(
             executor=executor if executor is not None else JobExecutor(
@@ -111,7 +108,6 @@ class SimulationService:
             queue_limit=queue_limit,
             retry_after_s=retry_after_s,
             wait_timeout_s=wait_timeout_s,
-            engine=engine,
         )
         self.host = host
         self.port = port
@@ -130,7 +126,7 @@ class SimulationService:
         phase_histogram = self.metrics.histogram(
             "loom_executor_phase_seconds",
             "Executor wall time per phase (cache_lookup, layer_table_build, "
-            "simulate, transport_scatter).",
+            "simulate).",
             labelnames=("phase",))
         self.core.executor.phase_observer = (
             lambda phase, seconds: phase_histogram.observe(seconds,
@@ -174,10 +170,6 @@ class SimulationService:
     @property
     def retry_after_s(self) -> int:
         return self.core.retry_after_s
-
-    @property
-    def engine(self) -> Optional[str]:
-        return self.core.engine
 
     @property
     def started_at(self) -> Optional[float]:
@@ -229,7 +221,7 @@ class SimulationService:
             daemon=True,
         )
         self._server_thread.start()
-        _log.info("serve.started", url=self.url, engine=self.engine,
+        _log.info("serve.started", url=self.url, engine=get_default_engine(),
                   queue_limit=self.queue_limit, version=__version__)
         return self.url
 

@@ -10,13 +10,11 @@
 * :mod:`repro.sim.runner` -- walks a network (with a bound precision profile)
   through any accelerator model and aggregates the per-layer results.
 * :mod:`repro.sim.jobs` -- the declarative job pipeline: ``SimJob`` specs, a
-  content-keyed result cache and a parallel ``JobExecutor`` the experiment
+  content-keyed result cache and the ``JobExecutor`` the experiment
   harnesses run on.
-* :mod:`repro.sim.fastpath` -- the vectorized closed-form engine (the default
-  ``--engine fast``), bit-identical to the per-layer reference path.
-* :mod:`repro.sim.batched` -- the batched sweep engine (``--engine
-  batched``): whole groups of jobs stacked into one (job x layer) tensor
-  pass per accelerator design group, bit-identical to the other engines.
+* :mod:`repro.sim.batched` -- the vector engine (the default ``--engine
+  vector``): the closed forms evaluated over whole (design x job x layer)
+  planes, bit-identical to the per-layer reference (``--engine event``).
 * :mod:`repro.sim.validate` -- the differential harness asserting that the
   two engines agree cycle for cycle (and that Loom's analytical schedules
   match the event-driven tile simulator).
@@ -44,18 +42,16 @@ from repro.sim.jobs import (
     use_executor,
 )
 from repro.sim.batched import (
-    BatchedLayerTable,
-    simulate_jobs_batched,
-    stack_layer_tables,
-)
-from repro.sim.fastpath import (
     ENGINES,
+    BatchedLayerTable,
     LayerTable,
     build_layer_table,
     get_default_engine,
     set_default_engine,
-    simulate_network_fast,
-    supports_fast_path,
+    simulate_jobs_batched,
+    simulate_layer_table,
+    stack_layer_tables,
+    supports_vector_engine,
     use_engine,
 )
 from repro.sim.report import (
@@ -91,16 +87,16 @@ __all__ = [
     "job_key",
     "set_default_executor",
     "use_executor",
-    "BatchedLayerTable",
-    "simulate_jobs_batched",
-    "stack_layer_tables",
     "ENGINES",
+    "BatchedLayerTable",
     "LayerTable",
     "build_layer_table",
     "get_default_engine",
     "set_default_engine",
-    "simulate_network_fast",
-    "supports_fast_path",
+    "simulate_jobs_batched",
+    "simulate_layer_table",
+    "stack_layer_tables",
+    "supports_vector_engine",
     "use_engine",
     "layer_breakdown",
     "comparison_table",

@@ -1,86 +1,133 @@
-"""Batched sweep engine: many design points in one tensor pass.
+"""The vector engine: closed-form simulation of whole design planes.
 
-A ``bench_explore``-scale sweep evaluates hundreds of :class:`~repro.sim.
-jobs.spec.SimJob`\\ s that differ only in which network (or which precision
-profile) runs on which of a handful of accelerator designs.  The per-job fast
-path (:mod:`repro.sim.fastpath`) already vectorises *within* a job, but every
-job still pays the fixed cost of a full closed-form pass -- a few dozen NumPy
-calls over arrays with only 8..60 rows.  This module amortises that cost:
+The reference ("event") engine walks a network layer by layer through
+``Accelerator.simulate_layer`` -- per-layer Python arithmetic whose Loom
+schedules are cross-checked callback by callback against the event-driven
+:class:`repro.core.tile.LoomTileSimulator`.  This module computes the same
+per-layer cycle counts, memory-channel stalls, traffic, energy and occupancy
+with the NumPy closed forms of :mod:`repro.core.closed_form`, over many
+(design x job x layer) rows at once:
 
-1. jobs are grouped by accelerator design -- the ``(AcceleratorSpec,
-   AcceleratorConfig)`` pair, both frozen and hashable;
-2. each group's per-layer :class:`~repro.sim.fastpath.LayerTable` columns are
-   stacked into one ragged-padded 2-D :class:`BatchedLayerTable` of shape
-   (jobs x max_layers);
-3. the closed forms of :mod:`repro.core.closed_form` are evaluated **once per
-   group** over the whole flattened (job x layer) plane, via the same
-   :func:`repro.sim.fastpath._evaluate_plane` pass the per-job engine uses;
-4. the valid rows are scattered back into per-job
-   :class:`~repro.sim.results.LayerResult` / :class:`~repro.sim.results.
-   NetworkResult` objects.
+1. every compute layer of a network becomes one row of a :class:`LayerTable`
+   (memoised per network spec by the job pipeline);
+2. jobs are grouped by accelerator design, and each group's tables are
+   concatenated end to end into one :class:`BatchedLayerTable`;
+3. designs whose *structural* signature matches (class, memory layout, Loom
+   scheduling flags -- everything that picks a Python-level branch) share
+   one plane; each design's numeric parameters become per-row arrays, while
+   a one-design plane keeps them as scalars that broadcast;
+4. :func:`_evaluate_plane` runs the closed forms once over the plane, and
+   the rows are scattered back into per-job
+   :class:`~repro.sim.results.NetworkResult` objects.
 
-Bit-exactness falls out of IEEE float64 arithmetic being elementwise in the
-plane pass: evaluating row ``i`` next to a thousand other rows produces the
-same bits as evaluating it alone, so the scattered results are field-for-field
-identical to the per-job fast path (and therefore to the event engine) --
-:mod:`repro.sim.validate` asserts this over the full 216-job matrix.
+Bit-exactness falls out of IEEE float64 arithmetic being elementwise: every
+array expression mirrors the scalar models operation for operation, so a
+row's bits do not depend on which other rows share its plane.
+:mod:`repro.sim.validate` asserts field-for-field equality with the event
+engine over the full 216-job matrix.
 
-Jobs whose accelerator is not one of the four stock designs fall back to
-:func:`~repro.sim.jobs.spec.execute_job` automatically, exactly like the
-per-job fast path does, so batches mixing exotic ``Accelerator`` subclasses
-with stock designs still come back in submission order.
+Only the four stock designs (DPNN, Stripes, DStripes, Loom) have vector
+kernels; exotic ``Accelerator`` subclasses take the event engine
+automatically (see :func:`supports_vector_engine`), so user extensions keep
+working unchanged and mixed batches still come back in submission order.
 
-Padding uses values that keep every closed form finite (``windows=0``,
-``terms=0``, ``outputs=1``, ``act_bits=weight_bits=1``); padded rows are
-excluded from the conv/fc index sets and never scattered into results.
+The engine is chosen once per process (``loom-repro --engine
+{vector,event}``, :func:`use_engine`); the result cache keys do not record
+it because both engines are bit-identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.fastpath import (
-    LayerTable,
-    _evaluate_plane,
-    _stock_kinds,
-    supports_fast_path,
-)
 from repro.sim.results import LayerResult, NetworkResult
 
+# repro.core.closed_form and the accelerator classes are imported lazily:
+# this module is pulled in by ``repro.sim.__init__`` while
+# ``repro.accelerators.base`` (which the core schedules depend on) may still
+# be mid-initialisation.
+
 __all__ = [
+    "ENGINES",
     "BatchedLayerTable",
-    "stack_layer_tables",
-    "simulate_tables_batched",
+    "LayerTable",
+    "build_layer_table",
+    "get_default_engine",
+    "resolve_engine",
+    "set_default_engine",
     "simulate_jobs_batched",
+    "simulate_layer_table",
+    "stack_layer_tables",
+    "supports_vector_engine",
+    "use_engine",
 ]
+
+#: The selectable simulation engines: the closed-form vector engine and the
+#: per-layer reference path anchored to the event-driven tile simulator.
+#: Both produce bit-identical results.
+ENGINES = ("vector", "event")
+
+_default_engine = "vector"
+
+
+def get_default_engine() -> str:
+    """The process-wide engine used when callers do not pass one."""
+    return _default_engine
+
+
+def resolve_engine(engine: Optional[str]) -> str:
+    """Validate an engine choice; ``None`` resolves to the process default."""
+    if engine is None:
+        return _default_engine
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; available: {'/'.join(ENGINES)}"
+        )
+    return engine
+
+
+def set_default_engine(engine: str) -> str:
+    """Install ``engine`` as the process default; returns the previous one."""
+    global _default_engine
+    previous = _default_engine
+    _default_engine = resolve_engine(engine)
+    return previous
+
+
+@contextlib.contextmanager
+def use_engine(engine: str) -> Iterator[str]:
+    """Temporarily select a simulation engine (restored on exit)."""
+    previous = set_default_engine(engine)
+    try:
+        yield engine
+    finally:
+        set_default_engine(previous)
+
+
+# -- layer feature tables ------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class BatchedLayerTable:
-    """Ragged-padded stack of per-job layer tables for one accelerator design.
+class LayerTable:
+    """Column-wise view of a network's resolved compute layers.
 
-    Every numeric column is a (jobs x width) array where ``width`` is the
-    widest member table; ``lengths[j]`` gives job ``j``'s true layer count
-    and ``mask`` flags the valid cells.  ``names`` / ``kinds`` stay ragged
-    (tuples of per-job tuples) -- they are only needed at scatter time.
-
-    ``flat`` is the table's *dense* flat view -- the masked rows of the
-    ragged plane compacted into one (sum(lengths))-row :class:`LayerTable`
-    with the real names/kinds -- and ``conv`` / ``fc`` are its precomputed
-    datapath index sets.  Since padded rows contribute nothing, evaluating
-    the dense view is bit-identical to evaluating the padded plane and then
-    discarding the masked-out rows; the engine evaluates ``flat`` so the
-    (memoised) stack pays the gather once instead of every sweep.
+    One row per layer, in network order; ``windows`` is 0 for FCLs and
+    ``effective_weight_bits`` is NaN when the profile carries no per-group
+    weight precisions.  ``is_conv`` selects the conv-datapath closed forms
+    and is True for MatMul layers too (attention work is CVL-shaped);
+    ``kinds`` keeps the reporting kind (``"conv"``/``"fc"``/``"matmul"``)
+    for the emitted :class:`~repro.sim.results.LayerResult` records.  Tables
+    are immutable and safely shared across accelerator designs (the job
+    pipeline memoises one per network spec).
     """
 
-    names: Tuple[Tuple[str, ...], ...]
-    kinds: Tuple[Tuple[str, ...], ...]
-    lengths: Tuple[int, ...]
-    mask: np.ndarray
+    names: Tuple[str, ...]
+    kinds: Tuple[str, ...]
     is_conv: np.ndarray
     windows: np.ndarray
     terms: np.ndarray
@@ -92,99 +139,100 @@ class BatchedLayerTable:
     act_bits: np.ndarray
     weight_bits: np.ndarray
     effective_weight_bits: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+
+#: The numeric columns of a :class:`LayerTable`, in declaration order.
+_COLUMNS = ("is_conv", "windows", "terms", "outputs", "macs", "weight_count",
+            "input_activations", "output_activations", "act_bits",
+            "weight_bits", "effective_weight_bits")
+
+
+def build_layer_table(layers: Sequence[object]) -> LayerTable:
+    """Extract the per-layer quantities the closed forms consume.
+
+    ``layers`` holds :class:`~repro.nn.network.LayerWithPrecision` records
+    (what ``Network.compute_layers`` returns).
+    """
+    names: List[str] = []
+    kinds: List[str] = []
+    rows: List[Tuple[bool, int, int, int, int, int, int, int, int, int, float]] = []
+    for lw in layers:
+        if not (lw.is_conv or lw.is_fc):
+            raise ValueError(f"layer {lw.name!r} is not a compute layer")
+        precision = lw.precision
+        if lw.is_conv:
+            # Conv2D and MatMul expose the same window/filter interface.
+            conv = lw.layer
+            windows = conv.num_windows(lw.input_shape)
+            terms = conv.window_size(lw.input_shape)
+            outputs = conv.out_channels
+        else:
+            windows = 0
+            terms = lw.input_shape.size
+            outputs = lw.layer.out_features
+        effective = precision.effective_weight_bits
+        names.append(lw.name)
+        kinds.append(lw.kind)
+        rows.append((
+            lw.is_conv, windows, terms, outputs, lw.macs, lw.weight_count,
+            lw.input_activations, lw.output_activations,
+            precision.activation_bits, precision.weight_bits,
+            float("nan") if effective is None else float(effective),
+        ))
+    from repro.core.closed_form import check_table_operands
+
+    columns = list(zip(*rows)) if rows else [[] for _ in _COLUMNS]
+    dtypes = (bool,) + (np.int64,) * 9 + (np.float64,)
+    table = LayerTable(
+        names=tuple(names),
+        kinds=tuple(kinds),
+        **{column: np.asarray(values, dtype=dtype)
+           for column, values, dtype in zip(_COLUMNS, columns, dtypes)},
+    )
+    # Range-check once here so the per-call closed forms stay guard-free.
+    check_table_operands(table.windows, table.terms, table.outputs,
+                         table.act_bits, table.weight_bits)
+    return table
+
+
+def _concat_tables(tables: Sequence[LayerTable]) -> LayerTable:
+    """One table holding ``tables``' rows end to end."""
+    if len(tables) == 1:
+        return tables[0]
+    if not tables:
+        return build_layer_table([])
+    return LayerTable(
+        names=tuple(name for table in tables for name in table.names),
+        kinds=tuple(kind for table in tables for kind in table.kinds),
+        **{column: np.concatenate([getattr(table, column) for table in tables])
+           for column in _COLUMNS},
+    )
+
+
+@dataclass(frozen=True)
+class BatchedLayerTable:
+    """The layer tables of one design group's jobs, concatenated end to end.
+
+    ``flat`` holds every member table's rows back to back and ``lengths[j]``
+    is job ``j``'s row count -- all the engine needs to carve one plane's
+    results back into per-job lists.
+    """
+
+    lengths: Tuple[int, ...]
     flat: LayerTable
-    conv: np.ndarray
-    fc: np.ndarray
 
     @property
     def jobs(self) -> int:
         return len(self.lengths)
 
-    @property
-    def width(self) -> int:
-        return int(self.mask.shape[1])
-
-    def flat_table(self) -> LayerTable:
-        """The (jobs * width)-row padded flat view (ravelled 2-D columns).
-
-        ``names`` / ``kinds`` of padded rows are empty strings.  The engine
-        itself consumes the dense ``flat`` attribute; this view exists for
-        tests and tooling that want the plane with padding in place.
-        """
-        flat_names = ("",) * (self.jobs * self.width)
-        return LayerTable(
-            names=flat_names,
-            kinds=flat_names,
-            is_conv=self.is_conv.ravel(),
-            windows=self.windows.ravel(),
-            terms=self.terms.ravel(),
-            outputs=self.outputs.ravel(),
-            macs=self.macs.ravel(),
-            weight_count=self.weight_count.ravel(),
-            input_activations=self.input_activations.ravel(),
-            output_activations=self.output_activations.ravel(),
-            act_bits=self.act_bits.ravel(),
-            weight_bits=self.weight_bits.ravel(),
-            effective_weight_bits=self.effective_weight_bits.ravel(),
-        )
-
-
-#: (column name, dtype, pad value).  Pads keep every closed form finite:
-#: ``outputs=1`` and unit precisions avoid divide-by-zero / log-of-zero in
-#: the cycle kernels, zero counts make traffic and energy exactly 0.0, and
-#: ``is_conv=False`` keeps pads out of the conv-datapath index set.
-_STACK_COLUMNS = (
-    ("is_conv", bool, False),
-    ("windows", np.int64, 0),
-    ("terms", np.int64, 0),
-    ("outputs", np.int64, 1),
-    ("macs", np.int64, 0),
-    ("weight_count", np.int64, 0),
-    ("input_activations", np.int64, 0),
-    ("output_activations", np.int64, 0),
-    ("act_bits", np.int64, 1),
-    ("weight_bits", np.int64, 1),
-    ("effective_weight_bits", np.float64, np.nan),
-)
-
 
 def stack_layer_tables(tables: Sequence[LayerTable]) -> BatchedLayerTable:
-    """Stack per-job layer tables into one ragged-padded 2-D table.
-
-    Also precomputes the dense ``flat`` view (the padded plane with the
-    masked rows gathered out -- equivalently, the member columns
-    concatenated end to end) and its conv/fc index sets, so the engine's
-    per-sweep work reduces to the closed-form pass plus the scatter.
-    """
-    jobs = len(tables)
-    width = max((len(t) for t in tables), default=0)
-    lengths = tuple(len(t) for t in tables)
-    mask = np.zeros((jobs, width), dtype=bool)
-    for j, length in enumerate(lengths):
-        mask[j, :length] = True
-    stacked: Dict[str, np.ndarray] = {}
-    for column, dtype, pad in _STACK_COLUMNS:
-        out = np.full((jobs, width), pad, dtype=dtype)
-        for j, table in enumerate(tables):
-            out[j, : lengths[j]] = getattr(table, column)
-        stacked[column] = out
-    valid = mask.ravel()
-    flat = LayerTable(
-        names=tuple(n for t in tables for n in t.names),
-        kinds=tuple(k for t in tables for k in t.kinds),
-        **{column: stacked[column].ravel()[valid]
-           for column, _, _ in _STACK_COLUMNS},
-    )
-    return BatchedLayerTable(
-        names=tuple(t.names for t in tables),
-        kinds=tuple(t.kinds for t in tables),
-        lengths=lengths,
-        mask=mask,
-        flat=flat,
-        conv=np.flatnonzero(flat.is_conv),
-        fc=np.flatnonzero(~flat.is_conv),
-        **stacked,
-    )
+    """Concatenate per-job layer tables into one :class:`BatchedLayerTable`."""
+    return BatchedLayerTable(lengths=tuple(len(t) for t in tables),
+                             flat=_concat_tables(list(tables)))
 
 
 # A sweep revisits the same network mix for every design in the space, so the
@@ -199,154 +247,91 @@ def _stacked_tables_for_specs(network_specs: tuple) -> BatchedLayerTable:
     return stack_layer_tables([_spec_layer_table(s) for s in network_specs])
 
 
-def _scatter_layer_results(flat: LayerTable,
-                           columns: Tuple[np.ndarray, ...]) -> List[LayerResult]:
-    """Scatter evaluated plane columns back into ``LayerResult`` objects.
-
-    One flat pass over all (job, layer) rows, constructing LayerResults via
-    ``__new__`` + a ``__dict__`` literal.  This skips dataclass
-    ``__init__``/``__post_init__`` (whose validation is vacuous here: kinds
-    come from built tables and cycles from the closed forms) and is a large
-    part of the batched engine's speedup over the per-job path.  Field
-    layout, ``__eq__`` and ``asdict()`` semantics are identical to
-    normally-constructed instances.  ``tolist()`` converts whole columns to
-    plain Python scalars in one C pass (bit-exact for float64).
-    """
-    (cycles, compute_cycles, memory_cycles, energy, weight_bits,
-     act_in_bits, act_out_bits, utilization) = columns
-    new = LayerResult.__new__
-    results_flat: List[LayerResult] = []
-    append = results_flat.append
-    for (name, kind, row_cycles, row_compute, row_memory, row_energy,
-         row_weights, row_act_in, row_act_out, row_macs,
-         row_utilization) in zip(
-        flat.names, flat.kinds, cycles.tolist(), compute_cycles.tolist(),
-        memory_cycles.tolist(), energy.tolist(), weight_bits.tolist(),
-        act_in_bits.tolist(), act_out_bits.tolist(), flat.macs.tolist(),
-        utilization.tolist(),
-    ):
-        result = new(LayerResult)
-        result.__dict__ = {
-            "layer_name": name,
-            "layer_kind": kind,
-            "cycles": row_cycles,
-            "compute_cycles": row_compute,
-            "memory_cycles": row_memory,
-            "energy_pj": row_energy,
-            "weight_bits_read": row_weights,
-            "activation_bits_read": row_act_in,
-            "activation_bits_written": row_act_out,
-            "macs": row_macs,
-            "utilization": row_utilization,
-            "extra": {},
-        }
-        append(result)
-    return results_flat
-
-
-def simulate_tables_batched(accelerator,
-                            tables: Sequence[LayerTable],
-                            batched: Optional[BatchedLayerTable] = None,
-                            ) -> List[List[LayerResult]]:
-    """Simulate every table in ``tables`` on ``accelerator`` in one pass.
-
-    Returns one ``LayerResult`` list per input table, bit-identical to
-    calling :func:`~repro.sim.fastpath.simulate_layers_fast` per table.
-    ``batched`` lets callers pass a pre-stacked table (the job entry point
-    memoises stacks across design groups).
-    """
-    if batched is None:
-        batched = stack_layer_tables(list(tables))
-    if batched.jobs == 0:
-        return []
-    flat = batched.flat
-    if len(flat) == 0:
-        return [[] for _ in range(batched.jobs)]
-    columns = _evaluate_plane(accelerator, flat, batched.conv, batched.fc)
-    results_flat = _scatter_layer_results(flat, columns)
-
-    # Carve the flat result list back into per-job lists.
-    out: List[List[LayerResult]] = []
-    cursor = 0
-    for length in batched.lengths:
-        out.append(results_flat[cursor:cursor + length])
-        cursor += length
-    return out
-
-
-# -- cross-design planes -------------------------------------------------------
+# -- the per-design record -----------------------------------------------------
 #
-# A design-space sweep inverts the batch shape: hundreds of *designs* over a
-# handful of networks, so per-design groups hold only a few jobs each and the
-# closed-form pass stops amortising.  Designs of the same class whose only
-# differences are numeric (grid shape, memory sizes, clock, energy
-# coefficients) can share one plane: every per-design scalar becomes a
-# per-row array (np.repeat over each design's row count) and broadcasts
-# through the same elementwise closed forms, bit-identically.  Designs are
-# mergeable when their *structural* signature matches -- the Python-level
-# branches of the evaluation (class dispatch, DRAM/transposer presence,
-# layout types, Loom's scheduling flags and bits-per-cycle).
+# The evaluator reads a design only through its record: a structural
+# signature (everything that selects a Python-level branch -- designs share a
+# plane iff their signatures match) and numeric parameters (promoted to
+# per-row arrays when designs share a plane).  Adding an accelerator variant
+# means one kernel branch in _compute_cycles plus its entries here.
 
 
-_DESIGN_SIGNATURES: Dict[object, tuple] = {}
+@functools.lru_cache(maxsize=1)
+def _stock_kinds():
+    """Exact classes with a vector kernel (imported lazily: no package cycles)."""
+    from repro.accelerators.dpnn import DPNN
+    from repro.accelerators.dstripes import DStripes
+    from repro.accelerators.stripes import Stripes
+    from repro.core.loom import Loom
+
+    return Loom, DPNN, Stripes, DStripes
+
+
+def supports_vector_engine(accelerator) -> bool:
+    """Whether ``accelerator`` is one of the four stock designs.
+
+    The check is on the *exact* type: subclasses may override any hook, so
+    they take the event engine (correct for every Accelerator) instead.
+    """
+    return type(accelerator) in _stock_kinds()
+
+
+#: What a design signature holds, in order.  Flags a kernel does not read
+#: are None.
+_SIGNATURE_FIELDS = (
+    "class", "kernel", "has_dram", "charge_offchip_energy", "has_transposer",
+    "weight_interleaved", "weight_word_bits", "act_interleaved",
+    "act_word_bits", "dynamic", "bits_per_cycle", "replicate_filters",
+    "use_cascading", "use_effective_weight_precision",
+)
 
 
 def _design_signature(accelerator) -> tuple:
-    """Structural key: designs merge into one plane iff signatures match.
-
-    Everything that selects a Python-level branch in the plane evaluation is
-    in the key; everything numeric is promoted to per-row arrays instead.
-    Cached per accelerator instance (stock designs are immutable in every
-    field the signature reads).
+    """Structural key (values in :data:`_SIGNATURE_FIELDS` order): designs
+    merge into one plane iff signatures match, and the evaluator branches on
+    these values.
     """
-    cached = _DESIGN_SIGNATURES.get(accelerator)
-    if cached is not None:
-        return cached
+    from repro.memory.layout import BitInterleavedLayout
+
+    if not supports_vector_engine(accelerator):
+        raise TypeError(f"no vector kernel for {type(accelerator).__name__}; "
+                        f"check supports_vector_engine() first")
     loom_cls, _, stripes_cls, _ = _stock_kinds()
     hierarchy = accelerator.hierarchy
-    signature = (
+    weight_layout = hierarchy.weight_layout
+    act_layout = hierarchy.activation_layout
+    loom = isinstance(accelerator, loom_cls)
+    if loom:
+        kernel = "loom"
+    elif isinstance(accelerator, stripes_cls):  # covers DStripes
+        kernel = "stripes"
+    else:
+        kernel = "dpnn"
+    return (
         type(accelerator),
-        hierarchy.dram is None,
+        kernel,
+        hierarchy.dram is not None,
         hierarchy.charge_offchip_energy,
-        hierarchy.transposer is None,
-        type(hierarchy.activation_layout), hierarchy.activation_layout.word_bits,
-        type(hierarchy.weight_layout), hierarchy.weight_layout.word_bits,
+        hierarchy.transposer is not None,
+        isinstance(weight_layout, BitInterleavedLayout),
+        weight_layout.word_bits,
+        isinstance(act_layout, BitInterleavedLayout),
+        act_layout.word_bits,
+        None if kernel == "dpnn" else accelerator.dynamic_precision.enabled,
+        accelerator.bits_per_cycle if loom else None,
+        accelerator.replicate_filters if loom else None,
+        accelerator.use_cascading if loom else None,
+        accelerator.use_effective_weight_precision if loom else None,
     )
-    if isinstance(accelerator, loom_cls):
-        signature += (
-            accelerator.bits_per_cycle,
-            accelerator.replicate_filters,
-            accelerator.use_cascading,
-            accelerator.use_effective_weight_precision,
-            accelerator.dynamic_precision.enabled,
-        )
-    elif isinstance(accelerator, stripes_cls):
-        signature += (accelerator.dynamic_precision.enabled,)
-    if len(_DESIGN_SIGNATURES) >= _DESIGN_PARAMS_CAP:
-        _DESIGN_SIGNATURES.clear()
-    _DESIGN_SIGNATURES[accelerator] = signature
-    return signature
 
 
-# Per-design numeric parameters, keyed by accelerator identity.  Accelerator
-# instances hash by id and the cache holds a strong reference (which also
-# keeps the id stable); build_accelerator memoises instances per (spec,
-# config) so the population is bounded by the design space, not the job
-# count.  Cleared wholesale if it ever grows past the cap.
-_DESIGN_PARAMS: Dict[object, Dict[str, float]] = {}
-_DESIGN_PARAMS_CAP = 4096
-
-
-def _design_params(accelerator) -> Dict[str, float]:
-    """The per-design scalars the plane evaluation promotes to row arrays.
+def _design_params(accelerator) -> Dict[str, object]:
+    """The per-design numbers the plane evaluation reads.
 
     Energy coefficients are kept as the *separate* factors the scalar models
     multiply (base x size_factor x tech_factor, in that order) so the array
     expressions round identically to the scalar ones.
     """
-    params = _DESIGN_PARAMS.get(accelerator)
-    if params is not None:
-        return params
     loom_cls, dpnn_cls, stripes_cls, _ = _stock_kinds()
     hierarchy = accelerator.hierarchy
     am, wm = hierarchy.activation_memory, hierarchy.weight_memory
@@ -388,101 +373,126 @@ def _design_params(accelerator) -> Dict[str, float]:
     elif isinstance(accelerator, stripes_cls):
         params.update(
             filter_lanes=accelerator.filter_lanes,
+            window_lanes=stripes_cls.WINDOW_LANES,
             fc_ip_units=accelerator._dpnn.num_ip_units,
             activation_reduction=accelerator.dynamic_precision.activation_reduction,
         )
     elif isinstance(accelerator, dpnn_cls):
         params.update(num_ip_units=accelerator.num_ip_units)
-    if len(_DESIGN_PARAMS) >= _DESIGN_PARAMS_CAP:
-        _DESIGN_PARAMS.clear()
-    _DESIGN_PARAMS[accelerator] = params
     return params
+
+
+# Design records keyed by accelerator identity.  Accelerator instances hash
+# by id and the memo holds a strong reference (which also keeps the id
+# stable); build_accelerator memoises instances per (spec, config), so the
+# population is bounded by the design space, not the job count.  Stock
+# designs are immutable in every field a record reads.  Cleared wholesale if
+# it ever grows past the cap.
+_DESIGN_RECORDS: Dict[object, Tuple[tuple, Dict[str, object]]] = {}
+_DESIGN_RECORDS_CAP = 4096
+
+
+def _design_record(accelerator) -> Tuple[tuple, Dict[str, object]]:
+    """``(signature, params)`` for ``accelerator``, memoised."""
+    record = _DESIGN_RECORDS.get(accelerator)
+    if record is None:
+        record = (_design_signature(accelerator), _design_params(accelerator))
+        if len(_DESIGN_RECORDS) >= _DESIGN_RECORDS_CAP:
+            _DESIGN_RECORDS.clear()
+        _DESIGN_RECORDS[accelerator] = record
+    return record
+
+
+# -- design planes -------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class _DesignPlane:
-    """One mergeable group of designs flattened into a single (row) plane.
+    """Designs of one signature over their layer rows, ready to evaluate.
 
-    ``accelerators``/``tables`` hold strong references to the members (which
-    also pins the ids the plane cache is keyed by); ``flat`` concatenates the
-    members' dense layer tables end to end, and ``arrays`` carries each
-    per-design scalar repeated over that design's rows.
+    ``members`` holds strong references to the (accelerator, table) pairs
+    (which also pins the ids the plane cache is keyed by); ``flat``
+    concatenates the member tables end to end.  ``params`` maps each design
+    parameter to a scalar for a one-design plane (it broadcasts) or to an
+    array repeating each design's value over that design's rows.
     """
 
-    accelerators: Tuple[object, ...]
-    tables: Tuple[BatchedLayerTable, ...]
+    members: Tuple[Tuple[object, LayerTable], ...]
+    structure: Dict[str, object]
     flat: LayerTable
     conv: np.ndarray
     fc: np.ndarray
-    arrays: Dict[str, np.ndarray]
+    params: Dict[str, object]
 
 
-_INT_PARAMS = frozenset({
-    "am_capacity_bits", "wm_capacity_bits", "equivalent_macs",
-    "filter_rows", "window_columns", "num_sips",
-    "filter_lanes", "fc_ip_units", "num_ip_units",
-})
-
-# Built _DesignPlane objects keyed by the member (accelerator, table) id
-# pairs; values reference the members, keeping the keys valid.  Sweeps
-# re-evaluate the same design x network mix repeatedly (explore rounds,
-# serve batches), so the concatenation + np.repeat work is paid once.
+# Multi-design planes keyed by the member (accelerator, table) id pairs;
+# values reference the members, keeping the keys valid.  Sweeps re-evaluate
+# the same design x network mix repeatedly (explore rounds, serve batches),
+# so the concatenation + np.repeat work is paid once.  One-design planes are
+# cheap to build and are not cached.
 _PLANE_CACHE: Dict[Tuple[Tuple[int, int], ...], _DesignPlane] = {}
 _PLANE_CACHE_CAP = 128
 
 
-def _build_design_plane(
-    members: Sequence[Tuple[object, BatchedLayerTable]],
-) -> _DesignPlane:
-    """Concatenate member tables and promote design scalars to row arrays."""
-    key = tuple((id(a), id(t)) for a, t in members)
+def _design_plane(members: Sequence[Tuple[object, LayerTable]]) -> _DesignPlane:
+    """Build the plane for ``members``, which share one design signature."""
+    key = (tuple((id(a), id(t)) for a, t in members) if len(members) > 1
+           else None)
     plane = _PLANE_CACHE.get(key)
     if plane is not None:
         return plane
-    flats = [table.flat for _, table in members]
-    names: List[str] = []
-    kinds: List[str] = []
-    for flat in flats:
-        names.extend(flat.names)
-        kinds.extend(flat.kinds)
-    columns = {
-        column: np.concatenate([getattr(flat, column) for flat in flats])
-        for column, _, _ in _STACK_COLUMNS
-    }
-    flat = LayerTable(names=tuple(names), kinds=tuple(kinds), **columns)
-    counts = np.asarray([len(f) for f in flats], dtype=np.int64)
-    member_params = [_design_params(a) for a, _ in members]
-    arrays = {
-        name: np.repeat(
-            np.asarray([p[name] for p in member_params],
-                       dtype=(np.int64 if name in _INT_PARAMS
-                              else np.float64)),
-            counts,
-        )
-        for name in member_params[0]
-    }
+    records = [_design_record(accelerator) for accelerator, _ in members]
+    flat = _concat_tables([table for _, table in members])
+    if key is None:
+        params = records[0][1]
+    else:
+        counts = [len(table) for _, table in members]
+        params = {
+            name: np.repeat(np.asarray([p[name] for _, p in records]), counts)
+            for name in records[0][1]
+        }
     plane = _DesignPlane(
-        accelerators=tuple(a for a, _ in members),
-        tables=tuple(t for _, t in members),
+        members=tuple(members),
+        structure=dict(zip(_SIGNATURE_FIELDS, records[0][0])),
         flat=flat,
         conv=np.flatnonzero(flat.is_conv),
         fc=np.flatnonzero(~flat.is_conv),
-        arrays=arrays,
+        params=params,
     )
-    if len(_PLANE_CACHE) >= _PLANE_CACHE_CAP:
-        _PLANE_CACHE.clear()
-    _PLANE_CACHE[key] = plane
+    if key is not None:
+        if len(_PLANE_CACHE) >= _PLANE_CACHE_CAP:
+            _PLANE_CACHE.clear()
+        _PLANE_CACHE[key] = plane
     return plane
 
 
-def _plane_compute_cycles(plane: _DesignPlane) -> np.ndarray:
-    """Datapath cycles for every plane row (multi-design mirror of
-    :func:`repro.sim.fastpath._compute_cycles`).
+def _rows(value, idx: np.ndarray):
+    """``value`` at plane rows ``idx``: per-row arrays are gathered, scalars
+    broadcast as they are."""
+    return value[idx] if isinstance(value, np.ndarray) else value
 
-    Scalar design parameters are replaced by the per-row arrays of
-    ``plane.arrays``; the Python-level branches (class dispatch, Loom
-    scheduling flags) are uniform across the plane by construction
-    (:func:`_design_signature`).
+
+def _loom_weight_serial_bits(plane: _DesignPlane,
+                             idx: np.ndarray) -> np.ndarray:
+    """Mirror of ``Loom._conv_weight_bits`` / ``_fc_weight_bits``."""
+    from repro.core.closed_form import effective_weight_bits_array
+
+    table = plane.flat
+    profile = table.weight_bits[idx].astype(np.float64)
+    if not plane.structure["use_effective_weight_precision"]:
+        return profile
+    effective = table.effective_weight_bits[idx]
+    has_effective = ~np.isnan(effective)
+    clamped = effective_weight_bits_array(np.where(has_effective, effective, 1.0))
+    return np.where(has_effective, clamped, profile)
+
+
+def _compute_cycles(plane: _DesignPlane) -> np.ndarray:
+    """Datapath cycles for every plane row (the ``compute_cycles`` column).
+
+    One branch per vector kernel; the branch and every flag it reads come
+    from the (plane-uniform) design signature, every number from the
+    design parameters.
     """
     from repro.core.closed_form import (
         PlaneGeometry,
@@ -494,120 +504,120 @@ def _plane_compute_cycles(plane: _DesignPlane) -> np.ndarray:
         steps_for_activation_bits_array,
         stripes_conv_cycles_array,
     )
-    from repro.sim.fastpath import _loom_weight_serial_bits
 
-    loom_cls, dpnn_cls, stripes_cls, _ = _stock_kinds()
     table, conv, fc = plane.flat, plane.conv, plane.fc
-    arrays = plane.arrays
-    first = plane.accelerators[0]
+    structure, params = plane.structure, plane.params
+    kernel = structure["kernel"]
     cycles = np.zeros(len(table), dtype=np.float64)
-    if isinstance(first, loom_cls):
-        geometry = PlaneGeometry(
-            filter_rows=arrays["filter_rows"],
-            window_columns=arrays["window_columns"],
-            num_sips=arrays["num_sips"],
-            bits_per_cycle=first.bits_per_cycle,
-        )
-        dynamic_enabled = first.dynamic_precision.enabled
+    if kernel == "loom":
+        bits_per_cycle = structure["bits_per_cycle"]
+
+        def geometry(idx):
+            return PlaneGeometry(
+                filter_rows=_rows(params["filter_rows"], idx),
+                window_columns=_rows(params["window_columns"], idx),
+                num_sips=_rows(params["num_sips"], idx),
+                bits_per_cycle=bits_per_cycle,
+            )
+
         if conv.size:
             act_bits = effective_activation_bits_array(
-                table.act_bits[conv], dynamic_enabled,
-                arrays["activation_reduction"][conv], geometry.bits_per_cycle,
+                table.act_bits[conv], structure["dynamic"],
+                _rows(params["activation_reduction"], conv), bits_per_cycle,
             )
-            steps = steps_for_activation_bits_array(
-                act_bits, geometry.bits_per_cycle
-            )
+            steps = steps_for_activation_bits_array(act_bits, bits_per_cycle)
             cycles[conv] = loom_conv_cycles_array(
                 table.windows[conv], table.terms[conv], table.outputs[conv],
-                steps, _loom_weight_serial_bits(first, table, conv),
-                geometry.take(conv), first.replicate_filters,
+                steps, _loom_weight_serial_bits(plane, conv),
+                geometry(conv), structure["replicate_filters"],
             )
         if fc.size:
             cycles[fc] = loom_fc_cycles_array(
                 table.outputs[fc], table.terms[fc],
-                _loom_weight_serial_bits(first, table, fc),
-                geometry.take(fc), first.use_cascading,
+                _loom_weight_serial_bits(plane, fc),
+                geometry(fc), structure["use_cascading"],
             )
-        return cycles
-    if isinstance(first, stripes_cls):  # covers DStripes
+    elif kernel == "stripes":
         if conv.size:
             serial_bits = effective_activation_bits_array(
-                table.act_bits[conv], first.dynamic_precision.enabled,
-                arrays["activation_reduction"][conv], bits_per_cycle=1,
+                table.act_bits[conv], structure["dynamic"],
+                _rows(params["activation_reduction"], conv), bits_per_cycle=1,
             )
             cycles[conv] = stripes_conv_cycles_array(
                 table.windows[conv], table.terms[conv], table.outputs[conv],
-                serial_bits, arrays["filter_lanes"][conv],
-                stripes_cls.WINDOW_LANES,
+                serial_bits, _rows(params["filter_lanes"], conv),
+                _rows(params["window_lanes"], conv),
             )
         if fc.size:
             cycles[fc] = dpnn_fc_cycles_array(
                 table.terms[fc], table.outputs[fc],
-                arrays["fc_ip_units"][fc],
+                _rows(params["fc_ip_units"], fc),
             )
-        return cycles
-    if isinstance(first, dpnn_cls):
+    else:  # dpnn
         if conv.size:
             cycles[conv] = dpnn_conv_cycles_array(
                 table.windows[conv], table.terms[conv], table.outputs[conv],
-                arrays["num_ip_units"][conv],
+                _rows(params["num_ip_units"], conv),
             )
         if fc.size:
             cycles[fc] = dpnn_fc_cycles_array(
-                table.terms[fc], table.outputs[fc], arrays["num_ip_units"][fc],
+                table.terms[fc], table.outputs[fc],
+                _rows(params["num_ip_units"], fc),
             )
-        return cycles
-    raise TypeError(f"no plane kernel for {type(first).__name__}")
+    return cycles
 
 
-def _evaluate_design_plane(plane: _DesignPlane) -> Tuple[np.ndarray, ...]:
-    """Multi-design mirror of :func:`repro.sim.fastpath._evaluate_plane`.
+def _traffic_bits(interleaved: bool, word_bits: int, count: np.ndarray,
+                  precision: np.ndarray) -> np.ndarray:
+    """Vector mirror of the layouts' ``traffic_bits`` (bits to move once)."""
+    if interleaved:
+        return (count * precision).astype(np.float64)
+    return (count * word_bits).astype(np.float64)
 
-    Identical arithmetic, with every per-design scalar (memory capacities and
-    energy factors, DRAM bandwidth, datapath power, peak MACs) replaced by
-    the matching per-row array -- each expression stays elementwise, so each
-    row's bits equal what the single-design plane produces for that design.
+
+def _evaluate_plane(plane: _DesignPlane) -> Tuple[np.ndarray, ...]:
+    """Evaluate the closed forms over every row of ``plane`` at once.
+
+    Returns the result columns ``(cycles, compute_cycles, memory_cycles,
+    energy, weight_bits, act_in_bits, act_out_bits, utilization)``.  Each
+    expression mirrors ``Accelerator.simulate_layer`` and the memory models
+    operation for operation and stays elementwise, so each row's bits equal
+    what the scalar models produce for that row's design and layer.
     """
-    from repro.sim.fastpath import _traffic_bits
-
-    table = plane.flat
-    arrays = plane.arrays
-    first = plane.accelerators[0]
-    hierarchy = first.hierarchy
+    table, structure, params = plane.flat, plane.structure, plane.params
     n = len(table)
-    compute_cycles = _plane_compute_cycles(plane)
+    compute_cycles = _compute_cycles(plane)
 
-    # Storage precisions follow the (signature-uniform) layout pattern; the
-    # layout *objects* of the first member stand in for the whole plane (the
-    # signature pins their types and word widths).
-    loom_cls, _, stripes_cls, _ = _stock_kinds()
-    if isinstance(first, loom_cls):
-        weight_store, act_store = table.weight_bits, table.act_bits
-    elif isinstance(first, stripes_cls):
-        full = np.full(n, 16, dtype=np.int64)
-        weight_store, act_store = full, table.act_bits
-    else:
-        full = np.full(n, 16, dtype=np.int64)
-        weight_store, act_store = full, full
-    weight_bits = _traffic_bits(hierarchy.weight_layout,
+    # Storage precisions: Loom keeps weights and activations at profile
+    # precision, Stripes only activations; 16-bit words otherwise.
+    kernel = structure["kernel"]
+    full = np.full(n, 16, dtype=np.int64)
+    weight_store = table.weight_bits if kernel == "loom" else full
+    act_store = full if kernel == "dpnn" else table.act_bits
+    weight_bits = _traffic_bits(structure["weight_interleaved"],
+                                structure["weight_word_bits"],
                                 table.weight_count, weight_store)
-    act_in_bits = _traffic_bits(hierarchy.activation_layout,
+    act_in_bits = _traffic_bits(structure["act_interleaved"],
+                                structure["act_word_bits"],
                                 table.input_activations, act_store)
-    act_out_bits = _traffic_bits(hierarchy.activation_layout,
+    act_out_bits = _traffic_bits(structure["act_interleaved"],
+                                 structure["act_word_bits"],
                                  table.output_activations, act_store)
     act_footprint = act_in_bits + act_out_bits
-    activations_fit = act_footprint <= arrays["am_capacity_bits"]
-    weights_fit = (weight_bits <= arrays["wm_capacity_bits"]) & table.is_conv
+    activations_fit = act_footprint <= params["am_capacity_bits"]
+    weights_fit = (weight_bits <= params["wm_capacity_bits"]) & table.is_conv
     offchip_bits = weight_bits + np.where(activations_fit, 0.0, act_footprint)
 
-    if hierarchy.dram is None:
-        memory_cycles = np.zeros(n, dtype=np.float64)
+    if structure["has_dram"]:
+        memory_cycles = offchip_bits / params["dram_bits_per_cycle"]
     else:
-        memory_cycles = offchip_bits / arrays["dram_bits_per_cycle"]
+        memory_cycles = np.zeros(n, dtype=np.float64)
     cycles = np.maximum(compute_cycles, memory_cycles)
 
+    # Datapath energy: active power while computing, clock-gated (0.25x)
+    # while stalled on memory -- same expression as Accelerator.simulate_layer.
     stall_cycles = np.maximum(0.0, cycles - compute_cycles)
-    datapath_pj = arrays["datapath_pj"]
+    datapath_pj = params["datapath_pj"]
     datapath_energy = (compute_cycles * datapath_pj
                        + stall_cycles * datapath_pj * 0.25)
 
@@ -616,45 +626,102 @@ def _evaluate_design_plane(plane: _DesignPlane) -> Tuple[np.ndarray, ...]:
     # scalar models' multiplication order.
     energy = np.where(
         weights_fit,
-        arrays["wm_base"] * weight_bits * arrays["wm_size"] * arrays["wm_tech"],
-        (arrays["abin_base"] * weight_bits
-         * arrays["abin_size"] * arrays["abin_tech"]) * 0.15,
+        params["wm_base"] * weight_bits * params["wm_size"] * params["wm_tech"],
+        (params["abin_base"] * weight_bits
+         * params["abin_size"] * params["abin_tech"]) * 0.15,
     )
-    energy = energy + (arrays["am_base"] * (act_in_bits + act_out_bits)
-                       * arrays["am_size"] * arrays["am_tech"])
-    energy = energy + (arrays["abin_base"] * act_in_bits
-                       * arrays["abin_size"] * arrays["abin_tech"])
-    energy = energy + (arrays["about_base"] * act_out_bits
-                       * arrays["about_size"] * arrays["about_tech"])
-    if hierarchy.transposer is not None:
-        energy = energy + table.output_activations * arrays["transposer_pj"]
-    if hierarchy.dram is not None and hierarchy.charge_offchip_energy:
-        energy = energy + offchip_bits * arrays["dram_energy_pj_per_bit"]
+    energy = energy + (params["am_base"] * (act_in_bits + act_out_bits)
+                       * params["am_size"] * params["am_tech"])
+    energy = energy + (params["abin_base"] * act_in_bits
+                       * params["abin_size"] * params["abin_tech"])
+    energy = energy + (params["about_base"] * act_out_bits
+                       * params["about_size"] * params["about_tech"])
+    if structure["has_transposer"]:
+        # Zero-output layers contribute exactly 0.0, matching the scalar guard.
+        energy = energy + table.output_activations * params["transposer_pj"]
+    if structure["has_dram"] and structure["charge_offchip_energy"]:
+        energy = energy + offchip_bits * params["dram_energy_pj_per_bit"]
     energy = datapath_energy + energy
 
     safe_cycles = np.where(compute_cycles <= 0, 1.0, compute_cycles)
-    ideal = table.macs / arrays["equivalent_macs"]
+    ideal = table.macs / params["equivalent_macs"]
     utilization = np.where(compute_cycles <= 0, 1.0,
                            np.minimum(1.0, ideal / safe_cycles))
     return (cycles, compute_cycles, memory_cycles, energy,
             weight_bits, act_in_bits, act_out_bits, utilization)
 
 
-# -- the batch entry point -----------------------------------------------------
+def _simulate_plane(plane: _DesignPlane) -> List[LayerResult]:
+    """Evaluate ``plane`` and scatter its rows into ``LayerResult`` objects.
+
+    One flat pass over all rows, constructing LayerResults via ``__new__``
+    plus attribute stores in field order.  This skips dataclass
+    ``__init__``/``__post_init__`` (whose validation is vacuous here: kinds
+    come from built tables and cycles from the closed forms); field layout,
+    ``__eq__`` and ``asdict()`` semantics are identical to
+    normally-constructed instances.  Storing attributes one by one (rather
+    than assigning a ready-made ``__dict__``) keeps CPython's shared-key
+    instance layout, so a row allocates no per-instance dict for the garbage
+    collector to track -- on a 240-job sweep that halves the collector's
+    work.  ``tolist()`` converts whole columns to plain Python scalars in one
+    C pass (bit-exact for float64).
+    """
+    flat = plane.flat
+    if not len(flat):
+        return []
+    (cycles, compute_cycles, memory_cycles, energy, weight_bits,
+     act_in_bits, act_out_bits, utilization) = _evaluate_plane(plane)
+    new = LayerResult.__new__
+    results: List[LayerResult] = []
+    append = results.append
+    for (name, kind, row_cycles, row_compute, row_memory, row_energy,
+         row_weights, row_act_in, row_act_out, row_macs,
+         row_utilization) in zip(
+        flat.names, flat.kinds, cycles.tolist(), compute_cycles.tolist(),
+        memory_cycles.tolist(), energy.tolist(), weight_bits.tolist(),
+        act_in_bits.tolist(), act_out_bits.tolist(), flat.macs.tolist(),
+        utilization.tolist(),
+    ):
+        result = new(LayerResult)
+        result.layer_name = name
+        result.layer_kind = kind
+        result.cycles = row_cycles
+        result.compute_cycles = row_compute
+        result.memory_cycles = row_memory
+        result.energy_pj = row_energy
+        result.weight_bits_read = row_weights
+        result.activation_bits_read = row_act_in
+        result.activation_bits_written = row_act_out
+        result.macs = row_macs
+        result.utilization = row_utilization
+        result.extra = {}
+        append(result)
+    return results
+
+
+# -- entry points --------------------------------------------------------------
+
+
+def simulate_layer_table(accelerator, table: LayerTable) -> List[LayerResult]:
+    """Simulate every layer of ``table`` on ``accelerator`` (a one-design
+    plane).
+
+    Produces exactly what per-layer ``Accelerator.simulate_layer`` calls
+    would, bit for bit.  Raises ``TypeError`` for designs without a vector
+    kernel (see :func:`supports_vector_engine`).
+    """
+    return _simulate_plane(_design_plane([(accelerator, table)]))
 
 
 def simulate_jobs_batched(jobs: Iterable["SimJob"]) -> List[NetworkResult]:
-    """Execute a batch of jobs, one closed-form pass per design-plane group.
+    """Execute a batch of jobs, one closed-form pass per design plane.
 
-    The batched counterpart of calling :func:`~repro.sim.jobs.spec.
-    execute_job` per job: results come back in submission order and are
-    bit-identical to both the per-job fast path and the event engine.  Jobs
-    whose accelerator has no vector kernel (exotic ``Accelerator``
-    subclasses) fall back to ``execute_job`` individually; everything else
-    is grouped by ``(AcceleratorSpec, AcceleratorConfig)``, structurally
-    compatible designs are merged into cross-design planes
-    (:func:`_design_signature`), and each plane is evaluated in one
-    (design x job x layer) pass.  An empty batch returns ``[]``.
+    Results come back in submission order, bit-identical to the event
+    engine.  Jobs whose accelerator has no vector kernel (exotic
+    ``Accelerator`` subclasses) run on the event engine individually;
+    everything else is grouped by design, structurally compatible designs
+    share a plane (:func:`_design_signature`), and each plane is evaluated
+    in one (design x job x layer) pass.  An empty batch returns ``[]``.
     """
     from repro.sim.jobs.spec import build_accelerator, execute_job
 
@@ -674,70 +741,41 @@ def simulate_jobs_batched(jobs: Iterable["SimJob"]) -> List[NetworkResult]:
         if accelerator is None:
             accelerator = build_accelerator(job.accelerator, job.config)
             by_spec_ids[spec_ids] = accelerator
-        if supports_fast_path(accelerator):
-            group = groups.get(id(accelerator))
-            if group is None:
-                groups[id(accelerator)] = (accelerator, [index])
-            else:
-                group[1].append(index)
+        group = groups.get(id(accelerator))
+        if group is not None:
+            group[1].append(index)
+        elif supports_vector_engine(accelerator):
+            groups[id(accelerator)] = (accelerator, [index])
         else:
-            # No vector kernel: the per-job path picks the right engine
-            # (it falls back to the event reference for exotic designs).
-            results[index] = execute_job(job, engine="fast")
+            results[index] = execute_job(job, engine="event")
 
     # Merge structurally compatible design groups into shared planes.
-    merged: Dict[tuple, List[Tuple[object, List[int]]]] = {}
+    planes: Dict[tuple, List[Tuple[object, List[int]]]] = {}
     for accelerator, indices in groups.values():
-        merged.setdefault(_design_signature(accelerator), []).append(
+        planes.setdefault(_design_record(accelerator)[0], []).append(
             (accelerator, indices)
         )
 
     new = NetworkResult.__new__
-    for members in merged.values():
-        if len(members) == 1:
-            # Single design: evaluate through the real accelerator object.
-            accelerator, indices = members[0]
-            network_specs = tuple(jobs[i].network for i in indices)
-            batched_table = _stacked_tables_for_specs(network_specs)
-            layer_lists = simulate_tables_batched(accelerator, (),
-                                                  batched=batched_table)
-            name = accelerator.name
-            clock_ghz = accelerator.config.clock_ghz
-            for index, layers in zip(indices, layer_lists):
-                result = new(NetworkResult)
-                result.__dict__ = {
-                    "network": jobs[index].network.name,
-                    "accelerator": name,
-                    "layers": layers,
-                    "clock_ghz": clock_ghz,
-                }
-                results[index] = result
-            continue
-        # Many designs, one plane.
-        tables = [
-            (accelerator,
-             _stacked_tables_for_specs(tuple(jobs[i].network for i in indices)))
-            for accelerator, indices in members
+    for members in planes.values():
+        stacks = [
+            _stacked_tables_for_specs(tuple([jobs[i].network for i in indices]))
+            for _, indices in members
         ]
-        plane = _build_design_plane(tables)
-        if len(plane.flat):
-            results_flat = _scatter_layer_results(
-                plane.flat, _evaluate_design_plane(plane)
-            )
-        else:
-            results_flat = []
+        layers = _simulate_plane(_design_plane(
+            [(accelerator, stack.flat)
+             for (accelerator, _), stack in zip(members, stacks)]
+        ))
         cursor = 0
-        for (accelerator, indices), (_, batched_table) in zip(members, tables):
+        for (accelerator, indices), stack in zip(members, stacks):
             name = accelerator.name
             clock_ghz = accelerator.config.clock_ghz
-            for index, length in zip(indices, batched_table.lengths):
+            for index, length in zip(indices, stack.lengths):
                 result = new(NetworkResult)
-                result.__dict__ = {
-                    "network": jobs[index].network.name,
-                    "accelerator": name,
-                    "layers": results_flat[cursor:cursor + length],
-                    "clock_ghz": clock_ghz,
-                }
+                result.network = jobs[index].network.name
+                result.accelerator = name
+                result.layers = layers[cursor:cursor + length]
+                result.clock_ghz = clock_ghz
                 results[index] = result
                 cursor += length
     return results

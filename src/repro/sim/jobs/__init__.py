@@ -5,8 +5,7 @@ The experiment harnesses *declare* their simulation matrix as
 options) x :class:`~repro.accelerators.base.AcceleratorConfig` -- and hand
 the batch to a :class:`JobExecutor`, which answers repeated jobs from a
 deterministic content-keyed :class:`ResultCache`, deduplicates identical
-jobs within a batch, and can fan independent jobs out across a
-``multiprocessing`` pool while still returning results in submission order.
+jobs within a batch, and returns results in submission order.
 
 Quick tour::
 
@@ -20,7 +19,7 @@ Quick tour::
         SimJob(network=NetworkSpec("alexnet", "100%"),
                accelerator=AcceleratorSpec.create("dpnn")),
     ]
-    with JobExecutor(workers=4, cache=ResultCache("~/.cache/loom")) as ex:
+    with JobExecutor(cache=ResultCache("~/.cache/loom")) as ex:
         loom, dpnn = ex.run(jobs)
 
 ``loom-repro`` installs one shared executor per invocation, so ``all`` runs

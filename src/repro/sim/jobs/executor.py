@@ -1,13 +1,13 @@
-"""Job executor: cached, optionally parallel execution of simulation jobs.
+"""Job executor: cached, deduplicated execution of simulation jobs.
 
 :class:`JobExecutor` is the engine behind every experiment harness: it takes
 a batch of declarative :class:`~repro.sim.jobs.spec.SimJob`\\ s, consults the
 result cache, deduplicates identical jobs inside the batch, executes the
-remainder -- serially or fanned out over a ``multiprocessing`` pool -- and
-returns the results *in job order*, so aggregation code is byte-for-byte
-independent of worker count.
+remainder -- as one :func:`repro.sim.batched.simulate_jobs_batched` call on
+the vector engine, or job by job on the event engine -- and returns the
+results *in job order*.
 
-A process-wide default executor (serial, in-memory cache) backs every
+A process-wide default executor (in-memory cache) backs every
 experiment ``run()`` that is not handed an explicit executor; the CLI
 installs a shared one so that ``loom-repro all`` simulates each unique
 (network, accelerator, configuration) job exactly once across all tables and
@@ -52,15 +52,9 @@ class ExecutorStats:
     cache_hits: int = 0
     dedup_hits: int = 0
     batched_jobs: int = 0
-    shm_transports: int = 0
-    #: Worker payloads that fell back to inline pickling (shared memory
-    #: unavailable or below the size cutoff); the complement of
-    #: ``shm_transports``.  A high ratio on a box that should support shared
-    #: memory is a deployment smell worth surfacing on /stats.
-    pickle_transports: int = 0
     executed_key_counts: Dict[str, int] = field(default_factory=dict)
     #: Cumulative wall seconds per execution phase (``cache_lookup``,
-    #: ``layer_table_build``, ``simulate``, ``transport_scatter``) -- the
+    #: ``layer_table_build``, ``simulate``) -- the
     #: "where did this request spend its time" answer, surfaced on /stats
     #: and as the ``loom_executor_phase_seconds`` histogram.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
@@ -97,8 +91,6 @@ class ExecutorStats:
             "cache_hits": self.cache_hits,
             "dedup_hits": self.dedup_hits,
             "batched_jobs": self.batched_jobs,
-            "shm_transports": self.shm_transports,
-            "pickle_transports": self.pickle_transports,
             "layer_table_hits": table_info["hits"],
             "layer_table_builds": table_info["builds"],
             "unique_keys_executed": len(self.executed_key_counts),
@@ -140,13 +132,10 @@ _FRESH_CACHE = object()
 
 
 class JobExecutor:
-    """Runs batches of jobs with caching, dedup and optional parallelism.
+    """Runs batches of jobs with caching and dedup.
 
     Parameters
     ----------
-    workers:
-        Process count for the ``multiprocessing`` fan-out.  ``1`` executes
-        inline (no pool); results are identical either way.
     cache:
         A :class:`ResultCache`, or ``None`` to disable caching entirely
         (every submitted job is executed, duplicates included).  Left at the
@@ -155,42 +144,28 @@ class JobExecutor:
         Optional hook called with a :class:`JobEvent` as each job resolves.
     log:
         Optional ``callable(str)`` for human-readable progress lines.
-    engine:
-        Simulation engine for this executor's jobs (``"fast"``, ``"event"``
-        or ``"batched"``); ``None`` follows the process default at each
-        ``run()``.  With ``"batched"``, cache-missing jobs are dispatched to
-        :func:`repro.sim.batched.simulate_jobs_batched` in whole groups
-        (jobs whose accelerator lacks a vector kernel fall back per job
-        automatically).  All engines return bit-identical results.
+
+    Jobs execute on the process-wide engine
+    (:func:`repro.sim.batched.get_default_engine`) current at each ``run()``;
+    both engines return bit-identical results.
     """
 
     def __init__(
         self,
-        workers: int = 1,
         cache=_FRESH_CACHE,
         progress: Optional[Callable[[JobEvent], None]] = None,
         log: Optional[Callable[[str], None]] = None,
-        engine: Optional[str] = None,
     ) -> None:
-        from repro.sim.fastpath import resolve_engine
-
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
         self.cache: Optional[ResultCache] = (
             ResultCache() if cache is _FRESH_CACHE else cache
         )
         self.progress = progress
         self.log = log
-        if engine is not None:
-            resolve_engine(engine)  # fail fast on unknown names
-        self.engine = engine
         self.stats = ExecutorStats()
         #: Optional ``callable(phase, seconds)`` invoked on every phase
         #: sample -- the serve service and cluster worker point this at a
         #: ``loom_executor_phase_seconds{phase=...}`` histogram.
         self.phase_observer: Optional[Callable[[str, float], None]] = None
-        self._pool = None
 
     @contextlib.contextmanager
     def _phase(self, phase: str, **attrs: object):
@@ -210,10 +185,7 @@ class JobExecutor:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
+        """Nothing to release; kept so executors work as context managers."""
 
     def __enter__(self) -> "JobExecutor":
         return self
@@ -221,21 +193,9 @@ class JobExecutor:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _get_pool(self):
-        if self._pool is None:
-            import multiprocessing
-
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                context = multiprocessing.get_context()
-            self._pool = context.Pool(self.workers)
-        return self._pool
-
     # -- execution -----------------------------------------------------------
 
-    def run(self, jobs: Iterable[SimJob],
-            engine: Optional[str] = None) -> List[NetworkResult]:
+    def run(self, jobs: Iterable[SimJob]) -> List[NetworkResult]:
         """Execute ``jobs`` and return their results in submission order.
 
         Within the batch, jobs with identical content keys are simulated
@@ -244,24 +204,15 @@ class JobExecutor:
         resolves (cache lookups and executions as they happen; batch
         duplicates once the job they piggyback on has resolved).  Returned
         results are shared with the cache -- treat them as read-only.
-
-        ``engine`` overrides the executor's engine for this batch; all
-        engines are bit-identical by contract, so the cache keys do not
-        record it.
         """
+        from repro.sim.batched import get_default_engine
+
         jobs = list(jobs)
-        if engine is None:
-            engine = self.engine
-        else:
-            from repro.sim.fastpath import resolve_engine
-
-            resolve_engine(engine)
         with get_tracer().span("executor.run", jobs=len(jobs),
-                               engine=engine or "default"):
-            return self._run(jobs, engine)
+                               engine=get_default_engine()):
+            return self._run(jobs)
 
-    def _run(self, jobs: List[SimJob],
-             engine: Optional[str]) -> List[NetworkResult]:
+    def _run(self, jobs: List[SimJob]) -> List[NetworkResult]:
         keys = [job_key(job) for job in jobs]
         total = len(jobs)
         self.stats.submitted += total
@@ -277,7 +228,7 @@ class JobExecutor:
                 self.stats.record_execution(keys[index])
                 emit(jobs[index], keys[index], "executed", index)
 
-            return self._execute_timed(jobs, on_result, engine)
+            return self._execute_timed(jobs, on_result)
 
         resolved: Dict[str, NetworkResult] = {}
         statuses: Dict[str, str] = {}
@@ -318,7 +269,7 @@ class JobExecutor:
                 resolved[key] = result
                 emit(job, key, "executed", first_index[key])
 
-            self._execute_timed(pending, on_result, engine)
+            self._execute_timed(pending, on_result)
 
         # Account and emit the remaining submissions: repeats of a cached key
         # are further cache hits; repeats of an executed key are dedup hits.
@@ -332,118 +283,41 @@ class JobExecutor:
                 emit(job, key, "deduplicated", index)
         return [resolved[key] for key in keys]
 
-    def _execute_timed(self, jobs: Sequence[SimJob], on_result,
-                       engine: Optional[str]) -> List[NetworkResult]:
+    def _execute_timed(self, jobs: Sequence[SimJob],
+                       on_result) -> List[NetworkResult]:
         """Run jobs under the ``simulate`` phase, carving out table builds.
 
         ``layer_table_build`` is attributed from the process-wide memo's
         build clock: the delta over the batch is the time ``simulate`` spent
-        (re)constructing layer tables in this process.  Builds inside pool
-        workers happen in the child and stay inside ``simulate`` here.
+        (re)constructing layer tables.
         """
         from repro.sim.jobs.spec import layer_table_build_seconds
 
         build_before = layer_table_build_seconds()
         with self._phase("simulate", jobs=len(jobs)):
-            results = self._execute(jobs, on_result, engine=engine)
+            results = self._execute(jobs, on_result)
         build_delta = layer_table_build_seconds() - build_before
         if build_delta > 0.0:
             self._record_phase("layer_table_build", build_delta)
         return results
 
-    def _execute(self, jobs: Sequence[SimJob], on_result=None,
-                 engine: Optional[str] = None) -> List[NetworkResult]:
+    def _execute(self, jobs: Sequence[SimJob],
+                 on_result) -> List[NetworkResult]:
         """Run ``jobs`` in order, invoking ``on_result(index, result)`` as
-        each finishes (parallel execution streams ordered results back)."""
-        import functools
+        each result is ready: the vector engine answers the whole batch in
+        one call, the event engine streams job by job."""
+        from repro.sim import batched
 
-        from repro.sim.fastpath import get_default_engine
-
-        # Pin the submit-time engine explicitly so pool workers honour it
-        # even on platforms where the pool falls back to spawn (a spawned
-        # worker re-imports with the engine default reset to "fast").
-        if engine is None:
-            engine = get_default_engine()
-        if engine == "batched":
-            return self._execute_batched(jobs, on_result)
-        results: List[NetworkResult] = []
-        if self.workers == 1 or len(jobs) < 2:
-            run_job = functools.partial(execute_job, engine=engine)
-            iterator = (run_job(job) for job in jobs)
+        if batched.get_default_engine() == "vector":
+            self.stats.batched_jobs += len(jobs)
+            produced = batched.simulate_jobs_batched(jobs)
         else:
-            # Workers pack their chunk's numeric result columns into shared
-            # memory (transport module) so only metadata crosses the pipe.
-            pool = self._get_pool()
-            chunksize = max(1, len(jobs) // (self.workers * 4))
-            chunks = [jobs[start:start + chunksize]
-                      for start in range(0, len(jobs), chunksize)]
-            run_chunk = functools.partial(_run_jobs_packed, engine=engine)
-            iterator = self._unpack_payloads(pool.imap(run_chunk, chunks))
-        for index, result in enumerate(iterator):
-            if on_result is not None:
-                on_result(index, result)
+            produced = (execute_job(job, engine="event") for job in jobs)
+        results: List[NetworkResult] = []
+        for index, result in enumerate(produced):
+            on_result(index, result)
             results.append(result)
         return results
-
-    def _execute_batched(self, jobs: Sequence[SimJob],
-                         on_result=None) -> List[NetworkResult]:
-        """Dispatch whole groups to the batched engine (one tensor pass per
-        design group) instead of simulating job by job."""
-        from repro.sim.batched import simulate_jobs_batched
-
-        jobs = list(jobs)
-        self.stats.batched_jobs += len(jobs)
-        if self.workers == 1 or len(jobs) < 2:
-            results = simulate_jobs_batched(jobs)
-        else:
-            pool = self._get_pool()
-            chunksize = -(-len(jobs) // self.workers)
-            chunks = [jobs[start:start + chunksize]
-                      for start in range(0, len(jobs), chunksize)]
-            results = list(
-                self._unpack_payloads(pool.imap(_run_jobs_batched_packed,
-                                                chunks))
-            )
-        if on_result is not None:
-            for index, result in enumerate(results):
-                on_result(index, result)
-        return results
-
-    def _unpack_payloads(self, payloads):
-        """Flatten packed chunk payloads back into an ordered result stream."""
-        from repro.sim.jobs.transport import unpack_results
-
-        for payload in payloads:
-            started = time.perf_counter()
-            results, used_shm = unpack_results(payload)
-            self._record_phase("transport_scatter",
-                               time.perf_counter() - started)
-            if used_shm:
-                self.stats.shm_transports += 1
-            else:
-                self.stats.pickle_transports += 1
-            yield from results
-
-
-# -- pool worker entry points --------------------------------------------------
-#
-# Module-level so they pickle by reference into pool workers.  Both pack their
-# chunk's results through the shared-memory transport; the parent's
-# ``_unpack_payloads`` rebuilds the stream (and the transport degrades to
-# inline pickling wherever shared memory is unavailable).
-
-
-def _run_jobs_packed(jobs: Sequence[SimJob], engine: str):
-    from repro.sim.jobs.transport import pack_results
-
-    return pack_results([execute_job(job, engine=engine) for job in jobs])
-
-
-def _run_jobs_batched_packed(jobs: Sequence[SimJob]):
-    from repro.sim.batched import simulate_jobs_batched
-    from repro.sim.jobs.transport import pack_results
-
-    return pack_results(simulate_jobs_batched(jobs))
 
 
 # -- process-wide default executor --------------------------------------------
@@ -452,7 +326,7 @@ _default_executor: Optional[JobExecutor] = None
 
 
 def get_default_executor() -> JobExecutor:
-    """The process-wide executor experiments fall back to (serial, cached)."""
+    """The process-wide executor experiments fall back to (cached)."""
     global _default_executor
     if _default_executor is None:
         _default_executor = JobExecutor()

@@ -12,8 +12,8 @@ Because the spec is pure data it can be
 * hashed into a deterministic *content key* (:func:`job_key`) that the result
   cache uses -- two jobs with the same key are guaranteed to produce the same
   :class:`~repro.sim.results.NetworkResult`;
-* pickled across process boundaries, so a :class:`~repro.sim.jobs.executor.
-  JobExecutor` can fan jobs out over a ``multiprocessing`` pool.
+* sent over the wire, so serve nodes and cluster workers execute the same
+  jobs a local :class:`~repro.sim.jobs.executor.JobExecutor` would.
 
 :func:`execute_job` is the single entry point that turns a spec back into
 objects and runs the simulation; it memoises the (expensive) profiled-network
@@ -270,11 +270,10 @@ def job_key(job: SimJob) -> str:
 
 # -- spec -> objects ----------------------------------------------------------
 #
-# The memo caches below are per process; forked pool workers inherit (and then
-# grow) their own copies, so every process builds each profiled network and
-# each accelerator at most once no matter how many jobs reference it.  The
-# memoised networks and layer lists are shared across jobs and must be treated
-# as read-only.
+# The memo caches below are per process, so every process builds each
+# profiled network and each accelerator at most once no matter how many jobs
+# reference it.  The memoised networks and layer lists are shared across jobs
+# and must be treated as read-only.
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,7 +320,7 @@ class _LayerTableMemo:
         if table is not None:
             self.hits += 1
             return table
-        from repro.sim.fastpath import build_layer_table
+        from repro.sim.batched import build_layer_table
 
         with self._lock:
             table = self._tables.get(spec)
@@ -340,7 +339,7 @@ class _LayerTableMemo:
             self._tables.clear()
 
 
-#: Column-wise layer tables for the fast-path engine (shared, read-only).
+#: Column-wise layer tables for the vector engine (shared, read-only).
 _spec_layer_table = _LayerTableMemo()
 
 
@@ -348,7 +347,7 @@ def layer_table_cache_info() -> Dict[str, int]:
     """Hit/build counters of the per-(network, profile) layer-table memo.
 
     ``hits`` counts table requests answered without reconstruction;
-    ``builds`` counts actual :func:`~repro.sim.fastpath.build_layer_table`
+    ``builds`` counts actual :func:`~repro.sim.batched.build_layer_table`
     runs.  The counters are process-wide (the memo is shared by every
     executor and engine in the process) and cumulative since process start;
     :meth:`~repro.sim.jobs.executor.ExecutorStats.to_dict` surfaces them so
@@ -398,26 +397,18 @@ def execute_job(job: SimJob, engine: Optional[str] = None) -> NetworkResult:
     objects, but with the network construction and shape resolution memoised
     per process.
 
-    ``engine`` selects the simulation engine (``"fast"`` -- the vectorized
-    closed-form path -- ``"event"``, the per-layer reference path, or
-    ``"batched"``, which for a single job is the fast path: batching only
-    differs for whole groups, see
-    :func:`repro.sim.batched.simulate_jobs_batched`); the default follows
-    :func:`repro.sim.fastpath.get_default_engine`.  All engines produce
-    bit-identical results (enforced by :mod:`repro.sim.validate`), which is
-    why the engine is *not* part of the job's cache key.
+    ``engine`` selects the simulation engine: ``"vector"`` runs the job as a
+    one-job :func:`repro.sim.batched.simulate_jobs_batched` batch,
+    ``"event"`` walks the layers through ``Accelerator.simulate_layer``; the
+    default follows :func:`repro.sim.batched.get_default_engine`.  Both
+    produce bit-identical results (enforced by :mod:`repro.sim.validate`),
+    which is why the engine is *not* part of the job's cache key.
     """
-    from repro.sim import fastpath
+    from repro.sim import batched
 
+    if batched.resolve_engine(engine) == "vector":
+        return batched.simulate_jobs_batched([job])[0]
     accelerator = build_accelerator(job.accelerator, job.config)
-    engine = fastpath.resolve_engine(engine)
-    if engine in ("fast", "batched") and fastpath.supports_fast_path(accelerator):
-        return fastpath.simulate_network_fast(
-            accelerator,
-            _spec_layer_table(job.network),
-            network=job.network.name,
-            clock_ghz=accelerator.config.clock_ghz,
-        )
     result = NetworkResult(
         network=job.network.name,
         accelerator=accelerator.name,

@@ -13,7 +13,7 @@ Two kinds of design mapping are accepted:
   in-process exactly as before; or
 * declarative :class:`~repro.sim.jobs.AcceleratorSpec` entries, which are
   expanded into :class:`~repro.sim.jobs.SimJob` batches and dispatched
-  through a (possibly shared, caching, parallel)
+  through a (possibly shared, caching)
   :class:`~repro.sim.jobs.JobExecutor` -- the path every experiment harness
   now uses.
 """
@@ -46,26 +46,25 @@ def run_network(accelerator, network: Network,
     first if the accelerator exploits precision (Loom/Stripes fall back to the
     16-bit baseline precisions otherwise, which simply yields no benefit).
 
-    ``engine`` picks between the vectorized closed-form path (``"fast"``) and
-    the per-layer reference path (``"event"``); ``None`` follows the process
-    default (see :mod:`repro.sim.fastpath`).  Both produce bit-identical
-    results; custom accelerator subclasses without a vector kernel always
-    take the reference path.
+    ``engine`` picks between the closed-form vector engine (``"vector"``)
+    and the per-layer reference path (``"event"``); ``None`` follows the
+    process default (see :mod:`repro.sim.batched`).  Both produce
+    bit-identical results; custom accelerator subclasses without a vector
+    kernel always take the reference path.
     """
-    from repro.sim import fastpath
+    from repro.sim import batched
 
-    engine = fastpath.resolve_engine(engine)
-    clock = clock_ghz if clock_ghz is not None else accelerator.config.clock_ghz
-    if engine == "fast" and fastpath.supports_fast_path(accelerator):
-        return fastpath.simulate_network_fast(
-            accelerator, network.compute_layers(),
-            network=network.name, clock_ghz=clock,
-        )
+    engine = batched.resolve_engine(engine)
     result = NetworkResult(
         network=network.name,
         accelerator=accelerator.name,
-        clock_ghz=clock,
+        clock_ghz=clock_ghz if clock_ghz is not None
+        else accelerator.config.clock_ghz,
     )
+    if engine == "vector" and batched.supports_vector_engine(accelerator):
+        result.layers.extend(batched.simulate_layer_table(
+            accelerator, batched.build_layer_table(network.compute_layers())))
+        return result
     for layer in network.compute_layers():
         result.add(accelerator.simulate_layer(layer))
     return result

@@ -1,11 +1,11 @@
 """Differential validation of the simulation engines.
 
-Three layers of cross-checking keep the vectorized fast path honest:
+Three layers of cross-checking keep the vector engine honest:
 
-1. **fast vs reference** -- every (network, accelerator, precision-profile)
+1. **vector vs reference** -- every (network, accelerator, precision-profile)
    job is executed through both engines and every field of every
    :class:`~repro.sim.results.LayerResult` is compared for *exact* equality
-   (``==`` on the floats, not a tolerance).  The fast path mirrors the
+   (``==`` on the floats, not a tolerance).  The vector engine mirrors the
    reference arithmetic operation for operation, so any drift is a bug.
 2. **reference vs event engine** -- Loom schedules with integer precisions
    are executed callback by callback on the
@@ -48,11 +48,11 @@ class FieldMismatch:
 
     layer: str
     field: str
-    fast: object
+    candidate: object
     event: object
 
     def describe(self) -> str:
-        return (f"{self.layer}.{self.field}: fast={self.fast!r} "
+        return (f"{self.layer}.{self.field}: candidate={self.candidate!r} "
                 f"event={self.event!r}")
 
 
@@ -98,7 +98,7 @@ class ValidationReport:
         return [case for case in self.cases if not case.ok]
 
     def summary(self, verbose: bool = False) -> str:
-        lines = ["== differential validation: fast path vs event-engine "
+        lines = ["== differential validation: vector engine vs event-engine "
                  "reference =="]
         shown = self.cases if verbose else self.failures()
         for case in shown:
@@ -113,7 +113,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def compare_layer_results(fast: Sequence[LayerResult],
+def compare_layer_results(candidate: Sequence[LayerResult],
                           event: Sequence[LayerResult]) -> List[FieldMismatch]:
     """Field-for-field exact comparison of two per-layer result sequences.
 
@@ -123,56 +123,46 @@ def compare_layer_results(fast: Sequence[LayerResult],
     result must be indistinguishable from an in-process ``execute_job`` run.
     """
     mismatches: List[FieldMismatch] = []
-    if len(fast) != len(event):
+    if len(candidate) != len(event):
         mismatches.append(FieldMismatch(
             layer="<network>", field="layer_count",
-            fast=len(fast), event=len(event),
+            candidate=len(candidate), event=len(event),
         ))
         return mismatches
-    for fast_layer, event_layer in zip(fast, event):
+    for candidate_layer, event_layer in zip(candidate, event):
         for field in fields(LayerResult):
-            a = getattr(fast_layer, field.name)
+            a = getattr(candidate_layer, field.name)
             b = getattr(event_layer, field.name)
             if a != b:
                 mismatches.append(FieldMismatch(
                     layer=event_layer.layer_name, field=field.name,
-                    fast=a, event=b,
+                    candidate=a, event=b,
                 ))
     return mismatches
 
 
-def validate_job(job: SimJob, engine: str = "fast") -> ValidationCase:
+def validate_job(job: SimJob, engine: str = "vector") -> ValidationCase:
     """Run ``job`` through ``engine`` and the event-engine reference and
     compare every layer exactly."""
-    candidate = execute_job(job, engine=engine)
-    event = execute_job(job, engine="event")
-    return ValidationCase(
-        network=job.network.name,
-        accuracy=job.network.accuracy,
-        with_effective_weights=job.network.with_effective_weights,
-        accelerator=event.accelerator,
-        layers_compared=len(event.layers),
-        mismatches=tuple(compare_layer_results(candidate.layers, event.layers)),
-    )
+    return validate_jobs([job], engine=engine).cases[0]
 
 
 def validate_jobs(jobs: Sequence[SimJob],
-                  engine: str = "fast") -> ValidationReport:
+                  engine: str = "vector") -> ValidationReport:
     """Differentially validate ``jobs``: ``engine`` vs the event reference.
 
-    With ``engine="batched"`` the whole candidate side runs as one
+    With ``engine="vector"`` the whole candidate side runs as one
     :func:`repro.sim.batched.simulate_jobs_batched` call -- exactly the code
-    path the batched sweep engine uses in production -- while the reference
-    side still executes job by job, so batching/scattering bugs cannot cancel
-    out.
+    path every executor uses in production -- while the reference side
+    executes job by job, so batching/scattering bugs cannot cancel out.
     """
-    jobs = list(jobs)
-    if engine == "batched":
-        from repro.sim.batched import simulate_jobs_batched
+    from repro.sim import batched
 
-        candidates = simulate_jobs_batched(jobs)
+    jobs = list(jobs)
+    if batched.resolve_engine(engine) == "vector":
+        candidates = batched.simulate_jobs_batched(jobs)
     else:
-        candidates = [execute_job(job, engine=engine) for job in jobs]
+        candidates = [execute_job(job, engine="event") for job in jobs]
     cases = []
     for job, candidate in zip(jobs, candidates):
         event = execute_job(job, engine="event")
@@ -190,7 +180,7 @@ def validate_jobs(jobs: Sequence[SimJob],
 
 
 def default_accelerator_matrix() -> List[AcceleratorSpec]:
-    """The stock designs the paper evaluates (all fast-path kernels)."""
+    """The stock designs the paper evaluates (all vector kernels)."""
     return [
         AcceleratorSpec.create("dpnn"),
         AcceleratorSpec.create("stripes"),
@@ -210,14 +200,14 @@ def validate_zoo(
     accelerators: Optional[Iterable[AcceleratorSpec]] = None,
     include_effective_weights: bool = True,
     config=None,
-    engine: str = "fast",
+    engine: str = "vector",
 ) -> ValidationReport:
     """Differentially validate every (network, accelerator, profile) job.
 
     ``networks`` defaults to the full zoo; ``config`` optionally overrides the
     :class:`~repro.accelerators.base.AcceleratorConfig` of every job (used to
     cover DRAM-attached and scaled configurations).  ``engine`` selects the
-    candidate engine compared against the event reference -- ``"batched"``
+    candidate engine compared against the event reference; ``"vector"``
     validates the whole matrix through one batched pass (see
     :func:`validate_jobs`).
     """
@@ -274,7 +264,7 @@ def validate_tile_level() -> List[TileCheck]:
 
     The event-driven :class:`~repro.core.tile.LoomTileSimulator` models the
     weight bus and the per-column pipelines explicitly; its cycle counts must
-    equal the analytical schedules the (fast and reference) engines price, so
+    equal the analytical schedules the (vector and reference) engines price, so
     this anchors both closed forms to an actual cycle-by-cycle execution.
     """
     from repro.core.scheduler import (

@@ -1,13 +1,11 @@
-"""Tests for the batched sweep engine and its result transport.
+"""Tests for the vector engine's batch entry point.
 
 The batched engine's whole contract is *bit-exactness at sweep scale*: any
 mix of jobs -- ragged network sizes, heterogeneous design points, exotic
-fallbacks -- must come back field-for-field equal to running the per-job
-fast path (and therefore the event reference) job by job, in submission
-order.  The property-based tests generate random job mixes against that
-contract; the directed tests pin the edges (empty batch, single job,
-cross-design merging, fallback ordering) and the shared-memory transport's
-round-trip + degradation behaviour.
+fallbacks -- must come back field-for-field equal to running the event
+reference job by job, in submission order.  The property-based tests
+generate random job mixes against that contract; the directed tests pin the
+edges (empty batch, single job, cross-design merging, fallback ordering).
 """
 
 from __future__ import annotations
@@ -15,13 +13,14 @@ from __future__ import annotations
 import pytest
 
 from repro.accelerators.base import AcceleratorConfig
+from repro.sim import batched
 from repro.sim.batched import (
     _design_signature,
     simulate_jobs_batched,
-    simulate_tables_batched,
+    simulate_layer_table,
     stack_layer_tables,
+    use_engine,
 )
-from repro.sim.fastpath import simulate_layers_fast
 from repro.sim.jobs import spec as jobs_spec
 from repro.sim.jobs.executor import JobExecutor
 from repro.sim.jobs.spec import (
@@ -31,7 +30,6 @@ from repro.sim.jobs.spec import (
     build_accelerator,
     execute_job,
 )
-from repro.sim.jobs.transport import pack_results, unpack_results
 from repro.sim.validate import validate_jobs
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -41,17 +39,18 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 def _jobs_equal(batched_results, reference_results):
     """Field-for-field equality across whole result lists."""
     assert len(batched_results) == len(reference_results)
-    for batched, reference in zip(batched_results, reference_results):
-        assert batched.network == reference.network
-        assert batched.accelerator == reference.accelerator
-        assert batched.clock_ghz == reference.clock_ghz
-        assert len(batched.layers) == len(reference.layers)
-        for got, want in zip(batched.layers, reference.layers):
+    for got_result, reference in zip(batched_results, reference_results):
+        assert got_result.network == reference.network
+        assert got_result.accelerator == reference.accelerator
+        assert got_result.clock_ghz == reference.clock_ghz
+        assert len(got_result.layers) == len(reference.layers)
+        for got, want in zip(got_result.layers, reference.layers):
             assert got == want  # dataclass ==: every field, exact floats
 
 
 def _reference(jobs):
-    return [execute_job(job, engine="fast") for job in jobs]
+    """The event-engine oracle, job by job."""
+    return [execute_job(job, engine="event") for job in jobs]
 
 
 #: Networks with different layer counts and kinds (conv-only, conv+fc,
@@ -91,35 +90,35 @@ class TestStacking:
             jobs_spec._spec_layer_table(NetworkSpec("alexnet", "100%")),
             jobs_spec._spec_layer_table(NetworkSpec("nin", "100%")),
         ]
-        batched = stack_layer_tables(tables)
-        assert batched.jobs == 2
-        assert batched.lengths == (len(tables[0]), len(tables[1]))
-        assert batched.width == max(batched.lengths)
-        assert batched.mask.shape == (2, batched.width)
-        assert batched.mask.sum() == sum(batched.lengths)
-        # The dense flat view is the member columns concatenated end to end.
-        assert len(batched.flat) == sum(batched.lengths)
-        assert batched.flat.names == tables[0].names + tables[1].names
-        assert len(batched.conv) + len(batched.fc) == len(batched.flat)
-        # Padded cells keep the closed forms finite and out of the conv set.
-        padded = ~batched.mask.ravel()
-        assert not batched.is_conv.ravel()[padded].any()
-        assert (batched.outputs.ravel()[padded] == 1).all()
+        stacked = stack_layer_tables(tables)
+        assert stacked.jobs == 2
+        assert stacked.lengths == (len(tables[0]), len(tables[1]))
+        # The flat view is the member columns concatenated end to end.
+        assert len(stacked.flat) == sum(stacked.lengths)
+        assert stacked.flat.names == tables[0].names + tables[1].names
+        assert (stacked.flat.windows[:len(tables[0])]
+                == tables[0].windows).all()
 
     def test_empty_stack(self):
-        batched = stack_layer_tables([])
-        assert batched.jobs == 0 and batched.width == 0
-        assert len(batched.flat) == 0
-        assert simulate_tables_batched(build_accelerator(
-            AcceleratorSpec.create("loom"), AcceleratorConfig()), []) == []
+        stacked = stack_layer_tables([])
+        assert stacked.jobs == 0
+        assert len(stacked.flat) == 0
+        assert simulate_layer_table(build_accelerator(
+            AcceleratorSpec.create("loom"), AcceleratorConfig()),
+            stacked.flat) == []
 
-    def test_tables_pass_equals_per_table_fast_path(self):
-        tables = [jobs_spec._spec_layer_table(spec) for spec in _NETWORKS[:3]]
+    def test_tables_pass_equals_event_path(self):
         accelerator = build_accelerator(AcceleratorSpec.create("loom"),
                                         AcceleratorConfig())
-        batched_lists = simulate_tables_batched(accelerator, tables)
-        for table, layers in zip(tables, batched_lists):
-            assert layers == simulate_layers_fast(accelerator, table)
+        stacked = stack_layer_tables(
+            [jobs_spec._spec_layer_table(spec) for spec in _NETWORKS[:3]])
+        layers = simulate_layer_table(accelerator, stacked.flat)
+        cursor = 0
+        for spec, length in zip(_NETWORKS[:3], stacked.lengths):
+            assert layers[cursor:cursor + length] == [
+                accelerator.simulate_layer(lw)
+                for lw in jobs_spec._spec_layers(spec)]
+            cursor += length
 
 
 class TestBatchedVsPerJob:
@@ -202,69 +201,33 @@ class TestDesignSignatures:
                                     AcceleratorConfig())
         assert _design_signature(loom) != _design_signature(stripes)
 
+    def test_design_alone_equals_design_in_a_plane(self):
+        # _DESIGNS[3..5] are Loom-1b at three scales: one signature, so
+        # batched together they share one multi-design plane.
+        jobs = [SimJob(network=_NETWORKS[4], accelerator=spec, config=config)
+                for spec, config in _DESIGNS[3:6]]
+        accelerators = [build_accelerator(j.accelerator, j.config)
+                        for j in jobs]
+        assert len({_design_signature(a) for a in accelerators}) == 1
+        together = simulate_jobs_batched(jobs)
+        alone = [simulate_jobs_batched([job])[0] for job in jobs]
+        _jobs_equal(together, alone)
+        _jobs_equal(together, _reference(jobs))
+
 
 class TestValidateJobs:
     def test_batched_candidate_against_event_reference(self):
         jobs = [SimJob(network=_NETWORKS[0], accelerator=spec, config=config)
                 for spec, config in _DESIGNS[:4]]
-        report = validate_jobs(jobs, engine="batched")
+        report = validate_jobs(jobs, engine="vector")
         assert report.ok
         assert len(report.cases) == len(jobs)
         assert report.layers_compared == sum(
             len(r.layers) for r in _reference(jobs))
 
     def test_empty_job_list(self):
-        report = validate_jobs([], engine="batched")
+        report = validate_jobs([], engine="vector")
         assert report.ok and report.cases == []
-
-
-class TestTransport:
-    def _results(self):
-        jobs = [SimJob(network=network, accelerator=_DESIGNS[3][0],
-                       config=_DESIGNS[3][1])
-                for network in _NETWORKS[:3]]
-        return _reference(jobs)
-
-    def test_shm_round_trip_is_bit_identical(self):
-        results = self._results()
-        payload = pack_results(results)
-        unpacked, used_shm = unpack_results(payload)
-        _jobs_equal(unpacked, results)
-        if payload["format"] == "shm":  # shared memory available here
-            assert used_shm
-            # The parent unlinked the block; a second attach must fail.
-            from multiprocessing import shared_memory
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=payload["shm_name"])
-
-    def test_extra_fields_force_pickle_fallback(self):
-        results = self._results()
-        results[0].layers[0].extra["note"] = 1.0
-        try:
-            payload = pack_results(results)
-            assert payload["format"] == "pickle"
-            unpacked, used_shm = unpack_results(payload)
-            assert not used_shm
-            _jobs_equal(unpacked, results)
-            assert unpacked[0].layers[0].extra == {"note": 1.0}
-        finally:
-            results[0].layers[0].extra.clear()
-
-    def test_unavailable_shm_degrades_to_pickle(self, monkeypatch):
-        import repro.sim.jobs.transport as transport
-
-        monkeypatch.setattr(transport, "_try_create_shm", lambda n: None)
-        results = self._results()
-        payload = pack_results(results)
-        assert payload["format"] == "pickle"
-        unpacked, used_shm = unpack_results(payload)
-        assert not used_shm
-        _jobs_equal(unpacked, results)
-
-    def test_empty_result_list(self):
-        payload = pack_results([])
-        unpacked, _ = unpack_results(payload)
-        assert unpacked == []
 
 
 class TestExecutorIntegration:
@@ -277,36 +240,31 @@ class TestExecutorIntegration:
 
     def test_batched_engine_serial(self):
         jobs = self._jobs()
-        with JobExecutor(engine="batched") as executor:
+        with JobExecutor() as executor:
             _jobs_equal(executor.run(jobs), _reference(jobs))
             assert executor.stats.batched_jobs == len(jobs)
 
-    def test_batched_engine_parallel_uses_shm_transport(self):
-        jobs = self._jobs()
-        with JobExecutor(workers=2, engine="batched") as executor:
-            _jobs_equal(executor.run(jobs), _reference(jobs))
-            stats = executor.stats.to_dict()
-            assert stats["batched_jobs"] == len(jobs)
-            # One packed payload per worker chunk (pickle fallback would
-            # leave this at 0 on platforms without shared memory).
-            assert stats["shm_transports"] in (0, 2)
+    def test_event_engine_bypasses_the_batch_call(self, monkeypatch):
+        def forbidden(jobs):
+            raise AssertionError("the event engine must not batch")
 
-    def test_per_job_parallel_uses_shm_transport(self):
+        monkeypatch.setattr(batched, "simulate_jobs_batched", forbidden)
         jobs = self._jobs()
-        with JobExecutor(workers=2) as executor:
+        with use_engine("event"), JobExecutor() as executor:
             _jobs_equal(executor.run(jobs), _reference(jobs))
             assert executor.stats.batched_jobs == 0
-            assert executor.stats.shm_transports >= 0  # platform-dependent
 
     def test_run_engine_overrides_executor_engine(self):
+        # The engine is read at each run(), not fixed at construction.
         jobs = self._jobs()
-        with JobExecutor(engine="event") as executor:
-            executor.run(jobs, engine="batched")
-            assert executor.stats.batched_jobs == len(jobs)
+        with use_engine("event"):
+            executor = JobExecutor()
+        executor.run(jobs)
+        assert executor.stats.batched_jobs == len(jobs)
 
     def test_cache_answers_second_batched_run(self):
         jobs = self._jobs()
-        with JobExecutor(engine="batched") as executor:
+        with JobExecutor() as executor:
             executor.run(jobs)
             executor.run(jobs)
             assert executor.stats.executed == len(jobs)
@@ -315,24 +273,24 @@ class TestExecutorIntegration:
 
     def test_stats_dict_exposes_new_counters(self):
         stats = JobExecutor().stats.to_dict()
-        for key in ("batched_jobs", "shm_transports",
-                    "layer_table_hits", "layer_table_builds"):
+        for key in ("batched_jobs", "layer_table_hits", "layer_table_builds"):
             assert key in stats
+
 
     def test_unknown_engine_rejected_eagerly(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            JobExecutor(engine="warp")
+            with use_engine("warp"):
+                pass
         with JobExecutor() as executor:
-            with pytest.raises(ValueError, match="unknown engine"):
-                executor.run([], engine="warp")
+            assert executor.run([]) == []
 
 
 class TestCLIEngineSelection:
-    def test_validate_accepts_batched_engine(self):
+    def test_validate_accepts_vector_engine(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["validate", "--engine", "batched"])
-        assert args.validate_engine == "batched"
+        args = build_parser().parse_args(["validate", "--engine", "vector"])
+        assert args.validate_engine == "vector"
 
     def test_validate_rejects_unknown_engine(self, capsys):
         from repro.cli import build_parser
@@ -342,11 +300,14 @@ class TestCLIEngineSelection:
         assert excinfo.value.code == 2
         assert "invalid choice: 'warp'" in capsys.readouterr().err
 
-    def test_global_engine_accepts_batched(self):
+    @pytest.mark.parametrize("retired", ["fast", "batched"])
+    def test_global_engine_rejects_retired_names(self, retired, capsys):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["--engine", "batched", "networks"])
-        assert args.engine == "batched"
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--engine", retired, "networks"])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{retired}'" in capsys.readouterr().err
 
     def test_global_engine_rejects_unknown(self, capsys):
         from repro.cli import build_parser

@@ -32,14 +32,14 @@ class TestParser:
 
     def test_pipeline_flags_default(self):
         args = build_parser().parse_args(["all"])
-        assert args.jobs == 1
+        assert args.engine == "vector"
         assert args.no_cache is False
         assert args.cache_dir is None
 
     def test_pipeline_flags_parse(self):
         args = build_parser().parse_args(
-            ["--jobs", "4", "--cache-dir", "/tmp/c", "table2"])
-        assert args.jobs == 4
+            ["--engine", "event", "--cache-dir", "/tmp/c", "table2"])
+        assert args.engine == "event"
         assert args.cache_dir == "/tmp/c"
         assert build_parser().parse_args(["--no-cache", "all"]).no_cache is True
 
@@ -110,26 +110,27 @@ class TestParser:
 
 
 class TestJobsValidation:
-    """--jobs must be rejected up front with a clear message, never allowed
-    to fail deep inside the multiprocessing pool constructor."""
+    """There is no process pool, so --jobs is not an option at all: every
+    value is rejected up front by argparse, before any simulation."""
 
     @pytest.mark.parametrize("bad", ["0", "-3"])
     def test_non_positive_jobs_rejected(self, bad, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["--jobs", bad, "all"])
         assert excinfo.value.code == 2
-        message = capsys.readouterr().err
-        assert "--jobs" in message and "must be >= 1" in message
+        assert "error:" in capsys.readouterr().err
 
     def test_non_integer_jobs_rejected(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["--jobs", "many", "all"])
-        assert "expected an integer" in capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_main_rejects_bad_jobs_before_any_simulation(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["--jobs", "0", "table2"])
+            main(["--jobs", "2", "table2"])
         assert excinfo.value.code == 2
+        assert "Table 2" not in capsys.readouterr().out
 
 
 class TestServeParser:
@@ -163,11 +164,11 @@ class TestServeParser:
         assert "--store" in capsys.readouterr().err
 
     def test_remote_commands_reject_local_pipeline_flags(self, capsys):
-        # Regression: --engine/--jobs/--cache flags would be silent no-ops
-        # on commands that execute on the server; they must error instead.
+        # Regression: --engine/--cache flags would be silent no-ops on
+        # commands that execute on the server; they must error instead.
         cases = [
             ["--engine", "event", "submit", "--url", "http://x"],
-            ["--jobs", "4", "stats", "--remote", "http://x"],
+            ["--engine", "event", "stats", "--remote", "http://x"],
             ["--no-cache", "submit", "--url", "http://x"],
             ["--cache-dir", "/tmp/c", "explore", "--remote", "http://x"],
         ]
@@ -179,7 +180,7 @@ class TestServeParser:
         assert "no effect" in err and "server" in err
         # Local explore still accepts them all.
         args = build_parser().parse_args(
-            ["--engine", "event", "--jobs", "2", "explore"])
+            ["--engine", "event", "--no-cache", "explore"])
         assert args.remote is None
 
 
@@ -386,7 +387,6 @@ class TestServeMain:
 class TestBuildExecutor:
     def test_default_executor_has_memory_cache(self):
         executor = build_executor(build_parser().parse_args(["all"]))
-        assert executor.workers == 1
         assert executor.cache is not None
         assert executor.cache.directory is None
 
@@ -400,11 +400,6 @@ class TestBuildExecutor:
             build_parser().parse_args(["--cache-dir", str(tmp_path / "c"), "all"]))
         assert executor.cache.directory == tmp_path / "c"
 
-    def test_jobs_flag_sets_workers(self):
-        executor = build_executor(
-            build_parser().parse_args(["--jobs", "3", "all"]))
-        executor.close()
-        assert executor.workers == 3
 
 
 class TestMain:
@@ -445,11 +440,11 @@ class TestMain:
         assert main(["--no-cache", "summary", "--network", "alexnet"]) == 0
         assert "TOTAL" in capsys.readouterr().out
 
-    def test_parallel_output_identical_to_serial(self, capsys):
+    def test_event_engine_output_identical_to_vector(self, capsys):
         assert main(["figure5", "--configs", "32"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["--jobs", "2", "figure5", "--configs", "32"]) == 0
-        assert capsys.readouterr().out == serial
+        vector = capsys.readouterr().out
+        assert main(["--engine", "event", "figure5", "--configs", "32"]) == 0
+        assert capsys.readouterr().out == vector
 
     def test_cache_dir_reused_across_invocations(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")

@@ -93,7 +93,7 @@ class TestBitIdentity:
 
         jobs = [point_to_job(canonical_point(p)) for p in MATRIX]
         with JobExecutor() as executor:
-            reference = executor.run(jobs, engine="batched")
+            reference = executor.run(jobs)
         with cluster(n=2) as (coordinator, workers, client):
             served = client.submit_points(MATRIX)
             for entry, expected in zip(served, reference):
@@ -407,7 +407,7 @@ class TestRemoteSweep:
             # every point (the metrics are pure functions of the layer
             # results, which the submit-path tests pin bit-identical).
             with JobExecutor() as executor:
-                local = explore(space, executor=executor, engine="batched")
+                local = explore(space, executor=executor)
             for remote_point, local_point in zip(result.evaluated,
                                                  local.evaluated):
                 assert remote_point.point == local_point.point

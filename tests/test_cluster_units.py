@@ -5,8 +5,7 @@ exclusion), the token-bucket rate limiter (deterministic via an injected
 clock), the Prometheus text renderer, the capped-exponential-backoff
 helper the retry paths share, and the satellites that ride along with the
 cluster PR: backoff-with-jitter in :class:`RemoteExecutor`, the store's
-``busy_timeout`` / ``inspect()`` lock retries, and the executor's
-pickle-fallback transport counter.
+``busy_timeout`` / ``inspect()`` lock retries.
 """
 
 import re
@@ -22,7 +21,6 @@ from repro.cluster import (
 )
 from repro.serve import RemoteExecutor, SQLiteResultStore, ServeError
 from repro.serve.client import compute_backoff
-from repro.sim.jobs import ExecutorStats, JobExecutor
 
 
 class TestConsistentHashRing:
@@ -350,25 +348,6 @@ class TestStoreContention:
         with pytest.raises(ValueError):
             SQLiteResultStore.inspect(path, lock_retries=2,
                                       lock_retry_delay_s=0.0)
-
-
-class TestTransportCounters:
-    def test_pickle_fallbacks_surface_in_stats(self, monkeypatch):
-        executor = JobExecutor()
-        import repro.sim.jobs.transport as transport
-        outcomes = iter([True, False, False])
-        monkeypatch.setattr(transport, "unpack_results",
-                            lambda payload: ([], next(outcomes)))
-        list(executor._unpack_payloads([object(), object(), object()]))
-        assert executor.stats.shm_transports == 1
-        assert executor.stats.pickle_transports == 2
-        stats = executor.stats.to_dict()
-        assert stats["shm_transports"] == 1
-        assert stats["pickle_transports"] == 2
-
-    def test_to_dict_reports_zero_by_default(self):
-        stats = ExecutorStats().to_dict()
-        assert stats["pickle_transports"] == 0
 
 
 def test_metric_names_follow_prometheus_conventions():

@@ -1,11 +1,15 @@
-"""Smoke tests: every shipped example must run end to end."""
+"""Smoke tests: every shipped example must run end to end, and every
+benchmark script must at least print its --help."""
 
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
+BENCHMARKS_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
@@ -51,7 +55,7 @@ class TestExamples:
 
     def test_serve_quickstart(self):
         out = run_example("serve_quickstart.py")
-        assert "bit-identical to in-process fast path" in out
+        assert "bit-identical to in-process event engine" in out
         assert "max executions per key = 1" in out
         assert "shut down gracefully" in out
 
@@ -68,3 +72,14 @@ class TestExamples:
         assert "dead-shard keys from the peer cache, bit-identical" in out
         assert "peer-cache /metrics series present" in out
         assert "peer-cache failover OK" in out
+
+
+@pytest.mark.parametrize(
+    "script", sorted(p.name for p in BENCHMARKS_DIR.glob("*.py")))
+def test_benchmark_help_exits_cleanly(script):
+    completed = subprocess.run(
+        [sys.executable, str(BENCHMARKS_DIR / script), "--help"],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(SRC_DIR), "PATH": "/usr/bin:/bin"},
+    )
+    assert completed.returncode == 0, completed.stderr

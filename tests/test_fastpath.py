@@ -1,6 +1,6 @@
-"""Differential validation of the vectorized fast-path engine.
+"""Differential validation of the closed-form vector engine.
 
-The fast path must be *bit-identical* to the per-layer reference ("event")
+The vector engine must be *bit-identical* to the per-layer reference ("event")
 engine -- not approximately equal -- because experiment outputs, the result
 cache and the Pareto frontiers all hash/compare the raw floats.  These tests
 enforce that over the full (network x accelerator x precision-profile)
@@ -22,13 +22,13 @@ from repro.memory.dram import LPDDR4_4267
 from repro.nn import Network, available_networks
 from repro.nn.layers import Conv2D, FullyConnected, ReLU, TensorShape
 from repro.sim import run_network
-from repro.sim.fastpath import (
+from repro.sim.batched import (
     ENGINES,
     build_layer_table,
     get_default_engine,
     set_default_engine,
-    simulate_network_fast,
-    supports_fast_path,
+    simulate_layer_table,
+    supports_vector_engine,
     use_engine,
 )
 from repro.sim.jobs import AcceleratorSpec, NetworkSpec, SimJob
@@ -64,13 +64,13 @@ PROFILES = [
 def _assert_case_ok(case):
     details = "\n".join(m.describe() for m in case.mismatches[:10])
     assert case.ok, (
-        f"fast path diverges from the event-engine reference on "
+        f"vector engine diverges from the event-engine reference on "
         f"{case.network}/{case.accelerator}:\n{details}"
     )
 
 
 class TestZooDifferential:
-    """fast == event for every (network, accelerator, profile) combination."""
+    """vector == event for every (network, accelerator, profile) combination."""
 
     @pytest.mark.parametrize("accelerator", sorted(ACCELERATOR_SPECS))
     @pytest.mark.parametrize("accuracy,effective", PROFILES)
@@ -130,10 +130,10 @@ class TestEdgeCases:
     def test_no_compute_layers(self):
         network = Network("empty", TensorShape(3, 8, 8))
         network.add(ReLU(name="relu"))
-        fast = run_network(Loom(), network, engine="fast")
+        vector = run_network(Loom(), network, engine="vector")
         event = run_network(Loom(), network, engine="event")
-        assert fast.layers == [] and event.layers == []
-        assert fast.total_cycles() == event.total_cycles() == 0.0
+        assert vector.layers == [] and event.layers == []
+        assert vector.total_cycles() == event.total_cycles() == 0.0
 
     def test_one_wide_tiles(self):
         """1x1 input, 1 filter, 1 output: every chunk count degenerates to 1."""
@@ -143,20 +143,19 @@ class TestEdgeCases:
         config = AcceleratorConfig(equivalent_macs=16)
         for accelerator in (Loom(config), Loom(config, bits_per_cycle=4),
                             DPNN(config)):
-            fast = run_network(accelerator, network, engine="fast")
+            vector = run_network(accelerator, network, engine="vector")
             event = run_network(accelerator, network, engine="event")
-            assert ([dataclasses.asdict(lr) for lr in fast.layers]
+            assert ([dataclasses.asdict(lr) for lr in vector.layers]
                     == [dataclasses.asdict(lr) for lr in event.layers])
-            assert fast.layers[0].cycles >= 1.0
+            assert vector.layers[0].cycles >= 1.0
 
     def test_empty_layer_table(self):
         table = build_layer_table([])
         assert len(table) == 0
-        result = simulate_network_fast(Loom(), table, network="empty")
-        assert result.layers == []
+        assert simulate_layer_table(Loom(), table) == []
 
     def test_result_fields_are_plain_python_scalars(self, alexnet_100):
-        result = run_network(Loom(), alexnet_100, engine="fast")
+        result = run_network(Loom(), alexnet_100, engine="vector")
         layer = result.layers[0]
         assert type(layer.cycles) is float
         assert type(layer.energy_pj) is float
@@ -166,8 +165,13 @@ class TestEdgeCases:
 
 class TestEngineSelection:
     def test_engines_tuple(self):
-        assert ENGINES == ("fast", "event", "batched")
+        assert ENGINES == ("vector", "event")
         assert get_default_engine() in ENGINES
+
+    @pytest.mark.parametrize("retired", ["fast", "batched"])
+    def test_retired_engine_names_rejected(self, retired):
+        with pytest.raises(ValueError, match="available: vector/event"):
+            set_default_engine(retired)
 
     def test_set_and_restore(self):
         previous = set_default_engine("event")
@@ -202,20 +206,23 @@ class TestEngineSelection:
                 return super().compute_cycles(layer) * 2.0
 
         tuned = TunedLoom()
-        assert not supports_fast_path(tuned)
-        # The fast engine must not silently mis-simulate the subclass: the
+        assert not supports_vector_engine(tuned)
+        # The vector engine must not silently mis-simulate the subclass: the
         # fallback runs the overridden hooks.
-        fast_mode = run_network(tuned, tiny_network, engine="fast")
+        vector_mode = run_network(tuned, tiny_network, engine="vector")
         reference = run_network(tuned, tiny_network, engine="event")
-        assert fast_mode.total_cycles() == reference.total_cycles()
-        assert fast_mode.total_cycles() > \
+        assert vector_mode.total_cycles() == reference.total_cycles()
+        assert vector_mode.total_cycles() > \
             run_network(Loom(), tiny_network).total_cycles()
+        with pytest.raises(TypeError, match="no vector kernel"):
+            simulate_layer_table(tuned, build_layer_table(
+                tiny_network.compute_layers()))
 
     def test_stock_designs_supported(self, dpnn_default, loom_1b,
                                      stripes_default, dstripes_default):
         for accelerator in (dpnn_default, loom_1b, stripes_default,
                             dstripes_default):
-            assert supports_fast_path(accelerator)
+            assert supports_vector_engine(accelerator)
 
 
 class TestDefaultMatrix:
@@ -259,7 +266,7 @@ class TestValidateReporting:
         default_engine = get_default_engine()
         try:
             assert main(["--engine", "event", "networks"]) == 0
-            assert main(["--engine", "fast", "networks"]) == 0
+            assert main(["--engine", "vector", "networks"]) == 0
         finally:
             set_default_engine(default_engine)
 

@@ -177,23 +177,6 @@ class TestExecution:
         assert seen_during[0] == ("executed", 1)
         assert seen_during[1] == ("executed", 2)
 
-    def test_workers_must_be_positive(self):
-        with pytest.raises(ValueError):
-            JobExecutor(workers=0)
-
-
-class TestParallelExecution:
-    def test_parallel_results_byte_identical_to_serial(self):
-        jobs = [
-            _job(network, kind=kind)
-            for network in ("alexnet", "nin")
-            for kind in ("dpnn", "stripes", "loom")
-        ] + [_job("alexnet", config=AcceleratorConfig(equivalent_macs=256))]
-        serial = JobExecutor(workers=1).run(jobs)
-        with JobExecutor(workers=2) as executor:
-            parallel = executor.run(jobs)
-        assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
-
 
 class TestDiskCache:
     def test_results_survive_to_disk(self, tmp_path):

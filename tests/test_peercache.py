@@ -361,7 +361,7 @@ class TestFailoverCacheHits:
             # Degraded-mode results are bit-identical to in-process runs.
             jobs = [point_to_job(canonical_point(p)) for p in MATRIX]
             with JobExecutor() as executor:
-                reference = executor.run(jobs, engine="batched")
+                reference = executor.run(jobs)
             for entry, expected in zip(entries, reference):
                 assert compare_layer_results(entry.result.layers,
                                              expected.layers) == []

@@ -4,7 +4,7 @@ Hypothesis generates random layer geometries -- spatial shapes, strides,
 paddings, group counts, attention head counts and precisions -- and for every
 generated layer asserts the three contracts the engines promise:
 
-* **exactness**: the vectorized fast path produces a
+* **exactness**: the vector engine produces a
   :class:`~repro.sim.results.LayerResult` that equals the per-layer event
   reference field for field (``==`` on the floats, no tolerance);
 * **sanity**: cycle and energy counts are finite and non-negative, and
@@ -30,7 +30,7 @@ from repro.core import Loom  # noqa: E402
 from repro.nn.layers import Conv2D, FullyConnected, MatMul, TensorShape  # noqa: E402
 from repro.nn.network import LayerWithPrecision  # noqa: E402
 from repro.quant.precision import LayerPrecision  # noqa: E402
-from repro.sim.fastpath import build_layer_table, simulate_layers_fast  # noqa: E402
+from repro.sim.batched import build_layer_table, simulate_layer_table  # noqa: E402
 from repro.sim.results import LayerResult  # noqa: E402
 
 # Small-scale configuration keeps the generated tile math fast while still
@@ -131,24 +131,45 @@ any_compute_layer = st.one_of(conv_layers(), depthwise_layers(),
                               matmul_layers(), fc_layers())
 
 
-def _fast_and_event(accelerator, lw):
+def _vector_and_event(accelerator, lw):
     table = build_layer_table([lw])
-    fast = simulate_layers_fast(accelerator, table)[0]
+    vector = simulate_layer_table(accelerator, table)[0]
     event = accelerator.simulate_layer(lw)
-    return fast, event
+    return vector, event
 
 
 class TestEnginesAgreeExactly:
     @given(lw=any_compute_layer)
     def test_every_field_identical_across_engines(self, lw):
         for accelerator in DESIGNS:
-            fast, event = _fast_and_event(accelerator, lw)
+            vector, event = _vector_and_event(accelerator, lw)
             for field in dataclasses.fields(LayerResult):
-                a, b = getattr(fast, field.name), getattr(event, field.name)
+                a, b = getattr(vector, field.name), getattr(event, field.name)
                 assert a == b, (
                     f"{accelerator.name}/{lw.name}.{field.name}: "
-                    f"fast={a!r} event={b!r}"
+                    f"vector={a!r} event={b!r}"
                 )
+
+
+class TestPlaneMembershipIsInvisible:
+    """A design's rows come out the same whether it has a plane to itself or
+    shares one with other scales of the same design (the event oracle)."""
+
+    @given(lw=any_compute_layer,
+           scales=st.lists(st.sampled_from([16, 32, 64, 256]),
+                           min_size=2, max_size=4))
+    def test_shared_plane_rows_match_event(self, lw, scales):
+        from repro.sim.batched import _design_plane, _simulate_plane
+
+        table = build_layer_table([lw])
+        for make in (DPNN, Stripes, DStripes, Loom,
+                     lambda config: Loom(config, bits_per_cycle=2)):
+            designs = [make(AcceleratorConfig(equivalent_macs=macs))
+                       for macs in scales]
+            shared = _simulate_plane(
+                _design_plane([(design, table) for design in designs]))
+            assert shared == [design.simulate_layer(lw)
+                              for design in designs]
 
 
 class TestResultSanity:

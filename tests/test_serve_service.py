@@ -120,6 +120,26 @@ class TestServedResults:
         assert compare_layer_results(served.result.layers, local.layers) == []
         assert served.result.to_dict() == local.to_dict()
 
+    def test_event_engine_selection_reaches_the_core(self, monkeypatch):
+        # Regression: the core used to pin the batched engine, so
+        # `loom-repro --engine event serve` silently served vector results.
+        from repro.serve.core import ServiceCore
+        from repro.sim import batched
+
+        def forbidden(jobs):
+            raise AssertionError("event-engine core called the batch engine")
+
+        monkeypatch.setattr(batched, "simulate_jobs_batched", forbidden)
+        with batched.use_engine("event"):
+            core = ServiceCore()
+            (entry,) = core.submit_points([POINT])
+            core.close()
+        assert entry.status == "executed"
+        assert core.executor.stats.batched_jobs == 0
+        local = execute_job(point_to_job(canonical_point(POINT)),
+                            engine="event")
+        assert entry.result.to_dict() == local.to_dict()
+
     def test_repeat_submission_is_answered_from_the_store(self):
         with serving() as (service, client):
             first = client.submit(POINT)
