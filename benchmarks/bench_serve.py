@@ -1,9 +1,9 @@
-"""Benchmarks for the batching simulation service (repro.serve).
+"""Benchmarks for the batching simulation service (``loom-repro serve``).
 
 Two measurements, written to ``BENCH_serve.json``:
 
-* **warm-store throughput** -- requests/second against a warm
-  ``SimulationService`` (the result is in the store, so each request is one
+* **warm-store throughput** -- requests/second against a warm serve node,
+  a ``ClusterWorker`` (the result is in the store, so each request is one
   HTTP round-trip plus a cache lookup).  This is the "amortise everything"
   promise of the serve ISSUE made concrete: a warm request costs
   milliseconds where a cold CLI invocation costs a full interpreter start,
@@ -39,7 +39,8 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:  # script mode; pytest gets this from conftest.py
     sys.path.insert(0, _SRC)
 
-from repro.serve import ServeClient, SimulationService, SQLiteResultStore
+from repro.cluster import ClusterWorker
+from repro.serve import ServeClient, ServiceCore, SQLiteResultStore
 from repro.sim.jobs import JobExecutor, ResultCache
 
 #: The job every measurement uses (small but real: 12 conv layers).
@@ -80,8 +81,8 @@ def bench_serve(quick: bool = False) -> dict:
         store = SQLiteResultStore(os.path.join(tmp, "bench.db"))
         executor = JobExecutor(cache=ResultCache(backend=store,
                                                  max_memory_entries=64))
-        with SimulationService(executor=executor) as service:
-            client = ServeClient(service.url)
+        with ClusterWorker(core=ServiceCore(executor=executor)) as node:
+            client = ServeClient(node.url)
 
             # -- coalescing: N concurrent identical cold submissions ---------
             barrier = threading.Barrier(concurrent)
@@ -100,7 +101,7 @@ def bench_serve(quick: bool = False) -> dict:
                 thread.join()
             coalesce_wall = time.perf_counter() - coalesce_start
 
-            executions = service.executor.stats.max_executions_per_key
+            executions = executor.stats.max_executions_per_key
             assert executions == 1, (
                 f"{concurrent} concurrent identical submissions executed "
                 f"{executions} times; coalescing is broken"
@@ -116,7 +117,7 @@ def bench_serve(quick: bool = False) -> dict:
             warm_wall = time.perf_counter() - warm_start
             warm_rps = warm_requests / warm_wall
 
-            served_stats = service.stats.to_dict()
+            served_stats = node.core.stats.to_dict()
 
     # -- N independent cold CLI invocations (the pre-serve model) ------------
     cold_walls = [_cold_cli_run() for _ in range(cold_invocations)]

@@ -109,11 +109,11 @@ def main():
                                         timeout=10) as response:
                 assert response.status == 200
                 metrics = response.read().decode("utf-8")
-            for series in ("loom_serve_requests_total",
-                           "loom_serve_request_seconds_bucket",
+            for series in ("loom_worker_requests_total",
+                           "loom_worker_request_seconds_bucket",
                            'loom_executor_phase_seconds_count'
                            '{phase="simulate"}',
-                           "loom_serve_uptime_seconds"):
+                           "loom_worker_uptime_seconds"):
                 assert series in metrics, f"missing metric series: {series}"
             print("GET /metrics serves Prometheus text "
                   f"({len(metrics.splitlines())} lines, request + executor "

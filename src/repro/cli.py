@@ -33,8 +33,9 @@ Every simulation goes through one shared :class:`~repro.sim.jobs.JobExecutor`
 per invocation, so ``loom-repro all`` simulates each unique
 (network, accelerator, configuration) job exactly once even though several
 tables and figures share parts of their matrices.  ``--no-cache`` disables
-result reuse, ``--cache-dir`` adds an on-disk JSON
-store so repeated invocations skip already-simulated jobs entirely, and
+result reuse, ``--cache-dir DIR`` adds an on-disk SQLite store
+(``DIR/results.db``) so repeated invocations skip already-simulated jobs
+entirely, and
 ``--verbose`` prints what the pipeline actually did (simulations run vs cache
 and dedup hits) to stderr so sweep users can confirm reuse is working.
 
@@ -57,7 +58,8 @@ file) through a search strategy and reports the Pareto frontier -- see
 :mod:`repro.explore`.
 
 ``serve`` turns the whole pipeline into a long-running batching service
-(:mod:`repro.serve`): a threaded HTTP JSON API over one shared executor and
+(:mod:`repro.serve`): one HTTP node (a
+:class:`~repro.cluster.worker.ClusterWorker`) over one shared executor and
 a persistent SQLite result store, with request coalescing and bounded-queue
 backpressure.  ``submit`` sends one job to a running server, ``stats
 --remote`` inspects its live counters (``stats --store`` inspects a store
@@ -71,6 +73,7 @@ import argparse
 import contextlib
 import json
 import os
+import sqlite3
 import sys
 from typing import List, Optional, Tuple
 
@@ -195,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     caching.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="persist simulation results as JSON under DIR so repeated "
-             "invocations reuse them",
+        help="persist simulation results in a SQLite store at "
+             "DIR/results.db so repeated invocations reuse them",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("table1", help="precision profiles (Table 1)")
@@ -519,7 +522,10 @@ def build_executor(args: argparse.Namespace) -> JobExecutor:
     if args.no_cache:
         cache = None
     elif args.cache_dir is not None:
-        cache = ResultCache(args.cache_dir)
+        from repro.serve.store import SQLiteResultStore
+
+        cache = ResultCache(backend=SQLiteResultStore(
+            os.path.join(os.path.expanduser(args.cache_dir), "results.db")))
     else:
         cache = ResultCache()
     return JobExecutor(cache=cache)
@@ -669,53 +675,33 @@ def _explore(args: argparse.Namespace, executor: JobExecutor) -> str:
 
 
 def _serve(args: argparse.Namespace) -> str:
-    """Run the batching service until a signal or POST /shutdown stops it."""
-    import signal
+    """Run one HTTP node until a signal or POST /shutdown stops it."""
+    from repro.cluster.worker import build_worker
 
-    from repro.serve import SimulationService, SQLiteResultStore
-
-    backend = None
-    if not args.no_store:
-        backend = SQLiteResultStore(args.store, max_entries=args.max_entries)
-    executor = JobExecutor(
-        cache=ResultCache(backend=backend,
-                          max_memory_entries=args.max_memory_entries),
-    )
-    service = SimulationService(
-        executor=executor,
-        host=args.host,
-        port=args.port,
-        queue_limit=args.queue_limit,
-    )
-    url = service.start()
-    store_label = backend.describe() if backend is not None else "memory only"
-    _log.info("serve.listening", url=url, store=store_label,
+    node = build_worker(None if args.no_store else args.store,
+                        max_entries=args.max_entries,
+                        max_memory_entries=args.max_memory_entries,
+                        queue_limit=args.queue_limit,
+                        host=args.host, port=args.port)
+    url = node.start()
+    backend = node.core.cache.backend
+    _log.info("serve.listening", url=url,
+              store=backend.describe() if backend is not None
+              else "memory only",
               queue_limit=args.queue_limit)
     if args.ready_file is not None:
         with open(args.ready_file, "w", encoding="utf-8") as handle:
             handle.write(url + "\n")
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            signal.signal(signum, lambda *_: service.request_stop())
-        except ValueError:  # not the main thread (e.g. under a test runner)
-            break
-    try:
-        service.wait_until_stopped()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.stop()
-    return (f"serve: stopped after "
-            f"{service.stats.requests} requests "
-            f"({service.stats.submitted_points} points submitted, "
-            f"{service.stats.coalesced} coalesced, "
-            f"{service.stats.rejected} rejected)")
+    node.serve_until_stopped()
+    stats = node.core.stats
+    return (f"serve: stopped after {stats.requests} requests "
+            f"({stats.submitted_points} points submitted, "
+            f"{stats.coalesced} coalesced, {stats.rejected} rejected)")
 
 
 def _cluster(args: argparse.Namespace) -> str:
     """Run a coordinator plus N worker processes until stopped."""
     import select
-    import signal
     import subprocess
     import time
     from pathlib import Path
@@ -781,38 +767,29 @@ def _cluster(args: argparse.Namespace) -> str:
                                      peer_cache=args.peer_cache,
                                      peer_timeout_s=args.peer_timeout_ms
                                      / 1000.0)
-    try:
-        url = coordinator.start()
-    except OSError:
-        for worker_url in worker_urls:
-            try:
-                ServeClient(worker_url, timeout_s=10).shutdown()
-            except Exception:  # noqa: BLE001 - best-effort teardown
-                pass
-        _reap()
-        raise
-    _log.info("cluster.listening", url=url, workers=len(worker_urls),
-              worker_urls=worker_urls)
-    if args.ready_file is not None:
-        with open(args.ready_file, "w", encoding="utf-8") as handle:
-            handle.write(url + "\n")
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            signal.signal(signum, lambda *_: coordinator.request_stop())
-        except ValueError:  # not the main thread (e.g. under a test runner)
-            break
-    try:
-        coordinator.wait_until_stopped()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        coordinator.stop()
+
+    def _stop_workers() -> None:
         for worker_url in worker_urls:
             try:
                 ServeClient(worker_url, timeout_s=10).shutdown()
             except Exception:  # noqa: BLE001 - worker may already be gone
                 pass
         _reap()
+
+    try:
+        url = coordinator.start()
+    except OSError:
+        _stop_workers()
+        raise
+    _log.info("cluster.listening", url=url, workers=len(worker_urls),
+              worker_urls=worker_urls)
+    if args.ready_file is not None:
+        with open(args.ready_file, "w", encoding="utf-8") as handle:
+            handle.write(url + "\n")
+    try:
+        coordinator.serve_until_stopped()
+    finally:
+        _stop_workers()
     stats = coordinator.stats
     return (f"cluster: stopped after {stats.requests} requests "
             f"({stats.submitted_points} points submitted, "
@@ -1023,7 +1000,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if uses_local_executor:
         try:
             executor = build_executor(args)
-        except OSError as error:
+        except (OSError, sqlite3.Error) as error:
             parser.error(f"--cache-dir: {error}")
     # use_engine (not set_default_engine): in-process callers of main() must
     # get the previous engine default back when the invocation finishes.
@@ -1111,6 +1088,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--trace-out: {error}")
     if args.verbose and executor is not None:
         print(executor.stats.summary(cache=executor.cache), file=sys.stderr)
+    if executor is not None and executor.cache is not None:
+        executor.cache.close()
     print("\n\n".join(outputs))
     return exit_code
 

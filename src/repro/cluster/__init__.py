@@ -1,7 +1,8 @@
 """repro.cluster: a sharded serve cluster with consistent-hash routing.
 
-``loom-repro serve`` made simulation results a service; this package makes
-the service horizontal.  A :class:`ClusterCoordinator` consistent-hash
+A :class:`ClusterWorker` is the one HTTP node: ``loom-repro serve`` runs a
+single one, and this package makes the service horizontal.  A
+:class:`ClusterCoordinator` consistent-hash
 routes job content keys across N :class:`ClusterWorker` shards (each a warm
 :class:`~repro.serve.core.ServiceCore` with its own executor and store),
 merges shard answers back in submission order -- bit-identical to an
@@ -28,12 +29,6 @@ from repro.cluster.aio import (
     fetch_json,
 )
 from repro.cluster.coordinator import ClusterCoordinator, ShardState
-from repro.cluster.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.cluster.peercache import PeerCacheBackend
 from repro.cluster.ratelimit import RateLimitDecision, RateLimiter, TokenBucket
 from repro.cluster.ring import ConsistentHashRing
@@ -44,13 +39,9 @@ __all__ = [
     "ClusterCoordinator",
     "ClusterWorker",
     "ConsistentHashRing",
-    "Counter",
-    "Gauge",
     "HTTPReply",
     "HTTPRequest",
     "HTTPResponder",
-    "Histogram",
-    "MetricsRegistry",
     "PeerCacheBackend",
     "RateLimitDecision",
     "RateLimiter",

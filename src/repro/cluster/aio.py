@@ -1,14 +1,14 @@
 """Minimal asyncio HTTP/1.1 plumbing for the cluster (stdlib only).
 
-The single-box service spends a thread per connection; the cluster's front
-door replaces that with one event loop per node on
-:func:`asyncio.start_server`.  This module is the shared plumbing both node
-kinds use:
+Every HTTP node -- the worker that ``loom-repro serve`` runs and the
+cluster coordinator -- serves from one event loop on
+:func:`asyncio.start_server`.  This module is the transport both node kinds
+use:
 
 * :class:`AsyncHTTPServer` -- accepts connections on its own event loop in
-  a background thread (so nodes embed in tests and the CLI exactly like
-  :class:`~repro.serve.service.SimulationService` does), parses requests,
-  and hands ``(request, responder)`` pairs to an async handler.  Keep-alive
+  a background thread (so nodes embed in tests and the CLI as plain
+  objects), parses requests, and hands ``(request, responder)`` pairs to
+  an async handler.  Keep-alive
   connections serve sequential requests; slow or idle peers are timed out
   instead of pinning resources.
 * :class:`HTTPResponder` -- plain ``Content-Length`` JSON responses, plus
@@ -37,7 +37,8 @@ from repro.obs.trace import get_tracer
 __all__ = ["AsyncHTTPServer", "HTTPReply", "HTTPRequest", "HTTPResponder",
            "RequestError", "fetch", "fetch_json"]
 
-#: Largest request body a node accepts (mirrors the serve limit).
+#: Largest request body a node accepts (a sweep spec is tiny; anything
+#: bigger is a client bug, not a workload).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 #: Largest request head (request line + headers).
 _MAX_HEAD_BYTES = 64 * 1024
@@ -48,17 +49,19 @@ _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
     429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable", 504: "Gateway Timeout",
+    502: "Bad Gateway", 503: "Service Unavailable", 504: "Gateway Timeout",
 }
 
 
 class RequestError(Exception):
-    """A malformed or oversized request (maps to 400/413)."""
+    """A request answered with ``status`` (400/404/413/429/503, ...)."""
 
-    def __init__(self, status: int, message: str) -> None:
+    def __init__(self, status: int, message: str,
+                 headers: Optional[Dict[str, str]] = None) -> None:
         super().__init__(message)
         self.status = status
         self.message = message
+        self.headers = headers or {}
 
 
 @dataclass
@@ -109,11 +112,15 @@ class HTTPResponder:
         self.streaming = False
         self.status: Optional[int] = None
         self.close_after = False
+        #: Correlation id echoed as ``X-Request-Id`` on the response.
+        self.request_id: Optional[str] = None
 
     def _head(self, status: int, headers: Dict[str, str]) -> bytes:
         reason = _REASONS.get(status, "OK")
         lines = [f"HTTP/1.1 {status} {reason}",
                  f"Server: {self._server_tag}"]
+        if self.request_id:
+            lines.append(f"X-Request-Id: {self.request_id}")
         lines.extend(f"{name}: {value}" for name, value in headers.items())
         return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
@@ -135,7 +142,8 @@ class HTTPResponder:
                         "application/json", headers)
 
     async def send_text(self, status: int, text: str,
-                        content_type: str = "text/plain; version=0.0.4") -> None:
+                        content_type: str = "text/plain; version=0.0.4; "
+                                            "charset=utf-8") -> None:
         # The default content type is the Prometheus exposition format tag.
         await self.send(status, text.encode("utf-8"), content_type)
 

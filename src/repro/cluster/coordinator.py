@@ -34,8 +34,15 @@ GET       /networks      the zoo with per-kind layer counts
 GET       /healthz       coordinator + per-shard health
 GET       /stats         coordinator counters, shard table, rate limiter
 GET       /metrics       Prometheus text format
+GET       /trace         own spans merged with every healthy shard's
 POST      /shutdown      graceful stop (in-flight streams get a clean end)
 ========  =============  ====================================================
+
+Request bodies are parsed by the same functions a worker uses
+(:func:`~repro.serve.core.parse_jobs_request`,
+:func:`~repro.serve.core.parse_explore_request`), and the request scope --
+spans, request ids, error mapping, counters -- is
+:class:`~repro.cluster.node.HTTPNode`'s.
 """
 
 from __future__ import annotations
@@ -46,20 +53,25 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster.aio import (
-    AsyncHTTPServer,
     HTTPRequest,
     HTTPResponder,
     RequestError,
     fetch,
     fetch_json,
 )
+from repro.cluster.node import HTTPNode, error_reply
 from repro.cluster.ratelimit import RateLimiter
 from repro.cluster.ring import ConsistentHashRing
-from repro.obs import MetricsRegistry, Span, get_logger, get_tracer
+from repro.obs import Span, get_logger, get_tracer
 from repro.serve.client import compute_backoff
+from repro.serve.core import (
+    _networks_payload,
+    parse_explore_request,
+    parse_jobs_request,
+)
 from repro.sim.jobs import ExecutorStats
 from repro.sim.results import NetworkResult
 
@@ -137,7 +149,7 @@ class _StreamHandle:
     done: threading.Event = field(default_factory=threading.Event)
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(HTTPNode):
     """The sharded front door behind ``loom-repro cluster``.
 
     Parameters
@@ -175,6 +187,8 @@ class ClusterCoordinator:
         so re-routed keys stay warm across shard death.
     """
 
+    role = "coordinator"
+
     def __init__(
         self,
         workers: Sequence[str],
@@ -189,6 +203,7 @@ class ClusterCoordinator:
         peer_timeout_s: float = 1.0,
         peer_write_through: bool = True,
     ) -> None:
+        super().__init__(host, port)
         if not workers:
             raise ValueError("a cluster needs at least one worker URL")
         self.shards: Dict[str, ShardState] = {
@@ -209,26 +224,15 @@ class ClusterCoordinator:
         self.shard_timeout_s = shard_timeout_s
         self.shard_backpressure_retries = shard_backpressure_retries
         self.stats = CoordinatorStats()
-        self.started_at: Optional[float] = None
-        self._server = AsyncHTTPServer(self._handle, host=host, port=port,
-                                       server_tag="loom-cluster-coordinator")
         self._stats_lock = threading.Lock()
-        self._stop_lock = threading.Lock()
         self._stopping = False
-        self._stopped = False
         self._health_task: Optional[asyncio.Task] = None
         self._streams: set = set()
         self._explore_threads: set = set()
+        #: Makes adding an explore thread and starting it one step, so
+        #: stop() never joins a thread that has not started.
+        self._explore_lock = threading.Lock()
 
-        self.metrics = MetricsRegistry()
-        self._requests_total = self.metrics.counter(
-            "loom_coordinator_requests_total",
-            "HTTP requests handled, by path and status.",
-            labelnames=("path", "status"))
-        self._request_seconds = self.metrics.histogram(
-            "loom_coordinator_request_seconds",
-            "Request latency in seconds, by path.",
-            labelnames=("path",))
         self._routed_total = self.metrics.counter(
             "loom_coordinator_points_routed_total",
             "Design points routed, by shard.", labelnames=("shard",))
@@ -263,25 +267,8 @@ class ClusterCoordinator:
 
     # -- lifecycle ------------------------------------------------------------
 
-    @property
-    def host(self) -> str:
-        return self._server.host
-
-    @property
-    def port(self) -> int:
-        return self._server.port
-
-    @property
-    def url(self) -> str:
-        return self._server.url
-
-    @property
-    def loop(self) -> Optional[asyncio.AbstractEventLoop]:
-        return self._server.loop
-
     def start(self) -> str:
-        url = self._server.start()
-        self.started_at = time.time()
+        url = super().start()
 
         async def _install_health_loop() -> None:
             self._health_task = asyncio.get_running_loop().create_task(
@@ -311,11 +298,7 @@ class ClusterCoordinator:
         connection closes, so a client watching a long sweep sees a clean
         end-of-stream instead of a hung socket.
         """
-        with self._stop_lock:
-            if self._stopped:
-                return
-            self._stopped = True
-        if self._server.loop is None:
+        if not self._claim_stop() or self._server.loop is None:
             return
         self._stopping = True
         loop = self._server.loop
@@ -328,32 +311,23 @@ class ClusterCoordinator:
             self._health_task = None
         # Sweeps running on explore threads notice _stopping at their next
         # batch and unwind; give them (and the streams they feed) a moment.
-        for thread in list(self._explore_threads):
+        with self._explore_lock:
+            threads = list(self._explore_threads)
+        for thread in threads:
             thread.join(timeout=drain_timeout_s)
         self._server.stop(drain_timeout_s=drain_timeout_s)
         _log.info("coordinator.stopped", url=self._server.url)
-
-    def request_stop(self) -> None:
-        """Trigger a graceful stop without blocking (signal-handler safe)."""
-        threading.Thread(target=self.stop, daemon=True,
-                         name="loom-coordinator-stop").start()
-
-    def wait_until_stopped(self, poll_s: float = 0.5) -> None:
-        """Block until the coordinator has stopped (the CLI's main loop)."""
-        while not self._stopped or self._server.loop is not None:
-            time.sleep(poll_s)
-
-    def __enter__(self) -> "ClusterCoordinator":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     def _bump(self, counter: str, amount: int = 1) -> None:
         with self._stats_lock:
             setattr(self.stats, counter,
                     getattr(self.stats, counter) + amount)
+
+    def _count_request(self, label: str, status: int) -> None:
+        with self._stats_lock:
+            self.stats.requests += 1
+            if status >= 400:
+                self.stats.errors += 1
 
     # -- health ---------------------------------------------------------------
 
@@ -434,14 +408,9 @@ class ClusterCoordinator:
             keys = []
             for raw in points:
                 if not isinstance(raw, Mapping):
-                    raise RequestError(
-                        400, f"a job point must be a JSON object, "
-                             f"got {type(raw).__name__}")
-                try:
-                    keys.append(job_key(point_to_job(canonical_point(raw))))
-                except (ValueError, KeyError, TypeError) as error:
-                    raise RequestError(
-                        400, f"{type(error).__name__}: {error}") from None
+                    raise ValueError(f"a job point must be a JSON object, "
+                                     f"got {type(raw).__name__}")
+                keys.append(job_key(point_to_job(canonical_point(raw))))
             return keys
 
         return await asyncio.get_running_loop().run_in_executor(None,
@@ -624,55 +593,19 @@ class ClusterCoordinator:
 
     # -- explore (strategies local, simulations sharded) ----------------------
 
-    def _explore_request(self, payload: Mapping[str, object]):
-        """Validate an explore payload; returns (space, strategy, budget).
-
-        ``options`` is the uniform strategy-option mapping and ``budget``
-        the true-simulation cap -- the same dialect as the serve service
-        (legacy top-level ``samples`` / ``seed`` keys keep working).
-        """
-        from repro.explore.search import strategy_from_request
-        from repro.explore.space import SweepSpec
-
-        if "space" not in payload:
-            raise RequestError(400, "explore request needs a 'space' sweep "
-                                    "spec")
-        unknown = set(payload) - {"space", "strategy", "options", "budget",
-                                  "samples", "seed", "objectives", "baseline",
-                                  "stream"}
-        if unknown:
-            raise RequestError(
-                400, f"unknown explore request keys: {sorted(unknown)}")
-        try:
-            space = SweepSpec.from_dict(payload["space"])
-            strategy, budget = strategy_from_request(payload)
-        except (ValueError, KeyError, TypeError) as error:
-            raise RequestError(
-                400, f"{type(error).__name__}: {error}") from None
-        return space, strategy, budget
-
-    def _run_explore(self, payload: Mapping[str, object],
+    def _run_explore(self, arguments: Mapping[str, object],
                      emit=None) -> Dict[str, object]:
-        """Run one sweep with simulations fanned out to the shards.
+        """Run one validated sweep (:func:`parse_explore_request` output)
+        with simulations fanned out to the shards.
 
         Blocking (runs on an explore thread); ``emit(event, data)`` fires
         per executor batch with brief per-job results -- the SSE hook.
         """
         from repro.explore.engine import explore
 
-        space, strategy, budget = self._explore_request(payload)
         self._bump("explores")
-        executor = _ShardedExecutor(self, emit=emit)
-        result = explore(
-            space,
-            strategy=strategy,
-            objectives=payload.get(
-                "objectives", ("speedup", "energy_efficiency", "area")),
-            executor=executor,
-            baseline=payload.get("baseline", "dpnn"),
-            budget=budget,
-        )
-        return result.to_dict()
+        return explore(executor=_ShardedExecutor(self, emit=emit),
+                       **arguments).to_dict()
 
     # -- request handling -----------------------------------------------------
 
@@ -696,37 +629,7 @@ class ClusterCoordinator:
                                                     + 0.999)))
         message = ("client quota exhausted" if decision.reason == "quota"
                    else "rate limit exceeded")
-        raise _RateLimited(message, headers)
-
-    async def _handle(self, request: HTTPRequest,
-                      responder: HTTPResponder) -> None:
-        started = time.monotonic()
-        path = request.path.rstrip("/") or "/"
-        label = "/jobs/<key>" if path.startswith("/jobs/") else path
-        self._bump("requests")
-        tracer = get_tracer()
-        try:
-            with tracer.remote_parent(request.headers.get("traceparent")):
-                with tracer.span(f"coordinator.{request.method} {label}",
-                                 path=path) as span:
-                    await self._route(request, responder, path)
-                    if span is not None and responder.status is not None:
-                        span.set_attr("status", responder.status)
-        except _RateLimited as limited:
-            await responder.send_json(429, {"error": limited.message},
-                                      headers=limited.headers)
-        except RequestError as error:
-            self._bump("errors")
-            if not responder.responded:
-                await responder.send_json(error.status,
-                                          {"error": error.message})
-            else:
-                raise
-        finally:
-            status = responder.status if responder.status is not None else 500
-            self._requests_total.inc(path=label, status=str(status))
-            self._request_seconds.observe(time.monotonic() - started,
-                                          path=label)
+        raise RequestError(429, message, headers)
 
     async def _route(self, request: HTTPRequest, responder: HTTPResponder,
                      path: str) -> None:
@@ -736,7 +639,7 @@ class ClusterCoordinator:
             await responder.send_json(200 if healthy else 503, {
                 "ok": bool(healthy),
                 "role": "coordinator",
-                "uptime_s": time.time() - (self.started_at or time.time()),
+                "uptime_s": self.uptime_s(),
                 "shards": {url: shard.healthy
                            for url, shard in self.shards.items()},
             })
@@ -747,8 +650,6 @@ class ClusterCoordinator:
         elif method == "GET" and path == "/trace":
             await responder.send_json(200, await self._trace_payload())
         elif method == "GET" and path == "/networks":
-            from repro.serve.service import _networks_payload
-
             payload = await asyncio.get_running_loop().run_in_executor(
                 None, _networks_payload)
             await responder.send_json(200, {"networks": payload})
@@ -761,18 +662,14 @@ class ClusterCoordinator:
             self._check_rate(request)
             await self._handle_explore(request, responder)
         elif method == "POST" and path == "/shutdown":
-            await responder.send_json(200, {"ok": True, "stopping": True})
-            responder.close_after = True
-            threading.Thread(target=self.stop, daemon=True).start()
+            await self._shutdown(responder)
         else:
-            self._bump("errors")
-            await responder.send_json(404, {"error": f"unknown path "
-                                                     f"{request.path!r}"})
+            raise RequestError(404, f"unknown path {request.path!r}")
 
     async def _stats_payload(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
             "role": "coordinator",
-            "uptime_s": time.time() - (self.started_at or time.time()),
+            "uptime_s": self.uptime_s(),
             "service": self.stats.to_dict(),
             "shards": {url: shard.to_dict()
                        for url, shard in self.shards.items()},
@@ -844,20 +741,7 @@ class ClusterCoordinator:
 
     async def _handle_jobs(self, request: HTTPRequest,
                            responder: HTTPResponder) -> None:
-        payload = request.json()
-        single = "points" not in payload
-        if single:
-            point = payload.get("point", payload)
-            if not isinstance(point, dict) or not point:
-                raise RequestError(
-                    400, "POST /jobs expects a point object, "
-                         "{'point': {...}} or {'points': [...]}")
-            points: List[Mapping[str, object]] = [point]
-        else:
-            points = payload["points"]
-            if not isinstance(points, list) or not points:
-                raise RequestError(400,
-                                   "'points' must be a non-empty JSON array")
+        points, single = parse_jobs_request(request.json())
         if single or not request.wants("application/x-ndjson"):
             entries = await self._submit_points(points)
             if single:
@@ -878,10 +762,11 @@ class ClusterCoordinator:
 
         try:
             entries = await self._submit_points(points, emit=_emit)
-        except RequestError as error:
+        except Exception as error:  # noqa: BLE001 - the stream must end
+            status, message, _ = error_reply(error)
             await responder.write_chunk(
-                (json.dumps({"error": error.message,
-                             "status": error.status}) + "\n").encode("utf-8"))
+                (json.dumps({"error": message, "status": status})
+                 + "\n").encode("utf-8"))
             await responder.finish_stream()
             responder.close_after = True
             return
@@ -893,6 +778,8 @@ class ClusterCoordinator:
     async def _handle_explore(self, request: HTTPRequest,
                               responder: HTTPResponder) -> None:
         payload = request.json()
+        # Validated up front, so a bad request is a plain 400, not a stream.
+        arguments = parse_explore_request(payload)
         stream = bool(payload.get("stream")) or \
             request.wants("text/event-stream")
         loop = asyncio.get_running_loop()
@@ -901,12 +788,10 @@ class ClusterCoordinator:
             # sweep's shard submissions should stay in this request's trace.
             context = contextvars.copy_context()
             result = await loop.run_in_executor(
-                None, lambda: context.run(self._run_explore, payload))
+                None, lambda: context.run(self._run_explore, arguments))
             await responder.send_json(200, result)
             return
 
-        # Validate up front so a bad request is a plain 400, not a stream.
-        space, _strategy, _budget = self._explore_request(payload)
         self._bump("streams")
         handle = _StreamHandle(queue=asyncio.Queue())
         self._streams.add(handle)
@@ -918,16 +803,12 @@ class ClusterCoordinator:
 
         def _explore_thread() -> None:
             try:
-                result = self._run_explore(payload, emit=_push)
+                result = self._run_explore(arguments, emit=_push)
                 _push("result", result)
                 _push("end", {"complete": True})
-            except RequestError as error:
-                _push("error", {"error": error.message,
-                                "status": error.status})
-                _push("end", {"complete": False, "reason": "error"})
             except Exception as error:  # noqa: BLE001 - stream must terminate
-                _push("error",
-                      {"error": f"{type(error).__name__}: {error}"})
+                status, message, _ = error_reply(error)
+                _push("error", {"error": message, "status": status})
                 _push("end", {"complete": False, "reason": "error"})
             finally:
                 self._explore_threads.discard(threading.current_thread())
@@ -935,14 +816,15 @@ class ClusterCoordinator:
         await responder.start_stream("text/event-stream")
         await responder.write_event("start", {
             "strategy": payload.get("strategy", "grid"),
-            "space_points": space.size,
+            "space_points": arguments["space"].size,
         })
         self._stream_events_total.inc()
         context = contextvars.copy_context()
         thread = threading.Thread(target=lambda: context.run(_explore_thread),
                                   daemon=True, name="loom-explore-stream")
-        self._explore_threads.add(thread)
-        thread.start()
+        with self._explore_lock:
+            self._explore_threads.add(thread)
+            thread.start()
         try:
             while True:
                 event, data = await handle.queue.get()
@@ -955,15 +837,6 @@ class ClusterCoordinator:
             handle.done.set()
             self._streams.discard(handle)
         responder.close_after = True
-
-
-class _RateLimited(Exception):
-    """Internal: a rate-limiter refusal with its response headers."""
-
-    def __init__(self, message: str, headers: Dict[str, str]) -> None:
-        super().__init__(message)
-        self.message = message
-        self.headers = headers
 
 
 class _ShardedExecutor:

@@ -1,24 +1,29 @@
-"""Cluster worker: one shard's asyncio service around a warm ServiceCore.
+"""The HTTP node: one warm :class:`ServiceCore` behind an asyncio server.
 
-A worker is the cluster's unit of capacity: it owns one
-:class:`~repro.serve.core.ServiceCore` -- and through it one warm
-:class:`~repro.sim.jobs.JobExecutor` and (typically) one private
-:class:`~repro.serve.store.SQLiteResultStore` -- and answers the shard-facing
-subset of the serve API over an :class:`~repro.cluster.aio.AsyncHTTPServer`:
+A worker is the one kind of serve node.  ``loom-repro serve`` runs a single
+worker; ``loom-repro cluster`` runs several as the shards behind a
+coordinator.  Each owns one :class:`~repro.serve.core.ServiceCore` -- and
+through it one warm :class:`~repro.sim.jobs.JobExecutor` and (typically)
+one :class:`~repro.serve.store.SQLiteResultStore` -- and answers over an
+:class:`~repro.cluster.aio.AsyncHTTPServer`:
 
 ========  =============  ====================================================
 method    path           behaviour
 ========  =============  ====================================================
-POST      /jobs          resolve a point batch (same wire format as serve)
+POST      /jobs          simulate one point (or a ``{"points": [...]}``
+                         batch); blocks until the result is ready
 GET       /jobs/<key>    look a finished result up by content key
+POST      /explore       run a design-space sweep against the warm store
+GET       /networks      the zoo with per-kind layer counts
 GET       /cache/<key>   **local-tier** cache lookup (the peer-cache wire:
                          never recurses into the peer tier)
 PUT       /cache/<key>   store a peer's write-through replica locally
 POST      /ring          accept ring membership from the coordinator and
                          activate the peer cache tier
-GET       /healthz       liveness probe (the coordinator's health checks)
+GET       /healthz       liveness probe, with version and uptime
 GET       /stats         core / executor / cache / store counters
-GET       /metrics       Prometheus text format
+GET       /metrics       Prometheus text format (``loom_worker_*``)
+GET       /trace         this process's recorded spans
 POST      /shutdown      graceful stop (finishes in-flight work first)
 ========  =============  ====================================================
 
@@ -26,41 +31,47 @@ The event loop only parses and routes; executions run on a small thread
 pool (``asyncio.to_thread``-style) because a simulation batch is seconds of
 blocking NumPy work, and the core's locks already serialise what must be
 serialised.  Request coalescing, bounded-admission 429 backpressure and the
-warm-store fast path all come from the shared core -- a shard answers
-bit-identically to the single-box ``loom-repro serve``.
+warm-store fast path all come from the core; request ids, spans, the error
+mapping and the counters from :class:`~repro.cluster.node.HTTPNode`.
+
+The wire format for a job is a design-*point* mapping -- the same parameter
+namespace as ``loom-repro explore`` axes (``network`` / ``accuracy`` /
+``accelerator`` / every ``AcceleratorConfig`` knob), canonicalised by
+:func:`repro.explore.space.canonical_point`.
 """
 
 from __future__ import annotations
 
 import contextvars
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Sequence
 
-from repro.cluster.aio import (
-    AsyncHTTPServer,
-    HTTPRequest,
-    HTTPResponder,
-    RequestError,
-)
+from repro import __version__
+from repro.cluster.aio import HTTPRequest, HTTPResponder, RequestError
+from repro.cluster.node import HTTPNode
 from repro.cluster.peercache import PeerCacheBackend
-from repro.obs import MetricsRegistry, get_logger, get_tracer
-from repro.serve.core import Backpressure, ServiceCore
+from repro.obs import get_logger, get_tracer
+from repro.serve.core import (
+    ServiceCore,
+    _networks_payload,
+    parse_jobs_request,
+)
+from repro.sim.batched import get_default_engine
 from repro.sim.results import NetworkResult
 
-__all__ = ["ClusterWorker"]
+__all__ = ["ClusterWorker", "build_worker"]
 
 _log = get_logger("cluster.worker")
 
 
-class ClusterWorker:
-    """One shard: an asyncio front over a warm :class:`ServiceCore`.
+class ClusterWorker(HTTPNode):
+    """The serve node: an asyncio front over a warm :class:`ServiceCore`.
 
     Parameters
     ----------
     core:
-        The shard's :class:`ServiceCore` (owning the executor and store);
+        The node's :class:`ServiceCore` (owning the executor and store);
         a fresh in-memory-cached core is built when omitted.  The worker
         owns it: ``stop()`` closes it.
     host / port:
@@ -78,6 +89,8 @@ class ClusterWorker:
         Default write-through setting for the peer tier (same override).
     """
 
+    role = "worker"
+
     def __init__(self, core: Optional[ServiceCore] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  name: Optional[str] = None,
@@ -87,27 +100,15 @@ class ClusterWorker:
         if request_threads < 1:
             raise ValueError(
                 f"request_threads must be >= 1, got {request_threads}")
+        super().__init__(host, port)
         self.core = core if core is not None else ServiceCore()
         self.name = name
         self.peer_timeout_s = peer_timeout_s
         self.peer_write_through = peer_write_through
         self.peer_cache: Optional[PeerCacheBackend] = None
         self._peer_lock = threading.Lock()
-        self._server = AsyncHTTPServer(self._handle, host=host, port=port,
-                                       server_tag="loom-cluster-worker")
         self._pool: Optional[ThreadPoolExecutor] = None
         self._request_threads = request_threads
-        self._stop_lock = threading.Lock()
-        self._stopped = False
-        self.metrics = MetricsRegistry()
-        self._requests_total = self.metrics.counter(
-            "loom_worker_requests_total",
-            "HTTP requests handled, by path and status.",
-            labelnames=("path", "status"))
-        self._request_seconds = self.metrics.histogram(
-            "loom_worker_request_seconds",
-            "Request latency in seconds, by path.",
-            labelnames=("path",))
         self.metrics.gauge(
             "loom_worker_queue_depth",
             "Execution batches currently admitted (queue_limit bounds this).",
@@ -122,7 +123,7 @@ class ClusterWorker:
             collect=self.core.cache_hit_ratio)
         self.metrics.gauge(
             "loom_worker_jobs_executed_total",
-            "Simulations actually run by this shard's executor.",
+            "Simulations actually run by this node's executor.",
             collect=lambda: self.core.executor.stats.executed)
         self.metrics.gauge(
             "loom_worker_store_answers_total",
@@ -139,59 +140,28 @@ class ClusterWorker:
 
     # -- lifecycle ------------------------------------------------------------
 
-    @property
-    def host(self) -> str:
-        return self._server.host
-
-    @property
-    def port(self) -> int:
-        return self._server.port
-
-    @property
-    def url(self) -> str:
-        return self._server.url
-
     def start(self) -> str:
-        url = self._server.start()
+        url = super().start()
         if self.name is None:
             self.name = f"worker-{self.port}"
         self._pool = ThreadPoolExecutor(
             max_workers=self._request_threads,
             thread_name_prefix=f"{self.name}-exec")
-        self.core.started_at = time.time()
         _log.info("worker.started", name=self.name, url=url,
-                  queue_limit=self.core.queue_limit)
+                  engine=get_default_engine(),
+                  queue_limit=self.core.queue_limit, version=__version__)
         return url
 
     def stop(self, drain_timeout_s: float = 30.0) -> None:
         """Stop accepting, drain in-flight batches, close executor + store."""
-        with self._stop_lock:
-            if self._stopped:
-                return
-            self._stopped = True
+        if not self._claim_stop():
+            return
         self._server.stop(drain_timeout_s=min(drain_timeout_s, 10.0))
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
         self.core.close(drain_timeout_s)
         _log.info("worker.stopped", name=self.name)
-
-    def request_stop(self) -> None:
-        """Trigger a graceful stop without blocking (signal-handler safe)."""
-        threading.Thread(target=self.stop, daemon=True,
-                         name=f"{self.name}-stop").start()
-
-    def wait_until_stopped(self, poll_s: float = 0.5) -> None:
-        """Block until the worker has stopped (the CLI child's main loop)."""
-        while not self._stopped or self._server.loop is not None:
-            time.sleep(poll_s)
-
-    def __enter__(self) -> "ClusterWorker":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     # -- peer cache tier ------------------------------------------------------
 
@@ -289,46 +259,32 @@ class ClusterWorker:
         return await loop.run_in_executor(
             self._pool, lambda: context.run(fn, *args))
 
-    async def _handle(self, request: HTTPRequest,
-                      responder: HTTPResponder) -> None:
-        started = time.monotonic()
-        path = request.path.rstrip("/") or "/"
-        if path.startswith("/jobs/"):
-            label = "/jobs/<key>"
-        elif path.startswith("/cache/"):
-            label = "/cache/<key>"
-        else:
-            label = path
-        tracer = get_tracer()
-        try:
-            with tracer.remote_parent(request.headers.get("traceparent")):
-                with tracer.span(f"worker.{request.method} {label}",
-                                 path=path, worker=self.name or "") as span:
-                    await self._route(request, responder, path)
-                    if span is not None and responder.status is not None:
-                        span.set_attr("status", responder.status)
-        finally:
-            status = responder.status if responder.status is not None else 500
-            self._requests_total.inc(path=label, status=str(status))
-            self._request_seconds.observe(time.monotonic() - started,
-                                          path=label)
+    def _count_request(self, label: str, status: int) -> None:
+        # Peer-cache traffic is node-to-node (its misses are 404s by
+        # design); the peer tier counts it, the client counters do not.
+        if label != "/cache/<key>":
+            self.core.count_request(status)
 
     async def _route(self, request: HTTPRequest, responder: HTTPResponder,
                      path: str) -> None:
         method = request.method
-        if method == "GET" and path == "/healthz":
+        if method == "POST" and path == "/jobs":
+            points, single = parse_jobs_request(request.json())
+            submitted = await self._in_thread(self.core.submit_points, points)
+            await responder.send_json(200, submitted[0].to_dict() if single
+                                      else {"results": [entry.to_dict()
+                                                        for entry in submitted]})
+        elif method == "GET" and path == "/healthz":
             await responder.send_json(200, {
                 "ok": True,
                 "role": "worker",
                 "name": self.name,
-                "uptime_s": time.time() - (self.core.started_at or
-                                           time.time()),
+                "version": __version__,
+                "uptime_s": self.uptime_s(),
             })
         elif method == "GET" and path == "/stats":
-            payload = await self._in_thread(self.core.stats_dict)
-            payload["role"] = "worker"
-            payload["name"] = self.name
-            await responder.send_json(200, payload)
+            await responder.send_json(200,
+                                      await self._in_thread(self.stats_dict))
         elif method == "GET" and path == "/metrics":
             await responder.send_text(200, self.metrics.render())
         elif method == "GET" and path == "/trace":
@@ -338,6 +294,9 @@ class ClusterWorker:
                 "spans": [span.to_dict()
                           for span in tracer.recorder.spans()],
             })
+        elif method == "GET" and path == "/networks":
+            await responder.send_json(200, {
+                "networks": await self._in_thread(_networks_payload)})
         elif method == "GET" and path.startswith("/jobs/"):
             key = path[len("/jobs/"):]
             status, result = await self._in_thread(self.core.lookup, key)
@@ -348,10 +307,7 @@ class ClusterWorker:
                 await responder.send_json(202, {"key": key,
                                                 "status": "pending"})
             else:
-                self.core._bump("errors")
-                await responder.send_json(404,
-                                          {"error": f"no result for key "
-                                                    f"{key!r}"})
+                raise RequestError(404, f"no result for key {key!r}")
         elif method == "GET" and path.startswith("/cache/"):
             key = path[len("/cache/"):]
             result = await self._in_thread(self._cache_lookup, key)
@@ -391,66 +347,39 @@ class ClusterWorker:
                     write_through=payload.get("write_through")))
             await responder.send_json(200, {"ok": True, "peers": peers,
                                             "self": self.peer_cache.self_url})
-        elif method == "POST" and path == "/jobs":
-            await self._handle_jobs(request, responder)
+        elif method == "POST" and path == "/explore":
+            await responder.send_json(200, await self._in_thread(
+                self.core.run_explore, request.json()))
         elif method == "POST" and path == "/shutdown":
-            await responder.send_json(200, {"ok": True, "stopping": True})
-            responder.close_after = True
-            # The server cannot tear itself down from inside a handler; a
-            # plain thread does it once this response is on the wire.
-            self.request_stop()
+            await self._shutdown(responder)
         else:
-            self.core._bump("errors")
-            await responder.send_json(404,
-                                      {"error": f"unknown path "
-                                                f"{request.path!r}"})
-
-    async def _handle_jobs(self, request: HTTPRequest,
-                           responder: HTTPResponder) -> None:
-        payload = request.json()
-        single = "points" not in payload
-        if single:
-            point = payload.get("point", payload)
-            if not isinstance(point, dict) or not point:
-                raise ValueError(
-                    "POST /jobs expects a point object, {'point': {...}} or "
-                    "{'points': [...]}"
-                )
-            points = [point]
-        else:
-            points = payload["points"]
-            if not isinstance(points, list) or not points:
-                raise ValueError("'points' must be a non-empty JSON array")
-        self.core._bump("requests")
-        try:
-            submitted = await self._in_thread(self.core.submit_points, points)
-        except Backpressure as bp:
-            self.core._bump("errors")
-            await responder.send_json(
-                429, {"error": str(bp)},
-                headers={"Retry-After": str(bp.retry_after_s)})
-            return
-        except (ValueError, KeyError, TypeError) as error:
-            self.core._bump("errors")
-            await responder.send_json(
-                400, {"error": f"{type(error).__name__}: {error}"})
-            return
-        except TimeoutError as error:
-            self.core._bump("errors")
-            await responder.send_json(504, {"error": str(error)})
-            return
-        if single:
-            await responder.send_json(200, submitted[0].to_dict())
-        else:
-            await responder.send_json(200, {
-                "results": [entry.to_dict() for entry in submitted],
-            })
+            raise RequestError(404, f"unknown path {request.path!r}")
 
     def stats_dict(self) -> Dict[str, object]:
         payload = self.core.stats_dict()
-        payload["role"] = "worker"
-        payload["name"] = self.name
+        payload.update(role="worker", name=self.name, version=__version__,
+                       uptime_s=self.uptime_s())
         return payload
+
+
+def build_worker(store_path: Optional[str] = None,
+                 max_entries: Optional[int] = None,
+                 max_memory_entries: int = 512,
+                 queue_limit: int = 8,
+                 host: str = "127.0.0.1", port: int = 0) -> ClusterWorker:
+    """A node over a fresh executor, backed by a private SQLite store at
+    ``store_path`` (memory only when ``None``); not yet started."""
+    from repro.serve.store import SQLiteResultStore
+    from repro.sim.jobs import JobExecutor, ResultCache
+
+    backend = (SQLiteResultStore(store_path, max_entries=max_entries)
+               if store_path else None)
+    executor = JobExecutor(
+        cache=ResultCache(backend=backend,
+                          max_memory_entries=max_memory_entries))
+    return ClusterWorker(core=ServiceCore(executor=executor,
+                                          queue_limit=queue_limit),
+                         host=host, port=port)
 
 
 def worker_process_main(store_path: Optional[str] = None,
@@ -468,31 +397,16 @@ def worker_process_main(store_path: Optional[str] = None,
     SIGTERM/SIGINT stops it.  ``log_level`` / ``log_json`` / ``engine``
     forward the parent CLI's global flags into the child.
     """
-    import signal
-
     from repro.obs import Tracer, configure_logging, set_tracer
-    from repro.serve.store import SQLiteResultStore
     from repro.sim.batched import set_default_engine
-    from repro.sim.jobs import JobExecutor
-    from repro.sim.jobs.cache import ResultCache
 
     configure_logging(level=log_level, json_output=log_json)
     set_default_engine(engine)
-    backend = SQLiteResultStore(store_path) if store_path else None
-    executor = JobExecutor(
-        cache=ResultCache(backend=backend,
-                          max_memory_entries=max_memory_entries))
-    worker = ClusterWorker(core=ServiceCore(executor=executor,
-                                            queue_limit=queue_limit),
-                           host=host, port=port)
+    worker = build_worker(store_path, max_memory_entries=max_memory_entries,
+                          queue_limit=queue_limit, host=host, port=port)
     url = worker.start()
     # Name this process's spans after the shard so a merged Chrome trace
     # shows one row per worker instead of an undifferentiated "loom".
     set_tracer(Tracer(service=worker.name or "worker"))
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            signal.signal(signum, lambda *_: worker.request_stop())
-        except ValueError:  # pragma: no cover - not the main thread
-            break
     print(url, flush=True)
-    worker.wait_until_stopped()
+    worker.serve_until_stopped()

@@ -21,7 +21,6 @@ dominance and return an :class:`ExplorationResult`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -235,29 +234,9 @@ def drive_search(
     executor batch, recorded into the trace (first-evaluation order,
     deduplicated) and handed back through ``observe()``.  An empty proposal
     batch ends the search.
-
-    Legacy strategies that still override ``run()`` are driven through it
-    unchanged -- with a :class:`DeprecationWarning`, and without budget
-    support (a budget on a run()-only strategy raises ``ValueError``).
     """
-    from repro.explore.search import SearchStrategy
-
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if type(strategy).run is not SearchStrategy.run:
-        warnings.warn(
-            f"{type(strategy).__name__} overrides SearchStrategy.run(), "
-            "which is deprecated: implement propose()/observe() so the "
-            "engine's driver owns evaluation, budgets and trace recording",
-            DeprecationWarning, stacklevel=2,
-        )
-        if budget is not None:
-            raise ValueError(
-                "a simulation budget needs an ask/tell strategy; "
-                f"{type(strategy).__name__} only implements run()"
-            )
-        return list(strategy.run(space, evaluator, objectives))
-
     state = SearchState(space, objectives, evaluator, budget=budget)
     strategy.start(state)
     traced = set()

@@ -16,27 +16,16 @@ Strategies register under their CLI/wire name with the
 :func:`register_strategy` class decorator; :func:`resolve_strategy` turns a
 name plus uniform ``key=value`` options (``--strategy-opt`` on the CLI,
 ``"options"`` on the wire) into an instance.
-
-Legacy third-party strategies that still override :meth:`SearchStrategy.run`
-keep working -- the driver falls back to them with a
-:class:`DeprecationWarning` -- and the base-class ``run()`` itself is now a
-thin shim over the driver.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
-from repro.explore.engine import (
-    EvaluatedPoint,
-    PointEvaluator,
-    SearchState,
-    drive_search,
-)
-from repro.explore.frontier import Objective, scalar_score
-from repro.explore.space import DesignPoint, SweepSpec, parse_value
+from repro.explore.engine import EvaluatedPoint, SearchState
+from repro.explore.frontier import scalar_score
+from repro.explore.space import DesignPoint, parse_value
 
 __all__ = [
     "SearchStrategy",
@@ -70,28 +59,10 @@ class SearchStrategy:
     def propose(self, state: SearchState) -> List[DesignPoint]:
         """The next candidate batch to evaluate; ``[]`` ends the search."""
         raise NotImplementedError(
-            f"{type(self).__name__} implements neither propose() nor the "
-            "deprecated run()"
-        )
+            f"{type(self).__name__} does not implement propose()")
 
     def observe(self, evaluated: Sequence[EvaluatedPoint]) -> None:
         """Receive the evaluated batch (proposal order; budget-trimmed)."""
-
-    def run(self, space: SweepSpec, evaluator: PointEvaluator,
-            objectives: Sequence[Objective]) -> List[EvaluatedPoint]:
-        """Deprecated pre-ask/tell entry point; drives the new loop.
-
-        Third-party strategies may still *override* this (the driver warns
-        and falls back); calling it is equivalent to
-        :func:`~repro.explore.engine.drive_search` without a budget.
-        """
-        warnings.warn(
-            "SearchStrategy.run() is deprecated; use repro.explore.explore() "
-            "or repro.explore.engine.drive_search(), which own evaluation, "
-            "budgets and trace recording",
-            DeprecationWarning, stacklevel=2,
-        )
-        return drive_search(self, space, evaluator, objectives)
 
 
 class GeneratorStrategy(SearchStrategy):
@@ -329,8 +300,9 @@ def strategy_from_request(
     The uniform form is ``{"strategy": name, "options": {key: value},
     "budget": N}``; the pre-redesign top-level ``samples`` / ``seed`` keys
     keep working for older clients (merged into ``options`` unless the new
-    form already sets them).  Shared by the serve service and the cluster
-    coordinator so both speak the same dialect.
+    form already sets them).  Called by
+    :func:`repro.serve.core.parse_explore_request`, so every node speaks the
+    same dialect.
     """
     strategy_name = request.get("strategy", "grid")
     raw_options = request.get("options") or {}

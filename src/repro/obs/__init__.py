@@ -1,16 +1,15 @@
 """Observability layer shared by every tier (stdlib only).
 
-``repro.obs`` is the substrate the CLI, the single-box serve service, the
-cluster nodes and the job executor all report through:
+``repro.obs`` is the substrate the CLI, the HTTP nodes (the worker that
+``loom-repro serve`` runs and the cluster coordinator) and the job executor
+all report through:
 
 * :mod:`repro.obs.trace` -- a thread- and asyncio-safe :class:`Tracer`
   with ``span()`` context managers, W3C-``traceparent``-style context
   propagation over HTTP, a ring-buffer :class:`SpanRecorder` and Chrome
   trace-event JSON export (``loom-repro trace dump`` /
   ``--trace-out FILE``);
-* :mod:`repro.obs.metrics` -- the Prometheus-text-format instruments
-  (promoted from ``repro.cluster.metrics``; that import path remains as a
-  back-compat re-export);
+* :mod:`repro.obs.metrics` -- the Prometheus-text-format instruments;
 * :mod:`repro.obs.logging` -- a JSON-lines structured logger whose records
   carry the current trace/span ids, behind the CLI's ``--log-level`` /
   ``--log-json`` flags.

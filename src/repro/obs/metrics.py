@@ -1,14 +1,12 @@
 """Prometheus-text-format metrics for every tier (stdlib only).
 
-Each node that speaks HTTP -- the single-box serve service, the cluster
-coordinator and the workers -- exposes ``GET /metrics`` in the Prometheus
+Each node that speaks HTTP -- the worker (what ``loom-repro serve`` runs)
+and the cluster coordinator -- exposes ``GET /metrics`` in the Prometheus
 `text exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_, so a
 stock Prometheus scrape -- or ``curl`` -- can watch request rates,
 latencies, queue depth, cache efficiency and shard health without any new
-dependencies.  (This module started life as ``repro.cluster.metrics``;
-that import path remains as a back-compat re-export.)  Three instrument
-types cover the stack's needs:
+dependencies.  Three instrument types cover the stack's needs:
 
 * :class:`Counter` -- monotonically increasing totals, optionally with
   labels (``loom_requests_total{path="/jobs",status="200"}``);

@@ -2,20 +2,22 @@
 
 Every ``loom-repro`` subcommand is a one-shot batch process: it pays
 interpreter start, imports, profiled-network construction and cache warm-up
-on every invocation, and the ``--cache-dir`` JSON store cannot be shared
-safely between concurrent clients.  This package keeps those ingredients
-*hot* in one long-running process:
+on every invocation.  This package keeps those ingredients *hot* in one
+long-running process:
 
-* :class:`~repro.serve.store.SQLiteResultStore` -- a
-  :class:`~repro.sim.jobs.CacheBackend` holding every simulated result in a
-  single WAL-mode SQLite database: concurrent readers, schema versioning,
-  and an optional LRU entry bound.
-* :class:`~repro.serve.service.SimulationService` -- a threaded HTTP JSON
-  API (``POST /jobs``, ``GET /jobs/<key>``, ``POST /explore``,
-  ``GET /networks``, ``GET /healthz``, ``GET /stats``) with request
-  coalescing (N concurrent identical submissions simulate once), a bounded
-  in-flight queue with 429 + ``Retry-After`` backpressure, and graceful
-  shutdown.  Started by ``loom-repro serve``.
+* :class:`~repro.serve.store.SQLiteResultStore` -- the one persistent
+  :class:`~repro.sim.jobs.CacheBackend`: every simulated result in a single
+  WAL-mode SQLite database, with concurrent readers, schema versioning and
+  an optional LRU entry bound.
+* :class:`~repro.serve.core.ServiceCore` -- the HTTP-independent node core:
+  request coalescing (N concurrent identical submissions simulate once), a
+  bounded in-flight queue with 429 + ``Retry-After`` backpressure, sweep
+  execution and the ``/stats`` counters, plus the request parsers every
+  node shares.  ``loom-repro serve`` fronts one core with one
+  :class:`~repro.cluster.worker.ClusterWorker` (``POST /jobs``,
+  ``GET /jobs/<key>``, ``POST /explore``, ``GET /networks``,
+  ``GET /healthz``, ``GET /stats``, ``GET /metrics``, ``GET /trace``,
+  ``POST /shutdown``).
 * :class:`~repro.serve.client.ServeClient` -- a dependency-free client
   (``loom-repro submit`` / ``loom-repro stats --remote``).
 * :class:`~repro.serve.remote.RemoteExecutor` -- a
@@ -25,10 +27,11 @@ safely between concurrent clients.  This package keeps those ingredients
 
 Quick tour::
 
-    from repro.serve import ServeClient, SimulationService
+    from repro.cluster import ClusterWorker
+    from repro.serve import ServeClient
 
-    with SimulationService() as service:          # port 0 = OS-assigned
-        client = ServeClient(service.url)
+    with ClusterWorker() as node:                  # port 0 = OS-assigned
+        client = ServeClient(node.url)
         done = client.submit(network="alexnet", accelerator="loom")
         assert done.result.total_cycles() > 0
 
@@ -41,7 +44,6 @@ design-point parameter namespace as ``loom-repro explore`` axes.
 from repro.serve.client import ServeClient, ServeError, SubmittedJob
 from repro.serve.core import Backpressure, ServiceCore, ServiceStats
 from repro.serve.remote import RemoteExecutor
-from repro.serve.service import SimulationService
 from repro.serve.store import SQLiteResultStore
 
 __all__ = [
@@ -52,6 +54,5 @@ __all__ = [
     "ServeError",
     "ServiceCore",
     "ServiceStats",
-    "SimulationService",
     "SubmittedJob",
 ]

@@ -1,7 +1,7 @@
-"""Thin stdlib HTTP client for the ``loom-repro serve`` service.
+"""Thin stdlib HTTP client for ``loom-repro serve`` and cluster nodes.
 
 :class:`ServeClient` speaks the JSON protocol of
-:mod:`repro.serve.service` with nothing but ``urllib`` -- no dependencies,
+:mod:`repro.cluster.worker` with nothing but ``urllib`` -- no dependencies,
 so any Python process (another CLI invocation, a notebook, a CI smoke
 script) can submit simulations to a warm server.  Server-side failures are
 raised as :class:`ServeError` carrying the HTTP status and, for 429

@@ -1,22 +1,19 @@
-"""Shard-facing core of the simulation service (HTTP-independent).
+"""The HTTP-independent core of a serve node, plus the shared wire parsing.
 
-:class:`ServiceCore` is the submission engine that used to live inside
-:class:`~repro.serve.service.SimulationService`: request coalescing, the
-bounded-admission backpressure, the warm-store fast path, sweep execution
-and the stats surface -- everything a *node* needs, with no opinion about
-the wire protocol in front of it.
+:class:`ServiceCore` is the submission engine behind every node: request
+coalescing, the bounded-admission backpressure, the warm-store fast path,
+sweep execution and the stats surface, with no opinion about the wire
+protocol in front of it.  :class:`~repro.cluster.worker.ClusterWorker` is
+the one HTTP node that fronts it -- ``loom-repro serve`` runs a single
+worker, ``loom-repro cluster`` runs several behind a coordinator -- so a
+shard answers exactly like a lone serve node because it *is* the same code.
 
-Two fronts wrap it today:
-
-* :class:`~repro.serve.service.SimulationService` -- the single-box threaded
-  HTTP server behind ``loom-repro serve``;
-* :class:`~repro.cluster.worker.ClusterWorker` -- the asyncio shard service
-  behind ``loom-repro cluster``, where each worker owns one core (and
-  through it one warm executor + one SQLite store).
-
-The split is what lets the cluster reuse the serve semantics verbatim: a
-shard answers exactly like the single-box service because it *is* the same
-code path.
+The request bodies both node kinds accept are parsed here, once:
+:func:`parse_jobs_request` reads a ``POST /jobs`` envelope and
+:func:`parse_explore_request` validates a ``POST /explore`` body;
+:func:`_networks_payload` is the ``GET /networks`` answer.  Every parse
+error is a ``ValueError``/``KeyError``/``TypeError``, which the nodes map to
+HTTP 400.
 """
 
 from __future__ import annotations
@@ -33,7 +30,77 @@ from repro.explore.space import SweepSpec, canonical_point, point_to_job
 from repro.sim.jobs import JobExecutor, ResultCache, job_key
 from repro.sim.results import NetworkResult
 
-__all__ = ["Backpressure", "ServiceCore", "ServiceStats"]
+__all__ = ["Backpressure", "ServiceCore", "ServiceStats",
+           "parse_explore_request", "parse_jobs_request"]
+
+#: Keys a ``POST /explore`` body may carry (``stream`` is read by fronts
+#: that can stream; the rest become :func:`~repro.explore.engine.explore`
+#: arguments).
+_EXPLORE_KEYS = frozenset(("space", "strategy", "options", "budget",
+                           "samples", "seed", "objectives", "baseline",
+                           "stream"))
+
+
+def parse_jobs_request(payload: Mapping[str, object]
+                       ) -> Tuple[List[Mapping[str, object]], bool]:
+    """The points of a ``POST /jobs`` body and whether it named one point.
+
+    A body is a bare point object, ``{"point": {...}}`` or
+    ``{"points": [...]}``; a single point is answered with one entry, a
+    batch with ``{"results": [...]}``.
+    """
+    if "points" in payload:
+        points = payload["points"]
+        if not isinstance(points, list) or not points:
+            raise ValueError("'points' must be a non-empty JSON array")
+        return points, False
+    point = payload.get("point", payload)
+    if not isinstance(point, dict) or not point:
+        raise ValueError(
+            "POST /jobs expects a point object, {'point': {...}} or "
+            "{'points': [...]}"
+        )
+    return [point], True
+
+
+def parse_explore_request(request: Mapping[str, object]) -> Dict[str, object]:
+    """Validate a ``POST /explore`` body into :func:`explore` arguments.
+
+    ``request`` is ``{"space": <SweepSpec dict>, "strategy": name,
+    "options": {key: value}, "budget": N, "objectives": [...],
+    "baseline": kind}`` with everything but ``space`` optional;
+    ``options`` is the uniform strategy-option mapping (``--strategy-opt``
+    on the CLI) and ``budget`` caps true simulations.  Legacy top-level
+    ``samples`` / ``seed`` keys keep working.  The result lacks only the
+    ``executor``.
+    """
+    if "space" not in request:
+        raise ValueError("explore request needs a 'space' sweep spec")
+    unknown = set(request) - _EXPLORE_KEYS
+    if unknown:
+        raise ValueError(f"unknown explore request keys: {sorted(unknown)}")
+    strategy, budget = strategy_from_request(request)
+    return {
+        "space": SweepSpec.from_dict(request["space"]),
+        "strategy": strategy,
+        "budget": budget,
+        "objectives": request.get(
+            "objectives", ("speedup", "energy_efficiency", "area")),
+        "baseline": request.get("baseline", "dpnn"),
+    }
+
+
+def _networks_payload() -> List[Dict[str, object]]:
+    """The zoo with per-kind layer counts (the ``GET /networks`` body)."""
+    from repro.nn import available_networks
+    from repro.sim.jobs import network_kind_counts
+
+    payload = []
+    for name in available_networks():
+        kinds = network_kind_counts(name)
+        payload.append({"name": name, **kinds,
+                        "total": sum(kinds.values())})
+    return payload
 
 
 class Backpressure(Exception):
@@ -141,7 +208,6 @@ class ServiceCore:
         self.retry_after_s = retry_after_s
         self.wait_timeout_s = wait_timeout_s
         self.stats = ServiceStats()
-        self.started_at: Optional[float] = None
         self._inflight: Dict[str, _Inflight] = {}
         self._pending_batches = 0
         self._lock = threading.Lock()
@@ -159,6 +225,13 @@ class ServiceCore:
         with self._stats_lock:
             setattr(self.stats, counter,
                     getattr(self.stats, counter) + amount)
+
+    def count_request(self, status: int) -> None:
+        """Count one answered request; a status of 400 or more is an error."""
+        with self._stats_lock:
+            self.stats.requests += 1
+            if status >= 400:
+                self.stats.errors += 1
 
     @contextlib.contextmanager
     def _admit_batch(self):
@@ -306,44 +379,17 @@ class ServiceCore:
         return "unknown", None
 
     def run_explore(self, request: Mapping[str, object]) -> Dict[str, object]:
-        """Run one design-space sweep against the warm store.
-
-        ``request`` is ``{"space": <SweepSpec dict>, "strategy": name,
-        "options": {key: value}, "budget": N, "objectives": [...],
-        "baseline": kind}`` with everything but ``space`` optional;
-        ``options`` is the uniform strategy-option mapping (``--strategy-opt``
-        on the CLI) and ``budget`` caps true simulations.  Legacy top-level
-        ``samples`` / ``seed`` keys keep working.  ``stream`` is accepted
-        (and ignored here) so streaming-capable fronts can share the
-        validation.
-        """
-        if "space" not in request:
-            raise ValueError("explore request needs a 'space' sweep spec")
-        unknown = set(request) - {"space", "strategy", "options", "budget",
-                                  "samples", "seed", "objectives", "baseline",
-                                  "stream"}
-        if unknown:
-            raise ValueError(f"unknown explore request keys: {sorted(unknown)}")
-        space = SweepSpec.from_dict(request["space"])
-        strategy, budget = strategy_from_request(request)
+        """Run one ``POST /explore`` sweep (see :func:`parse_explore_request`)
+        against the warm store."""
+        arguments = parse_explore_request(request)
         self._bump("explores")
         with self._admit_batch(), self._execute_lock:
-            result = explore(
-                space,
-                strategy=strategy,
-                objectives=request.get(
-                    "objectives", ("speedup", "energy_efficiency", "area")),
-                executor=self.executor,
-                baseline=request.get("baseline", "dpnn"),
-                budget=budget,
-            )
+            result = explore(executor=self.executor, **arguments)
         return result.to_dict()
 
     def stats_dict(self) -> Dict[str, object]:
         """Everything /stats reports, as plain data."""
         payload: Dict[str, object] = {
-            "uptime_s": (time.time() - self.started_at
-                         if self.started_at is not None else 0.0),
             "queue_limit": self.queue_limit,
             "pending_batches": self._pending_batches,
             "inflight": len(self._inflight),

@@ -1,9 +1,9 @@
 """SQLite-backed simulation result store (a :class:`CacheBackend`).
 
-The ``--cache-dir`` JSON store is fine for one process at a time, but the
-service needs a result store that many threads *and* many client processes
-can share safely.  :class:`SQLiteResultStore` keeps every result in one
-SQLite database:
+The one persistent result format: ``loom-repro --cache-dir DIR`` keeps its
+results in ``DIR/results.db`` and every serve node keeps one, so many
+threads *and* many client processes share it safely.
+:class:`SQLiteResultStore` keeps every result in one SQLite database:
 
 * **WAL mode** -- readers never block the (single) writer and vice versa, so
   a warm ``loom-repro serve`` process can answer lookups while a store is in
@@ -19,9 +19,9 @@ SQLite database:
   a long-running service's store converges on its hot set instead of growing
   forever.
 
-Payload rows carry the same ``format`` tag as the JSON backend; a row whose
-payload does not parse or whose format/key mismatch is deleted, counted in
-``invalid_entries`` and treated as a miss.
+Payload rows carry a ``format`` tag; a row whose payload does not parse or
+whose format mismatches is deleted, counted in ``invalid_entries`` and
+treated as a miss.
 
 All operations are serialised behind one internal lock (SQLite connections
 are not thread-safe by themselves); cross-process serialisation is SQLite's
@@ -38,10 +38,13 @@ import time
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.sim.jobs.cache import CacheBackend, _FORMAT
+from repro.sim.jobs.cache import CacheBackend
 from repro.sim.results import NetworkResult
 
 __all__ = ["SQLiteResultStore", "SCHEMA_VERSION"]
+
+#: Payload format tag stored with every row; bump when the layout changes.
+_FORMAT = 1
 
 #: Database schema version (``PRAGMA user_version``); bump on layout changes.
 SCHEMA_VERSION = 1

@@ -9,6 +9,7 @@ jobs within a batch, and returns results in submission order.
 
 Quick tour::
 
+    from repro.serve import SQLiteResultStore
     from repro.sim.jobs import (
         AcceleratorSpec, JobExecutor, NetworkSpec, ResultCache, SimJob,
     )
@@ -19,19 +20,15 @@ Quick tour::
         SimJob(network=NetworkSpec("alexnet", "100%"),
                accelerator=AcceleratorSpec.create("dpnn")),
     ]
-    with JobExecutor(cache=ResultCache("~/.cache/loom")) as ex:
+    store = SQLiteResultStore("~/.cache/loom/results.db")
+    with JobExecutor(cache=ResultCache(backend=store)) as ex:
         loom, dpnn = ex.run(jobs)
 
 ``loom-repro`` installs one shared executor per invocation, so ``all`` runs
 every unique job exactly once across all of its tables and figures.
 """
 
-from repro.sim.jobs.cache import (
-    CacheBackend,
-    CacheStats,
-    JsonDirBackend,
-    ResultCache,
-)
+from repro.sim.jobs.cache import CacheBackend, CacheStats, ResultCache
 from repro.sim.jobs.executor import (
     ExecutorStats,
     JobEvent,
@@ -62,7 +59,6 @@ __all__ = [
     "ExecutorStats",
     "JobEvent",
     "JobExecutor",
-    "JsonDirBackend",
     "NetworkSpec",
     "ResultCache",
     "SimJob",

@@ -7,17 +7,14 @@ makes results survive across processes and invocations, which is what lets a
 repeated ``loom-repro all`` -- or a long-running ``loom-repro serve`` process
 -- skip every simulation it has already done.
 
-Two backends ship with the repository:
-
-* :class:`JsonDirBackend` (this module) -- one JSON file per key under a
-  directory; what ``loom-repro --cache-dir`` installs.  Entries are written
-  atomically (tmp file + rename) and validated on load; an unreadable,
-  truncated or mismatched entry is counted in ``stats.invalid_disk_entries``
-  and treated as a miss rather than crashing the run.
-* :class:`repro.serve.store.SQLiteResultStore` -- a single SQLite database in
-  WAL mode, safe for concurrent readers and multiple client processes, with
-  schema versioning and an optional LRU entry bound; what the
-  ``loom-repro serve`` service uses.
+One backend ships with the repository:
+:class:`repro.serve.store.SQLiteResultStore`, a single SQLite database in
+WAL mode, safe for concurrent readers and multiple client processes, with
+schema versioning and an optional LRU entry bound.  ``loom-repro
+--cache-dir DIR`` installs one at ``DIR/results.db``, and every serve node
+keeps one.  An unreadable or mismatched entry is counted in
+``stats.invalid_disk_entries`` and treated as a miss rather than crashing
+the run.
 
 The in-memory layer can itself be bounded (``max_memory_entries``): entries
 beyond the bound are evicted least-recently-used and counted in
@@ -31,21 +28,14 @@ Cached results are shared objects: treat them as read-only.
 from __future__ import annotations
 
 import abc
-import json
-import os
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, Optional
 
 from repro.sim.results import NetworkResult
 
-__all__ = ["CacheBackend", "CacheStats", "JsonDirBackend", "ResultCache"]
-
-#: Persistent entry schema version; bump when the payload layout changes.
-_FORMAT = 1
+__all__ = ["CacheBackend", "CacheStats", "ResultCache"]
 
 
 @dataclass
@@ -131,70 +121,11 @@ class CacheBackend(abc.ABC):
         return self.name
 
 
-class JsonDirBackend(CacheBackend):
-    """One JSON file per key under ``directory`` (the ``--cache-dir`` store)."""
-
-    name = "disk cache"
-
-    def __init__(self, directory: os.PathLike) -> None:
-        super().__init__()
-        self.directory = Path(directory).expanduser()
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def load(self, key: str) -> Optional[NetworkResult]:
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload.get("format") != _FORMAT or payload.get("key") != key:
-                raise ValueError("cache entry format/key mismatch")
-            return NetworkResult.from_dict(payload["result"])
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, TypeError):
-            # Corrupted / stale entry: ignore it, recompute, overwrite.
-            self.invalid_entries += 1
-            return None
-
-    def store(self, key: str, result: NetworkResult,
-              spec: Optional[dict] = None) -> None:
-        payload = {
-            "format": _FORMAT,
-            "key": key,
-            "spec": spec,
-            "result": result.to_dict(),
-        }
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.directory, prefix=f".{key[:16]}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_path, self._path(key))
-        except OSError:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
-    def contains(self, key: str) -> bool:
-        return self._path(key).exists()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
-
-
 class ResultCache:
     """In-memory (plus optional persistent-backend) store of results by key.
 
     Parameters
     ----------
-    directory:
-        Convenience shorthand for ``backend=JsonDirBackend(directory)``
-        (the historical constructor signature; exclusive with ``backend``).
     backend:
         Optional persistent :class:`CacheBackend` behind the memory layer.
     max_memory_entries:
@@ -206,27 +137,18 @@ class ResultCache:
         remain loadable from it.
     """
 
-    def __init__(self, directory: Optional[os.PathLike] = None, *,
-                 backend: Optional[CacheBackend] = None,
+    def __init__(self, *, backend: Optional[CacheBackend] = None,
                  max_memory_entries: Optional[int] = None) -> None:
-        if directory is not None and backend is not None:
-            raise ValueError("pass either directory or backend, not both")
         if max_memory_entries is not None and max_memory_entries < 1:
             raise ValueError(
                 f"max_memory_entries must be >= 1 (or None for unbounded), "
                 f"got {max_memory_entries}"
             )
-        self.backend = (JsonDirBackend(directory) if directory is not None
-                        else backend)
+        self.backend = backend
         self.max_memory_entries = max_memory_entries
         self._memory: "OrderedDict[str, NetworkResult]" = OrderedDict()
         self._lock = threading.RLock()
         self.stats = CacheStats()
-
-    @property
-    def directory(self) -> Optional[Path]:
-        """The JSON store directory, if the backend is directory-based."""
-        return getattr(self.backend, "directory", None)
 
     # -- lookup --------------------------------------------------------------
 

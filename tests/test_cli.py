@@ -324,28 +324,28 @@ class TestServeMain:
         assert '"backend": "sqlite"' in out and '"entries": 0' in out
 
     def test_serve_and_submit_round_trip(self, tmp_path, capsys):
-        # One in-process service; the CLI submit path runs against it.
-        from repro.serve import SimulationService
+        # One in-process node; the CLI submit path runs against it.
+        from repro.cluster import ClusterWorker
 
-        with SimulationService() as service:
-            assert main(["submit", "--url", service.url,
+        with ClusterWorker() as node:
+            assert main(["submit", "--url", node.url,
                          "--network", "alexnet", "--accelerator", "dpnn"]) == 0
             out = capsys.readouterr().out
             assert "served: alexnet on DPNN" in out
             assert "cycles" in out
 
     def test_explore_remote_round_trip(self, tmp_path, capsys):
-        from repro.serve import SimulationService
+        from repro.cluster import ClusterWorker
 
-        with SimulationService() as service:
+        with ClusterWorker() as node:
             assert main([
-                "explore", "--remote", service.url,
+                "explore", "--remote", node.url,
                 "--axis", "equivalent_macs=32,64",
                 "--axis", "accelerator=loom,dpnn",
             ]) == 0
             out = capsys.readouterr().out
             assert "Pareto frontier" in out
-            assert f"remote: 8 jobs submitted to {service.url}" in out
+            assert f"remote: 8 jobs submitted to {node.url}" in out
 
     def test_serve_command_full_lifecycle(self, tmp_path, capsys):
         # The `loom-repro serve` loop itself, in-process: binds port 0,
@@ -388,7 +388,7 @@ class TestBuildExecutor:
     def test_default_executor_has_memory_cache(self):
         executor = build_executor(build_parser().parse_args(["all"]))
         assert executor.cache is not None
-        assert executor.cache.directory is None
+        assert executor.cache.backend is None
 
     def test_no_cache_disables_cache(self):
         executor = build_executor(
@@ -398,7 +398,8 @@ class TestBuildExecutor:
     def test_cache_dir_enables_disk_store(self, tmp_path):
         executor = build_executor(
             build_parser().parse_args(["--cache-dir", str(tmp_path / "c"), "all"]))
-        assert executor.cache.directory == tmp_path / "c"
+        assert executor.cache.backend.path == tmp_path / "c" / "results.db"
+        executor.cache.close()
 
 
 
@@ -453,7 +454,7 @@ class TestMain:
         assert main(["--cache-dir", cache_dir, "table2"]) == 0
         assert capsys.readouterr().out == first
         import os
-        assert any(name.endswith(".json") for name in os.listdir(cache_dir))
+        assert "results.db" in os.listdir(cache_dir)
 
     def test_summary_csv_export(self, capsys, tmp_path):
         path = tmp_path / "layers.csv"

@@ -471,6 +471,22 @@ class TestWireCompat:
                 client._request("GET", "/nope")
             assert excinfo.value.status == 404
 
+    @pytest.mark.parametrize("tier", ["node", "coordinator"])
+    @pytest.mark.parametrize("body", [{"points": []}, {"points": "x"},
+                                      {"point": 5}],
+                             ids=["empty-points", "string-points",
+                                  "scalar-point"])
+    def test_malformed_jobs_envelope_is_a_counted_400(self, tier, body):
+        # Regression: a worker parsed the envelope outside its error
+        # mapping and answered 500; every tier shares one parser now.
+        with cluster(n=1) as (coordinator, workers, _):
+            url = coordinator.url if tier == "coordinator" else workers[0].url
+            client = ServeClient(url, timeout_s=30.0)
+            with pytest.raises(ServeError) as excinfo:
+                client._request("POST", "/jobs", body)
+            assert excinfo.value.status == 400
+            assert client.stats()["service"]["errors"] == 1
+
 
 class TestClusterObservability:
     """The cluster half of the repro.obs contract: one sweep -> one

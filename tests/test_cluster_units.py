@@ -13,12 +13,8 @@ import sqlite3
 
 import pytest
 
-from repro.cluster import (
-    ConsistentHashRing,
-    MetricsRegistry,
-    RateLimiter,
-    TokenBucket,
-)
+from repro.cluster import ConsistentHashRing, RateLimiter, TokenBucket
+from repro.obs import MetricsRegistry
 from repro.serve import RemoteExecutor, SQLiteResultStore, ServeError
 from repro.serve.client import compute_backoff
 

@@ -653,38 +653,6 @@ _DRIVER_OBJECTIVES = resolve_objectives(("speedup", "energy_efficiency",
 
 
 class TestAskTellDriver:
-    def test_base_run_shim_warns_and_drives(self):
-        space = small_space()
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            trace = GridSearch().run(space, _StubEvaluator(space),
-                                     _DRIVER_OBJECTIVES)
-        assert [ep.point for ep in trace] == space.points()
-
-    def test_legacy_run_override_still_driven_with_warning(self):
-        class Legacy(SearchStrategy):
-            name = "legacy"
-
-            def run(self, space, evaluator, objectives):
-                return evaluator.evaluate(space.points()[:2])
-
-        space = small_space()
-        with pytest.warns(DeprecationWarning,
-                          match="overrides SearchStrategy.run"):
-            trace = drive_search(Legacy(), space, _StubEvaluator(space),
-                                 _DRIVER_OBJECTIVES)
-        assert [ep.point for ep in trace] == space.points()[:2]
-
-    def test_budget_with_legacy_strategy_rejected(self):
-        class Legacy(SearchStrategy):
-            def run(self, space, evaluator, objectives):
-                return []
-
-        space = small_space()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="ask/tell"):
-                drive_search(Legacy(), space, _StubEvaluator(space),
-                             _DRIVER_OBJECTIVES, budget=3)
-
     def test_budget_must_be_positive(self):
         space = small_space()
         with pytest.raises(ValueError, match="budget must be >= 1"):
@@ -737,21 +705,22 @@ class TestAskTellDriver:
 
     def test_strategy_without_propose_or_run_rejected(self):
         space = small_space()
-        with pytest.raises(NotImplementedError, match="neither propose"):
+        with pytest.raises(NotImplementedError, match="propose"):
             drive_search(SearchStrategy(), space, _StubEvaluator(space),
                          _DRIVER_OBJECTIVES)
 
 
 # Pre-redesign strategy implementations, reproduced verbatim so the property
 # test below can pin that the ask/tell driver yields byte-identical traces.
+# They are plain objects with their own run(); the driver never sees them.
 
 
-class _LegacyGrid(SearchStrategy):
+class _LegacyGrid:
     def run(self, space, evaluator, objectives):
         return evaluator.evaluate(space.points())
 
 
-class _LegacyRandom(SearchStrategy):
+class _LegacyRandom:
     def __init__(self, samples, seed):
         self.samples = samples
         self.seed = seed
@@ -763,7 +732,7 @@ class _LegacyRandom(SearchStrategy):
         return evaluator.evaluate(points)
 
 
-class _LegacyCoordinate(SearchStrategy):
+class _LegacyCoordinate:
     def __init__(self, seed, starts, max_rounds):
         self.seed = seed
         self.starts = starts

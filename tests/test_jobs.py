@@ -1,8 +1,7 @@
 """Tests for the declarative simulation-job pipeline (repro.sim.jobs).
 
-Covers the ISSUE-mandated behaviours: content-key determinism and
-invalidation, cache hit/miss semantics, parallel-vs-serial result identity,
-corrupted on-disk entries being ignored, and the ``loom-repro all`` guarantee
+Covers content-key determinism and invalidation, cache hit/miss semantics,
+corrupted persistent entries being ignored, and the ``loom-repro all`` guarantee
 that every unique (network, accelerator, configuration) job is simulated
 exactly once across all experiment harnesses.
 """
@@ -17,6 +16,7 @@ from repro.experiments import ablation, area, figure4, figure5, table2, table4
 from repro.experiments.common import build_profiled_network, loom_spec
 from repro.memory.dram import LPDDR4_4267
 from repro.quant.dynamic import DynamicPrecisionModel
+from repro.serve.store import SQLiteResultStore
 from repro.sim import run_network
 from repro.sim.jobs import (
     AcceleratorSpec,
@@ -31,6 +31,12 @@ from repro.sim.jobs import (
     spec_dict,
     use_executor,
 )
+
+
+def _disk_cache(tmp_path, **options):
+    """A ResultCache over the SQLite store ``--cache-dir`` would install."""
+    return ResultCache(backend=SQLiteResultStore(tmp_path / "results.db"),
+                       **options)
 
 
 def _job(network="alexnet", accuracy="100%", kind="loom", config=None, **options):
@@ -181,38 +187,41 @@ class TestExecution:
 class TestDiskCache:
     def test_results_survive_to_disk(self, tmp_path):
         job = _job()
-        with JobExecutor(cache=ResultCache(tmp_path)) as first:
+        with JobExecutor(cache=_disk_cache(tmp_path)) as first:
             expected = first.run([job])[0]
-        fresh = JobExecutor(cache=ResultCache(tmp_path))
+        fresh = JobExecutor(cache=_disk_cache(tmp_path))
         result = fresh.run([job])[0]
         assert fresh.stats.executed == 0
         assert fresh.cache.stats.disk_hits == 1
         assert result.to_dict() == expected.to_dict()
 
+    @staticmethod
+    def _damage(tmp_path, job, column, value):
+        import sqlite3
+
+        conn = sqlite3.connect(str(tmp_path / "results.db"))
+        with conn:
+            conn.execute(f"UPDATE results SET {column} = ? WHERE key = ?",
+                         (value, job_key(job)))
+        conn.close()
+
     def test_corrupted_entry_ignored_not_fatal(self, tmp_path):
         job = _job()
-        cache = ResultCache(tmp_path)
-        JobExecutor(cache=cache).run([job])
-        entry = tmp_path / f"{job_key(job)}.json"
-        assert entry.exists()
-        entry.write_text("{not json at all", encoding="utf-8")
-        fresh = JobExecutor(cache=ResultCache(tmp_path))
+        JobExecutor(cache=_disk_cache(tmp_path)).run([job])
+        self._damage(tmp_path, job, "result", "{not json at all")
+        fresh = JobExecutor(cache=_disk_cache(tmp_path))
         result = fresh.run([job])[0]
         assert fresh.cache.stats.invalid_disk_entries == 1
         assert fresh.stats.executed == 1  # recomputed
         assert result.total_cycles() > 0
         # The bad entry was overwritten with a good one.
-        assert json.loads(entry.read_text())["key"] == job_key(job)
+        assert _disk_cache(tmp_path).get(job_key(job)) is not None
 
     def test_truncated_and_mismatched_entries_ignored(self, tmp_path):
         job = _job()
-        cache = ResultCache(tmp_path)
-        JobExecutor(cache=cache).run([job])
-        entry = tmp_path / f"{job_key(job)}.json"
-        payload = json.loads(entry.read_text())
-        payload["key"] = "0" * 64
-        entry.write_text(json.dumps(payload), encoding="utf-8")
-        fresh = ResultCache(tmp_path)
+        JobExecutor(cache=_disk_cache(tmp_path)).run([job])
+        self._damage(tmp_path, job, "format", 99)
+        fresh = _disk_cache(tmp_path)
         assert fresh.get(job_key(job)) is None
         assert fresh.stats.invalid_disk_entries == 1
 
@@ -249,7 +258,7 @@ class TestMemoryBound:
     def test_evictions_fall_back_to_the_backend(self, tmp_path):
         # A bounded memory layer over a persistent backend: evicted entries
         # remain loadable (they come back as disk hits, not misses).
-        cache = ResultCache(directory=tmp_path, max_memory_entries=1)
+        cache = _disk_cache(tmp_path, max_memory_entries=1)
         cache.put("key0", self._fake_result("net0"))
         cache.put("key1", self._fake_result("net1"))  # evicts key0 from memory
         assert cache.stats.evictions == 1
@@ -261,11 +270,6 @@ class TestMemoryBound:
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError, match="max_memory_entries"):
             ResultCache(max_memory_entries=0)
-
-    def test_directory_and_backend_are_exclusive(self, tmp_path):
-        from repro.sim.jobs import JsonDirBackend
-        with pytest.raises(ValueError, match="not both"):
-            ResultCache(tmp_path, backend=JsonDirBackend(tmp_path))
 
     def test_stats_to_dict_round_trips_every_counter(self):
         cache = ResultCache(max_memory_entries=1)
@@ -284,7 +288,7 @@ class TestMemoryBound:
         # service's exact sharing pattern) must never corrupt an entry.
         import threading
 
-        cache = ResultCache(directory=tmp_path, max_memory_entries=4)
+        cache = _disk_cache(tmp_path, max_memory_entries=4)
         expected = self._fake_result("raced").to_dict()
         errors = []
         barrier = threading.Barrier(2)
@@ -400,11 +404,11 @@ class TestModernLayerTypeCaching:
     ], ids=["depthwise", "grouped-residual", "attention"])
     def test_disk_round_trip_preserves_modern_results(self, tmp_path, spec):
         job = SimJob(network=spec, accelerator=AcceleratorSpec.create("loom"))
-        with JobExecutor(cache=ResultCache(tmp_path)) as warm:
+        with JobExecutor(cache=_disk_cache(tmp_path)) as warm:
             (original,) = warm.run([job])
-        # A fresh executor over the same directory must hit the disk and
+        # A fresh executor over the same store must hit the disk and
         # reconstruct an identical result, including the matmul layer kind.
-        with JobExecutor(cache=ResultCache(tmp_path)) as cold:
+        with JobExecutor(cache=_disk_cache(tmp_path)) as cold:
             (reloaded,) = cold.run([job])
         assert cold.cache.stats.disk_hits == 1
         assert cold.stats.executed == 0
@@ -417,9 +421,9 @@ class TestModernLayerTypeCaching:
         job = SimJob(network=NetworkSpec("tiny_transformer"),
                      accelerator=AcceleratorSpec.create("loom"))
         result = execute_job(job)
-        cache = ResultCache(tmp_path)
+        cache = _disk_cache(tmp_path)
         cache.put(job_key(job), result, spec=spec_dict(job))
-        fresh = ResultCache(tmp_path).get(job_key(job))
+        fresh = _disk_cache(tmp_path).get(job_key(job))
         assert fresh is not None
         assert [layer.layer_kind for layer in fresh.layers] == \
             [layer.layer_kind for layer in result.layers]

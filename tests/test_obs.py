@@ -10,8 +10,7 @@ The contract verified here:
 * the structured logger filters by level, renders both human and JSON
   modes, and stamps records with the active trace/span ids;
 * the metrics instruments survive concurrent updates without losing counts
-  and render byte-exact Prometheus text exposition;
-* ``repro.cluster.metrics`` remains a faithful back-compat re-export.
+  and render byte-exact Prometheus text exposition.
 """
 
 import asyncio
@@ -22,9 +21,6 @@ import threading
 import pytest
 
 from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     Span,
     SpanContext,
@@ -396,15 +392,3 @@ class TestPrometheusRender:
         assert "\\n" in rendered
         assert "\\\\slash" in rendered
 
-
-class TestBackCompatShim:
-    def test_cluster_metrics_reexports_the_same_objects(self):
-        from repro.cluster import metrics as shim
-        from repro.obs import metrics as canonical
-        assert shim.MetricsRegistry is canonical.MetricsRegistry
-        assert shim.Counter is Counter
-        assert shim.Gauge is Gauge
-        assert shim.Histogram is Histogram
-        assert shim.DEFAULT_LATENCY_BUCKETS \
-            is canonical.DEFAULT_LATENCY_BUCKETS
-        assert shim.PEER_LATENCY_BUCKETS is canonical.PEER_LATENCY_BUCKETS

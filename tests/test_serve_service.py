@@ -1,7 +1,8 @@
-"""Tests for the batching simulation service (repro.serve).
+"""Tests for the batching simulation service: ``loom-repro serve``'s node.
 
-The acceptance contract of the serve ISSUE, verified over real HTTP against
-in-process servers:
+``loom-repro serve`` runs one :class:`~repro.cluster.worker.ClusterWorker`
+around a :class:`~repro.serve.core.ServiceCore`.  The contract, verified
+over real HTTP against in-process nodes:
 
 * a served job result is **bit-identical** (field-for-field ``LayerResult``
   equality, the validator's comparator) to the same job run in-process via
@@ -24,6 +25,7 @@ import urllib.request
 
 import pytest
 
+from repro.cluster import ClusterWorker
 from repro.explore import Axis, SweepSpec, canonical_point, explore, point_to_job
 from repro.serve import (
     Backpressure,
@@ -31,9 +33,9 @@ from repro.serve import (
     SQLiteResultStore,
     ServeClient,
     ServeError,
-    SimulationService,
+    ServiceCore,
 )
-from repro.serve.service import _Inflight
+from repro.serve.core import _Inflight
 from repro.sim.jobs import (
     AcceleratorSpec,
     JobExecutor,
@@ -49,29 +51,29 @@ POINT = {"network": "alexnet", "accelerator": "loom"}
 
 
 @contextlib.contextmanager
-def serving(tmp_path=None, **service_kwargs):
-    """A started service + client; SQLite-backed when tmp_path is given."""
-    if tmp_path is not None and "executor" not in service_kwargs:
+def serving(tmp_path=None, **core_kwargs):
+    """A started node + client; SQLite-backed when tmp_path is given."""
+    if tmp_path is not None and "executor" not in core_kwargs:
         store = SQLiteResultStore(tmp_path / "serve.db")
-        service_kwargs["executor"] = JobExecutor(
+        core_kwargs["executor"] = JobExecutor(
             cache=ResultCache(backend=store, max_memory_entries=64))
-    service = SimulationService(**service_kwargs)
-    service.start()
+    node = ClusterWorker(core=ServiceCore(**core_kwargs))
+    node.start()
     try:
-        yield service, ServeClient(service.url, timeout_s=60.0)
+        yield node, ServeClient(node.url, timeout_s=60.0)
     finally:
-        service.stop()
+        node.stop()
 
 
-def _slow(service, delay_s=0.25):
-    """Wrap the service executor so executions overlap deterministically."""
-    original = service.executor.run
+def _slow(node, delay_s=0.25):
+    """Wrap the node's executor so executions overlap deterministically."""
+    original = node.core.executor.run
 
     def run(jobs, **kwargs):
         time.sleep(delay_s)
         return original(jobs, **kwargs)
 
-    service.executor.run = run
+    node.core.executor.run = run
     return original
 
 
@@ -141,24 +143,24 @@ class TestServedResults:
         assert entry.result.to_dict() == local.to_dict()
 
     def test_repeat_submission_is_answered_from_the_store(self):
-        with serving() as (service, client):
+        with serving() as (node, client):
             first = client.submit(POINT)
             second = client.submit(POINT)
             assert first.status == "executed"
             assert second.status == "cached"
             assert second.result.to_dict() == first.result.to_dict()
-            assert service.executor.stats.max_executions_per_key == 1
+            assert node.core.executor.stats.max_executions_per_key == 1
 
     def test_store_survives_service_restarts(self, tmp_path):
         with serving(tmp_path) as (_, client):
             first = client.submit(POINT)
         store = SQLiteResultStore(tmp_path / "serve.db")
         with serving(executor=JobExecutor(cache=ResultCache(
-                backend=store))) as (service, client):
+                backend=store))) as (node, client):
             revived = client.submit(POINT)
             assert revived.status == "cached"
             assert revived.result.to_dict() == first.result.to_dict()
-            assert service.executor.stats.executed == 0
+            assert node.core.executor.stats.executed == 0
 
     def test_batch_points_resolve_in_order_with_dedup(self):
         points = [
@@ -166,14 +168,14 @@ class TestServedResults:
             {"network": "alexnet", "accelerator": "dpnn"},
             POINT,  # duplicate of the first
         ]
-        with serving() as (service, client):
+        with serving() as (node, client):
             entries = client.submit_points(points)
             assert [e.status for e in entries] == \
                 ["executed", "executed", "executed"]
             assert entries[0].key == entries[2].key
             assert entries[0].result.to_dict() == entries[2].result.to_dict()
             # The duplicate never reached a second simulation.
-            assert service.executor.stats.max_executions_per_key == 1
+            assert node.core.executor.stats.max_executions_per_key == 1
 
     def test_lookup_by_key(self):
         with serving() as (_, client):
@@ -185,13 +187,13 @@ class TestServedResults:
             assert client.lookup("0" * 64) == ("unknown", None)
 
     def test_lookup_reports_pending_for_inflight_keys(self):
-        with serving() as (service, client):
+        with serving() as (node, client):
             inflight = _Inflight()
-            service._inflight["busykey"] = inflight
+            node.core._inflight["busykey"] = inflight
             try:
                 assert client.lookup("busykey") == ("pending", None)
             finally:
-                service._inflight.pop("busykey")
+                node.core._inflight.pop("busykey")
                 inflight.event.set()
 
     def test_config_knobs_ride_the_wire(self):
@@ -206,8 +208,8 @@ class TestServedResults:
 class TestCoalescing:
     def test_concurrent_identical_submissions_execute_once(self):
         workers = 6
-        with serving() as (service, client):
-            _slow(service)
+        with serving() as (node, client):
+            _slow(node)
             barrier = threading.Barrier(workers)
             outcomes = []
 
@@ -224,11 +226,11 @@ class TestCoalescing:
 
             assert len(outcomes) == workers
             # Exactly one execution; everyone saw the identical result.
-            assert service.executor.stats.max_executions_per_key == 1
+            assert node.core.executor.stats.max_executions_per_key == 1
             statuses = sorted(entry.status for entry in outcomes)
             assert statuses.count("executed") == 1
             assert set(statuses) <= {"executed", "coalesced", "cached"}
-            assert service.stats.coalesced >= 1
+            assert node.core.stats.coalesced >= 1
             reference = outcomes[0].result.to_dict()
             assert all(entry.result.to_dict() == reference
                        for entry in outcomes)
@@ -236,7 +238,7 @@ class TestCoalescing:
     def test_coalesced_waiter_sees_owner_error(self):
         # Owner's execution fails -> the waiter must get an error too (and
         # never hang), with the in-flight entry cleaned up afterwards.
-        service = SimulationService()
+        node = ClusterWorker()
         try:
             release = threading.Event()
 
@@ -244,12 +246,12 @@ class TestCoalescing:
                 release.wait(5)
                 raise RuntimeError("simulator exploded")
 
-            service.executor.run = exploding_run
+            node.core.executor.run = exploding_run
             errors = {}
 
             def owner():
                 try:
-                    service.submit_points([POINT])
+                    node.core.submit_points([POINT])
                 except RuntimeError as error:
                     errors["owner"] = str(error)
 
@@ -257,12 +259,12 @@ class TestCoalescing:
                 # Wait until the owner registered its in-flight entry, then
                 # submit the same point so we coalesce onto it.
                 for _ in range(100):
-                    if service._inflight:
+                    if node.core._inflight:
                         break
                     time.sleep(0.01)
                 release.set()
                 try:
-                    service.submit_points([POINT])
+                    node.core.submit_points([POINT])
                 except RuntimeError as error:
                     errors["waiter"] = str(error)
 
@@ -274,25 +276,25 @@ class TestCoalescing:
                 thread.join(timeout=10)
             assert "simulator exploded" in errors["owner"]
             assert "simulator exploded" in errors["waiter"]
-            assert service._inflight == {}
+            assert node.core._inflight == {}
         finally:
-            service.stop()
+            node.stop()
 
 
 class TestBackpressure:
     def test_full_queue_is_refused_with_429_retry_after(self):
-        with serving(queue_limit=1, retry_after_s=3) as (service, client):
-            service._pending_batches = 1  # another admitted batch is running
+        with serving(queue_limit=1, retry_after_s=3) as (node, client):
+            node.core._pending_batches = 1  # another admitted batch is running
             try:
                 with pytest.raises(ServeError) as excinfo:
                     client.submit(POINT)
                 assert excinfo.value.status == 429
                 assert excinfo.value.retry_after_s == 3
-                assert service.stats.rejected == 1
+                assert node.core.stats.rejected == 1
                 # A rejected batch must not leak into the admission counters.
-                assert service.stats.submitted_points == 0
+                assert node.core.stats.submitted_points == 0
             finally:
-                service._pending_batches = 0
+                node.core._pending_batches = 0
             # Once the queue drains, the same submission succeeds.
             assert client.submit(POINT).status == "executed"
 
@@ -306,11 +308,11 @@ class TestBackpressure:
              "equivalent_macs": macs}
             for macs in (32, 48, 64, 80, 96)
         ]
-        with serving(queue_limit=1) as (service, client):
+        with serving(queue_limit=1) as (node, client):
             entries = client.submit_points(points)
             assert [e.status for e in entries] == ["executed"] * 5
             assert len({e.key for e in entries}) == 5
-            assert service.stats.rejected == 0
+            assert node.core.stats.rejected == 0
 
     def test_remote_sweep_wider_than_the_queue_succeeds(self):
         # The README's own flow: explore --remote against a small queue.
@@ -319,17 +321,17 @@ class TestBackpressure:
                   Axis("accelerator", ("loom", "dstripes"))],
             base={"network": "alexnet"},
         )
-        with serving(queue_limit=1) as (service, client):
+        with serving(queue_limit=1) as (node, client):
             result = explore(space, executor=RemoteExecutor(client))
         assert len(result.evaluated) == 6  # 12 jobs incl. baselines, 1 queue
 
     def test_remote_executor_retries_on_backpressure(self):
-        with serving(queue_limit=1, retry_after_s=1) as (service, client):
-            service._pending_batches = 1  # queue full...
+        with serving(queue_limit=1, retry_after_s=1) as (node, client):
+            node.core._pending_batches = 1  # queue full...
 
             def drain():
                 time.sleep(0.5)
-                service._pending_batches = 0  # ...until it drains
+                node.core._pending_batches = 0  # ...until it drains
 
             thread = threading.Thread(target=drain)
             thread.start()
@@ -342,8 +344,8 @@ class TestBackpressure:
             assert remote.backpressure_retries >= 1
 
     def test_remote_executor_gives_up_after_max_retries(self):
-        with serving(queue_limit=1) as (service, client):
-            service._pending_batches = 1
+        with serving(queue_limit=1) as (node, client):
+            node.core._pending_batches = 1
             try:
                 remote = RemoteExecutor(client, max_retries=0)
                 jobs = [SimJob(network=NetworkSpec("alexnet"),
@@ -352,11 +354,11 @@ class TestBackpressure:
                     remote.run(jobs)
                 assert excinfo.value.status == 429
             finally:
-                service._pending_batches = 0
+                node.core._pending_batches = 0
 
     def test_coalesced_duplicates_do_not_count_against_the_queue(self):
-        with serving(queue_limit=1) as (service, client):
-            _slow(service)
+        with serving(queue_limit=1) as (node, client):
+            _slow(node)
             barrier = threading.Barrier(3)
             outcomes, errors = [], []
 
@@ -375,11 +377,11 @@ class TestBackpressure:
             # All three fit through a queue of one: one owner, two riders.
             assert errors == []
             assert len(outcomes) == 3
-            assert service.executor.stats.max_executions_per_key == 1
+            assert node.core.executor.stats.max_executions_per_key == 1
 
     def test_queue_limit_must_be_positive(self):
         with pytest.raises(ValueError, match="queue_limit"):
-            SimulationService(queue_limit=0)
+            ServiceCore(queue_limit=0)
 
 
 class TestValidation:
@@ -398,20 +400,20 @@ class TestValidation:
             assert "flux_capacitance" in excinfo.value.message
 
     def test_empty_body_is_a_400(self):
-        with serving() as (service, _):
+        with serving() as (node, _):
             request = urllib.request.Request(
-                service.url + "/jobs", data=b"", method="POST")
+                node.url + "/jobs", data=b"", method="POST")
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=10)
             assert excinfo.value.code == 400
 
     def test_submit_points_rejects_non_mappings(self):
-        service = SimulationService()
+        node = ClusterWorker()
         try:
             with pytest.raises(ValueError, match="JSON object"):
-                service.submit_points(["not-a-mapping"])
+                node.core.submit_points(["not-a-mapping"])
         finally:
-            service.stop()
+            node.stop()
 
     def test_backpressure_is_an_informative_exception(self):
         error = Backpressure(pending=8, limit=8, retry_after_s=2)
@@ -423,8 +425,8 @@ class TestValidation:
         # parsed as the next request on the same connection.
         import http.client
 
-        with serving() as (service, _):
-            conn = http.client.HTTPConnection("127.0.0.1", service.port,
+        with serving() as (node, _):
+            conn = http.client.HTTPConnection("127.0.0.1", node.port,
                                               timeout=10)
             try:
                 conn.request("POST", "/nope", body=b'{"foo": "bar"}',
@@ -443,17 +445,17 @@ class TestValidation:
     def test_oversized_body_is_refused_and_connection_closed(self):
         import http.client
 
-        from repro.serve.service import _MAX_BODY_BYTES
+        from repro.cluster.aio import MAX_BODY_BYTES
 
-        with serving() as (service, _):
-            conn = http.client.HTTPConnection("127.0.0.1", service.port,
+        with serving() as (node, _):
+            conn = http.client.HTTPConnection("127.0.0.1", node.port,
                                               timeout=10)
             try:
                 conn.putrequest("POST", "/jobs")
-                conn.putheader("Content-Length", str(_MAX_BODY_BYTES + 1))
+                conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
                 conn.endheaders()
                 response = conn.getresponse()
-                assert response.status == 400
+                assert response.status == 413
                 assert b"too large" in response.read()
             finally:
                 conn.close()
@@ -484,12 +486,12 @@ class TestExploreThroughTheService:
         assert remote.ranks == local.ranks
 
     def test_second_sweep_is_fully_answered_from_the_warm_store(self, tmp_path):
-        with serving(tmp_path) as (service, client):
+        with serving(tmp_path) as (node, client):
             explore(self.SPACE, executor=RemoteExecutor(client))
-            executed_before = service.executor.stats.executed
+            executed_before = node.core.executor.stats.executed
             second = RemoteExecutor(client)
             explore(self.SPACE, executor=second)
-            assert service.executor.stats.executed == executed_before
+            assert node.core.executor.stats.executed == executed_before
             assert second.stats.executed == 0
             assert second.stats.cache_hits > 0
 
@@ -525,15 +527,15 @@ class TestExploreThroughTheService:
     def test_explore_respects_the_admission_bound(self):
         # Regression: sweeps must pass the same 429 backpressure gate as
         # /jobs batches instead of queueing unboundedly on the execute lock.
-        with serving(queue_limit=1, retry_after_s=2) as (service, client):
-            service._pending_batches = 1
+        with serving(queue_limit=1, retry_after_s=2) as (node, client):
+            node.core._pending_batches = 1
             try:
                 with pytest.raises(ServeError) as excinfo:
                     client.explore(self.SPACE.to_dict())
                 assert excinfo.value.status == 429
                 assert excinfo.value.retry_after_s == 2
             finally:
-                service._pending_batches = 0
+                node.core._pending_batches = 0
             # Drained queue: the identical sweep is admitted.
             assert len(client.explore(self.SPACE.to_dict())["evaluated"]) == 4
 
@@ -594,7 +596,7 @@ class TestClientTransport:
     def test_remote_executor_retries_through_a_brief_outage(self):
         # The wrapped 503 engages RemoteExecutor's backoff: one refused
         # connection then a healthy server completes the batch.
-        with serving() as (service, client):
+        with serving() as (node, client):
             real_submit = client.submit_points
             calls = {"n": 0}
 
@@ -617,22 +619,22 @@ class TestClientTransport:
 
 class TestShutdown:
     def test_post_shutdown_stops_the_server_gracefully(self):
-        service = SimulationService()
-        service.start()
-        client = ServeClient(service.url, timeout_s=30.0)
+        node = ClusterWorker()
+        node.start()
+        client = ServeClient(node.url, timeout_s=30.0)
         assert client.submit(POINT).status == "executed"
         assert client.shutdown() == {"ok": True, "stopping": True}
-        service._stop_requested.wait(10)
-        service.stop()
+        node.wait_until_stopped(poll_s=0.05)
+        node.stop()
         with pytest.raises(urllib.error.URLError):
-            urllib.request.urlopen(service.url + "/healthz", timeout=2)
+            urllib.request.urlopen(node.url + "/healthz", timeout=2)
 
     def test_stop_closes_the_store(self, tmp_path):
         store = SQLiteResultStore(tmp_path / "serve.db")
         executor = JobExecutor(cache=ResultCache(backend=store))
-        service = SimulationService(executor=executor)
-        service.start()
-        service.stop()
+        node = ClusterWorker(core=ServiceCore(executor=executor))
+        node.start()
+        node.stop()
         import sqlite3
         with pytest.raises(sqlite3.ProgrammingError):
             store._conn.execute("SELECT 1")
@@ -643,14 +645,14 @@ class TestShutdown:
         # submission loses its result to a closed SQLite connection.
         store = SQLiteResultStore(tmp_path / "serve.db")
         executor = JobExecutor(cache=ResultCache(backend=store))
-        service = SimulationService(executor=executor)
-        service.start()
-        _slow(service, delay_s=0.3)
+        node = ClusterWorker(core=ServiceCore(executor=executor))
+        node.start()
+        _slow(node, delay_s=0.3)
         outcome = {}
 
         def submit():
             try:
-                (entry,) = service.submit_points([POINT])
+                (entry,) = node.core.submit_points([POINT])
                 outcome["status"] = entry.status
             except Exception as error:  # pragma: no cover
                 outcome["error"] = repr(error)
@@ -658,10 +660,10 @@ class TestShutdown:
         thread = threading.Thread(target=submit)
         thread.start()
         for _ in range(100):  # wait until the batch is admitted
-            if service._pending_batches:
+            if node.core._pending_batches:
                 break
             time.sleep(0.01)
-        service.stop()
+        node.stop()
         thread.join(timeout=10)
         assert outcome == {"status": "executed"}
         # ... and the racing result made it into the (now closed) store.
@@ -671,16 +673,16 @@ class TestShutdown:
 
     def test_cold_submission_counts_one_miss(self):
         # Regression: the pre-admission probe must not double-count misses.
-        with serving() as (service, client):
+        with serving() as (node, client):
             client.submit(POINT)
-            assert service.cache.stats.misses == 1
+            assert node.core.cache.stats.misses == 1
             client.submit(POINT)  # warm: no further misses
-            assert service.cache.stats.misses == 1
+            assert node.core.cache.stats.misses == 1
 
     def test_context_manager_starts_and_stops(self):
-        with SimulationService() as service:
-            assert service.port != 0
-            url = service.url
+        with ClusterWorker() as node:
+            assert node.port != 0
+            url = node.url
             with urllib.request.urlopen(url + "/healthz", timeout=10) as resp:
                 assert resp.status == 200
         with pytest.raises(urllib.error.URLError):
@@ -727,28 +729,28 @@ class TestObservability:
     X-Request-Id correlation, and version/uptime reporting."""
 
     def test_metrics_renders_prometheus_text(self):
-        with serving() as (service, client):
+        with serving() as (node, client):
             client.submit(POINT)
-            with urllib.request.urlopen(service.url + "/metrics",
+            with urllib.request.urlopen(node.url + "/metrics",
                                         timeout=10) as response:
                 assert response.status == 200
                 assert response.headers["Content-Type"] == \
                     "text/plain; version=0.0.4; charset=utf-8"
             text = _scrape_until(
-                service.url,
-                'loom_serve_requests_total{path="/jobs",status="200"} 1')
-        assert "# TYPE loom_serve_requests_total counter" in text
-        assert 'loom_serve_requests_total{path="/jobs",status="200"} 1' in text
-        assert "# TYPE loom_serve_request_seconds histogram" in text
-        assert 'loom_serve_request_seconds_count{path="/jobs"} 1' in text
-        assert "loom_serve_uptime_seconds" in text
-        assert "loom_serve_pending_batches 0" in text
+                node.url,
+                'loom_worker_requests_total{path="/jobs",status="200"} 1')
+        assert "# TYPE loom_worker_requests_total counter" in text
+        assert 'loom_worker_requests_total{path="/jobs",status="200"} 1' in text
+        assert "# TYPE loom_worker_request_seconds histogram" in text
+        assert 'loom_worker_request_seconds_count{path="/jobs"} 1' in text
+        assert "loom_worker_uptime_seconds" in text
+        assert "loom_worker_queue_depth 0" in text
         assert text.endswith("\n")
 
     def test_metrics_includes_executor_phase_histograms(self):
-        with serving() as (service, client):
+        with serving() as (node, client):
             client.submit(POINT)
-            text = urllib.request.urlopen(service.url + "/metrics",
+            text = urllib.request.urlopen(node.url + "/metrics",
                                           timeout=10).read().decode("utf-8")
         assert "# TYPE loom_executor_phase_seconds histogram" in text
         assert 'loom_executor_phase_seconds_count{phase="simulate"} 1' in text
@@ -756,34 +758,34 @@ class TestObservability:
             in text
 
     def test_metric_path_labels_stay_low_cardinality(self):
-        with serving() as (service, client):
+        with serving() as (node, client):
             done = client.submit(POINT)
             client.lookup(done.key)
             client.lookup("0" * 16)  # a second distinct key, 404s
             with contextlib.suppress(ServeError):
                 client._request("GET", "/made-up-path")
-            text = _scrape_until(service.url,
+            text = _scrape_until(node.url,
                                  'path="<other>",status="404"')
         # Both key lookups collapse into one series; unknown paths into
         # another -- a scrape's cardinality never grows with traffic.
-        assert 'loom_serve_requests_total{path="/jobs/<key>",status="200"} 1' \
+        assert 'loom_worker_requests_total{path="/jobs/<key>",status="200"} 1' \
             in text
-        assert 'loom_serve_requests_total{path="/jobs/<key>",status="404"} 1' \
+        assert 'loom_worker_requests_total{path="/jobs/<key>",status="404"} 1' \
             in text
         assert 'path="<other>"' in text
         assert "/made-up-path" not in text
 
     def test_request_id_header_on_success(self):
-        with serving() as (service, client):
-            with urllib.request.urlopen(service.url + "/healthz",
+        with serving() as (node, client):
+            with urllib.request.urlopen(node.url + "/healthz",
                                         timeout=10) as response:
                 request_id = response.headers["X-Request-Id"]
         assert request_id and len(request_id) == 16
         int(request_id, 16)  # hex
 
     def test_error_body_echoes_the_request_id_header(self):
-        with serving() as (service, _):
-            request = urllib.request.Request(service.url + "/nope")
+        with serving() as (node, _):
+            request = urllib.request.Request(node.url + "/nope")
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=10)
             payload = json.loads(excinfo.value.read().decode("utf-8"))
@@ -811,7 +813,7 @@ class TestObservability:
         from repro.obs import get_tracer
 
         tracer = get_tracer()
-        with serving() as (service, client):
+        with serving() as (node, client):
             with tracer.span("test.client") as root:
                 client.submit(POINT)
                 trace_id = root.trace_id
@@ -823,10 +825,10 @@ class TestObservability:
                 payload = client.trace()
                 names = {span["name"] for span in payload["spans"]
                          if span["trace_id"] == trace_id}
-                if "serve.POST /jobs" in names:
+                if "worker.POST /jobs" in names:
                     break
                 time.sleep(0.05)
-        assert "serve.POST /jobs" in names
+        assert "worker.POST /jobs" in names
         assert "executor.run" in names
         assert "executor.simulate" in names
 

@@ -2,9 +2,9 @@
 
 Covers the ISSUE-mandated behaviours: WAL-mode concurrent access, schema
 versioning (incompatible databases are wiped, not fatal), the LRU entry
-bound, corrupt rows/files being treated as misses, and -- for BOTH persistent
-backends -- threads and processes racing the same key without corrupting an
-entry or changing the result.
+bound, corrupt rows/files being treated as misses, and -- for every
+persistent backend -- threads and processes racing the same key without
+corrupting an entry or changing the result.
 """
 
 import json
@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.serve.store import SCHEMA_VERSION, SQLiteResultStore
-from repro.sim.jobs import JobExecutor, JsonDirBackend, ResultCache, job_key
+from repro.sim.jobs import JobExecutor, ResultCache, job_key
 from repro.sim.jobs.cache import CacheBackend
 from repro.sim.results import LayerResult, NetworkResult
 
@@ -294,10 +294,13 @@ def _thread_race(backend_factory, workers=8, rounds=10):
     return backend, errors
 
 
+#: Every persistent CacheBackend, by parametrize id.
+_BACKENDS = {"sqlite": SQLiteResultStore}
+
+
 def _process_worker(backend_kind, path, rounds):
     """Race body run in a separate process (module-level: must pickle)."""
-    backend = (SQLiteResultStore(path) if backend_kind == "sqlite"
-               else JsonDirBackend(path))
+    backend = _BACKENDS[backend_kind](path)
     payload = _result()
     for _ in range(rounds):
         backend.store(KEY, payload)
@@ -308,16 +311,13 @@ def _process_worker(backend_kind, path, rounds):
 
 class TestConcurrentAccess:
     """Two threads/processes racing one key must yield one
-    execution-equivalent result and no corrupt entries -- on both backends."""
+    execution-equivalent result and no corrupt entries -- on every
+    backend."""
 
-    @pytest.mark.parametrize("backend_kind", ["sqlite", "json"])
+    @pytest.mark.parametrize("backend_kind", sorted(_BACKENDS))
     def test_threads_racing_same_key(self, tmp_path, backend_kind):
-        def factory():
-            if backend_kind == "sqlite":
-                return SQLiteResultStore(tmp_path / "cache.db")
-            return JsonDirBackend(tmp_path / "jsondir")
-
-        backend, errors = _thread_race(factory)
+        backend, errors = _thread_race(
+            lambda: _BACKENDS[backend_kind](tmp_path / "cache.db"))
         assert errors == []
         final = backend.load(KEY)
         assert final is not None
@@ -325,10 +325,9 @@ class TestConcurrentAccess:
         assert backend.invalid_entries == 0
         backend.close()
 
-    @pytest.mark.parametrize("backend_kind", ["sqlite", "json"])
+    @pytest.mark.parametrize("backend_kind", sorted(_BACKENDS))
     def test_processes_racing_same_key(self, tmp_path, backend_kind):
-        path = (tmp_path / "cache.db" if backend_kind == "sqlite"
-                else tmp_path / "jsondir")
+        path = tmp_path / "cache.db"
         context = multiprocessing.get_context()
         procs = [
             context.Process(target=_process_worker,
@@ -341,8 +340,7 @@ class TestConcurrentAccess:
             proc.join(timeout=60)
             assert proc.exitcode == 0
         # The survivor entry must be a perfectly valid, equivalent result.
-        backend = (SQLiteResultStore(path) if backend_kind == "sqlite"
-                   else JsonDirBackend(path))
+        backend = _BACKENDS[backend_kind](path)
         final = backend.load(KEY)
         assert final is not None
         assert final.to_dict() == _result().to_dict()
