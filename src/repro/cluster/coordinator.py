@@ -10,7 +10,9 @@ run), and layers on the operational surface one box never needed:
   land on the same worker's warm executor and store, whoever sends them;
 * **Failover** -- a worker that dies mid-batch has its keys re-routed to
   the surviving shards (ring exclusion, not mutation: the worker regains
-  its keyspace the moment a health check sees it again);
+  its keyspace the moment a health check sees it again).  With the peer
+  cache on, every finished result was replicated to exactly the survivor
+  its key now routes to, so re-routed keys answer ``cached``;
 * **Backpressure politeness** -- shard 429s are retried with capped
   exponential backoff honouring ``Retry-After``;
 * **Rate limiting** -- per-client token buckets and quotas at the door
@@ -55,6 +57,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro import __version__
 from repro.cluster.aio import (
     HTTPRequest,
     HTTPResponder,
@@ -119,15 +122,11 @@ class CoordinatorStats:
     errors: int = 0
     explores: int = 0
     streams: int = 0
-    #: Dead-shard points answered from a surviving shard's cache tier
-    #: instead of being re-simulated (the failover probe path).
-    peer_cache_answers: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in (
             "requests", "submitted_points", "routed_points", "shard_retries",
-            "rate_limited", "errors", "explores", "streams",
-            "peer_cache_answers")}
+            "rate_limited", "errors", "explores", "streams")}
 
 
 @dataclass
@@ -175,16 +174,12 @@ class ClusterCoordinator(HTTPNode):
         backoff honouring ``Retry-After``) before failing the request.
     peer_cache:
         Activate the cluster-shared cache tier: ring membership is pushed
-        to every worker at start (``POST /ring``), workers answer local
-        misses from the key's owning peer, and the coordinator probes
-        surviving shards for a dead shard's results during mid-batch
-        re-routes instead of re-simulating them.
+        to every worker at start (``POST /ring``), workers ask the key's
+        ring peer before simulating a miss and replicate fresh results to
+        the key's failover shard -- so a dead shard's re-routed keys find
+        their replicas on the survivors that now own them.
     peer_timeout_s:
-        Strict budget for one peer-cache lookup (both the workers' peer
-        fetches and the coordinator's failover probes).
-    peer_write_through:
-        Have workers replicate fresh results to the key's failover target
-        so re-routed keys stay warm across shard death.
+        Strict budget for one worker's peer-cache lookup.
     """
 
     role = "coordinator"
@@ -201,7 +196,6 @@ class ClusterCoordinator(HTTPNode):
         shard_backpressure_retries: int = 8,
         peer_cache: bool = True,
         peer_timeout_s: float = 1.0,
-        peer_write_through: bool = True,
     ) -> None:
         super().__init__(host, port)
         if not workers:
@@ -219,7 +213,6 @@ class ClusterCoordinator(HTTPNode):
                 f"peer_timeout_s must be > 0, got {peer_timeout_s}")
         self.peer_cache = peer_cache
         self.peer_timeout_s = peer_timeout_s
-        self.peer_write_through = peer_write_through
         self.health_interval_s = health_interval_s
         self.shard_timeout_s = shard_timeout_s
         self.shard_backpressure_retries = shard_backpressure_retries
@@ -245,15 +238,6 @@ class ClusterCoordinator(HTTPNode):
         self._stream_events_total = self.metrics.counter(
             "loom_coordinator_stream_events_total",
             "Chunks/events written on streaming responses.")
-        self._peer_cache_hits_total = self.metrics.counter(
-            "loom_coordinator_peer_cache_hits_total",
-            "Dead-shard points answered from a survivor's cache tier.")
-        self._peer_cache_misses_total = self.metrics.counter(
-            "loom_coordinator_peer_cache_misses_total",
-            "Failover probes no surviving shard could answer.")
-        self._peer_probe_seconds = self.metrics.histogram(
-            "loom_coordinator_peer_probe_seconds",
-            "Failover cache-probe latency in seconds, per point.")
         self._shard_healthy = self.metrics.gauge(
             "loom_coordinator_shard_healthy",
             "1 when the shard answered its last health check, else 0.",
@@ -358,13 +342,12 @@ class ClusterCoordinator(HTTPNode):
         self._shard_healthy.set(1 if healthy else 0, shard=url)
 
     async def _push_ring(self, url: str) -> bool:
-        """Hand ``url`` the ring membership (and peer-tier knobs)."""
+        """Hand ``url`` the ring membership (and the peer lookup budget)."""
         payload = {
             "nodes": list(self.shards),
             "self": url,
             "replicas": self.ring.replicas,
             "timeout_ms": self.peer_timeout_s * 1000.0,
-            "write_through": self.peer_write_through,
         }
         try:
             reply = await fetch(url, "POST", "/ring", payload=payload,
@@ -530,66 +513,19 @@ class ClusterCoordinator(HTTPNode):
                     # points.  (A client-level RequestError propagates out
                     # of gather above -- a 400 is the caller's bug on every
                     # shard alike, not a failover case.)
+                    # With the peer cache on, the dead shard's finished
+                    # results were replicated to exactly the survivors its
+                    # keys now route to, which answer them as "cached".
                     self._mark_shard(url, False,
                                      f"{type(error).__name__}: {error}")
                     dead.add(url)
-                    unresolved = items
-                    if self.peer_cache:
-                        # Before re-simulating, ask the survivors: the dead
-                        # shard's finished results were written through to
-                        # their failover targets, so most already-simulated
-                        # keys come back as cache answers.
-                        unresolved = await self._probe_survivors(
-                            items, dead, slots)
-                    self._bump("shard_retries", len(unresolved))
-                    self._retries_total.inc(len(unresolved))
-                    remaining.extend(unresolved)
+                    self._bump("shard_retries", len(items))
+                    self._retries_total.inc(len(items))
+                    remaining.extend(items)
             await _flush()
         if remaining:  # pragma: no cover - every round kills >= 1 shard
             raise RequestError(503, "cluster failed to place every point")
         return [entry for entry in slots if entry is not None]
-
-    async def _probe_survivors(self, items: List[_Pending],
-                               dead: set,
-                               slots: List[Optional[Dict[str, object]]]
-                               ) -> List[_Pending]:
-        """Hunt a dead shard's results in the survivors' cache tiers.
-
-        For each re-routed point, ask the surviving shards' ``GET
-        /cache/<key>`` endpoints in ring-preference order (the first entry
-        is exactly where write-through replicated the key).  A hit fills
-        the point's slot with status ``"cached"`` -- no re-simulation; the
-        returned list is the points no survivor could answer.
-        """
-
-        async def _probe(item: _Pending) -> Optional[_Pending]:
-            started = time.monotonic()
-            for url in self.ring.preference(item.key, exclude=dead):
-                try:
-                    reply = await fetch(
-                        url, "GET", f"/cache/{item.key}",
-                        timeout_s=self.peer_timeout_s)
-                    if reply.status != 200:
-                        continue
-                    payload = reply.json()
-                    result = payload["result"]
-                    if not isinstance(result, Mapping):
-                        continue
-                except (ConnectionError, OSError, asyncio.TimeoutError,
-                        ValueError, KeyError):
-                    continue
-                slots[item.index] = {"key": item.key, "status": "cached",
-                                     "result": dict(result)}
-                self._bump("peer_cache_answers")
-                self._peer_cache_hits_total.inc()
-                self._peer_probe_seconds.observe(time.monotonic() - started)
-                return None
-            self._peer_cache_misses_total.inc()
-            self._peer_probe_seconds.observe(time.monotonic() - started)
-            return item
-
-        missed = await asyncio.gather(*(_probe(item) for item in items))
-        return [item for item in missed if item is not None]
 
     # -- explore (strategies local, simulations sharded) ----------------------
 
@@ -639,6 +575,7 @@ class ClusterCoordinator(HTTPNode):
             await responder.send_json(200 if healthy else 503, {
                 "ok": bool(healthy),
                 "role": "coordinator",
+                "version": __version__,
                 "uptime_s": self.uptime_s(),
                 "shards": {url: shard.healthy
                            for url, shard in self.shards.items()},
@@ -669,6 +606,7 @@ class ClusterCoordinator(HTTPNode):
     async def _stats_payload(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
             "role": "coordinator",
+            "version": __version__,
             "uptime_s": self.uptime_s(),
             "service": self.stats.to_dict(),
             "shards": {url: shard.to_dict()
@@ -676,8 +614,7 @@ class ClusterCoordinator(HTTPNode):
             "ring": {"replicas": self.ring.replicas,
                      "nodes": list(self.ring.nodes)},
             "peer_cache": {"enabled": self.peer_cache,
-                           "timeout_s": self.peer_timeout_s,
-                           "write_through": self.peer_write_through},
+                           "timeout_s": self.peer_timeout_s},
         }
         if self.rate_limiter is not None:
             payload["rate_limiter"] = self.rate_limiter.stats_dict()

@@ -1,4 +1,4 @@
-"""Cluster-shared cache tier: ring-routed peer lookups behind a local store.
+"""Cluster-shared cache tier: ring-routed peer lookups and replicas.
 
 Cluster shards were shared-nothing through PR 7: each worker's warm
 :class:`~repro.serve.store.SQLiteResultStore` answered only the keys that
@@ -6,162 +6,87 @@ worker had simulated itself, so a failover or ring change that re-routed a
 key to another shard paid for a fresh simulation -- throwing away exactly
 the warm-store amortisation that makes ``serve`` worth running.
 
-:class:`PeerCacheBackend` turns the N private stores into one cluster-wide
-result cache.  It implements the :class:`~repro.sim.jobs.cache.CacheBackend`
-protocol and layers the shard's *local* tier (its SQLite store, or a small
-in-memory LRU when the shard runs storeless) in front of a *peer* tier:
+:class:`PeerCacheBackend` turns the N private caches into one cluster-wide
+result cache.  It is not a cache layer itself: it is the network client a
+worker's :class:`~repro.serve.core.ServiceCore` calls on its miss path,
+after the local tiers (memory and store, inside
+:class:`~repro.sim.jobs.cache.ResultCache`) have missed and the request has
+claimed the key:
 
-* **load** -- a local miss asks the key's ring-preferred peer (the node a
-  re-routed key would land on) over ``GET /cache/<key>`` before the caller
-  pays for a simulation.  Peer answers are copied into the local tier, so
-  each key crosses the network at most once per shard.
-* **single-flight** -- concurrent misses of one key share one peer fetch;
-  followers wait on the leader's outcome instead of stampeding the peer.
+* **load** -- ask the key's ring-preferred peer (the node a re-routed key
+  would land on) over ``GET /cache/<key>``.  The core stores an answer in
+  its own cache, so each key crosses the network at most once per shard.
+* **replicate** -- send a freshly simulated result (fire and forget) over
+  ``PUT /cache/<key>`` to the key's failover target: the ring owner when
+  this shard is not the owner, or the ring *successor* when it is.  That is
+  precisely the shard the key will be re-routed to if this one dies, so a
+  re-routed key finds its replica in the new owner's local tiers.
 * **timeout budget** -- every peer lookup has a strict deadline
   (``timeout_s``); a slow or dead peer degrades gracefully to local
   compute, and a connection-refused peer is put on a short cooldown so a
   dead shard does not tax every subsequent miss with a full timeout.
-* **write-through** -- a freshly stored result is replicated (fire and
-  forget) to the key's failover target: the ring owner when this shard is
-  not the owner, or the ring *successor* when it is.  That is precisely
-  the shard the key will be re-routed to if this one dies, which is what
-  keeps re-routed keys warm across failover.
 
 The peer target for both directions is ``ring.node_for(key,
 exclude={self})``: for a non-owner that is the owner; for the owner it is
 the failover successor.  One expression covers lookup and replication.
 
+A peer serves ``GET /cache/<key>`` with ``ResultCache.peek`` and stores a
+replica with ``ResultCache.put``.  Neither reaches this class, so a lookup
+cannot chain through the ring and a replica cannot bounce back.
+
 The backend runs its network I/O on a private asyncio loop in a daemon
 thread (reusing :func:`repro.cluster.aio.fetch`), so it can be driven from
-the synchronous :class:`~repro.sim.jobs.cache.ResultCache` / executor path
-without touching the worker's own event loop.
+the synchronous core without touching the worker's own event loop.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import math
 import threading
 import time
-from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from repro.cluster.aio import fetch
 from repro.obs.metrics import PEER_LATENCY_BUCKETS, MetricsRegistry
 from repro.cluster.ring import ConsistentHashRing
-from repro.sim.jobs.cache import CacheBackend
 from repro.sim.results import NetworkResult
 
 __all__ = ["PeerCacheBackend"]
 
-
-class _Flight:
-    """One in-flight peer fetch other misses of the same key can join."""
-
-    __slots__ = ("event", "result")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: Optional[NetworkResult] = None
+#: After a connection-level failure, skip asking that peer again for this
+#: long: a dead shard should cost one failed dial, not one per miss.
+DEAD_PEER_COOLDOWN_S = 2.0
 
 
-class _MemoryTier(CacheBackend):
-    """Bounded in-memory local tier for storeless shards.
-
-    A shard started with ``--no-store`` has no SQLite store to hold peer
-    answers and write-through replicas; this small LRU dict stands in so
-    the peer tier still works (replicas must land *somewhere* for failover
-    to find them).
-    """
-
-    name = "memory tier"
-    keeps_spec = False
-
-    def __init__(self, max_entries: int = 512) -> None:
-        super().__init__()
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, NetworkResult]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def load(self, key: str) -> Optional[NetworkResult]:
-        with self._lock:
-            result = self._entries.get(key)
-            if result is not None:
-                self._entries.move_to_end(key)
-            return result
-
-    def store(self, key: str, result: NetworkResult,
-              spec: Optional[dict] = None) -> None:
-        with self._lock:
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def contains(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-class PeerCacheBackend(CacheBackend):
-    """Ring-routed peer tier layered behind a shard's local store.
+class PeerCacheBackend:
+    """Ring-routed peer lookups and write-through replicas for one shard.
 
     Parameters
     ----------
-    local:
-        The shard's local tier (typically its
-        :class:`~repro.serve.store.SQLiteResultStore`).  ``None`` installs
-        a bounded in-memory tier so storeless shards can still hold peer
-        answers and write-through replicas.
     ring / self_url:
         Ring membership and this shard's own URL.  Both may be deferred to
         :meth:`configure` (the worker learns membership from the
-        coordinator's ``POST /ring``); until configured, the backend
-        behaves exactly like its local tier.
+        coordinator's ``POST /ring``); until configured, :meth:`load`
+        answers ``None`` and :meth:`replicate` does nothing.
     timeout_s:
-        Strict budget for one peer lookup, queueing included.  On expiry
-        the lookup is abandoned (counted in ``peer_timeouts``) and the
-        caller computes locally.
-    write_through:
-        Replicate fresh results to the key's failover target so re-routed
-        keys stay warm across shard death.  Fire-and-forget; failures are
-        counted, never raised.
-    dead_peer_cooldown_s:
-        After a connection-level failure, skip asking that peer again for
-        this long (a dead shard should cost one timeout, not one per miss).
+        Strict budget for one peer lookup, queueing included: finite and
+        > 0.  On expiry the lookup is abandoned (counted in
+        ``peer_timeouts``) and the caller computes locally.
     metrics:
         Optional :class:`MetricsRegistry` to surface
         ``loom_peer_cache_{hits,misses,timeouts}_total`` counters and the
         ``loom_peer_cache_fetch_seconds`` histogram on ``/metrics``.
     """
 
-    name = "peer cache"
-
-    def __init__(self, local: Optional[CacheBackend] = None,
-                 ring: Optional[ConsistentHashRing] = None,
+    def __init__(self, ring: Optional[ConsistentHashRing] = None,
                  self_url: str = "",
                  timeout_s: float = 1.0,
-                 write_through: bool = True,
-                 dead_peer_cooldown_s: float = 2.0,
-                 metrics: Optional[MetricsRegistry] = None,
-                 max_memory_entries: int = 512) -> None:
-        super().__init__()
-        if timeout_s <= 0:
-            raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
-        self.local = local if local is not None \
-            else _MemoryTier(max_memory_entries)
-        self.keeps_spec = self.local.keeps_spec
+                 metrics: Optional[MetricsRegistry] = None) -> None:
+        self.timeout_s = timeout_s
         self.ring = ring
         self.self_url = self_url.rstrip("/")
-        self.timeout_s = timeout_s
-        self.write_through = write_through
-        self.dead_peer_cooldown_s = dead_peer_cooldown_s
         #: Peer-tier counters (plain ints; /stats + tests read them).
         self.peer_hits = 0
         self.peer_misses = 0
@@ -169,7 +94,6 @@ class PeerCacheBackend(CacheBackend):
         self.peer_writes = 0
         self.peer_write_errors = 0
         self._lock = threading.Lock()
-        self._inflight: Dict[str, _Flight] = {}
         self._cooldown_until: Dict[str, float] = {}
         self._pending_writes: set = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -191,6 +115,20 @@ class PeerCacheBackend(CacheBackend):
                 "loom_peer_cache_fetch_seconds",
                 "Peer cache fetch latency in seconds (hits and misses).",
                 buckets=PEER_LATENCY_BUCKETS)
+
+    @property
+    def timeout_s(self) -> float:
+        return self._timeout_s
+
+    @timeout_s.setter
+    def timeout_s(self, value: float) -> None:
+        # The one validation point for every way a budget arrives: the
+        # constructor and every POST /ring, the first and any later one.
+        value = float(value)
+        if not math.isfinite(value) or value <= 0:
+            raise ValueError(
+                f"timeout_s must be finite and > 0, got {value}")
+        self._timeout_s = value
 
     # -- membership -----------------------------------------------------------
 
@@ -221,63 +159,23 @@ class PeerCacheBackend(CacheBackend):
             return None
         return ring.node_for(key, exclude={self.self_url})
 
-    # -- CacheBackend protocol ------------------------------------------------
+    # -- peer tier ------------------------------------------------------------
 
     def load(self, key: str) -> Optional[NetworkResult]:
-        result = self.local.load(key)
-        if result is not None:
-            return result
+        """Ask the key's peer for its result: ``None`` on a miss, a timeout,
+        a dead or cooling-down peer, or an unconfigured ring."""
         peer = self.peer_for(key)
         if peer is None:
             return None
-        deadline = time.monotonic() + self.timeout_s
         with self._lock:
-            if time.monotonic() < self._cooldown_until.get(peer, 0.0):
+            cooling = time.monotonic() < self._cooldown_until.get(peer, 0.0)
+            if cooling:
                 self.peer_timeouts += 1
-                if self._timeouts_metric is not None:
-                    self._timeouts_metric.inc()
-                return None
-            flight = self._inflight.get(key)
-            leader = flight is None
-            if leader:
-                flight = _Flight()
-                self._inflight[key] = flight
-        if not leader:
-            # Single-flight follower: share the leader's outcome (which may
-            # be a miss) instead of issuing a duplicate peer fetch.
-            flight.event.wait(max(0.0, deadline - time.monotonic()))
-            return flight.result
-        try:
-            result = self._fetch_from_peer(peer, key)
-            if result is not None:
-                self.local.store(key, result, None)
-            flight.result = result
-            return result
-        finally:
-            flight.event.set()
-            with self._lock:
-                self._inflight.pop(key, None)
-
-    def store(self, key: str, result: NetworkResult,
-              spec: Optional[dict] = None) -> None:
-        self.local.store(key, result, spec)
-        if not self.write_through:
-            return
-        peer = self.peer_for(key)
-        if peer is not None:
-            self._write_through(peer, key, result)
-
-    def contains(self, key: str) -> bool:
-        """Local tier only: membership probes must not pay network I/O."""
-        return self.local.contains(key)
-
-    def __len__(self) -> int:
-        return len(self.local)
-
-    def describe(self) -> str:
-        peers = (len(self.ring) - 1) if self.ring is not None else 0
-        return f"{self.name} ({max(peers, 0)} peers over " \
-               f"{self.local.describe()})"
+        if cooling:
+            if self._timeouts_metric is not None:
+                self._timeouts_metric.inc()
+            return None
+        return self._fetch_from_peer(peer, key)
 
     def close(self) -> None:
         self.flush_writes(timeout_s=2.0)
@@ -304,20 +202,6 @@ class PeerCacheBackend(CacheBackend):
             loop.call_soon_threadsafe(loop.stop)
             if thread is not None:
                 thread.join(timeout=5.0)
-        self.local.close()
-
-    # -- local tier (the worker's /cache endpoints) ---------------------------
-
-    def local_load(self, key: str) -> Optional[NetworkResult]:
-        """Local tier only -- what ``GET /cache/<key>`` serves.  Never
-        recurses into the peer tier, so peer lookups cannot chain."""
-        return self.local.load(key)
-
-    def local_store(self, key: str, result: NetworkResult,
-                    spec: Optional[dict] = None) -> None:
-        """Local tier only -- what ``PUT /cache/<key>`` (a peer's
-        write-through) stores.  Never replicated onward."""
-        self.local.store(key, result, spec)
 
     # -- peer I/O -------------------------------------------------------------
 
@@ -381,8 +265,7 @@ class PeerCacheBackend(CacheBackend):
             try:
                 result = NetworkResult.from_dict(reply.json()["result"])
             except (ValueError, KeyError, TypeError):
-                self.invalid_entries += 1
-                self._count_miss()
+                self._count_miss()  # unreadable answer: recompute locally
                 return None
             self._count_hit()
             return result
@@ -395,9 +278,9 @@ class PeerCacheBackend(CacheBackend):
             self._fetch_seconds.observe(time.monotonic() - started)
         with self._lock:
             self.peer_timeouts += 1
-            if cooldown and self.dead_peer_cooldown_s > 0:
+            if cooldown:
                 self._cooldown_until[peer] = (time.monotonic()
-                                              + self.dead_peer_cooldown_s)
+                                              + DEAD_PEER_COOLDOWN_S)
         if self._timeouts_metric is not None:
             self._timeouts_metric.inc()
 
@@ -413,12 +296,15 @@ class PeerCacheBackend(CacheBackend):
         if self._misses_metric is not None:
             self._misses_metric.inc()
 
-    def _write_through(self, peer: str, key: str,
-                       result: NetworkResult) -> None:
-        """Fire-and-forget ``PUT /cache/<key>`` replica to ``peer``."""
+    def replicate(self, key: str, result: NetworkResult) -> None:
+        """Fire-and-forget ``PUT /cache/<key>`` of a fresh result to the
+        key's failover target (no-op while the ring has no other node)."""
+        peer = self.peer_for(key)
+        if peer is None:
+            return
         try:
             loop = self._ensure_loop()
-        except RuntimeError:  # closed mid-store
+        except RuntimeError:  # closed mid-request
             return
         payload = {"key": key, "result": result.to_dict()}
         future = asyncio.run_coroutine_threadsafe(
@@ -444,7 +330,7 @@ class PeerCacheBackend(CacheBackend):
         future.add_done_callback(_done)
 
     def flush_writes(self, timeout_s: float = 5.0) -> bool:
-        """Wait for outstanding write-through replications; True when none
+        """Wait for outstanding replications; True when none
         remain.  Tests (and close()) use this for determinism -- the hot
         path never waits on replication."""
         deadline = time.monotonic() + timeout_s
@@ -459,23 +345,17 @@ class PeerCacheBackend(CacheBackend):
     # -- introspection --------------------------------------------------------
 
     def stats_dict(self) -> Dict[str, object]:
-        """Peer-tier counters plus the local tier's own stats (the /stats
-        ``store`` section on peer-aware shards)."""
+        """Peer-tier counters (the worker's /stats ``store`` section adds
+        the local store under ``local``)."""
         with self._lock:
-            payload: Dict[str, object] = {
+            return {
                 "backend": "peer cache",
                 "peers": max((len(self.ring) - 1), 0)
                 if self.ring is not None else 0,
                 "timeout_s": self.timeout_s,
-                "write_through": self.write_through,
                 "peer_hits": self.peer_hits,
                 "peer_misses": self.peer_misses,
                 "peer_timeouts": self.peer_timeouts,
                 "peer_writes": self.peer_writes,
                 "peer_write_errors": self.peer_write_errors,
             }
-        payload["local"] = (self.local.stats_dict()
-                            if hasattr(self.local, "stats_dict")
-                            else {"backend": self.local.describe(),
-                                  "entries": len(self.local)})
-        return payload

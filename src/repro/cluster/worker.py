@@ -15,9 +15,9 @@ POST      /jobs          simulate one point (or a ``{"points": [...]}``
 GET       /jobs/<key>    look a finished result up by content key
 POST      /explore       run a design-space sweep against the warm store
 GET       /networks      the zoo with per-kind layer counts
-GET       /cache/<key>   **local-tier** cache lookup (the peer-cache wire:
-                         never recurses into the peer tier)
-PUT       /cache/<key>   store a peer's write-through replica locally
+GET       /cache/<key>   the peer-cache wire: this node's local tiers only
+                         (``ResultCache.peek``)
+PUT       /cache/<key>   store a peer's replica (``ResultCache.put``)
 POST      /ring          accept ring membership from the coordinator and
                          activate the peer cache tier
 GET       /healthz       liveness probe, with version and uptime
@@ -30,9 +30,17 @@ POST      /shutdown      graceful stop (finishes in-flight work first)
 The event loop only parses and routes; executions run on a small thread
 pool (``asyncio.to_thread``-style) because a simulation batch is seconds of
 blocking NumPy work, and the core's locks already serialise what must be
-serialised.  Request coalescing, bounded-admission 429 backpressure and the
-warm-store fast path all come from the core; request ids, spans, the error
-mapping and the counters from :class:`~repro.cluster.node.HTTPNode`.
+serialised.  Request coalescing, bounded-admission 429 backpressure, the
+warm-store fast path and the miss path all come from the core; request ids,
+spans, the error mapping and the counters from
+:class:`~repro.cluster.node.HTTPNode`.
+
+On ``POST /ring`` the worker builds a
+:class:`~repro.cluster.peercache.PeerCacheBackend` and hands it to the core
+as its peer tier: a key this node claims is asked of its ring peer once
+before it is simulated, and a fresh result is replicated to the key's
+failover shard.  The ``/cache`` routes answer from the local tiers alone,
+so peer traffic ends at the first hop.
 
 The wire format for a job is a design-*point* mapping -- the same parameter
 namespace as ``loom-repro explore`` axes (``network`` / ``accuracy`` /
@@ -82,11 +90,6 @@ class ClusterWorker(HTTPNode):
     request_threads:
         Threads servicing blocking core calls.  More threads = more batches
         admitted concurrently (up to the core's ``queue_limit``).
-    peer_timeout_s:
-        Default per-lookup budget for the peer cache tier; the
-        coordinator's ``POST /ring`` payload may override it.
-    peer_write_through:
-        Default write-through setting for the peer tier (same override).
     """
 
     role = "worker"
@@ -94,18 +97,13 @@ class ClusterWorker(HTTPNode):
     def __init__(self, core: Optional[ServiceCore] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  name: Optional[str] = None,
-                 request_threads: int = 8,
-                 peer_timeout_s: float = 1.0,
-                 peer_write_through: bool = True) -> None:
+                 request_threads: int = 8) -> None:
         if request_threads < 1:
             raise ValueError(
                 f"request_threads must be >= 1, got {request_threads}")
         super().__init__(host, port)
         self.core = core if core is not None else ServiceCore()
         self.name = name
-        self.peer_timeout_s = peer_timeout_s
-        self.peer_write_through = peer_write_through
-        self.peer_cache: Optional[PeerCacheBackend] = None
         self._peer_lock = threading.Lock()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._request_threads = request_threads
@@ -161,86 +159,47 @@ class ClusterWorker(HTTPNode):
             self._pool.shutdown(wait=True)
             self._pool = None
         self.core.close(drain_timeout_s)
+        if self.peer_cache is not None:
+            self.peer_cache.close()
         _log.info("worker.stopped", name=self.name)
 
     # -- peer cache tier ------------------------------------------------------
 
+    @property
+    def peer_cache(self) -> Optional[PeerCacheBackend]:
+        """The core's peer tier; ``None`` until ring membership arrives."""
+        return self.core.peers
+
     def configure_peers(self, nodes: Sequence[str],
                         self_url: Optional[str] = None,
                         replicas: int = 64,
-                        timeout_s: Optional[float] = None,
-                        write_through: Optional[bool] = None) -> int:
+                        timeout_s: Optional[float] = None) -> int:
         """Activate (or re-shape) the peer cache tier over ``nodes``.
 
-        Swaps the core cache's persistent backend for a
-        :class:`PeerCacheBackend` wrapping it, so every local store miss
-        consults the key's ring-preferred peer before the executor
-        simulates.  Idempotent: a second call updates ring membership in
-        place.  Returns the number of peers (nodes excluding this one).
-        The coordinator drives this through ``POST /ring``; embedders may
-        call it directly.
+        Installs a :class:`PeerCacheBackend` as the core's peer tier, so a
+        key this node claims is asked of its ring-preferred peer before the
+        executor simulates it.  Idempotent: a second call updates ring
+        membership (and, when given, the lookup budget) in place.  An
+        invalid ``timeout_s`` raises ``ValueError`` and changes nothing.
+        Returns the number of peers (nodes excluding this one).  The
+        coordinator drives this through ``POST /ring``; embedders may call
+        it directly.
         """
         own = (self_url or self.url).rstrip("/")
         with self._peer_lock:
-            if self.peer_cache is None:
-                cache = self.core.cache
-                if cache is None:
+            if self.core.peers is None:
+                if self.core.cache is None:
                     raise RuntimeError(
                         "this worker's executor has no result cache to "
-                        "layer a peer tier onto")
-                self.peer_cache = PeerCacheBackend(
-                    local=cache.backend,
-                    self_url=own,
-                    timeout_s=(timeout_s if timeout_s is not None
-                               else self.peer_timeout_s),
-                    write_through=(write_through if write_through is not None
-                                   else self.peer_write_through),
-                    metrics=self.metrics)
-                cache.backend = self.peer_cache
-            else:
-                if timeout_s is not None:
-                    self.peer_cache.timeout_s = timeout_s
-                if write_through is not None:
-                    self.peer_cache.write_through = write_through
-            self.peer_cache.configure(list(nodes), self_url=own,
+                        "hold peer answers")
+                # Unconfigured, the tier answers nothing and replicates
+                # nowhere, so a push that fails validation below is inert.
+                self.core.peers = PeerCacheBackend(metrics=self.metrics)
+            if timeout_s is not None:
+                self.core.peers.timeout_s = timeout_s  # validates
+            self.core.peers.configure(list(nodes), self_url=own,
                                       replicas=replicas)
             return sum(1 for node in nodes if node.rstrip("/") != own)
-
-    def _cache_lookup(self, key: str) -> Optional[NetworkResult]:
-        """Local-tier-only lookup behind ``GET /cache/<key>``.
-
-        Checks the cache's memory layer, then the local persistent tier --
-        never the peer tier, so a peer's lookup terminates here instead of
-        chaining through the ring.
-        """
-        cache = self.core.cache
-        if cache is None:
-            return None
-        result = cache.peek_memory(key)
-        if result is not None:
-            return result
-        backend = cache.backend
-        if isinstance(backend, PeerCacheBackend):
-            return backend.local_load(key)
-        if backend is not None:
-            return backend.load(key)
-        return None
-
-    def _cache_store(self, key: str, result: NetworkResult) -> bool:
-        """Store a peer's write-through replica in the local tier only."""
-        cache = self.core.cache
-        if cache is None:
-            return False
-        backend = cache.backend
-        if isinstance(backend, PeerCacheBackend):
-            backend.local_store(key, result, None)
-        elif backend is not None:
-            backend.store(key, result, None)
-        else:
-            # Memory-only worker without a peer tier yet: remember the
-            # replica in the memory layer so lookups can still serve it.
-            cache.put(key, result)
-        return True
 
     # -- request handling -----------------------------------------------------
 
@@ -310,7 +269,9 @@ class ClusterWorker(HTTPNode):
                 raise RequestError(404, f"no result for key {key!r}")
         elif method == "GET" and path.startswith("/cache/"):
             key = path[len("/cache/"):]
-            result = await self._in_thread(self._cache_lookup, key)
+            cache = self.core.cache
+            result = (await self._in_thread(cache.peek, key)
+                      if cache is not None else None)
             if result is not None:
                 await responder.send_json(200, {"key": key,
                                                 "result": result.to_dict()})
@@ -325,10 +286,13 @@ class ClusterWorker(HTTPNode):
                 result = NetworkResult.from_dict(payload["result"])
             except (ValueError, KeyError, TypeError) as error:
                 raise RequestError(
-                    400, f"bad write-through payload: "
+                    400, f"bad replica payload: "
                          f"{type(error).__name__}: {error}") from None
-            stored = await self._in_thread(self._cache_store, key, result)
-            await responder.send_json(200, {"ok": True, "stored": stored})
+            cache = self.core.cache
+            if cache is not None:
+                await self._in_thread(cache.put, key, result)
+            await responder.send_json(200, {"ok": True,
+                                            "stored": cache is not None})
         elif method == "POST" and path == "/ring":
             payload = request.json()
             nodes = payload.get("nodes")
@@ -343,8 +307,7 @@ class ClusterWorker(HTTPNode):
                     self_url=payload.get("self"),
                     replicas=int(payload.get("replicas", 64)),
                     timeout_s=(float(timeout_ms) / 1000.0
-                               if timeout_ms is not None else None),
-                    write_through=payload.get("write_through")))
+                               if timeout_ms is not None else None)))
             await responder.send_json(200, {"ok": True, "peers": peers,
                                             "self": self.peer_cache.self_url})
         elif method == "POST" and path == "/explore":

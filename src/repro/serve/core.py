@@ -2,11 +2,13 @@
 
 :class:`ServiceCore` is the submission engine behind every node: request
 coalescing, the bounded-admission backpressure, the warm-store fast path,
-sweep execution and the stats surface, with no opinion about the wire
-protocol in front of it.  :class:`~repro.cluster.worker.ClusterWorker` is
-the one HTTP node that fronts it -- ``loom-repro serve`` runs a single
-worker, ``loom-repro cluster`` runs several behind a coordinator -- so a
-shard answers exactly like a lone serve node because it *is* the same code.
+the miss path (one peer-tier probe per claimed key on a cluster shard,
+then execution), sweep execution and the stats surface, with no opinion
+about the wire protocol in front of it.
+:class:`~repro.cluster.worker.ClusterWorker` is the one HTTP node that
+fronts it -- ``loom-repro serve`` runs a single worker, ``loom-repro
+cluster`` runs several behind a coordinator -- so a shard answers exactly
+like a lone serve node because it *is* the same code.
 
 The request bodies both node kinds accept are parsed here, once:
 :func:`parse_jobs_request` reads a ``POST /jobs`` envelope and
@@ -208,6 +210,10 @@ class ServiceCore:
         self.retry_after_s = retry_after_s
         self.wait_timeout_s = wait_timeout_s
         self.stats = ServiceStats()
+        #: The cluster peer tier a worker installs on ``POST /ring``
+        #: (:class:`repro.cluster.peercache.PeerCacheBackend`): asked once
+        #: per claimed miss, sent every fresh result.  ``None`` otherwise.
+        self.peers = None
         self._inflight: Dict[str, _Inflight] = {}
         self._pending_batches = 0
         self._lock = threading.Lock()
@@ -262,9 +268,11 @@ class ServiceCore:
 
         Point order is preserved.  Already-stored keys are answered from the
         cache (no lock, no admission needed); keys another request is
-        currently executing are joined (coalesced); the rest are executed
-        here as one executor batch -- which counts as *one* unit against the
-        ``queue_limit`` admission bound, however many jobs it carries.
+        currently resolving are joined (coalesced); the rest are claimed by
+        this request, asked of the peer tier once (when the node has one)
+        and otherwise executed here as one executor batch -- which counts as
+        *one* unit against the ``queue_limit`` admission bound, however many
+        jobs it carries.
         Raises :class:`Backpressure` when the service already has
         ``queue_limit`` admitted batches, and ``ValueError`` for malformed
         points.
@@ -329,20 +337,17 @@ class ServiceCore:
 
         if own:
             error: Optional[BaseException] = None
-            results: List[NetworkResult] = []
             try:
-                with self._execute_lock:
-                    results = self.executor.run([job for job, _ in own])
+                self._resolve_owned(own, statuses, resolved)
             except BaseException as exc:  # always publish, even on error
                 error = exc
             finally:
                 with self._lock:
                     self._pending_batches -= 1
-                    for index, (_, key) in enumerate(own):
+                    for _, key in own:
                         inflight = self._inflight.pop(key)
                         if error is None:
-                            inflight.result = results[index]
-                            resolved[key] = results[index]
+                            inflight.result = resolved[key]
                         else:
                             inflight.error = error
                         inflight.event.set()
@@ -366,6 +371,39 @@ class ServiceCore:
             _Submitted(key=key, status=statuses[key], result=resolved[key])
             for _, key in entries
         ]
+
+    def _resolve_owned(self, own: List[Tuple[object, str]],
+                       statuses: Dict[str, str],
+                       resolved: Dict[str, NetworkResult]) -> None:
+        """The miss path for the keys this request claimed.
+
+        Each claimed key is asked of the peer tier once (other requests for
+        it coalesced onto this one, so nobody else probes it); peer answers
+        are cached here and reported ``cached``.  The rest execute as one
+        executor batch, and their fresh results are replicated to the peer
+        tier, fire and forget.
+        """
+        peers = self.peers
+        missing = own
+        if peers is not None:
+            missing = []
+            for job, key in own:
+                answer = peers.load(key)
+                if answer is None:
+                    missing.append((job, key))
+                    continue
+                self.cache.put(key, answer)
+                statuses[key] = "cached"
+                resolved[key] = answer
+            self._bump("store_answers", len(own) - len(missing))
+        if not missing:
+            return
+        with self._execute_lock:
+            results = self.executor.run([job for job, _ in missing])
+        for (_, key), result in zip(missing, results):
+            resolved[key] = result
+            if peers is not None:
+                peers.replicate(key, result)
 
     def lookup(self, key: str) -> Tuple[str, Optional[NetworkResult]]:
         """Look a content key up: ('done', result), ('pending', None) or
@@ -400,12 +438,19 @@ class ServiceCore:
             payload["cache"] = dict(self.cache.stats.to_dict(),
                                     memory_entries=len(self.cache))
             backend = self.cache.backend
+            store = None
             if backend is not None:
-                payload["store"] = (
-                    backend.stats_dict() if hasattr(backend, "stats_dict")
-                    else {"backend": backend.describe(),
-                          "entries": len(backend)}
-                )
+                store = (backend.stats_dict()
+                         if hasattr(backend, "stats_dict")
+                         else {"backend": backend.describe(),
+                               "entries": len(backend)})
+            if self.peers is not None:
+                # The peer tier's counters, with the local tier under
+                # "local" (the memory layer on a storeless node).
+                store = dict(self.peers.stats_dict(), local=store or {
+                    "backend": "memory", "entries": len(self.cache)})
+            if store is not None:
+                payload["store"] = store
         return payload
 
     def cache_hit_ratio(self) -> float:

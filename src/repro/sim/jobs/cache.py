@@ -22,6 +22,12 @@ beyond the bound are evicted least-recently-used and counted in
 CLI runs; long-running processes (the service) set a bound so the dict cannot
 grow without limit.  All ``ResultCache`` operations are thread-safe.
 
+These two tiers are local to the process: no ``ResultCache`` operation ever
+does network I/O.  A cluster worker's peer tier
+(:class:`repro.cluster.peercache.PeerCacheBackend`) is not a backend here;
+the worker's :class:`~repro.serve.core.ServiceCore` consults it on its miss
+path, after this cache has missed.
+
 Cached results are shared objects: treat them as read-only.
 """
 
@@ -160,24 +166,11 @@ class ResultCache:
         """Like :meth:`get`, but a miss is not counted in the statistics.
 
         For probe-style lookups (the service's pre-admission pass, result
-        lookups by key) that are followed by an authoritative :meth:`get`
-        -- or by nothing at all -- so hit-rate statistics stay meaningful.
+        lookups by key, a peer's ``GET /cache/<key>``) that are followed by
+        an authoritative :meth:`get` -- or by nothing at all -- so hit-rate
+        statistics stay meaningful.
         """
         return self._lookup(key, count_miss=False)
-
-    def peek_memory(self, key: str) -> Optional[NetworkResult]:
-        """Memory-layer-only :meth:`peek`: never touches the backend.
-
-        For callers that must not trigger backend I/O -- in particular the
-        cluster worker's ``GET /cache/<key>`` peer endpoint, where a
-        backend that is itself peer-aware would otherwise recurse into
-        another network lookup.  Not counted in the statistics.
-        """
-        with self._lock:
-            result = self._memory.get(key)
-            if result is not None:
-                self._memory.move_to_end(key)
-            return result
 
     def _lookup(self, key: str,
                 count_miss: bool) -> Optional[NetworkResult]:

@@ -27,6 +27,7 @@ import urllib.request
 
 import pytest
 
+from repro import __version__
 from repro.cluster import ClusterCoordinator, ClusterWorker, RateLimiter
 from repro.serve import RemoteExecutor, ServeClient, ServeError
 from repro.serve.core import ServiceCore
@@ -332,7 +333,9 @@ class TestMetricsEndpoints:
     def test_coordinator_counts_requests_and_shard_health(self):
         with cluster(n=2) as (coordinator, workers, client):
             client.submit_points(MATRIX[:2])
-            client.healthz()
+            health = client.healthz()
+            assert health["role"] == "coordinator"
+            assert health["version"] == __version__
             with urllib.request.urlopen(coordinator.url + "/metrics",
                                         timeout=30.0) as response:
                 text = response.read().decode("utf-8")
@@ -387,6 +390,7 @@ class TestRateLimiting:
             stats = client.stats()
             assert stats["rate_limiter"]["admitted"] == 1
             assert stats["role"] == "coordinator"
+            assert stats["version"] == __version__
             assert len(stats["workers"]) == 1
 
 

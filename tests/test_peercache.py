@@ -1,18 +1,19 @@
 """Tests for the cluster-shared cache tier (repro.cluster.peercache).
 
-The acceptance contract of the peer-cache ISSUE:
-
-* ``PeerCacheBackend`` unit behaviour: local hits never touch the network,
-  peer hits are fetched and copied into the local tier, a slow or dead peer
-  degrades gracefully to local compute within the timeout budget, and
-  concurrent misses of one key share a single peer fetch (single-flight);
+* ``PeerCacheBackend`` unit behaviour: a peer hit is fetched and counted,
+  a slow or dead peer degrades gracefully to local compute within the
+  timeout budget, and fresh results replicate to the key's failover target;
+* the miss path in ``ServiceCore``: local hits never reach the network,
+  only the request that claims a cold key probes the peer tier (once per
+  key, however many requests race for it), and a peer answer is reported
+  ``cached`` with no simulation;
 * cluster integration: a key simulated on shard A is a **cache hit**
   (status ``"cached"``) after failover routes it to shard B -- the
-  coordinator's survivor probe answers >= 90% of a dead shard's
-  already-simulated keys from the peer tier instead of re-simulating;
+  replica written to B answers >= 90% of a dead shard's already-simulated
+  keys, for storeless and SQLite-backed shards alike;
 * a peer-timeout fault injection still completes the batch bit-identically
   via local compute;
-* the new ``loom_peer_cache_*`` series appear on worker ``/metrics``.
+* the ``loom_peer_cache_*`` series appear on worker ``/metrics``.
 """
 
 import contextlib
@@ -22,13 +23,16 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from repro.cluster import ClusterCoordinator, ClusterWorker, PeerCacheBackend
-from repro.cluster.ring import ConsistentHashRing
+from repro.cluster.worker import build_worker
+from repro.explore.space import canonical_point, point_to_job
 from repro.serve import ServeClient
-from repro.sim.jobs import JobExecutor
+from repro.serve.core import ServiceCore
+from repro.sim.jobs import JobExecutor, job_key
 from repro.sim.results import LayerResult, NetworkResult
 from repro.sim.validate import compare_layer_results
 
@@ -37,6 +41,8 @@ MATRIX = [{"network": network, "accelerator": accelerator}
           for accelerator in ("loom", "dpnn", "dstripes")]
 
 KEY = "k" * 64
+
+POINT = {"network": "nin", "accelerator": "loom"}
 
 
 def _result(cycles=100.0, network="netA", accelerator="AccX"):
@@ -47,10 +53,34 @@ def _result(cycles=100.0, network="netA", accelerator="AccX"):
     return result
 
 
+def _point_key(point):
+    return job_key(point_to_job(canonical_point(point)))
+
+
+def _simulated(point):
+    with JobExecutor() as executor:
+        return executor.run([point_to_job(canonical_point(point))])[0]
+
+
+def _post_ring(worker, payload):
+    """POST /ring to ``worker``; the answer's status code."""
+    request = urllib.request.Request(
+        worker.url + "/ring", data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"}, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=10.0) as response:
+            return response.status
+    except urllib.error.HTTPError as error:
+        return error.code
+
+
 @contextlib.contextmanager
-def peer_cluster(n=2, coordinator_kwargs=None):
-    """A started peer-cache-enabled coordinator + n workers + client."""
-    workers = [ClusterWorker() for _ in range(n)]
+def peer_cluster(n=2, coordinator_kwargs=None, store_dir=None):
+    """A started peer-cache-enabled coordinator + n workers + client;
+    workers keep a SQLite store under ``store_dir`` when it is given."""
+    workers = [build_worker(str(store_dir / f"worker-{index}.db"))
+               if store_dir is not None else ClusterWorker()
+               for index in range(n)]
     for worker in workers:
         worker.start()
     coordinator = ClusterCoordinator(
@@ -98,45 +128,93 @@ def black_hole():
         listener.close()
 
 
+@contextlib.contextmanager
+def counting_peer(hold=None):
+    """A fake peer that answers every ``GET /cache/<key>`` with a 404
+    (after ``hold()`` returns) and accepts every replica ``PUT``; yields
+    its URL and the list of probed paths."""
+    probes = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def _reply(self, status, payload):
+            body = json.dumps(payload).encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def do_GET(self):
+            probes.append(self.path)
+            if hold is not None:
+                hold()
+            self._reply(404, {"error": "miss"})
+
+        def do_PUT(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            self._reply(200, {"ok": True, "stored": True})
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", probes
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+
+
 class TestPeerCacheUnit:
     def test_local_hit_never_asks_the_peer(self):
-        backend = PeerCacheBackend(timeout_s=0.2)
+        core = ServiceCore()
+        core.peers = PeerCacheBackend(timeout_s=0.2)
         # The ring routes everything to an address that would explode if
         # contacted; a local hit must answer before routing even matters.
-        backend.configure(["http://self:1", "http://peer:1"],
-                          self_url="http://self:1")
-        backend.local_store(KEY, _result())
-        loaded = backend.load(KEY)
-        assert loaded is not None
-        assert loaded.to_dict() == _result().to_dict()
-        assert backend.peer_hits == backend.peer_misses == 0
-        assert backend.peer_timeouts == 0
-        backend.close()
+        core.peers.configure(["http://self:1", "http://peer:1"],
+                             self_url="http://self:1")
+        core.cache.put(_point_key(POINT), _result())
+        [entry] = core.submit_points([POINT])
+        assert entry.status == "cached"
+        assert entry.result.to_dict() == _result().to_dict()
+        assert core.peers.peer_hits == core.peers.peer_misses == 0
+        assert core.peers.peer_timeouts == 0
+        core.peers.close()
+        core.close()
 
     def test_unconfigured_backend_behaves_like_its_local_tier(self):
         backend = PeerCacheBackend()
-        assert backend.load(KEY) is None  # no ring: a plain local miss
-        backend.store(KEY, _result())    # and no write-through anywhere
-        assert backend.load(KEY).to_dict() == _result().to_dict()
-        assert backend.peer_hits == backend.peer_timeouts == 0
+        assert backend.load(KEY) is None  # no ring: nothing to ask
+        backend.replicate(KEY, _result())  # and no replica target
+        assert backend.flush_writes(timeout_s=1.0)
+        core = ServiceCore()
+        core.peers = backend
+        assert core.submit_points([POINT])[0].status == "executed"
+        assert core.submit_points([POINT])[0].status == "cached"
+        assert backend.peer_hits == backend.peer_misses == 0
+        assert backend.peer_timeouts == backend.peer_writes == 0
         backend.close()
+        core.close()
 
     def test_peer_hit_is_fetched_and_copied_into_the_local_tier(self):
-        with ClusterWorker() as peer:
-            peer.core.cache.put(KEY, _result(cycles=42.0))
-            backend = PeerCacheBackend(self_url="http://nowhere:1",
-                                       timeout_s=5.0, write_through=False)
-            backend.configure([peer.url, "http://nowhere:1"],
-                              self_url="http://nowhere:1")
-            loaded = backend.load(KEY)
-            assert loaded is not None
-            assert loaded.to_dict() == _result(cycles=42.0).to_dict()
-            assert backend.peer_hits == 1
-            # The answer was copied locally: the next load is a local hit,
-            # not a second network fetch.
-            assert backend.load(KEY) is not None
-            assert backend.peer_hits == 1
-            backend.close()
+        key = _point_key(POINT)
+        with ClusterWorker() as peer, ClusterWorker() as worker:
+            peer.core.cache.put(key, _result(cycles=42.0))
+            worker.configure_peers([worker.url, peer.url],
+                                   self_url=worker.url, timeout_s=5.0)
+            [entry] = worker.core.submit_points([POINT])
+            assert entry.status == "cached"
+            assert entry.result.to_dict() == _result(cycles=42.0).to_dict()
+            assert worker.peer_cache.peer_hits == 1
+            # The answer was copied locally: the next lookup is a local
+            # hit, not a second network fetch.
+            assert worker.core.cache.peek(key) is not None
+            assert worker.core.submit_points([POINT])[0].status == "cached"
+            assert worker.peer_cache.peer_hits == 1
+            assert worker.core.executor.stats.executed == 0
 
     def test_peer_miss_is_counted_and_returns_none(self):
         with ClusterWorker() as peer:
@@ -166,7 +244,7 @@ class TestPeerCacheUnit:
         # Connection refused (no listener) -> cooldown: the second miss
         # must not pay another connection attempt.
         backend = PeerCacheBackend(self_url="http://nowhere:1",
-                                   timeout_s=0.5, dead_peer_cooldown_s=30.0)
+                                   timeout_s=0.5)
         backend.configure(["http://127.0.0.1:9", "http://nowhere:1"],
                           self_url="http://nowhere:1")
         assert backend.load(KEY) is None
@@ -178,36 +256,6 @@ class TestPeerCacheUnit:
         assert backend.peer_timeouts == first + 1
         backend.close()
 
-    def test_single_flight_shares_one_fetch_across_concurrent_misses(self):
-        backend = PeerCacheBackend(self_url="http://nowhere:1",
-                                   timeout_s=5.0)
-        backend.configure(["http://peer:1", "http://nowhere:1"],
-                          self_url="http://nowhere:1")
-        fetches = []
-        release = threading.Event()
-        shared = _result(cycles=7.0)
-
-        def fake_fetch(peer, key):
-            fetches.append((peer, key))
-            release.wait(timeout=5.0)
-            return shared
-
-        backend._fetch_from_peer = fake_fetch
-        outcomes = []
-        threads = [threading.Thread(
-            target=lambda: outcomes.append(backend.load(KEY)))
-            for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        time.sleep(0.15)  # let every thread reach the flight
-        release.set()
-        for thread in threads:
-            thread.join(timeout=5.0)
-        assert len(fetches) == 1  # one leader fetched; followers shared
-        assert len(outcomes) == 6
-        assert all(out is shared for out in outcomes)
-        backend.close()
-
     def test_write_through_replicates_to_the_failover_target(self):
         with ClusterWorker() as a, ClusterWorker() as b:
             a.configure_peers([a.url, b.url], self_url=a.url)
@@ -216,7 +264,7 @@ class TestPeerCacheUnit:
             # which is B in a two-node ring: exactly where A's keys land
             # if A dies.
             assert backend.peer_for(KEY) == b.url
-            backend.store(KEY, _result(cycles=9.0))
+            backend.replicate(KEY, _result(cycles=9.0))
             assert backend.flush_writes(timeout_s=10.0)
             assert backend.peer_writes == 1
             request = urllib.request.Request(b.url + f"/cache/{KEY}")
@@ -227,31 +275,83 @@ class TestPeerCacheUnit:
                 == _result(cycles=9.0).to_dict()
 
     def test_timeout_must_be_positive(self):
-        with pytest.raises(ValueError, match="timeout_s"):
-            PeerCacheBackend(timeout_s=0.0)
-
-    def test_memory_tier_bounds_entries_lru(self):
-        backend = PeerCacheBackend(max_memory_entries=2)
-        for index in range(3):
-            backend.local_store(f"key-{index}" * 8, _result(cycles=index))
-        assert len(backend) == 2
-        assert backend.local_load("key-0" * 8) is None  # evicted oldest
-        assert backend.local_load("key-2" * 8) is not None
-        backend.close()
+        backend = PeerCacheBackend(timeout_s=0.5)
+        for timeout_s in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="timeout_s"):
+                PeerCacheBackend(timeout_s=timeout_s)
+            with pytest.raises(ValueError, match="timeout_s"):
+                backend.timeout_s = timeout_s
+        assert backend.timeout_s == 0.5  # a rejected budget changes nothing
 
     def test_stats_dict_reports_peer_counters(self):
-        backend = PeerCacheBackend(timeout_s=0.7, write_through=False)
+        backend = PeerCacheBackend(timeout_s=0.7)
         backend.configure(["http://a:1", "http://b:1"],
                           self_url="http://a:1")
         stats = backend.stats_dict()
         assert stats["backend"] == "peer cache"
         assert stats["peers"] == 1
         assert stats["timeout_s"] == 0.7
-        assert stats["write_through"] is False
         assert {"peer_hits", "peer_misses", "peer_timeouts",
                 "peer_writes", "peer_write_errors"} <= set(stats)
-        assert "local" in stats
         backend.close()
+
+
+class TestMissPath:
+    def test_concurrent_cold_submissions_make_one_peer_probe(self):
+        threads_n = 6
+        with ClusterWorker() as worker:
+            def hold():
+                # Keep the claiming request's probe open until every other
+                # submission has joined it, so all of them race the one key.
+                deadline = time.monotonic() + 3.0
+                while (worker.core.stats.coalesced < threads_n - 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+
+            with counting_peer(hold) as (peer, probes):
+                worker.configure_peers([worker.url, peer],
+                                       self_url=worker.url, timeout_s=10.0)
+                outcomes = []
+                threads = [threading.Thread(target=lambda: outcomes.extend(
+                    worker.core.submit_points([POINT])))
+                    for _ in range(threads_n)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert worker.peer_cache.flush_writes(timeout_s=10.0)
+                assert len(probes) == 1  # only the claiming request asked
+                assert worker.core.executor.stats.executed == 1
+                assert sorted(entry.status for entry in outcomes) \
+                    == ["coalesced"] * (threads_n - 1) + ["executed"]
+                assert worker.peer_cache.peer_writes == 1
+
+    def test_point_held_only_by_a_peer_answers_cached(self):
+        expected = _simulated(POINT)
+        with ClusterWorker() as peer, ClusterWorker() as worker:
+            peer.core.cache.put(_point_key(POINT), expected)
+            worker.configure_peers([worker.url, peer.url],
+                                   self_url=worker.url)
+            entry = ServeClient(worker.url, timeout_s=60.0).submit(POINT)
+            assert entry.status == "cached"
+            assert compare_layer_results(entry.result.layers,
+                                         expected.layers) == []
+            assert worker.core.executor.stats.executed == 0
+            assert worker.core.stats.store_answers == 1
+            assert peer.core.executor.stats.executed == 0
+
+    def test_one_peer_probe_per_cold_key(self):
+        points = [dict(POINT, clock_ghz=1.0 + index / 1000)
+                  for index in range(12)]
+        with peer_cluster(n=2) as (coordinator, workers, client):
+            entries = client.submit_points(points)
+            assert {entry.status for entry in entries} == {"executed"}
+            probes = 0
+            for worker in workers:
+                store = ServeClient(worker.url).stats()["store"]
+                probes += (store["peer_hits"] + store["peer_misses"]
+                           + store["peer_timeouts"])
+            assert probes == len(points)
 
 
 class TestRingPush:
@@ -272,12 +372,11 @@ class TestRingPush:
                 assert worker.peer_cache is None
                 assert not coordinator.shards[worker.url].ring_pushed
 
-    def test_ring_payload_overrides_timeout_and_write_through(self):
+    def test_ring_payload_overrides_timeout(self):
         with ClusterWorker() as worker:
             payload = json.dumps({"nodes": [worker.url, "http://other:1"],
                                   "self": worker.url,
-                                  "timeout_ms": 250.0,
-                                  "write_through": False}).encode("utf-8")
+                                  "timeout_ms": 250.0}).encode("utf-8")
             request = urllib.request.Request(
                 worker.url + "/ring", data=payload,
                 headers={"Content-Type": "application/json"}, method="POST")
@@ -285,7 +384,19 @@ class TestRingPush:
                 answer = json.loads(response.read().decode("utf-8"))
             assert answer == {"ok": True, "peers": 1, "self": worker.url}
             assert worker.peer_cache.timeout_s == pytest.approx(0.25)
-            assert worker.peer_cache.write_through is False
+
+    @pytest.mark.parametrize("timeout_ms", [0, -5])
+    def test_ring_rejects_a_non_positive_timeout_first_and_later(
+            self, timeout_ms):
+        with ClusterWorker() as worker:
+            ring = {"nodes": [worker.url, "http://other:1"],
+                    "self": worker.url}
+            assert _post_ring(worker, dict(ring, timeout_ms=timeout_ms)) \
+                == 400
+            assert _post_ring(worker, dict(ring, timeout_ms=250.0)) == 200
+            assert _post_ring(worker, dict(ring, timeout_ms=timeout_ms)) \
+                == 400
+            assert worker.peer_cache.timeout_s == pytest.approx(0.25)
 
     def test_bad_ring_payload_answers_400(self):
         with ClusterWorker() as worker:
@@ -310,31 +421,37 @@ class TestRingPush:
 
 
 class TestFailoverCacheHits:
-    def test_dead_shards_keys_answer_from_the_peer_tier(self):
-        with peer_cluster(n=2) as (coordinator, workers, client):
+    @pytest.mark.parametrize("store", ["storeless", "sqlite"])
+    def test_dead_shards_keys_answer_from_the_peer_tier(self, store,
+                                                        tmp_path):
+        store_dir = tmp_path if store == "sqlite" else None
+        with peer_cluster(n=2, store_dir=store_dir) as (coordinator, workers,
+                                                        client):
             first = client.submit_points(MATRIX)
             assert {entry.status for entry in first} == {"executed"}
-            # Let every write-through replica land before the kill.
+            # Let every replica land before the kill.
             for worker in workers:
                 assert worker.peer_cache.flush_writes(timeout_s=30.0)
+                assert worker.core.stats_dict()["store"]["local"][
+                    "backend"] == ("sqlite" if store_dir else "memory")
             victim, survivor = workers
             victim_keys = [entry.key for entry in first
                            if coordinator.ring.node_for(entry.key)
                            == victim.url]
             assert victim_keys  # six keys over two shards: both own some
             victim._server.stop(drain_timeout_s=0.0)
+            answers_before = survivor.core.stats.store_answers
 
             again = client.submit_points(MATRIX)
             assert [entry.key for entry in again] \
                 == [entry.key for entry in first]
             # >= 90% of the dead shard's already-simulated keys must come
-            # back from the peer tier (status "cached"), not re-simulation.
+            # back from their replicas (status "cached"), not re-simulation.
             by_key = {entry.key: entry for entry in again}
             cached = [key for key in victim_keys
                       if by_key[key].status == "cached"]
             assert len(cached) >= 0.9 * len(victim_keys)
-            assert coordinator.stats.peer_cache_answers >= len(cached)
-            assert coordinator._peer_cache_hits_total.value() \
+            assert survivor.core.stats.store_answers - answers_before \
                 >= len(cached)
             # Bit-identical to the original run, every field of every layer.
             for entry, original in zip(again, first):
@@ -374,8 +491,11 @@ class TestFailoverCacheHits:
                                         timeout=10.0) as response:
                 payload = json.loads(response.read().decode("utf-8"))
             assert payload["peer_cache"] == {"enabled": True,
-                                            "timeout_s": 0.5,
-                                            "write_through": True}
+                                            "timeout_s": 0.5}
             worker_stats = payload["workers"][workers[0].url]
             assert worker_stats["store"]["backend"] == "peer cache"
             assert worker_stats["store"]["peers"] == 1
+            assert worker_stats["store"]["timeout_s"] == 0.5
+            assert worker_stats["store"]["local"] == {
+                "backend": "memory",
+                "entries": worker_stats["cache"]["memory_entries"]}
