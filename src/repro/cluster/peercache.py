@@ -169,11 +169,8 @@ class PeerCacheBackend:
             return None
         with self._lock:
             cooling = time.monotonic() < self._cooldown_until.get(peer, 0.0)
-            if cooling:
-                self.peer_timeouts += 1
         if cooling:
-            if self._timeouts_metric is not None:
-                self._timeouts_metric.inc()
+            self._count_timeout()
             return None
         return self._fetch_from_peer(peer, key)
 
@@ -276,11 +273,15 @@ class PeerCacheBackend:
                       cooldown: bool) -> None:
         if self._fetch_seconds is not None:
             self._fetch_seconds.observe(time.monotonic() - started)
-        with self._lock:
-            self.peer_timeouts += 1
-            if cooldown:
+        if cooldown:
+            with self._lock:
                 self._cooldown_until[peer] = (time.monotonic()
                                               + DEAD_PEER_COOLDOWN_S)
+        self._count_timeout()
+
+    def _count_timeout(self) -> None:
+        with self._lock:
+            self.peer_timeouts += 1
         if self._timeouts_metric is not None:
             self._timeouts_metric.inc()
 
