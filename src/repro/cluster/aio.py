@@ -27,6 +27,7 @@ Nothing here knows about jobs or shards; it is transport only.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import threading
 from dataclasses import dataclass
@@ -35,7 +36,11 @@ from typing import Awaitable, Callable, Dict, Optional, Tuple
 from repro.obs.trace import get_tracer
 
 __all__ = ["AsyncHTTPServer", "HTTPReply", "HTTPRequest", "HTTPResponder",
-           "RequestError", "fetch", "fetch_json"]
+           "RequestError", "TIMEOUTS", "fetch", "fetch_json"]
+
+#: Every spelling of a timeout (distinct classes before Python 3.11).
+TIMEOUTS = (TimeoutError, asyncio.TimeoutError,
+            concurrent.futures.TimeoutError)
 
 #: Largest request body a node accepts (a sweep spec is tiny; anything
 #: bigger is a client bug, not a workload).

@@ -6,8 +6,8 @@ Both node kinds -- :class:`~repro.cluster.worker.ClusterWorker` (what
 :class:`HTTPNode`.  It owns the asyncio server, the lifecycle and the
 per-request scope, defined once:
 
-* a low-cardinality path label (keys collapse into ``/jobs/<key>`` and
-  ``/cache/<key>``, unknown paths into ``<other>``);
+* a low-cardinality path label (keys collapse into ``/jobs/<key>``,
+  unknown paths into ``<other>``);
 * a ``<role>.<METHOD> <label>`` span joined to the caller's trace, and a
   correlation id (the span id, or random when tracing is off) sent as
   ``X-Request-Id`` on every response and as ``request_id`` in error bodies;
@@ -21,8 +21,6 @@ Subclasses implement ``_route``, ``_count_request`` and ``stop``.
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import os
 import threading
 import time
@@ -33,6 +31,7 @@ from repro.cluster.aio import (
     HTTPRequest,
     HTTPResponder,
     RequestError,
+    TIMEOUTS,
 )
 from repro.obs import MetricsRegistry, get_logger, get_tracer
 from repro.serve.core import Backpressure
@@ -41,20 +40,16 @@ __all__ = ["HTTPNode", "error_reply", "path_label"]
 
 _log = get_logger("cluster.node")
 
-#: Every spelling of a timeout (distinct classes before Python 3.11).
-_TIMEOUTS = (TimeoutError, asyncio.TimeoutError,
-             concurrent.futures.TimeoutError)
-
 #: Paths that label themselves; everything else is ``<other>``.
 _ROUTES = frozenset(("/", "/jobs", "/explore", "/networks", "/healthz",
-                     "/stats", "/metrics", "/trace", "/ring", "/shutdown"))
+                     "/stats", "/metrics", "/trace", "/ring", "/shutdown",
+                     "/cache/lookup", "/cache/replicate"))
 
 
 def path_label(path: str) -> str:
     """The metric / span label for ``path`` (bounded cardinality)."""
-    for prefix in ("/jobs/", "/cache/"):
-        if path.startswith(prefix):
-            return prefix + "<key>"
+    if path.startswith("/jobs/"):
+        return "/jobs/<key>"
     return path if path in _ROUTES else "<other>"
 
 
@@ -72,7 +67,7 @@ def error_reply(error: BaseException) -> Tuple[int, str, Dict[str, str]]:
         return 429, str(error), {"Retry-After": str(error.retry_after_s)}
     if isinstance(error, (ValueError, KeyError, TypeError)):
         return 400, f"{type(error).__name__}: {error}", {}
-    if isinstance(error, _TIMEOUTS):
+    if isinstance(error, TIMEOUTS):
         return 504, str(error), {}
     return 500, f"{type(error).__name__}: {error}", {}
 

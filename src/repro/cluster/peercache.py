@@ -11,28 +11,39 @@ result cache.  It is not a cache layer itself: it is the network client a
 worker's :class:`~repro.serve.core.ServiceCore` calls on its miss path,
 after the local tiers (memory and store, inside
 :class:`~repro.sim.jobs.cache.ResultCache`) have missed and the request has
-claimed the key:
+claimed its keys.  Both directions are batch-shaped: a worker request
+costs one peer request per peer and direction, however many keys it
+carries.
 
-* **load** -- ask the key's ring-preferred peer (the node a re-routed key
-  would land on) over ``GET /cache/<key>``.  The core stores an answer in
-  its own cache, so each key crosses the network at most once per shard.
-* **replicate** -- send a freshly simulated result (fire and forget) over
-  ``PUT /cache/<key>`` to the key's failover target: the ring owner when
-  this shard is not the owner, or the ring *successor* when it is.  That is
-  precisely the shard the key will be re-routed to if this one dies, so a
-  re-routed key finds its replica in the new owner's local tiers.
-* **timeout budget** -- every peer lookup has a strict deadline
-  (``timeout_s``); a slow or dead peer degrades gracefully to local
-  compute, and a connection-refused peer is put on a short cooldown so a
-  dead shard does not tax every subsequent miss with a full timeout.
+* **load_many** -- group the claimed keys by their ring-preferred peer (the
+  node a re-routed key would land on) and send each peer one
+  ``POST /cache/lookup {"keys": [...]}``, all peers concurrently.  A peer
+  answers ``{"results": {key: result}}``; a key absent from ``results`` is
+  a miss.  The core stores the answers in its own cache, so each key
+  crosses the network at most once per shard.
+* **replicate_many** -- send freshly simulated results (fire and forget),
+  grouped by failover target, as one ``POST /cache/replicate {"entries":
+  [{"key", "result"}]}`` per peer.  The target is the ring owner when this
+  shard is not the owner, or the ring *successor* when it is: precisely the
+  shard the key will be re-routed to if this one dies, so a re-routed key
+  finds its replica in the new owner's local tiers.
+* **timeout budget** -- every batched lookup has a strict deadline
+  (``timeout_s``) shared by its concurrent peer requests; a slow or dead
+  peer degrades gracefully to local compute, and a connection-refused peer
+  is put on a short cooldown so a dead shard does not tax every subsequent
+  miss with a full timeout.
 
 The peer target for both directions is ``ring.node_for(key,
 exclude={self})``: for a non-owner that is the owner; for the owner it is
 the failover successor.  One expression covers lookup and replication.
 
-A peer serves ``GET /cache/<key>`` with ``ResultCache.peek`` and stores a
-replica with ``ResultCache.put``.  Neither reaches this class, so a lookup
-cannot chain through the ring and a replica cannot bounce back.
+The counters stay per key: ``peer_hits``, ``peer_misses`` and
+``peer_timeouts`` add up to the keys asked (a failed or timed-out request
+counts each of its keys), and ``peer_writes`` counts replicated keys.
+
+A peer serves ``POST /cache/lookup`` with ``ResultCache.peek_many`` and
+stores replicas with ``ResultCache.put_many``.  Neither reaches this class,
+so a lookup cannot chain through the ring and a replica cannot bounce back.
 
 The backend runs its network I/O on a private asyncio loop in a daemon
 thread (reusing :func:`repro.cluster.aio.fetch`), so it can be driven from
@@ -43,12 +54,13 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import functools
 import math
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.cluster.aio import fetch
+from repro.cluster.aio import TIMEOUTS, fetch
 from repro.obs.metrics import PEER_LATENCY_BUCKETS, MetricsRegistry
 from repro.cluster.ring import ConsistentHashRing
 from repro.sim.results import NetworkResult
@@ -59,6 +71,11 @@ __all__ = ["PeerCacheBackend"]
 #: long: a dead shard should cost one failed dial, not one per miss.
 DEAD_PEER_COOLDOWN_S = 2.0
 
+#: Most results one ``POST /cache/replicate`` carries.  The largest zoo
+#: result encodes to ~19 KB, so a full request stays well under the
+#: receiving node's 4 MB body limit however large the worker request was.
+REPLICATE_CHUNK = 128
+
 
 class PeerCacheBackend:
     """Ring-routed peer lookups and write-through replicas for one shard.
@@ -68,12 +85,13 @@ class PeerCacheBackend:
     ring / self_url:
         Ring membership and this shard's own URL.  Both may be deferred to
         :meth:`configure` (the worker learns membership from the
-        coordinator's ``POST /ring``); until configured, :meth:`load`
-        answers ``None`` and :meth:`replicate` does nothing.
+        coordinator's ``POST /ring``); until configured, :meth:`load_many`
+        answers nothing and :meth:`replicate_many` does nothing.
     timeout_s:
-        Strict budget for one peer lookup, queueing included: finite and
-        > 0.  On expiry the lookup is abandoned (counted in
-        ``peer_timeouts``) and the caller computes locally.
+        Strict budget for one batched peer lookup, queueing included:
+        finite and > 0.  On expiry the outstanding requests are abandoned
+        (their keys counted in ``peer_timeouts``) and the caller computes
+        locally.
     metrics:
         Optional :class:`MetricsRegistry` to surface
         ``loom_peer_cache_{hits,misses,timeouts}_total`` counters and the
@@ -99,21 +117,26 @@ class PeerCacheBackend:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
         self._closed = False
-        self._hits_metric = self._misses_metric = None
-        self._timeouts_metric = self._fetch_seconds = None
+        #: ``loom_peer_cache_<outcome>_total`` counters by outcome.
+        self._metrics: Dict[str, object] = {}
+        self._fetch_seconds = None
         if metrics is not None:
-            self._hits_metric = metrics.counter(
-                "loom_peer_cache_hits_total",
-                "Local misses answered by a peer shard's cache.")
-            self._misses_metric = metrics.counter(
-                "loom_peer_cache_misses_total",
-                "Peer lookups the owning shard could not answer.")
-            self._timeouts_metric = metrics.counter(
-                "loom_peer_cache_timeouts_total",
-                "Peer lookups abandoned because the peer was slow or dead.")
+            self._metrics = {
+                "hits": metrics.counter(
+                    "loom_peer_cache_hits_total",
+                    "Local misses answered by a peer shard's cache."),
+                "misses": metrics.counter(
+                    "loom_peer_cache_misses_total",
+                    "Peer lookups the owning shard could not answer."),
+                "timeouts": metrics.counter(
+                    "loom_peer_cache_timeouts_total",
+                    "Peer lookups abandoned because the peer was slow or "
+                    "dead."),
+            }
             self._fetch_seconds = metrics.histogram(
                 "loom_peer_cache_fetch_seconds",
-                "Peer cache fetch latency in seconds (hits and misses).",
+                "Peer cache lookup request latency in seconds (one sample "
+                "per peer request, however many keys it carries).",
                 buckets=PEER_LATENCY_BUCKETS)
 
     @property
@@ -162,17 +185,46 @@ class PeerCacheBackend:
     # -- peer tier ------------------------------------------------------------
 
     def load(self, key: str) -> Optional[NetworkResult]:
-        """Ask the key's peer for its result: ``None`` on a miss, a timeout,
-        a dead or cooling-down peer, or an unconfigured ring."""
-        peer = self.peer_for(key)
-        if peer is None:
-            return None
+        """One key's :meth:`load_many`: ``None`` unless a peer answered."""
+        return self.load_many((key,)).get(key)
+
+    def load_many(self, keys: Iterable[str]) -> Dict[str, NetworkResult]:
+        """Ask each key's peer for its result, one request per peer.
+
+        Returns the answered keys; a miss, a timeout, a dead or
+        cooling-down peer and an unconfigured ring all leave a key out.
+        The caller always has local compute to fall back on, so nothing
+        here raises.
+        """
+        by_peer: Dict[str, List[str]] = {}
+        for key in dict.fromkeys(keys):
+            peer = self.peer_for(key)
+            if peer is not None:
+                by_peer.setdefault(peer, []).append(key)
+        started = time.monotonic()
         with self._lock:
-            cooling = time.monotonic() < self._cooldown_until.get(peer, 0.0)
-        if cooling:
-            self._count_timeout()
-            return None
-        return self._fetch_from_peer(peer, key)
+            cooling = [peer for peer in by_peer
+                       if started < self._cooldown_until.get(peer, 0.0)]
+        for peer in cooling:
+            self._count("timeouts", len(by_peer.pop(peer)))
+        found: Dict[str, NetworkResult] = {}
+        if not by_peer:
+            return found
+        try:
+            loop = self._ensure_loop()
+        except RuntimeError:  # closed mid-request
+            self._count("timeouts", sum(map(len, by_peer.values())))
+            return found
+        futures = {
+            peer: asyncio.run_coroutine_threadsafe(
+                fetch(peer, "POST", "/cache/lookup",
+                      payload={"keys": peer_keys},
+                      timeout_s=self.timeout_s), loop)
+            for peer, peer_keys in by_peer.items()
+        }
+        for peer, future in futures.items():
+            found.update(self._collect(peer, by_peer[peer], future, started))
+        return found
 
     def close(self) -> None:
         self.flush_writes(timeout_s=2.0)
@@ -225,51 +277,38 @@ class PeerCacheBackend:
         ready.wait(timeout=5.0)
         return loop
 
-    def _fetch_from_peer(self, peer: str, key: str
-                         ) -> Optional[NetworkResult]:
-        """One ``GET /cache/<key>`` against ``peer`` under the budget.
-
-        Returns the parsed result on a hit, ``None`` on a miss, a timeout
-        or any transport failure -- the caller always has local compute to
-        fall back on, so nothing here may raise.
-        """
-        started = time.monotonic()
+    def _collect(self, peer: str, keys: List[str], future,
+                 started: float) -> Dict[str, NetworkResult]:
+        """Wait (within what is left of the budget) for one peer's
+        ``POST /cache/lookup`` and count its keys."""
         try:
-            loop = self._ensure_loop()
-            future = asyncio.run_coroutine_threadsafe(
-                fetch(peer, "GET", f"/cache/{key}",
-                      timeout_s=self.timeout_s), loop)
-            try:
-                reply = future.result(
-                    timeout=max(0.0, self.timeout_s
-                                - (time.monotonic() - started)))
-            except (concurrent.futures.TimeoutError, asyncio.TimeoutError,
-                    TimeoutError):
-                # (three spellings: pre-3.11 futures/asyncio timeout classes
-                # are distinct from the builtin)
-                future.cancel()
-                self._note_timeout(peer, started, cooldown=False)
-                return None
+            reply = future.result(
+                timeout=max(0.0, self.timeout_s
+                            - (time.monotonic() - started)))
+        except TIMEOUTS:
+            future.cancel()
+            self._note_timeout(peer, started, len(keys), cooldown=False)
+            return {}
         except (ConnectionError, OSError, RuntimeError):
             # Connection refused / reset: the peer is dead or restarting.
             # Cool it down so the next misses skip straight to computing.
-            self._note_timeout(peer, started, cooldown=True)
-            return None
-        elapsed = time.monotonic() - started
+            self._note_timeout(peer, started, len(keys), cooldown=True)
+            return {}
         if self._fetch_seconds is not None:
-            self._fetch_seconds.observe(elapsed)
-        if reply.status == 200:
-            try:
-                result = NetworkResult.from_dict(reply.json()["result"])
-            except (ValueError, KeyError, TypeError):
-                self._count_miss()  # unreadable answer: recompute locally
-                return None
-            self._count_hit()
-            return result
-        self._count_miss()
-        return None
+            self._fetch_seconds.observe(time.monotonic() - started)
+        found: Dict[str, NetworkResult] = {}
+        try:
+            results = reply.json()["results"] if reply.status == 200 else {}
+            for key in keys:
+                if key in results:
+                    found[key] = NetworkResult.from_dict(results[key])
+        except (ValueError, KeyError, TypeError):
+            found = {}  # unreadable answer: recompute every key locally
+        self._count("hits", len(found))
+        self._count("misses", len(keys) - len(found))
+        return found
 
-    def _note_timeout(self, peer: str, started: float,
+    def _note_timeout(self, peer: str, started: float, keys: int,
                       cooldown: bool) -> None:
         if self._fetch_seconds is not None:
             self._fetch_seconds.observe(time.monotonic() - started)
@@ -277,58 +316,61 @@ class PeerCacheBackend:
             with self._lock:
                 self._cooldown_until[peer] = (time.monotonic()
                                               + DEAD_PEER_COOLDOWN_S)
-        self._count_timeout()
+        self._count("timeouts", keys)
 
-    def _count_timeout(self) -> None:
+    def _count(self, outcome: str, keys: int) -> None:
+        """Add ``keys`` to ``peer_<outcome>`` and its ``/metrics`` series."""
+        if not keys:
+            return
         with self._lock:
-            self.peer_timeouts += 1
-        if self._timeouts_metric is not None:
-            self._timeouts_metric.inc()
+            setattr(self, f"peer_{outcome}",
+                    getattr(self, f"peer_{outcome}") + keys)
+        metric = self._metrics.get(outcome)
+        if metric is not None:
+            metric.inc(keys)
 
-    def _count_hit(self) -> None:
-        with self._lock:
-            self.peer_hits += 1
-        if self._hits_metric is not None:
-            self._hits_metric.inc()
-
-    def _count_miss(self) -> None:
-        with self._lock:
-            self.peer_misses += 1
-        if self._misses_metric is not None:
-            self._misses_metric.inc()
-
-    def replicate(self, key: str, result: NetworkResult) -> None:
-        """Fire-and-forget ``PUT /cache/<key>`` of a fresh result to the
-        key's failover target (no-op while the ring has no other node)."""
-        peer = self.peer_for(key)
-        if peer is None:
+    def replicate_many(self, items: Iterable[Tuple[str, NetworkResult]]
+                       ) -> None:
+        """Fire-and-forget replication of fresh ``(key, result)`` pairs:
+        one ``POST /cache/replicate`` per failover target and
+        :data:`REPLICATE_CHUNK` results (no-op while the ring has no other
+        node)."""
+        by_peer: Dict[str, List[Dict[str, object]]] = {}
+        for key, result in items:
+            peer = self.peer_for(key)
+            if peer is not None:
+                by_peer.setdefault(peer, []).append(
+                    {"key": key, "result": result.to_dict()})
+        if not by_peer:
             return
         try:
             loop = self._ensure_loop()
         except RuntimeError:  # closed mid-request
             return
-        payload = {"key": key, "result": result.to_dict()}
-        future = asyncio.run_coroutine_threadsafe(
-            fetch(peer, "PUT", f"/cache/{key}", payload=payload,
-                  timeout_s=self.timeout_s), loop)
+        for peer, entries in by_peer.items():
+            for start in range(0, len(entries), REPLICATE_CHUNK):
+                chunk = entries[start:start + REPLICATE_CHUNK]
+                future = asyncio.run_coroutine_threadsafe(
+                    fetch(peer, "POST", "/cache/replicate",
+                          payload={"entries": chunk},
+                          timeout_s=self.timeout_s), loop)
+                with self._lock:
+                    self._pending_writes.add(future)
+                future.add_done_callback(
+                    functools.partial(self._replicated, len(chunk)))
+
+    def _replicated(self, keys: int, completed) -> None:
         with self._lock:
-            self._pending_writes.add(future)
-
-        def _done(completed) -> None:
-            with self._lock:
-                self._pending_writes.discard(completed)
-                try:
-                    reply = completed.result()
-                    if 200 <= reply.status < 300:
-                        self.peer_writes += 1
-                    else:
-                        self.peer_write_errors += 1
-                except (ConnectionError, OSError, asyncio.TimeoutError,
-                        concurrent.futures.TimeoutError, TimeoutError,
-                        asyncio.CancelledError, ValueError):
-                    self.peer_write_errors += 1
-
-        future.add_done_callback(_done)
+            self._pending_writes.discard(completed)
+            try:
+                reply = completed.result()
+                if 200 <= reply.status < 300:
+                    self.peer_writes += keys
+                else:
+                    self.peer_write_errors += keys
+            except (ConnectionError, OSError, asyncio.CancelledError,
+                    ValueError) + TIMEOUTS:
+                self.peer_write_errors += keys
 
     def flush_writes(self, timeout_s: float = 5.0) -> bool:
         """Wait for outstanding replications; True when none

@@ -15,9 +15,12 @@ POST      /jobs          simulate one point (or a ``{"points": [...]}``
 GET       /jobs/<key>    look a finished result up by content key
 POST      /explore       run a design-space sweep against the warm store
 GET       /networks      the zoo with per-kind layer counts
-GET       /cache/<key>   the peer-cache wire: this node's local tiers only
-                         (``ResultCache.peek``)
-PUT       /cache/<key>   store a peer's replica (``ResultCache.put``)
+POST      /cache/lookup  the peer-cache wire: ``{"keys": [...]}`` answered
+                         ``{"results": {key: result}}`` from this node's
+                         local tiers only (``ResultCache.peek_many``)
+POST      /cache/replicate
+                         store a peer's replicas, ``{"entries": [{"key",
+                         "result"}]}`` (``ResultCache.put_many``)
 POST      /ring          accept ring membership from the coordinator and
                          activate the peer cache tier
 GET       /healthz       liveness probe, with version and uptime
@@ -39,7 +42,8 @@ On ``POST /ring`` the worker builds a
 :class:`~repro.cluster.peercache.PeerCacheBackend` and hands it to the core
 as its peer tier: a key this node claims is asked of its ring peer once
 before it is simulated, and a fresh result is replicated to the key's
-failover shard.  The ``/cache`` routes answer from the local tiers alone,
+failover shard -- one request per peer for a whole ``POST /jobs`` batch in
+each direction.  The ``/cache`` routes answer from the local tiers alone,
 so peer traffic ends at the first hop.
 
 The wire format for a job is a design-*point* mapping -- the same parameter
@@ -71,6 +75,9 @@ from repro.sim.results import NetworkResult
 __all__ = ["ClusterWorker", "build_worker"]
 
 _log = get_logger("cluster.worker")
+
+#: Node-to-node peer-cache routes, left out of the client request counters.
+_PEER_ROUTES = frozenset(("/cache/lookup", "/cache/replicate"))
 
 
 class ClusterWorker(HTTPNode):
@@ -219,9 +226,9 @@ class ClusterWorker(HTTPNode):
             self._pool, lambda: context.run(fn, *args))
 
     def _count_request(self, label: str, status: int) -> None:
-        # Peer-cache traffic is node-to-node (its misses are 404s by
-        # design); the peer tier counts it, the client counters do not.
-        if label != "/cache/<key>":
+        # Peer-cache traffic is node-to-node: the peer tier counts it, the
+        # client counters do not.
+        if label not in _PEER_ROUTES:
             self.core.count_request(status)
 
     async def _route(self, request: HTTPRequest, responder: HTTPResponder,
@@ -267,32 +274,27 @@ class ClusterWorker(HTTPNode):
                                                 "status": "pending"})
             else:
                 raise RequestError(404, f"no result for key {key!r}")
-        elif method == "GET" and path.startswith("/cache/"):
-            key = path[len("/cache/"):]
-            cache = self.core.cache
-            result = (await self._in_thread(cache.peek, key)
-                      if cache is not None else None)
-            if result is not None:
-                await responder.send_json(200, {"key": key,
-                                                "result": result.to_dict()})
-            else:
-                await responder.send_json(404,
-                                          {"error": f"no local result for "
-                                                    f"key {key!r}"})
-        elif method == "PUT" and path.startswith("/cache/"):
-            key = path[len("/cache/"):]
-            payload = request.json()
+        elif method == "POST" and path == "/cache/lookup":
+            keys = request.json().get("keys")
+            if not isinstance(keys, list) or \
+                    not all(isinstance(key, str) for key in keys):
+                raise RequestError(400, "'keys' must be a list of strings")
+            await responder.send_json(200, await self._in_thread(
+                self._peer_lookup, keys))
+        elif method == "POST" and path == "/cache/replicate":
+            entries = request.json().get("entries")
             try:
-                result = NetworkResult.from_dict(payload["result"])
+                items = [(entry["key"], NetworkResult.from_dict(
+                    entry["result"]), None) for entry in entries]
             except (ValueError, KeyError, TypeError) as error:
                 raise RequestError(
                     400, f"bad replica payload: "
                          f"{type(error).__name__}: {error}") from None
             cache = self.core.cache
             if cache is not None:
-                await self._in_thread(cache.put, key, result)
-            await responder.send_json(200, {"ok": True,
-                                            "stored": cache is not None})
+                await self._in_thread(cache.put_many, items)
+            await responder.send_json(200, {
+                "ok": True, "stored": len(items) if cache is not None else 0})
         elif method == "POST" and path == "/ring":
             payload = request.json()
             nodes = payload.get("nodes")
@@ -317,6 +319,13 @@ class ClusterWorker(HTTPNode):
             await self._shutdown(responder)
         else:
             raise RequestError(404, f"unknown path {request.path!r}")
+
+    def _peer_lookup(self, keys: Sequence[str]) -> Dict[str, object]:
+        """The ``POST /cache/lookup`` answer: local tiers only."""
+        cache = self.core.cache
+        found = cache.peek_many(keys) if cache is not None else {}
+        return {"results": {key: result.to_dict()
+                            for key, result in found.items()}}
 
     def stats_dict(self) -> Dict[str, object]:
         payload = self.core.stats_dict()

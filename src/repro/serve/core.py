@@ -2,9 +2,9 @@
 
 :class:`ServiceCore` is the submission engine behind every node: request
 coalescing, the bounded-admission backpressure, the warm-store fast path,
-the miss path (one peer-tier probe per claimed key on a cluster shard,
-then execution), sweep execution and the stats surface, with no opinion
-about the wire protocol in front of it.
+the miss path (one batched peer-tier probe for the keys a request claims
+on a cluster shard, then execution), sweep execution and the stats
+surface, with no opinion about the wire protocol in front of it.
 :class:`~repro.cluster.worker.ClusterWorker` is the one HTTP node that
 fronts it -- ``loom-repro serve`` runs a single worker, ``loom-repro
 cluster`` runs several behind a coordinator -- so a shard answers exactly
@@ -212,7 +212,8 @@ class ServiceCore:
         self.stats = ServiceStats()
         #: The cluster peer tier a worker installs on ``POST /ring``
         #: (:class:`repro.cluster.peercache.PeerCacheBackend`): asked once
-        #: per claimed miss, sent every fresh result.  ``None`` otherwise.
+        #: per request for its claimed misses, sent every fresh result.
+        #: ``None`` otherwise.
         self.peers = None
         self._inflight: Dict[str, _Inflight] = {}
         self._pending_batches = 0
@@ -290,17 +291,14 @@ class ServiceCore:
         statuses: Dict[str, str] = {}
         resolved: Dict[str, NetworkResult] = {}
         # Pass 1, no service lock: warm keys resolve straight from the
-        # (internally locked) cache, so warm traffic never serialises behind
-        # another request's admission or bookkeeping.  peek(), not get():
-        # cold keys get their authoritative (counted) lookup inside
-        # executor.run, so misses are not double-counted in /stats.
-        for _, key in entries:
-            if key in statuses:
-                continue
-            cached = self.cache.peek(key) if self.cache is not None else None
-            if cached is not None:
-                statuses[key] = "cached"
-                resolved[key] = cached
+        # (internally locked) cache in one batched lookup, so warm traffic
+        # never serialises behind another request's admission or
+        # bookkeeping.  peek_many(), not get_many(): cold keys get their
+        # authoritative (counted) lookup inside executor.run, so misses are
+        # not double-counted in /stats.
+        if self.cache is not None:
+            resolved.update(self.cache.peek_many(key for _, key in entries))
+            statuses.update(dict.fromkeys(resolved, "cached"))
 
         waits: Dict[str, _Inflight] = {}
         own: List[Tuple[object, str]] = []
@@ -377,33 +375,33 @@ class ServiceCore:
                        resolved: Dict[str, NetworkResult]) -> None:
         """The miss path for the keys this request claimed.
 
-        Each claimed key is asked of the peer tier once (other requests for
-        it coalesced onto this one, so nobody else probes it); peer answers
-        are cached here and reported ``cached``.  The rest execute as one
-        executor batch, and their fresh results are replicated to the peer
-        tier, fire and forget.
+        The claimed keys are asked of the peer tier in one batch (other
+        requests for them coalesced onto this one, so nobody else probes
+        them); peer answers are cached here in one write and reported
+        ``cached``.  The rest execute as one executor batch, and their
+        fresh results are replicated to the peer tier in one batch, fire
+        and forget.
         """
         peers = self.peers
         missing = own
         if peers is not None:
-            missing = []
-            for job, key in own:
-                answer = peers.load(key)
-                if answer is None:
-                    missing.append((job, key))
-                    continue
-                self.cache.put(key, answer)
-                statuses[key] = "cached"
-                resolved[key] = answer
-            self._bump("store_answers", len(own) - len(missing))
+            answers = peers.load_many([key for _, key in own])
+            if answers:
+                self.cache.put_many((key, answer, None)
+                                    for key, answer in answers.items())
+                resolved.update(answers)
+                statuses.update(dict.fromkeys(answers, "cached"))
+                missing = [(job, key) for job, key in own
+                           if key not in answers]
+            self._bump("store_answers", len(answers))
         if not missing:
             return
         with self._execute_lock:
             results = self.executor.run([job for job, _ in missing])
-        for (_, key), result in zip(missing, results):
-            resolved[key] = result
-            if peers is not None:
-                peers.replicate(key, result)
+        fresh = [(key, result) for (_, key), result in zip(missing, results)]
+        resolved.update(fresh)
+        if peers is not None:
+            peers.replicate_many(fresh)
 
     def lookup(self, key: str) -> Tuple[str, Optional[NetworkResult]]:
         """Look a content key up: ('done', result), ('pending', None) or

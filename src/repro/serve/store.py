@@ -19,6 +19,15 @@ threads *and* many client processes share it safely.
   a long-running service's store converges on its hot set instead of growing
   forever.
 
+* **Batch-shaped** -- :meth:`~SQLiteResultStore.load_many` answers a whole
+  request's keys with one ``SELECT ... WHERE key IN (...)`` and bumps their
+  hit counts (and LRU recency) in one ``UPDATE``;
+  :meth:`~SQLiteResultStore.store_many` writes a batch with one multi-row
+  ``INSERT`` and checks the entry bound once.  Each runs in one
+  transaction, so a request costs the same number of statements whether it
+  carries 4 keys or 400.  Key lists are chunked to stay under the 999-variable
+  limit of older SQLite builds.
+
 Payload rows carry a ``format`` tag; a row whose payload does not parse or
 whose format mismatches is deleted, counted in ``invalid_entries`` and
 treated as a miss.
@@ -36,9 +45,9 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.sim.jobs.cache import CacheBackend
+from repro.sim.jobs.cache import CacheBackend, StoreItem
 from repro.sim.results import NetworkResult
 
 __all__ = ["SQLiteResultStore", "SCHEMA_VERSION"]
@@ -48,6 +57,13 @@ _FORMAT = 1
 
 #: Database schema version (``PRAGMA user_version``); bump on layout changes.
 SCHEMA_VERSION = 1
+
+#: Keys per ``IN (...)`` list: under the 999 host parameters older SQLite
+#: builds allow in one statement.
+_KEY_CHUNK = 500
+
+#: Rows per multi-row ``INSERT`` (six parameters each).
+_ROW_CHUNK = 999 // 6
 
 _CREATE_RESULTS = """
 CREATE TABLE IF NOT EXISTS results (
@@ -151,53 +167,73 @@ class SQLiteResultStore(CacheBackend):
     # -- CacheBackend protocol -----------------------------------------------
 
     def load(self, key: str) -> Optional[NetworkResult]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT format, result FROM results WHERE key = ?", (key,)
-            ).fetchone()
-            if row is None:
-                return None
-            row_format, payload = row
-            try:
-                if row_format != _FORMAT:
-                    raise ValueError("row format mismatch")
-                result = NetworkResult.from_dict(json.loads(payload))
-            except (ValueError, KeyError, TypeError):
-                # Damaged row: drop it, count it, recompute upstream.
-                self.invalid_entries += 1
-                with self._conn:
-                    self._conn.execute(
-                        "DELETE FROM results WHERE key = ?", (key,))
-                return None
-            # The hit counter always moves (it feeds ``lifetime_hits`` in
-            # /stats and inspect(), bound or no bound); the LRU recency
-            # touch only matters when ``max_entries`` can actually evict.
-            with self._conn:
-                if self.max_entries is not None:
-                    self._conn.execute(
-                        "UPDATE results SET last_used_at = ?, hits = hits + 1 "
-                        "WHERE key = ?",
-                        (time.time(), key),
-                    )
-                else:
-                    self._conn.execute(
-                        "UPDATE results SET hits = hits + 1 WHERE key = ?",
-                        (key,),
-                    )
-            return result
+        return self.load_many((key,)).get(key)
 
     def store(self, key: str, result: NetworkResult,
               spec: Optional[dict] = None) -> None:
+        self.store_many(((key, result, spec),))
+
+    def load_many(self, keys: Iterable[str]) -> Dict[str, NetworkResult]:
+        keys = list(dict.fromkeys(keys))
+        found: Dict[str, NetworkResult] = {}
+        if not keys:
+            return found
+        with self._lock:
+            damaged: List[str] = []
+            for chunk in _chunks(keys, _KEY_CHUNK):
+                rows = self._conn.execute(
+                    "SELECT key, format, result FROM results "
+                    f"WHERE key IN ({_marks(len(chunk))})", chunk).fetchall()
+                for key, row_format, payload in rows:
+                    try:
+                        if row_format != _FORMAT:
+                            raise ValueError("row format mismatch")
+                        found[key] = NetworkResult.from_dict(
+                            json.loads(payload))
+                    except (ValueError, KeyError, TypeError):
+                        damaged.append(key)
+            if not found and not damaged:
+                return found
+            # One transaction per batch: damaged rows are dropped (counted,
+            # recomputed upstream); the hit counter always moves (it feeds
+            # ``lifetime_hits`` in /stats and inspect(), bound or no
+            # bound), and the LRU recency touch only matters when
+            # ``max_entries`` can actually evict.
+            self.invalid_entries += len(damaged)
+            if self.max_entries is not None:
+                touch, stamp = "last_used_at = ?, hits = hits + 1", [time.time()]
+            else:
+                touch, stamp = "hits = hits + 1", []
+            with self._conn:
+                for chunk in _chunks(damaged, _KEY_CHUNK):
+                    self._conn.execute(
+                        f"DELETE FROM results WHERE key IN "
+                        f"({_marks(len(chunk))})", chunk)
+                for chunk in _chunks(list(found), _KEY_CHUNK):
+                    self._conn.execute(
+                        f"UPDATE results SET {touch} WHERE key IN "
+                        f"({_marks(len(chunk))})", stamp + chunk)
+        return found
+
+    def store_many(self, items: Iterable[StoreItem]) -> None:
+        # A key repeated in the batch keeps its last result.
+        rows = {key: (result, spec) for key, result, spec in items}
+        if not rows:
+            return
         now = time.time()
+        values = [
+            (key, _FORMAT, json.dumps(spec) if spec is not None else None,
+             json.dumps(result.to_dict()), now, now)
+            for key, (result, spec) in rows.items()
+        ]
         with self._lock, self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO results "
-                "(key, format, spec, result, created_at, last_used_at, hits) "
-                "VALUES (?, ?, ?, ?, ?, ?, 0)",
-                (key, _FORMAT,
-                 json.dumps(spec) if spec is not None else None,
-                 json.dumps(result.to_dict()), now, now),
-            )
+            for chunk in _chunks(values, _ROW_CHUNK):
+                self._conn.execute(
+                    "INSERT OR REPLACE INTO results "
+                    "(key, format, spec, result, created_at, last_used_at, "
+                    "hits) VALUES "
+                    + ", ".join(["(?, ?, ?, ?, ?, ?, 0)"] * len(chunk)),
+                    [field for row in chunk for field in row])
             if self.max_entries is not None:
                 (count,) = self._conn.execute(
                     "SELECT COUNT(*) FROM results").fetchone()
@@ -309,3 +345,14 @@ class SQLiteResultStore(CacheBackend):
             "invalid_entries": self.invalid_entries,
             "schema_resets": self.schema_resets,
         }
+
+
+def _chunks(items: Sequence, size: int):
+    """``items`` in consecutive slices of at most ``size``."""
+    for start in range(0, len(items), size):
+        yield items[start:start + size]
+
+
+def _marks(count: int) -> str:
+    """``count`` comma-separated SQL parameter placeholders."""
+    return ", ".join("?" * count)

@@ -384,12 +384,12 @@ def _design_params(accelerator) -> Dict[str, object]:
 
 # Design records keyed by accelerator identity.  Accelerator instances hash
 # by id and the memo holds a strong reference (which also keeps the id
-# stable); build_accelerator memoises instances per (spec, config), so the
-# population is bounded by the design space, not the job count.  Stock
-# designs are immutable in every field a record reads.  Cleared wholesale if
-# it ever grows past the cap.
+# stable); build_accelerator memoises instances per (spec, config) up to
+# its LRU bound, and this memo is capped to match: cleared wholesale when
+# it reaches that many designs.  Stock designs are immutable in every field
+# a record reads.
 _DESIGN_RECORDS: Dict[object, Tuple[tuple, Dict[str, object]]] = {}
-_DESIGN_RECORDS_CAP = 4096
+_DESIGN_RECORDS_CAP = 1024
 
 
 def _design_record(accelerator) -> Tuple[tuple, Dict[str, object]]:

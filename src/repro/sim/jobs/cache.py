@@ -22,6 +22,13 @@ beyond the bound are evicted least-recently-used and counted in
 CLI runs; long-running processes (the service) set a bound so the dict cannot
 grow without limit.  All ``ResultCache`` operations are thread-safe.
 
+Every operation is batch-shaped: :meth:`ResultCache.get_many`,
+:meth:`~ResultCache.peek_many` and :meth:`~ResultCache.put_many` (and the
+backend's :meth:`~CacheBackend.load_many` / :meth:`~CacheBackend.store_many`)
+take a whole request's keys at once, so a persistent backend can answer a
+batch with one query and persist it in one transaction.  ``get``, ``peek``,
+``put``, ``load`` and ``store`` are the one-key forms.
+
 These two tiers are local to the process: no ``ResultCache`` operation ever
 does network I/O.  A cluster worker's peer tier
 (:class:`repro.cluster.peercache.PeerCacheBackend`) is not a backend here;
@@ -37,11 +44,14 @@ import abc
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.sim.results import NetworkResult
 
 __all__ = ["CacheBackend", "CacheStats", "ResultCache"]
+
+#: One ``store_many`` item: ``(key, result, spec)``.
+StoreItem = Tuple[str, NetworkResult, Optional[dict]]
 
 
 @dataclass
@@ -86,10 +96,12 @@ class CacheBackend(abc.ABC):
     """Persistent key -> :class:`NetworkResult` store behind a ResultCache.
 
     Implementations must be tolerant of damaged storage: :meth:`load` returns
-    ``None`` for entries that are missing *or* unreadable (counting the
-    latter in ``invalid_entries``) and never raises for bad data -- a cache
-    entry is always recomputable, so corruption is a miss, not an error.
-    Implementations must also be safe to call from multiple threads.
+    ``None`` (and :meth:`load_many` omits the key) for entries that are
+    missing *or* unreadable (counting the latter in ``invalid_entries``) and
+    never raises for bad data -- a cache entry is always recomputable, so
+    corruption is a miss, not an error.  Implementations must also be safe
+    to call from multiple threads.  The batch forms default to a loop over
+    the one-key forms; a backend that can do better overrides them.
     """
 
     #: Display name used in executor summaries (e.g. ``"disk cache"``).
@@ -111,6 +123,20 @@ class CacheBackend(abc.ABC):
     def store(self, key: str, result: NetworkResult,
               spec: Optional[dict] = None) -> None:
         """Persist ``result`` under ``key`` (``spec`` kept for audit)."""
+
+    def load_many(self, keys: Iterable[str]) -> Dict[str, NetworkResult]:
+        """The stored results for ``keys``; absent or bad keys are omitted."""
+        found: Dict[str, NetworkResult] = {}
+        for key in dict.fromkeys(keys):
+            result = self.load(key)
+            if result is not None:
+                found[key] = result
+        return found
+
+    def store_many(self, items: Iterable[StoreItem]) -> None:
+        """Persist every ``(key, result, spec)`` of ``items``."""
+        for key, result, spec in items:
+            self.store(key, result, spec)
 
     @abc.abstractmethod
     def contains(self, key: str) -> bool:
@@ -160,45 +186,60 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[NetworkResult]:
         """Return the cached result for ``key``, or ``None`` on a miss."""
-        return self._lookup(key, count_miss=True)
+        return self.get_many((key,)).get(key)
 
     def peek(self, key: str) -> Optional[NetworkResult]:
-        """Like :meth:`get`, but a miss is not counted in the statistics.
+        """Like :meth:`get`, but a miss is not counted in the statistics."""
+        return self.peek_many((key,)).get(key)
+
+    def get_many(self, keys: Iterable[str]) -> Dict[str, NetworkResult]:
+        """The cached results for ``keys``; a missed key is absent.
+
+        A key repeated in ``keys`` is looked up (and counted) once.
+        """
+        return self._lookup_many(keys, count_miss=True)
+
+    def peek_many(self, keys: Iterable[str]) -> Dict[str, NetworkResult]:
+        """Like :meth:`get_many`, but misses are not counted.
 
         For probe-style lookups (the service's pre-admission pass, result
-        lookups by key, a peer's ``GET /cache/<key>``) that are followed by
-        an authoritative :meth:`get` -- or by nothing at all -- so hit-rate
-        statistics stay meaningful.
+        lookups by key, a peer's ``POST /cache/lookup``) that are followed
+        by an authoritative :meth:`get_many` -- or by nothing at all -- so
+        hit-rate statistics stay meaningful.
         """
-        return self._lookup(key, count_miss=False)
+        return self._lookup_many(keys, count_miss=False)
 
-    def _lookup(self, key: str,
-                count_miss: bool) -> Optional[NetworkResult]:
+    def _lookup_many(self, keys: Iterable[str],
+                     count_miss: bool) -> Dict[str, NetworkResult]:
+        found: Dict[str, NetworkResult] = {}
+        missing = []
         with self._lock:
-            result = self._memory.get(key)
-            if result is not None:
-                self._memory.move_to_end(key)
-                self.stats.memory_hits += 1
-                return result
+            for key in dict.fromkeys(keys):
+                result = self._memory.get(key)
+                if result is not None:
+                    self._memory.move_to_end(key)
+                    found[key] = result
+                else:
+                    missing.append(key)
+            self.stats.memory_hits += len(found)
+        if not missing:
+            return found
         # Backend I/O runs outside the cache-wide lock (the backend carries
         # its own), so warm memory hits never serialise behind another
         # thread's disk/SQLite access.  Concurrent same-key loads are
         # idempotent: both threads remember the same stored result.
-        if self.backend is not None:
-            result = self.backend.load(key)
-            with self._lock:
+        loaded = (self.backend.load_many(missing)
+                  if self.backend is not None else {})
+        with self._lock:
+            if self.backend is not None:
                 self.stats.invalid_disk_entries = self.backend.invalid_entries
-                if result is not None:
-                    self._remember(key, result)
-                    self.stats.disk_hits += 1
-                    return result
-                if count_miss:
-                    self.stats.misses += 1
-                return None
-        if count_miss:
-            with self._lock:
-                self.stats.misses += 1
-        return None
+            for key, result in loaded.items():
+                self._remember(key, result)
+            self.stats.disk_hits += len(loaded)
+            if count_miss:
+                self.stats.misses += len(missing) - len(loaded)
+        found.update(loaded)
+        return found
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -214,12 +255,21 @@ class ResultCache:
     def put(self, key: str, result: NetworkResult,
             spec: Optional[dict] = None) -> None:
         """Store ``result`` under ``key``; ``spec`` is kept on disk for audit."""
+        self.put_many(((key, result, spec),))
+
+    def put_many(self, items: Iterable[StoreItem]) -> None:
+        """Store every ``(key, result, spec)`` of ``items``; the backend
+        persists the whole batch at once."""
+        items = list(items)
+        if not items:
+            return
         with self._lock:
-            self._remember(key, result)
-            self.stats.stores += 1
+            for key, result, _ in items:
+                self._remember(key, result)
+            self.stats.stores += len(items)
         if self.backend is not None:
             # Outside the lock: persisting must not block memory lookups.
-            self.backend.store(key, result, spec)
+            self.backend.store_many(items)
 
     def _remember(self, key: str, result: NetworkResult) -> None:
         self._memory[key] = result

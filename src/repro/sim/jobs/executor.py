@@ -233,21 +233,20 @@ class JobExecutor:
         resolved: Dict[str, NetworkResult] = {}
         statuses: Dict[str, str] = {}
         first_index: Dict[str, int] = {}
+        for index, key in enumerate(keys):
+            first_index.setdefault(key, index)
         pending: List[SimJob] = []
         pending_keys: List[str] = []
         with self._phase("cache_lookup", jobs=total):
-            for index, (job, key) in enumerate(zip(jobs, keys)):
-                if key in statuses:
-                    continue
-                first_index[key] = index
-                cached = self.cache.get(key)
-                if cached is not None:
-                    resolved[key] = cached
+            cached = self.cache.get_many(first_index)
+            for key, index in first_index.items():
+                if key in cached:
+                    resolved[key] = cached[key]
                     statuses[key] = "cached"
-                    emit(job, key, "cached", index)
+                    emit(jobs[index], key, "cached", index)
                 else:
                     statuses[key] = "executed"
-                    pending.append(job)
+                    pending.append(jobs[index])
                     pending_keys.append(key)
 
         if pending:
@@ -264,12 +263,13 @@ class JobExecutor:
             def on_result(position, result):
                 job, key = pending[position], pending_keys[position]
                 self.stats.record_execution(key)
-                self.cache.put(key, result,
-                               spec=spec_dict(job) if keep_spec else None)
                 resolved[key] = result
                 emit(job, key, "executed", first_index[key])
 
-            self._execute_timed(pending, on_result)
+            fresh = self._execute_timed(pending, on_result)
+            self.cache.put_many(
+                (key, result, spec_dict(job) if keep_spec else None)
+                for job, key, result in zip(pending, pending_keys, fresh))
 
         # Account and emit the remaining submissions: repeats of a cached key
         # are further cache hits; repeats of an executed key are dedup hits.

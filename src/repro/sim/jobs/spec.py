@@ -261,7 +261,15 @@ def spec_dict(job: SimJob) -> Dict[str, object]:
     }
 
 
-@functools.lru_cache(maxsize=None)
+#: ``job_key`` memo bound: above a 3072-point warm working set, so warm keys
+#: stay memoised, while never-seen points cannot pin memory without limit.
+JOB_KEY_MEMO_SIZE = 8192
+
+#: ``build_accelerator`` memo bound (one instance per distinct design).
+ACCELERATOR_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=JOB_KEY_MEMO_SIZE)
 def job_key(job: SimJob) -> str:
     """Deterministic content key: sha256 over the canonical spec JSON."""
     payload = json.dumps(spec_dict(job), sort_keys=True, separators=(",", ":"))
@@ -381,10 +389,11 @@ def network_kind_counts(name: str) -> Dict[str, int]:
     return counts
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=ACCELERATOR_MEMO_SIZE)
 def build_accelerator(spec: AcceleratorSpec,
                       config: "Optional[AcceleratorConfig]" = None):
-    """Instantiate the accelerator described by ``spec`` (memoised)."""
+    """Instantiate the accelerator described by ``spec`` (memoised, LRU
+    bounded at :data:`ACCELERATOR_MEMO_SIZE` designs)."""
     factory = ACCELERATOR_KINDS[spec.kind]
     return factory(config if config is not None else _default_config(),
                    spec.options_dict())

@@ -8,7 +8,7 @@ relative speedup / energy-efficiency numbers that the paper's tables report.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 __all__ = [
@@ -91,8 +91,26 @@ class LayerResult:
         return self.layer_kind == "matmul"
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-data form (for the on-disk result cache and tooling)."""
-        return asdict(self)
+        """Plain-data form (for the on-disk result cache and tooling).
+
+        Equal to ``dataclasses.asdict(self)``, field for field and in
+        order, without its recursive deep copy: every field but ``extra``
+        is a scalar.
+        """
+        return {
+            "layer_name": self.layer_name,
+            "layer_kind": self.layer_kind,
+            "cycles": self.cycles,
+            "compute_cycles": self.compute_cycles,
+            "memory_cycles": self.memory_cycles,
+            "energy_pj": self.energy_pj,
+            "weight_bits_read": self.weight_bits_read,
+            "activation_bits_read": self.activation_bits_read,
+            "activation_bits_written": self.activation_bits_written,
+            "macs": self.macs,
+            "utilization": self.utilization,
+            "extra": dict(self.extra),
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "LayerResult":

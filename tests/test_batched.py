@@ -316,3 +316,32 @@ class TestCLIEngineSelection:
             build_parser().parse_args(["--engine", "warp", "networks"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'warp'" in capsys.readouterr().err
+
+
+class TestBoundedMemos:
+    """Never-seen points cannot pin memory through the process memos."""
+
+    def test_memos_stay_within_their_bounds(self):
+        network = NetworkSpec("nin", "100%")
+        loom = AcceleratorSpec.create("loom")
+        jobs = [SimJob(network, loom,
+                       AcceleratorConfig(clock_ghz=2.0 + index / 100_000))
+                for index in range(3 * jobs_spec.JOB_KEY_MEMO_SIZE + 1)]
+        first = jobs[0]
+        evicted = build_accelerator(first.accelerator, first.config)
+        for job in jobs:
+            jobs_spec.job_key(job)
+        assert jobs_spec.job_key.cache_info().currsize \
+            <= jobs_spec.JOB_KEY_MEMO_SIZE
+        designs = jobs[1:3 * jobs_spec.ACCELERATOR_MEMO_SIZE + 2]
+        assert len(simulate_jobs_batched(designs)) == len(designs)
+        assert build_accelerator.cache_info().currsize \
+            <= jobs_spec.ACCELERATOR_MEMO_SIZE
+        assert batched._DESIGN_RECORDS_CAP == jobs_spec.ACCELERATOR_MEMO_SIZE
+        assert len(batched._DESIGN_RECORDS) <= batched._DESIGN_RECORDS_CAP
+        # The first design's accelerator was evicted; it is rebuilt, and
+        # the rebuilt design is still bit-identical to the event engine.
+        assert build_accelerator(first.accelerator, first.config) \
+            is not evicted
+        _jobs_equal(simulate_jobs_batched([first]), _reference([first]))
+

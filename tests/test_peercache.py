@@ -130,9 +130,10 @@ def black_hole():
 
 @contextlib.contextmanager
 def counting_peer(hold=None):
-    """A fake peer that answers every ``GET /cache/<key>`` with a 404
-    (after ``hold()`` returns) and accepts every replica ``PUT``; yields
-    its URL and the list of probed paths."""
+    """A fake peer that answers every ``POST /cache/lookup`` with no
+    results (after ``hold()`` returns) and accepts every
+    ``POST /cache/replicate``; yields its URL and the list of probed key
+    lists."""
     probes = []
 
     class Handler(BaseHTTPRequestHandler):
@@ -144,15 +145,17 @@ def counting_peer(hold=None):
             self.end_headers()
             self.wfile.write(body)
 
-        def do_GET(self):
-            probes.append(self.path)
+        def do_POST(self):
+            body = json.loads(self.rfile.read(
+                int(self.headers.get("Content-Length", 0))))
+            if self.path == "/cache/replicate":
+                self._reply(200, {"ok": True,
+                                  "stored": len(body["entries"])})
+                return
+            probes.append(body["keys"])
             if hold is not None:
                 hold()
-            self._reply(404, {"error": "miss"})
-
-        def do_PUT(self):
-            self.rfile.read(int(self.headers.get("Content-Length", 0)))
-            self._reply(200, {"ok": True, "stored": True})
+            self._reply(200, {"results": {}})
 
         def log_message(self, *args):
             pass
@@ -188,7 +191,7 @@ class TestPeerCacheUnit:
     def test_unconfigured_backend_behaves_like_its_local_tier(self):
         backend = PeerCacheBackend()
         assert backend.load(KEY) is None  # no ring: nothing to ask
-        backend.replicate(KEY, _result())  # and no replica target
+        backend.replicate_many([(KEY, _result())])  # and no replica target
         assert backend.flush_writes(timeout_s=1.0)
         core = ServiceCore()
         core.peers = backend
@@ -264,15 +267,47 @@ class TestPeerCacheUnit:
             # which is B in a two-node ring: exactly where A's keys land
             # if A dies.
             assert backend.peer_for(KEY) == b.url
-            backend.replicate(KEY, _result(cycles=9.0))
+            backend.replicate_many([(KEY, _result(cycles=9.0))])
             assert backend.flush_writes(timeout_s=10.0)
             assert backend.peer_writes == 1
-            request = urllib.request.Request(b.url + f"/cache/{KEY}")
+            request = urllib.request.Request(
+                b.url + "/cache/lookup",
+                data=json.dumps({"keys": [KEY, "absent"]}).encode("utf-8"),
+                headers={"Content-Type": "application/json"}, method="POST")
             with urllib.request.urlopen(request, timeout=10.0) as response:
                 payload = json.loads(response.read().decode("utf-8"))
-            assert payload["key"] == KEY
-            assert NetworkResult.from_dict(payload["result"]).to_dict() \
-                == _result(cycles=9.0).to_dict()
+            assert list(payload["results"]) == [KEY]  # "absent" is a miss
+            assert NetworkResult.from_dict(payload["results"][KEY]) \
+                .to_dict() == _result(cycles=9.0).to_dict()
+
+    def test_replicas_beyond_one_request_body_all_land(self):
+        # 300 googlenet-sized replicas encode to ~5.6 MB, past the 4 MB
+        # body limit of one request: they must go as several requests.
+        big = _simulated({"network": "googlenet", "accelerator": "loom"})
+        keys = [f"{index:064d}" for index in range(300)]
+        with ClusterWorker() as a, ClusterWorker() as b:
+            a.configure_peers([a.url, b.url], self_url=a.url)
+            a.peer_cache.replicate_many([(key, big) for key in keys])
+            assert a.peer_cache.flush_writes(timeout_s=30.0)
+            assert a.peer_cache.peer_write_errors == 0
+            assert a.peer_cache.peer_writes == len(keys)
+            assert len(b.core.cache.peek_many(keys)) == len(keys)
+
+    def test_malformed_peer_bodies_answer_400_off_the_client_counters(self):
+        with ClusterWorker() as worker:
+            for path, body in (("/cache/lookup", {"keys": "k"}),
+                               ("/cache/lookup", {"keys": [1]}),
+                               ("/cache/replicate", {"entries": [{"key": "k"}]}),
+                               ("/cache/replicate", {})):
+                request = urllib.request.Request(
+                    worker.url + path, data=json.dumps(body).encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                    method="POST")
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request, timeout=10.0)
+                assert excinfo.value.code == 400
+            assert worker.core.stats.requests == 0
+            assert worker.core.stats.errors == 0
 
     def test_timeout_must_be_positive(self):
         backend = PeerCacheBackend(timeout_s=0.5)
@@ -320,7 +355,8 @@ class TestMissPath:
                 for thread in threads:
                     thread.join(timeout=30.0)
                 assert worker.peer_cache.flush_writes(timeout_s=10.0)
-                assert len(probes) == 1  # only the claiming request asked
+                # Only the claiming request asked, once, for its one key.
+                assert probes == [[_point_key(POINT)]]
                 assert worker.core.executor.stats.executed == 1
                 assert sorted(entry.status for entry in outcomes) \
                     == ["coalesced"] * (threads_n - 1) + ["executed"]
@@ -352,6 +388,76 @@ class TestMissPath:
                 probes += (store["peer_hits"] + store["peer_misses"]
                            + store["peer_timeouts"])
             assert probes == len(points)
+
+
+def _cold_points(ring, per_node, offset):
+    """``per_node`` never-seen points owned by each ring node."""
+    by_node = {node: [] for node in ring.nodes}
+    index = 0
+    while any(len(points) < per_node for points in by_node.values()):
+        point = dict(POINT, clock_ghz=3.0 + (offset + index) / 100_000)
+        index += 1
+        owned = by_node[ring.node_for(_point_key(point))]
+        if len(owned) < per_node:
+            owned.append(point)
+    return [point for points in by_node.values() for point in points]
+
+
+class TestBatchedWire:
+    def test_cold_batches_cost_o1_peer_requests_and_statements(
+            self, tmp_path, monkeypatch):
+        import repro.cluster.peercache as peercache
+
+        sent = []
+        real_fetch = peercache.fetch
+
+        def counting_fetch(url, method, path, payload=None, **kwargs):
+            sent.append((url, path))
+            return real_fetch(url, method, path, payload=payload, **kwargs)
+
+        monkeypatch.setattr(peercache, "fetch", counting_fetch)
+        with peer_cluster(n=2, store_dir=tmp_path) as (coordinator, workers,
+                                                       client):
+            statements = {worker.url: [] for worker in workers}
+            for worker in workers:
+                worker.core.cache.backend._conn.set_trace_callback(
+                    statements[worker.url].append)
+            costs = []
+            for size in (4, 32):
+                points = _cold_points(coordinator.ring, size // 2, 10 * size)
+                probes_before = sum(
+                    worker.peer_cache.peer_hits
+                    + worker.peer_cache.peer_misses
+                    + worker.peer_cache.peer_timeouts for worker in workers)
+                jobs_before = [worker._requests_total.value(
+                    path="/jobs", status="200") for worker in workers]
+                del sent[:]
+                for log in statements.values():
+                    del log[:]
+                entries = client.submit_points(points)
+                assert {entry.status for entry in entries} == {"executed"}
+                for worker in workers:
+                    assert worker.peer_cache.flush_writes(timeout_s=30.0)
+                # One worker request per shard, and from each one exactly
+                # one lookup and one replicate to its one peer.
+                assert [worker._requests_total.value(
+                    path="/jobs", status="200") - before
+                    for worker, before in zip(workers, jobs_before)] \
+                    == [1, 1]
+                assert sorted(sent) == sorted(
+                    (worker.url, path) for worker in workers
+                    for path in ("/cache/lookup", "/cache/replicate"))
+                # The peer counters still count keys, not requests.
+                assert sum(worker.peer_cache.peer_hits
+                           + worker.peer_cache.peer_misses
+                           + worker.peer_cache.peer_timeouts
+                           for worker in workers) - probes_before == size
+                costs.append([len(statements[worker.url])
+                              for worker in workers])
+            for worker in workers:
+                worker.core.cache.backend._conn.set_trace_callback(None)
+            # The same SQLite statements per worker for 4 and 32 points.
+            assert costs[0] == costs[1]
 
 
 class TestRingPush:

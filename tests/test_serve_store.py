@@ -10,6 +10,7 @@ corrupting an entry or changing the result.
 import json
 import multiprocessing
 import sqlite3
+import sys
 import threading
 
 import pytest
@@ -229,6 +230,160 @@ class TestLRUBound:
             store.store(f"key{index}", _result())
         assert len(store) == 10
         assert store.evictions == 0
+
+
+class TestBatchedStore:
+    """``load_many`` / ``store_many``: one query and one transaction per
+    batch, with the one-key semantics intact."""
+
+    def test_store_many_round_trips_every_entry(self, tmp_path):
+        store = SQLiteResultStore(tmp_path / "cache.db")
+        store.store_many([(f"key{i}", _result(cycles=float(i + 1)), None)
+                          for i in range(5)])
+        assert len(store) == 5
+        loaded = store.load_many([f"key{i}" for i in range(5)] + ["absent"])
+        assert sorted(loaded) == [f"key{i}" for i in range(5)]
+        for i in range(5):
+            assert loaded[f"key{i}"].to_dict() \
+                == _result(cycles=float(i + 1)).to_dict()
+        store.close()
+
+    def test_corrupt_row_among_good_rows_is_deleted_and_counted_once(
+            self, tmp_path):
+        store = SQLiteResultStore(tmp_path / "cache.db")
+        store.store_many([(key, _result(), None)
+                          for key in ("good0", "bad", "good1")])
+        store._conn.execute(
+            "UPDATE results SET result = '{truncated' WHERE key = 'bad'")
+        store._conn.commit()
+        loaded = store.load_many(["good0", "bad", "good1", "bad"])
+        assert sorted(loaded) == ["good0", "good1"]
+        assert store.invalid_entries == 1
+        assert not store.contains("bad")
+        assert store.contains("good0") and store.contains("good1")
+        store.close()
+
+    def test_repeated_key_is_handled_once(self, tmp_path):
+        store = SQLiteResultStore(tmp_path / "cache.db")
+        store.store_many([(KEY, _result(cycles=1.0), None),
+                          (KEY, _result(cycles=2.0), None)])
+        assert len(store) == 1
+        assert store.load(KEY).to_dict() == _result(cycles=2.0).to_dict()
+        assert list(store.load_many([KEY, KEY, KEY])) == [KEY]
+        # One load of the first check plus one batch: two hits, not four.
+        assert store.stats_dict()["lifetime_hits"] == 2
+        store.close()
+
+    def test_lifetime_hits_are_exact_after_batched_hits(self, tmp_path):
+        path = tmp_path / "cache.db"
+        store = SQLiteResultStore(path)
+        keys = [f"key{i}" for i in range(4)]
+        store.store_many([(key, _result(), None) for key in keys])
+        assert len(store.load_many(keys)) == 4
+        assert len(store.load_many(keys[:3] + ["absent"])) == 3
+        assert store.stats_dict()["lifetime_hits"] == 7
+        store.close()
+        assert SQLiteResultStore.inspect(path)["lifetime_hits"] == 7
+
+    def test_batched_loads_refresh_lru_recency(self, tmp_path):
+        store = SQLiteResultStore(tmp_path / "cache.db", max_entries=3)
+        store.store_many([(f"key{i}", _result(), None) for i in range(3)])
+        # Touch key0 and key2 in one batch so key1 becomes the least
+        # recently used.
+        assert sorted(store.load_many(["key0", "key2"])) == ["key0", "key2"]
+        store.store_many([("key3", _result(), None)])
+        assert store.evictions == 1
+        assert not store.contains("key1")
+        assert all(store.contains(key) for key in ("key0", "key2", "key3"))
+        store.close()
+
+    def test_batch_beyond_the_parameter_limit_is_chunked(self, tmp_path):
+        store = SQLiteResultStore(tmp_path / "cache.db")
+        keys = [f"key{i:04d}" for i in range(1200)]
+        store.store_many([(key, _result(), None) for key in keys])
+        assert len(store) == 1200
+        loaded = store.load_many(keys + ["absent"])
+        assert sorted(loaded) == keys
+        assert store.stats_dict()["lifetime_hits"] == 1200
+        store.close()
+
+    def test_batch_costs_the_same_statements_at_any_size(self, tmp_path):
+        store = SQLiteResultStore(tmp_path / "cache.db", max_entries=10_000)
+        counts = []
+        for size in (4, 64):
+            keys = [f"{size}-{i}" for i in range(size)]
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            store.store_many([(key, _result(), None) for key in keys])
+            store.load_many(keys)
+            store._conn.set_trace_callback(None)
+            counts.append(len(statements))
+        assert counts[0] == counts[1]
+        store.close()
+
+    def test_result_cache_batches_reach_the_backend_once(self, tmp_path):
+        store = SQLiteResultStore(tmp_path / "cache.db")
+        calls = []
+        load_many, store_many = store.load_many, store.store_many
+        store.load_many = lambda keys: calls.append("load") or load_many(keys)
+        store.store_many = lambda items: (calls.append("store")
+                                          or store_many(items))
+        cache = ResultCache(backend=store, max_memory_entries=2)
+        cache.put_many([(f"key{i}", _result(), None) for i in range(4)])
+        found = cache.get_many(["key0", "key1", "key2", "key3", "absent"])
+        assert sorted(found) == ["key0", "key1", "key2", "key3"]
+        assert calls == ["store", "load"]
+        assert cache.stats.memory_hits == 2  # key2, key3 stayed in memory
+        assert cache.stats.disk_hits == 2
+        assert cache.stats.misses == 1
+        assert cache.stats.stores == 4
+        assert cache.peek_many(["absent"]) == {}
+        assert cache.stats.misses == 1  # peeks do not count misses
+        cache.close()
+
+    def test_concurrent_batches_keep_every_counter_exact(self, tmp_path):
+        store = SQLiteResultStore(tmp_path / "cache.db")
+        cache = ResultCache(backend=store, max_memory_entries=8)
+        keys = [f"key{i:02d}" for i in range(32)]
+        cache.put_many([(key, _result(), None) for key in keys[:16]])
+        threads_n, rounds = 8, 12
+        barrier = threading.Barrier(threads_n)
+        errors = []
+
+        def worker(offset):
+            try:
+                barrier.wait(timeout=10.0)
+                for step in range(rounds):
+                    start = (offset + step) % 16
+                    found = cache.get_many(keys[start:start + 16])
+                    if sorted(found) != keys[start:16]:
+                        errors.append(f"batch at {start} found {sorted(found)}")
+            except Exception as error:  # pragma: no cover - assertion target
+                errors.append(repr(error))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(offset,))
+                       for offset in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # Batch ``start`` holds ``start`` never-stored keys.
+        misses = sum((offset + step) % 16 for offset in range(threads_n)
+                     for step in range(rounds))
+        stats = cache.stats
+        assert stats.misses == misses
+        assert stats.memory_hits + stats.disk_hits + stats.misses \
+            == threads_n * rounds * 16
+        # Every disk hit bumped its row's counter exactly once.
+        assert store.stats_dict()["lifetime_hits"] == stats.disk_hits
+        cache.close()
 
 
 class TestResultCacheIntegration:

@@ -1,8 +1,19 @@
 """Tests for the simulation infrastructure (results, metrics, engine, runner)."""
 
+import dataclasses
+import json
+
 import pytest
 
+from repro.nn import available_networks
+from repro.sim.batched import simulate_jobs_batched
 from repro.sim.engine import CycleEngine
+from repro.sim.jobs.spec import (
+    ACCELERATOR_KINDS,
+    AcceleratorSpec,
+    NetworkSpec,
+    SimJob,
+)
 from repro.sim.metrics import efficiency_ratio, geomean, harmonic_mean, speedup
 from repro.sim.results import (
     LayerResult,
@@ -40,6 +51,22 @@ class TestLayerResult:
     def test_negative_cycles_rejected(self):
         with pytest.raises(ValueError):
             LayerResult("l", "conv", -1)
+
+    @pytest.mark.parametrize("network", available_networks())
+    def test_to_dict_matches_asdict_for_every_design(self, network):
+        jobs = [SimJob(NetworkSpec(network), AcceleratorSpec.create(kind))
+                for kind in sorted(ACCELERATOR_KINDS)]
+        names = [f.name for f in dataclasses.fields(LayerResult)]
+        for result in simulate_jobs_batched(jobs):
+            for layer in result.layers:
+                encoded = layer.to_dict()
+                # Every field, in declaration order: a future field cannot
+                # be dropped silently.
+                assert list(encoded) == names
+                assert encoded == dataclasses.asdict(layer)
+                assert json.dumps(encoded) \
+                    == json.dumps(dataclasses.asdict(layer))
+                assert encoded["extra"] is not layer.extra
 
 
 class TestNetworkResult:
