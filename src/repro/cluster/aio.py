@@ -10,16 +10,20 @@ use:
   objects), parses requests, and hands ``(request, responder)`` pairs to
   an async handler.  Keep-alive
   connections serve sequential requests; slow or idle peers are timed out
-  instead of pinning resources.
+  instead of pinning resources, and ``stop()`` drops idle connections at
+  once.
 * :class:`HTTPResponder` -- plain ``Content-Length`` JSON responses, plus
   **chunked** streaming (``start_stream``/``write_chunk``/``finish``) for
   NDJSON result streams and ``text/event-stream`` SSE -- the transfer
   encodings that let ``/explore`` deliver results before a sweep finishes.
-* :func:`fetch` -- a small one-request async client (the coordinator's
-  shard-facing side): connect, send, parse, close.  No pooling; shard
-  fan-out opens a handful of sockets per batch, which localhost handles
-  comfortably, and connection-per-request makes dead-worker detection
-  immediate.
+  A response after which the server closes the socket says
+  ``Connection: close``.
+* :func:`fetch` -- a small async HTTP/1.1 client (the coordinator's
+  shard-facing side and the peer cache tier) over a pool of idle
+  keep-alive connections per (event loop, host, port).  A pooled
+  connection the server closed meanwhile is retried once on a fresh one;
+  every other failure raises, so a dead worker is still detected on the
+  request that meets it.
 
 Nothing here knows about jobs or shards; it is transport only.
 """
@@ -30,13 +34,15 @@ import asyncio
 import concurrent.futures
 import json
 import threading
+import weakref
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Dict, Optional, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.trace import get_tracer
 
 __all__ = ["AsyncHTTPServer", "HTTPReply", "HTTPRequest", "HTTPResponder",
-           "RequestError", "TIMEOUTS", "fetch", "fetch_json"]
+           "RequestError", "TIMEOUTS", "close_idle_connections", "fetch",
+           "fetch_json"]
 
 #: Every spelling of a timeout (distinct classes before Python 3.11).
 TIMEOUTS = (TimeoutError, asyncio.TimeoutError,
@@ -49,6 +55,8 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 _MAX_HEAD_BYTES = 64 * 1024
 #: How long a keep-alive connection may idle between requests.
 _KEEPALIVE_TIMEOUT_S = 30.0
+#: Idle client connections :func:`fetch` keeps per (loop, host, port).
+_MAX_IDLE_PER_HOST = 8
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -116,6 +124,8 @@ class HTTPResponder:
         self.responded = False
         self.streaming = False
         self.status: Optional[int] = None
+        #: The server closes the connection after this response; set it
+        #: before responding and the head announces ``Connection: close``.
         self.close_after = False
         #: Correlation id echoed as ``X-Request-Id`` on the response.
         self.request_id: Optional[str] = None
@@ -126,6 +136,8 @@ class HTTPResponder:
                  f"Server: {self._server_tag}"]
         if self.request_id:
             lines.append(f"X-Request-Id: {self.request_id}")
+        if self.close_after:
+            lines.append("Connection: close")
         lines.extend(f"{name}: {value}" for name, value in headers.items())
         return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
@@ -237,8 +249,8 @@ class AsyncHTTPServer:
     ``handler(request, responder)`` must send exactly one response (fixed or
     streamed).  Handler exceptions map to 500; :class:`RequestError` to its
     status.  ``start()`` binds and returns the URL; ``stop()`` stops
-    accepting, lets in-flight handlers finish (bounded), then tears the
-    loop down.
+    accepting, closes keep-alive connections idle between requests, lets
+    in-flight handlers finish (bounded), then tears the loop down.
     """
 
     def __init__(self, handler: Handler, host: str = "127.0.0.1",
@@ -251,6 +263,9 @@ class AsyncHTTPServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._thread: Optional[threading.Thread] = None
         self._connections: set = set()
+        #: Writers of connections waiting for their next request (stop()
+        #: closes these at once; the rest are mid-request and get drained).
+        self._idle: set = set()
         self._stopping = False
 
     @property
@@ -267,6 +282,7 @@ class AsyncHTTPServer:
         self._connections.add(task)
         try:
             while not self._stopping:
+                self._idle.add(writer)
                 try:
                     request = await asyncio.wait_for(
                         _read_request(reader, client),
@@ -275,11 +291,13 @@ class AsyncHTTPServer:
                     break
                 except RequestError as error:
                     responder = HTTPResponder(writer, self.server_tag)
+                    responder.close_after = True
                     with _swallow_connection_errors():
                         await responder.send_json(
-                            error.status, {"error": error.message},
-                            headers={"Connection": "close"})
+                            error.status, {"error": error.message})
                     break
+                finally:
+                    self._idle.discard(writer)
                 if request is None:
                     break
                 responder = HTTPResponder(writer, self.server_tag)
@@ -301,6 +319,7 @@ class AsyncHTTPServer:
                     break
         finally:
             self._connections.discard(task)
+            self._idle.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -364,7 +383,8 @@ class AsyncHTTPServer:
         return asyncio.run_coroutine_threadsafe(coroutine, self.loop)
 
     def stop(self, drain_timeout_s: float = 10.0) -> None:
-        """Stop accepting, drain in-flight handlers, stop the loop."""
+        """Stop accepting, drop idle connections, drain in-flight handlers,
+        stop the loop."""
         if self.loop is None:
             return
         self._stopping = True
@@ -372,13 +392,23 @@ class AsyncHTTPServer:
         async def _shutdown() -> None:
             if self._server is not None:
                 self._server.close()
-                await self._server.wait_closed()
+            # A keep-alive connection between requests has nothing to
+            # drain: close it now rather than wait out its idle timeout
+            # (its task then reads EOF and ends).
+            for writer in list(self._idle):
+                writer.close()
             pending = {task for task in self._connections
                        if task is not asyncio.current_task()}
             if pending:
                 await asyncio.wait(pending, timeout=drain_timeout_s)
                 for task in pending:
                     task.cancel()
+                await asyncio.gather(*pending, return_exceptions=True)
+            await close_idle_connections()
+            if self._server is not None:
+                # Python 3.12+ waits here for every connection to close.
+                with _swallow_connection_errors():
+                    await asyncio.wait_for(self._server.wait_closed(), 5.0)
 
         try:
             future = asyncio.run_coroutine_threadsafe(_shutdown(), self.loop)
@@ -419,72 +449,153 @@ def _split_url(url: str) -> Tuple[str, int, str]:
     return host, int(port), ("/" + base if slash else "").rstrip("/")
 
 
-async def fetch(url: str, method: str = "GET", path: str = "/",
-                payload: Optional[Dict[str, object]] = None,
-                timeout_s: float = 600.0,
-                headers: Optional[Dict[str, str]] = None) -> HTTPReply:
-    """One HTTP request against ``url``; connection-per-request.
+#: Idle keep-alive connections by event loop, then by (host, port).  Only
+#: the owning loop's thread touches a loop's pool; the lock guards the map.
+_IDLE: "weakref.WeakKeyDictionary[asyncio.AbstractEventLoop, " \
+    "Dict[Tuple[str, int], List[tuple]]]" = weakref.WeakKeyDictionary()
+_IDLE_LOCK = threading.Lock()
 
-    Raises ``ConnectionError`` when the peer is unreachable or hangs up
-    mid-response and ``asyncio.TimeoutError`` on deadline -- the two signals
-    the coordinator's failover path treats as "this shard is down".
-    """
-    host, port, base = _split_url(url)
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout=min(timeout_s, 10.0))
+
+def _idle_pool(host: str, port: int) -> List[tuple]:
+    """The running loop's idle ``(reader, writer)`` pairs for host:port."""
+    loop = asyncio.get_running_loop()
+    with _IDLE_LOCK:
+        by_host = _IDLE.get(loop)
+        if by_host is None:
+            # A pooled transport references its loop, so a loop closed
+            # without close_idle_connections() would never leave the map.
+            for closed in [other for other in _IDLE if other.is_closed()]:
+                del _IDLE[closed]
+            by_host = _IDLE[loop] = {}
+    return by_host.setdefault((host, port), [])
+
+
+def _take_idle(pool: List[tuple]) -> Optional[tuple]:
+    """A pooled connection that still looks open, or ``None``."""
+    while pool:
+        reader, writer = pool.pop()
+        if reader.at_eof() or reader.exception() is not None \
+                or writer.is_closing():
+            writer.close()
+            continue
+        return reader, writer
+    return None
+
+
+async def close_idle_connections() -> None:
+    """Close every idle pooled connection of the running loop (a loop
+    that is about to stop calls this so no transport outlives it)."""
+    with _IDLE_LOCK:
+        by_host = _IDLE.pop(asyncio.get_running_loop(), {})
+    for pool in by_host.values():
+        for _reader, writer in pool:
+            writer.close()
+
+
+class _Stale(Exception):
+    """A pooled connection was closed by the server before any response
+    byte arrived: safe to send the request again on a fresh one."""
+
+
+async def _exchange(reader: asyncio.StreamReader,
+                    writer: asyncio.StreamWriter, request: bytes, url: str,
+                    timeout_s: float, reused: bool) -> Tuple[HTTPReply, bool]:
+    """Send ``request``, read one response; ``(reply, reusable)``."""
     try:
-        body = json.dumps(payload).encode("utf-8") if payload is not None \
-            else b""
-        head = {
-            "Host": f"{host}:{port}",
-            "Connection": "close",
-            "Content-Length": str(len(body)),
-        }
-        if payload is not None:
-            head["Content-Type"] = "application/json"
-        head.update(headers or {})
-        # Carry the active trace across the hop (coordinator -> worker,
-        # peer-cache lookups) unless the caller pinned its own header.
-        get_tracer().inject_headers(head)
-        lines = [f"{method} {base + path} HTTP/1.1"]
-        lines.extend(f"{name}: {value}" for name, value in head.items())
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-                     + body)
+        writer.write(request)
         await writer.drain()
-
         raw_head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"),
                                           timeout=timeout_s)
-        status_line, *header_lines = raw_head.decode("latin-1").split("\r\n")
-        parts = status_line.split(" ", 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-            raise ConnectionError(f"bad status line from {url}: "
-                                  f"{status_line!r}")
-        status = int(parts[1])
-        reply_headers: Dict[str, str] = {}
-        for line in header_lines:
-            if not line:
-                continue
-            name, sep, value = line.partition(":")
-            if sep:
-                reply_headers[name.strip().lower()] = value.strip()
-        if "content-length" in reply_headers:
-            length = int(reply_headers["content-length"])
-            reply_body = await asyncio.wait_for(reader.readexactly(length),
-                                                timeout=timeout_s)
+    except asyncio.IncompleteReadError as error:
+        if reused and not error.partial:
+            raise _Stale() from error
+        raise ConnectionError(f"{url} hung up mid-response") from error
+    except ConnectionError:
+        if reused:
+            raise _Stale() from None
+        raise
+    status_line, *header_lines = raw_head.decode("latin-1").split("\r\n")
+    parts = status_line.split(" ", 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
+        raise ConnectionError(f"bad status line from {url}: "
+                              f"{status_line!r}")
+    status = int(parts[1])
+    headers: Dict[str, str] = {}
+    for line in header_lines:
+        if not line:
+            continue
+        name, sep, value = line.partition(":")
+        if sep:
+            headers[name.strip().lower()] = value.strip()
+    try:
+        if "content-length" in headers:
+            body = await asyncio.wait_for(
+                reader.readexactly(int(headers["content-length"])),
+                timeout=timeout_s)
         else:
-            # Connection: close responses without a length: read to EOF.
-            reply_body = await asyncio.wait_for(reader.read(),
-                                                timeout=timeout_s)
-        return HTTPReply(status=status, headers=reply_headers,
-                         body=reply_body)
+            # No length: the body runs to EOF, which ends the connection.
+            body = await asyncio.wait_for(reader.read(), timeout=timeout_s)
     except asyncio.IncompleteReadError as error:
         raise ConnectionError(f"{url} hung up mid-response") from error
-    finally:
-        writer.close()
+    reusable = ("content-length" in headers
+                and headers.get("connection", "").lower() != "close")
+    return HTTPReply(status=status, headers=headers, body=body), reusable
+
+
+async def fetch(url: str, method: str = "GET", path: str = "/",
+                payload: Union[Dict[str, object], bytes, None] = None,
+                timeout_s: float = 600.0,
+                headers: Optional[Dict[str, str]] = None) -> HTTPReply:
+    """One HTTP request against ``url`` over a pooled keep-alive connection.
+
+    ``payload`` is a JSON object, or a body already encoded as JSON.
+    Raises ``ConnectionError`` when the peer is unreachable or hangs up
+    mid-response and ``asyncio.TimeoutError`` on deadline -- the two signals
+    the coordinator's failover path treats as "this shard is down".  A
+    pooled connection the server had already closed (no response byte
+    arrived) is retried once, on a fresh connection.
+    """
+    host, port, base = _split_url(url)
+    if isinstance(payload, bytes):
+        body = payload
+    else:
+        body = json.dumps(payload).encode("utf-8") if payload is not None \
+            else b""
+    head = {"Host": f"{host}:{port}", "Content-Length": str(len(body))}
+    if payload is not None:
+        head["Content-Type"] = "application/json"
+    head.update(headers or {})
+    # Carry the active trace across the hop (coordinator -> worker,
+    # peer-cache lookups) unless the caller pinned its own header.
+    get_tracer().inject_headers(head)
+    lines = [f"{method} {base + path} HTTP/1.1"]
+    lines.extend(f"{name}: {value}" for name, value in head.items())
+    request = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+    pool = _idle_pool(host, port)
+    connection = _take_idle(pool)
+    while True:
+        reused = connection is not None
+        if connection is None:
+            connection = await asyncio.wait_for(
+                asyncio.open_connection(host, port),
+                timeout=min(timeout_s, 10.0))
+        reader, writer = connection
         try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+            reply, reusable = await _exchange(reader, writer, request, url,
+                                              timeout_s, reused)
+        except _Stale:
+            writer.close()
+            connection = None  # once, on a fresh connection
+            continue
+        except BaseException:
+            writer.close()
+            raise
+        if reusable and len(pool) < _MAX_IDLE_PER_HOST:
+            pool.append(connection)
+        else:
+            writer.close()
+        return reply
 
 
 async def fetch_json(url: str, method: str = "GET", path: str = "/",

@@ -45,6 +45,13 @@ Request bodies are parsed by the same functions a worker uses
 :func:`~repro.serve.core.parse_explore_request`), and the request scope --
 spans, request ids, error mapping, counters -- is
 :class:`~repro.cluster.node.HTTPNode`'s.
+
+Shard answers are never decoded: the coordinator checks each shard body's
+frame and entry count (:mod:`repro.cluster.wire`) and splices the entry
+bytes, in submission order, into its own answer.  Only a sweep run here
+(``POST /explore``) parses entries, because its strategies need results.
+Connections to the shards are kept alive and reused
+(:func:`repro.cluster.aio.fetch`).
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro import __version__
+from repro.cluster import wire
 from repro.cluster.aio import (
     HTTPRequest,
     HTTPResponder,
@@ -136,7 +144,6 @@ class _Pending:
     index: int
     point: Mapping[str, object]
     key: str
-    entry: Optional[Dict[str, object]] = None
     attempts: int = 0
 
 
@@ -401,13 +408,14 @@ class ClusterCoordinator(HTTPNode):
 
     async def _submit_to_shard(self, url: str,
                                points: List[Mapping[str, object]]
-                               ) -> List[Dict[str, object]]:
-        """One shard batch, retrying 429 backpressure politely.
+                               ) -> List[bytes]:
+        """One shard batch, retrying 429 backpressure politely; the
+        shard's entries, unparsed.
 
         Raises ``ConnectionError``/``asyncio.TimeoutError`` when the shard
-        is unreachable (the caller's failover path) and ``RequestError``
-        for anything the shard itself rejected (a client bug, not a shard
-        death -- never failed over).
+        is unreachable or answers a bad frame (the caller's failover path)
+        and ``RequestError`` for anything the shard itself rejected (a
+        client bug, not a shard death -- never failed over).
         """
         for attempt in range(self.shard_backpressure_retries + 1):
             reply = await fetch(url, "POST", "/jobs",
@@ -431,19 +439,22 @@ class ClusterCoordinator(HTTPNode):
                 except ValueError:
                     message = f"shard answered HTTP {reply.status}"
                 raise RequestError(reply.status, message)
-            payload = reply.json()
-            results = payload.get("results")
-            if not isinstance(results, list) or len(results) != len(points):
-                raise ConnectionError(
-                    f"{url} answered {len(results) if isinstance(results, list) else 'no'} "
-                    f"results for {len(points)} points")
-            return results
+            try:
+                entries = wire.unframe_entries(reply.body)
+            except ValueError as error:
+                raise ConnectionError(f"{url} answered a bad frame: "
+                                      f"{error}") from None
+            if len(entries) != len(points):
+                raise ConnectionError(f"{url} answered {len(entries)} "
+                                      f"results for {len(points)} points")
+            return entries
         raise RequestError(429, f"shard {url} still overloaded after "
                                 f"{self.shard_backpressure_retries} retries")
 
     async def _submit_points(self, points: Sequence[Mapping[str, object]],
-                             emit=None) -> List[Dict[str, object]]:
-        """Route ``points`` across shards; merged entries in submission order.
+                             emit=None) -> List[bytes]:
+        """Route ``points`` across shards; merged entries in submission
+        order, as the shards' unparsed entry bytes.
 
         ``emit(index, entry)`` (async) is called for every resolved point in
         submission order, as soon as every earlier point has resolved -- the
@@ -456,7 +467,7 @@ class ClusterCoordinator(HTTPNode):
         keys = await self._keys_for(points)
         pending = [_Pending(index=index, point=point, key=key)
                    for index, (point, key) in enumerate(zip(points, keys))]
-        slots: List[Optional[Dict[str, object]]] = [None] * len(pending)
+        slots: List[Optional[bytes]] = [None] * len(pending)
         self._bump("submitted_points", len(pending))
         flushed = 0
 
@@ -669,33 +680,28 @@ class ClusterCoordinator(HTTPNode):
         except (ConnectionError, OSError, asyncio.TimeoutError) as error:
             self._mark_shard(owner, False, f"{type(error).__name__}: {error}")
             raise RequestError(503, f"shard {owner} is unreachable") from None
-        try:
-            payload = reply.json()
-        except ValueError:
-            raise RequestError(502, f"shard {owner} answered malformed "
-                                    f"JSON") from None
-        await responder.send_json(reply.status, payload)
+        # The shard's answer is forwarded as it came, body unparsed.
+        await responder.send(reply.status, reply.body,
+                             reply.headers.get("content-type",
+                                               "application/json"))
 
     async def _handle_jobs(self, request: HTTPRequest,
                            responder: HTTPResponder) -> None:
         points, single = parse_jobs_request(request.json())
         if single or not request.wants("application/x-ndjson"):
             entries = await self._submit_points(points)
-            if single:
-                await responder.send_json(200, entries[0])
-            else:
-                await responder.send_json(200, {"results": entries})
+            await responder.send(200, entries[0] if single
+                                 else wire.frame_entries(entries),
+                                 "application/json")
             return
         # NDJSON stream: one line per resolved point, submission order,
         # flushed as shard answers land -- then a terminal summary line.
         self._bump("streams")
         await responder.start_stream("application/x-ndjson")
 
-        async def _emit(index: int, entry: Dict[str, object]) -> None:
+        async def _emit(index: int, entry: bytes) -> None:
             self._stream_events_total.inc()
-            await responder.write_chunk(
-                (json.dumps({"index": index, **entry}) + "\n")
-                .encode("utf-8"))
+            await responder.write_chunk(wire.ndjson_line(index, entry))
 
         try:
             entries = await self._submit_points(points, emit=_emit)
@@ -705,7 +711,6 @@ class ClusterCoordinator(HTTPNode):
                 (json.dumps({"error": message, "status": status})
                  + "\n").encode("utf-8"))
             await responder.finish_stream()
-            responder.close_after = True
             return
         await responder.write_chunk(
             (json.dumps({"done": True, "count": len(entries)}) + "\n")
@@ -750,6 +755,8 @@ class ClusterCoordinator(HTTPNode):
             finally:
                 self._explore_threads.discard(threading.current_thread())
 
+        # The server closes an SSE connection after its stream; say so.
+        responder.close_after = True
         await responder.start_stream("text/event-stream")
         await responder.write_event("start", {
             "strategy": payload.get("strategy", "grid"),
@@ -773,7 +780,6 @@ class ClusterCoordinator(HTTPNode):
         finally:
             handle.done.set()
             self._streams.discard(handle)
-        responder.close_after = True
 
 
 class _ShardedExecutor:
@@ -807,7 +813,8 @@ class _ShardedExecutor:
         self.stats.submitted += len(jobs)
         future = asyncio.run_coroutine_threadsafe(
             self.coordinator._submit_points(points), loop)
-        entries = future.result(timeout=self.coordinator.shard_timeout_s)
+        entries = [json.loads(entry) for entry in
+                   future.result(timeout=self.coordinator.shard_timeout_s)]
         results = []
         brief = []
         for entry in entries:

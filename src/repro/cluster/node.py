@@ -211,8 +211,8 @@ class HTTPNode:
 
     async def _shutdown(self, responder: HTTPResponder) -> None:
         """``POST /shutdown``: answer, then stop once the reply is out."""
+        responder.close_after = True  # announced as Connection: close
         await responder.send_json(200, {"ok": True, "stopping": True})
-        responder.close_after = True
         # The server cannot tear itself down from inside a handler; a plain
         # thread does it once this response is on the wire.
         self.request_stop()

@@ -23,7 +23,7 @@ carries.
   crosses the network at most once per shard.
 * **replicate_many** -- send freshly simulated results (fire and forget),
   grouped by failover target, as one ``POST /cache/replicate {"entries":
-  [{"key", "result"}]}`` per peer.  The target is the ring owner when this
+  {key: result}}`` per peer.  The target is the ring owner when this
   shard is not the owner, or the ring *successor* when it is: precisely the
   shard the key will be re-routed to if this one dies, so a re-routed key
   finds its replica in the new owner's local tiers.
@@ -45,9 +45,14 @@ A peer serves ``POST /cache/lookup`` with ``ResultCache.peek_many`` and
 stores replicas with ``ResultCache.put_many``.  Neither reaches this class,
 so a lookup cannot chain through the ring and a replica cannot bounce back.
 
+Results travel as their JSON texts, framed by :mod:`repro.cluster.wire`:
+a replica is sent as the text the sender's cache holds, and an answer is
+decoded once, to validate it, then cached as the text it arrived as.
+
 The backend runs its network I/O on a private asyncio loop in a daemon
-thread (reusing :func:`repro.cluster.aio.fetch`), so it can be driven from
-the synchronous core without touching the worker's own event loop.
+thread (reusing :func:`repro.cluster.aio.fetch` and its keep-alive
+connections), so it can be driven from the synchronous core without
+touching the worker's own event loop.
 """
 
 from __future__ import annotations
@@ -60,9 +65,11 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.cluster.aio import TIMEOUTS, fetch
+from repro.cluster import wire
+from repro.cluster.aio import TIMEOUTS, close_idle_connections, fetch
 from repro.obs.metrics import PEER_LATENCY_BUCKETS, MetricsRegistry
 from repro.cluster.ring import ConsistentHashRing
+from repro.sim.jobs.cache import CachedResult
 from repro.sim.results import NetworkResult
 
 __all__ = ["PeerCacheBackend"]
@@ -184,11 +191,11 @@ class PeerCacheBackend:
 
     # -- peer tier ------------------------------------------------------------
 
-    def load(self, key: str) -> Optional[NetworkResult]:
+    def load(self, key: str) -> Optional[CachedResult]:
         """One key's :meth:`load_many`: ``None`` unless a peer answered."""
         return self.load_many((key,)).get(key)
 
-    def load_many(self, keys: Iterable[str]) -> Dict[str, NetworkResult]:
+    def load_many(self, keys: Iterable[str]) -> Dict[str, CachedResult]:
         """Ask each key's peer for its result, one request per peer.
 
         Returns the answered keys; a miss, a timeout, a dead or
@@ -207,7 +214,7 @@ class PeerCacheBackend:
                        if started < self._cooldown_until.get(peer, 0.0)]
         for peer in cooling:
             self._count("timeouts", len(by_peer.pop(peer)))
-        found: Dict[str, NetworkResult] = {}
+        found: Dict[str, CachedResult] = {}
         if not by_peer:
             return found
         try:
@@ -233,15 +240,17 @@ class PeerCacheBackend:
             loop, thread = self._loop, self._loop_thread
             self._loop = self._loop_thread = None
         if loop is not None:
-            # Cancel and drain any still-pending fetch before stopping the
-            # loop, so their transports close on a live loop instead of
-            # complaining from the garbage collector.
+            # Cancel and drain any still-pending fetch, and close the idle
+            # pooled connections, before stopping the loop, so transports
+            # close on a live loop instead of complaining from the garbage
+            # collector.
             async def _drain() -> None:
                 tasks = [task for task in asyncio.all_tasks()
                          if task is not asyncio.current_task()]
                 for task in tasks:
                     task.cancel()
                 await asyncio.gather(*tasks, return_exceptions=True)
+                await close_idle_connections()
 
             try:
                 asyncio.run_coroutine_threadsafe(
@@ -278,7 +287,7 @@ class PeerCacheBackend:
         return loop
 
     def _collect(self, peer: str, keys: List[str], future,
-                 started: float) -> Dict[str, NetworkResult]:
+                 started: float) -> Dict[str, CachedResult]:
         """Wait (within what is left of the budget) for one peer's
         ``POST /cache/lookup`` and count its keys."""
         try:
@@ -296,12 +305,14 @@ class PeerCacheBackend:
             return {}
         if self._fetch_seconds is not None:
             self._fetch_seconds.observe(time.monotonic() - started)
-        found: Dict[str, NetworkResult] = {}
+        found: Dict[str, CachedResult] = {}
         try:
-            results = reply.json()["results"] if reply.status == 200 else {}
+            texts = (wire.unframe_texts("results", reply.body)
+                     if reply.status == 200 else {})
             for key in keys:
-                if key in results:
-                    found[key] = NetworkResult.from_dict(results[key])
+                if key in texts:
+                    found[key] = CachedResult(
+                        texts[key], NetworkResult.from_json(texts[key]))
         except (ValueError, KeyError, TypeError):
             found = {}  # unreadable answer: recompute every key locally
         self._count("hits", len(found))
@@ -329,18 +340,17 @@ class PeerCacheBackend:
         if metric is not None:
             metric.inc(keys)
 
-    def replicate_many(self, items: Iterable[Tuple[str, NetworkResult]]
-                       ) -> None:
-        """Fire-and-forget replication of fresh ``(key, result)`` pairs:
-        one ``POST /cache/replicate`` per failover target and
+    def replicate_many(self, items: Iterable[Tuple[str, object]]) -> None:
+        """Fire-and-forget replication of fresh ``(key, result)`` pairs
+        (``result`` is anything with a ``to_json()``): one
+        ``POST /cache/replicate`` per failover target and
         :data:`REPLICATE_CHUNK` results (no-op while the ring has no other
         node)."""
-        by_peer: Dict[str, List[Dict[str, object]]] = {}
+        by_peer: Dict[str, List[Tuple[str, str]]] = {}
         for key, result in items:
             peer = self.peer_for(key)
             if peer is not None:
-                by_peer.setdefault(peer, []).append(
-                    {"key": key, "result": result.to_dict()})
+                by_peer.setdefault(peer, []).append((key, result.to_json()))
         if not by_peer:
             return
         try:
@@ -349,10 +359,10 @@ class PeerCacheBackend:
             return
         for peer, entries in by_peer.items():
             for start in range(0, len(entries), REPLICATE_CHUNK):
-                chunk = entries[start:start + REPLICATE_CHUNK]
+                chunk = dict(entries[start:start + REPLICATE_CHUNK])
                 future = asyncio.run_coroutine_threadsafe(
                     fetch(peer, "POST", "/cache/replicate",
-                          payload={"entries": chunk},
+                          payload=wire.frame_texts("entries", chunk),
                           timeout_s=self.timeout_s), loop)
                 with self._lock:
                     self._pending_writes.add(future)

@@ -19,8 +19,8 @@ POST      /cache/lookup  the peer-cache wire: ``{"keys": [...]}`` answered
                          ``{"results": {key: result}}`` from this node's
                          local tiers only (``ResultCache.peek_many``)
 POST      /cache/replicate
-                         store a peer's replicas, ``{"entries": [{"key",
-                         "result"}]}`` (``ResultCache.put_many``)
+                         store a peer's replicas, ``{"entries": {key:
+                         result}}`` (``ResultCache.put_many``)
 POST      /ring          accept ring membership from the coordinator and
                          activate the peer cache tier
 GET       /healthz       liveness probe, with version and uptime
@@ -49,7 +49,9 @@ so peer traffic ends at the first hop.
 The wire format for a job is a design-*point* mapping -- the same parameter
 namespace as ``loom-repro explore`` axes (``network`` / ``accuracy`` /
 ``accelerator`` / every ``AcceleratorConfig`` knob), canonicalised by
-:func:`repro.explore.space.canonical_point`.
+:func:`repro.explore.space.canonical_point`.  Results go out as the JSON
+text the cache tiers hold, spliced into the body by
+:mod:`repro.cluster.wire`: a warm answer encodes and decodes nothing.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ from __future__ import annotations
 import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
+from repro.cluster import wire
 from repro.cluster.aio import HTTPRequest, HTTPResponder, RequestError
 from repro.cluster.node import HTTPNode
 from repro.cluster.peercache import PeerCacheBackend
@@ -70,6 +73,7 @@ from repro.serve.core import (
     parse_jobs_request,
 )
 from repro.sim.batched import get_default_engine
+from repro.sim.jobs import CachedResult
 from repro.sim.results import NetworkResult
 
 __all__ = ["ClusterWorker", "build_worker"]
@@ -236,10 +240,8 @@ class ClusterWorker(HTTPNode):
         method = request.method
         if method == "POST" and path == "/jobs":
             points, single = parse_jobs_request(request.json())
-            submitted = await self._in_thread(self.core.submit_points, points)
-            await responder.send_json(200, submitted[0].to_dict() if single
-                                      else {"results": [entry.to_dict()
-                                                        for entry in submitted]})
+            await responder.send(200, await self._in_thread(
+                self._jobs_body, points, single), "application/json")
         elif method == "GET" and path == "/healthz":
             await responder.send_json(200, {
                 "ok": True,
@@ -265,10 +267,10 @@ class ClusterWorker(HTTPNode):
                 "networks": await self._in_thread(_networks_payload)})
         elif method == "GET" and path.startswith("/jobs/"):
             key = path[len("/jobs/"):]
-            status, result = await self._in_thread(self.core.lookup, key)
+            status, found = await self._in_thread(self.core.lookup, key)
             if status == "done":
-                await responder.send_json(200, {"key": key, "status": "done",
-                                                "result": result.to_dict()})
+                await responder.send(200, wire.entry(key, "done", found.text),
+                                     "application/json")
             elif status == "pending":
                 await responder.send_json(202, {"key": key,
                                                 "status": "pending"})
@@ -279,13 +281,11 @@ class ClusterWorker(HTTPNode):
             if not isinstance(keys, list) or \
                     not all(isinstance(key, str) for key in keys):
                 raise RequestError(400, "'keys' must be a list of strings")
-            await responder.send_json(200, await self._in_thread(
-                self._peer_lookup, keys))
+            await responder.send(200, await self._in_thread(
+                self._peer_lookup, keys), "application/json")
         elif method == "POST" and path == "/cache/replicate":
-            entries = request.json().get("entries")
             try:
-                items = [(entry["key"], NetworkResult.from_dict(
-                    entry["result"]), None) for entry in entries]
+                items = await self._in_thread(_replicas, request.body)
             except (ValueError, KeyError, TypeError) as error:
                 raise RequestError(
                     400, f"bad replica payload: "
@@ -320,18 +320,33 @@ class ClusterWorker(HTTPNode):
         else:
             raise RequestError(404, f"unknown path {request.path!r}")
 
-    def _peer_lookup(self, keys: Sequence[str]) -> Dict[str, object]:
+    def _jobs_body(self, points, single: bool) -> bytes:
+        """The ``POST /jobs`` answer: one entry, or a framed batch."""
+        entries = [wire.entry(done.key, done.status, done.text)
+                   for done in self.core.submit_points(points)]
+        return entries[0] if single else wire.frame_entries(entries)
+
+    def _peer_lookup(self, keys: Sequence[str]) -> bytes:
         """The ``POST /cache/lookup`` answer: local tiers only."""
         cache = self.core.cache
         found = cache.peek_many(keys) if cache is not None else {}
-        return {"results": {key: result.to_dict()
-                            for key, result in found.items()}}
+        return wire.frame_texts("results", {key: entry.text
+                                            for key, entry in found.items()})
 
     def stats_dict(self) -> Dict[str, object]:
         payload = self.core.stats_dict()
         payload.update(role="worker", name=self.name, version=__version__,
                        uptime_s=self.uptime_s())
         return payload
+
+
+def _replicas(body: bytes) -> List[Tuple[str, CachedResult, None]]:
+    """The ``put_many`` items of a ``POST /cache/replicate`` body.  Each
+    text is decoded once, to validate it, and stored verbatim."""
+    texts = wire.unframe_texts("entries", body)
+    for text in texts.values():
+        NetworkResult.from_json(text)
+    return [(key, CachedResult(text), None) for key, text in texts.items()]
 
 
 def build_worker(store_path: Optional[str] = None,

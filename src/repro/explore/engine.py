@@ -123,8 +123,8 @@ class PointEvaluator:
             baseline = SimJob(network=job.network,
                               accelerator=self.baseline_spec,
                               config=job.config)
-            if (cache.peek(job_key(job)) is not None
-                    and cache.peek(job_key(baseline)) is not None):
+            # Presence only: ``in`` decodes nothing.
+            if job_key(job) in cache and job_key(baseline) in cache:
                 warm.append(point)
         return warm
 

@@ -1,19 +1,25 @@
 """Thin stdlib HTTP client for ``loom-repro serve`` and cluster nodes.
 
 :class:`ServeClient` speaks the JSON protocol of
-:mod:`repro.cluster.worker` with nothing but ``urllib`` -- no dependencies,
-so any Python process (another CLI invocation, a notebook, a CI smoke
-script) can submit simulations to a warm server.  Server-side failures are
-raised as :class:`ServeError` carrying the HTTP status and, for 429
-backpressure responses, the ``Retry-After`` hint.
+:mod:`repro.cluster.worker` with nothing but :mod:`http.client` -- no
+dependencies, so any Python process (another CLI invocation, a notebook, a
+CI smoke script) can submit simulations to a warm server.  Each thread
+keeps one keep-alive connection per client and reuses it request after
+request; a connection the server closed while it sat idle is retried once
+on a fresh one.  Server-side failures are raised as :class:`ServeError`
+carrying the HTTP status and, for 429 backpressure responses, the
+``Retry-After`` hint.
 """
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import json
 import random
-import urllib.error
-import urllib.request
+import socket
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
@@ -50,10 +56,11 @@ class ServeError(Exception):
     """An HTTP error response from the service.
 
     Also raised (with ``status=503``) for connection-level transport
-    failures -- connection refused while a shard restarts, DNS hiccups --
-    so retry loops built on :class:`ServeError` (the
+    failures -- connection refused while a shard restarts, a reset, DNS
+    hiccups -- so retry loops built on :class:`ServeError` (the
     :class:`~repro.serve.remote.RemoteExecutor` backoff path) see them as
-    retryable instead of crashing on a raw ``urllib.error.URLError``.
+    retryable instead of crashing on a raw socket error.  A timeout waiting
+    for a response is raised as ``socket.timeout`` (``TimeoutError``).
     """
 
     def __init__(self, status: int, message: str,
@@ -78,68 +85,144 @@ class SubmittedJob:
     result: NetworkResult
 
 
+def _close_all(connections: Dict[threading.Thread,
+                                 http.client.HTTPConnection]) -> None:
+    for connection in connections.values():
+        connection.close()
+    connections.clear()
+
+
+#: A pooled connection the server closed while it idled fails with one of
+#: these before any response byte arrives; the request is sent once more.
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError,
+          ConnectionAbortedError, BrokenPipeError)
+
+
 class ServeClient:
     """Client for one ``loom-repro serve`` endpoint."""
 
     def __init__(self, base_url: str, timeout_s: float = 600.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
+        scheme, _, rest = self.base_url.partition("://")
+        if scheme != "http" or not rest:
+            raise ValueError(
+                f"only http:// URLs are supported, got {base_url!r}")
+        self._netloc, slash, base = rest.partition("/")
+        self._base_path = "/" + base if slash else ""
+        #: One keep-alive connection per thread that used this client.
+        self._connections: Dict[threading.Thread,
+                                http.client.HTTPConnection] = {}
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._connections)
+
+    def close(self) -> None:
+        """Close every connection this client holds (a later request opens
+        a new one)."""
+        with self._lock:
+            _close_all(self._connections)
 
     # -- plumbing -------------------------------------------------------------
 
-    def _open(self, method: str, path: str, payload: Optional[dict] = None,
-              accept: Optional[str] = None):
-        """Issue one request and return the raw (streaming) response."""
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's keep-alive connection (opened on first use)."""
+        thread = threading.current_thread()
+        with self._lock:
+            connection = self._connections.get(thread)
+            if connection is None:
+                # An exited thread cannot use its connection again.
+                for gone in [t for t in self._connections
+                             if not t.is_alive()]:
+                    self._connections.pop(gone).close()
+                connection = self._connections[thread] = \
+                    http.client.HTTPConnection(self._netloc,
+                                               timeout=self.timeout_s)
+        return connection
+
+    def _transport_error(self, error: BaseException) -> ServeError:
+        # Connection-level failure (refused, reset, DNS): surface as a
+        # retryable 503 so ServeError-based backoff loops engage.
+        return ServeError(503, f"connection to {self.base_url} failed: "
+                               f"{error}")
+
+    def _send(self, method: str, path: str, payload: Optional[dict],
+              accept: Optional[str]
+              ) -> "tuple[http.client.HTTPConnection, http.client.HTTPResponse]":
+        """Issue one request on this thread's connection."""
         headers = {"Content-Type": "application/json"}
         if accept is not None:
             headers["Accept"] = accept
         # Propagate the caller's trace context so server-side spans link
         # into the same trace (one sweep -> one cross-process trace).
         get_tracer().inject_headers(headers)
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=(json.dumps(payload).encode("utf-8")
-                  if payload is not None else None),
-            headers=headers,
-            method=method,
-        )
+        body = (json.dumps(payload).encode("utf-8")
+                if payload is not None else None)
+        connection = self._connection()
+        for attempt in range(2):
+            reused = connection.sock is not None
+            try:
+                if not reused:
+                    connection.connect()
+                connection.request(method, self._base_path + path,
+                                   body=body, headers=headers)
+                return connection, connection.getresponse()
+            except _STALE as error:
+                connection.close()
+                if not (reused and attempt == 0):
+                    raise self._transport_error(error) from error
+            except socket.timeout:
+                connection.close()
+                raise
+            except (OSError, http.client.HTTPException) as error:
+                connection.close()
+                raise self._transport_error(error) from error
+        raise AssertionError("unreachable")  # pragma: no cover
+
+    @contextlib.contextmanager
+    def _response(self, method: str, path: str,
+                  payload: Optional[dict] = None,
+                  accept: Optional[str] = None
+                  ) -> Iterator[http.client.HTTPResponse]:
+        """One 2xx response; a non-2xx answer raises :class:`ServeError`.
+        A response not read to its end closes its connection, which could
+        not carry another request."""
+        connection, response = self._send(method, path, payload, accept)
         try:
-            return urllib.request.urlopen(request, timeout=self.timeout_s)
-        except urllib.error.HTTPError:
-            raise  # HTTP errors carry a response; callers map them.
-        except urllib.error.URLError as error:
-            # Connection-level failure (refused, reset, DNS): surface as a
-            # retryable 503 so ServeError-based backoff loops engage.
-            raise ServeError(
-                503, f"connection to {self.base_url} failed: "
-                     f"{getattr(error, 'reason', error)}") from error
+            if not 200 <= response.status < 300:
+                self._raise_serve_error(response)
+            yield response
+        except socket.timeout:
+            raise
+        except (OSError, http.client.HTTPException) as error:
+            raise self._transport_error(error) from error
+        finally:
+            if not response.isclosed():
+                response.close()
+                connection.close()
 
     @staticmethod
-    def _raise_serve_error(error: urllib.error.HTTPError) -> None:
+    def _raise_serve_error(response: http.client.HTTPResponse) -> None:
         # float(), not int(): a proxy (or a future sub-second backpressure
         # hint) may send a fractional Retry-After; truncating it to int --
         # or dropping it -- makes clients retry sooner than asked.
         retry_after: Optional[float] = None
-        header = error.headers.get("Retry-After")
+        header = response.headers.get("Retry-After")
         if header is not None:
             try:
                 retry_after = float(header)
             except ValueError:
                 retry_after = None
         try:
-            message = json.loads(error.read().decode("utf-8"))["error"]
-        except (ValueError, KeyError):
-            message = error.reason
-        raise ServeError(error.code, message,
+            message = json.loads(response.read().decode("utf-8"))["error"]
+        except (ValueError, KeyError, TypeError):
+            message = response.reason
+        raise ServeError(response.status, message,
                          retry_after_s=retry_after) from None
 
     def _request(self, method: str, path: str,
                  payload: Optional[dict] = None) -> dict:
-        try:
-            with self._open(method, path, payload) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            self._raise_serve_error(error)
+        with self._response(method, path, payload) as response:
+            return json.loads(response.read().decode("utf-8"))
 
     @staticmethod
     def _submitted(entry: Mapping[str, object]) -> SubmittedJob:
@@ -218,13 +301,9 @@ class ServeClient:
         callback still fires per entry, just all at once -- same results
         either way.
         """
-        try:
-            response = self._open("POST", "/jobs",
-                                  {"points": [dict(p) for p in points]},
-                                  accept="application/x-ndjson")
-        except urllib.error.HTTPError as error:
-            self._raise_serve_error(error)
-        with response:
+        with self._response("POST", "/jobs",
+                            {"points": [dict(p) for p in points]},
+                            accept="application/x-ndjson") as response:
             content_type = (response.headers.get("Content-Type") or "")
             if "application/x-ndjson" not in content_type:
                 payload = json.loads(response.read().decode("utf-8"))
@@ -241,6 +320,7 @@ class ServeClient:
                     continue
                 entry = json.loads(line.decode("utf-8"))
                 if entry.get("done"):
+                    response.read()  # the terminal chunk: reuse the socket
                     break
                 if "error" in entry:
                     raise ServeError(int(entry.get("status", 500)),
@@ -276,12 +356,8 @@ class ServeClient:
         from the plain JSON response, so callers need no special-casing.
         """
         payload = {"space": dict(space), **options, "stream": True}
-        try:
-            response = self._open("POST", "/explore", payload,
-                                  accept="text/event-stream")
-        except urllib.error.HTTPError as error:
-            self._raise_serve_error(error)
-        with response:
+        with self._response("POST", "/explore", payload,
+                            accept="text/event-stream") as response:
             content_type = (response.headers.get("Content-Type") or "")
             if "text/event-stream" not in content_type:
                 result = json.loads(response.read().decode("utf-8"))

@@ -29,7 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.explore.engine import explore
 from repro.explore.search import strategy_from_request
 from repro.explore.space import SweepSpec, canonical_point, point_to_job
-from repro.sim.jobs import JobExecutor, ResultCache, job_key
+from repro.sim.jobs import CachedResult, JobExecutor, ResultCache, job_key
 from repro.sim.results import NetworkResult
 
 __all__ = ["Backpressure", "ServiceCore", "ServiceStats",
@@ -150,24 +150,26 @@ class _Inflight:
 
     def __init__(self) -> None:
         self.event = threading.Event()
-        self.result: Optional[NetworkResult] = None
+        self.result: Optional[CachedResult] = None
         self.error: Optional[BaseException] = None
 
 
 @dataclass
 class _Submitted:
-    """Resolution of one submitted point."""
+    """Resolution of one submitted point: its result as the cache holds it
+    (JSON text, decoded only when :attr:`result` is read)."""
 
     key: str
     status: str  # "cached", "executed" or "coalesced"
-    result: NetworkResult
+    cached: CachedResult
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "status": self.status,
-            "result": self.result.to_dict(),
-        }
+    @property
+    def result(self) -> NetworkResult:
+        return self.cached.result
+
+    @property
+    def text(self) -> str:
+        return self.cached.text
 
 
 class ServiceCore:
@@ -289,7 +291,7 @@ class ServiceCore:
             entries.append((job, job_key(job)))
 
         statuses: Dict[str, str] = {}
-        resolved: Dict[str, NetworkResult] = {}
+        resolved: Dict[str, CachedResult] = {}
         # Pass 1, no service lock: warm keys resolve straight from the
         # (internally locked) cache in one batched lookup, so warm traffic
         # never serialises behind another request's admission or
@@ -366,13 +368,13 @@ class ServiceCore:
             resolved[key] = inflight.result
 
         return [
-            _Submitted(key=key, status=statuses[key], result=resolved[key])
+            _Submitted(key=key, status=statuses[key], cached=resolved[key])
             for _, key in entries
         ]
 
     def _resolve_owned(self, own: List[Tuple[object, str]],
                        statuses: Dict[str, str],
-                       resolved: Dict[str, NetworkResult]) -> None:
+                       resolved: Dict[str, CachedResult]) -> None:
         """The miss path for the keys this request claimed.
 
         The claimed keys are asked of the peer tier in one batch (other
@@ -380,7 +382,8 @@ class ServiceCore:
         them); peer answers are cached here in one write and reported
         ``cached``.  The rest execute as one executor batch, and their
         fresh results are replicated to the peer tier in one batch, fire
-        and forget.
+        and forget.  A fresh result is encoded once (the executor's cache
+        write memoises its text); the reply and the replica reuse it.
         """
         peers = self.peers
         missing = own
@@ -398,17 +401,19 @@ class ServiceCore:
             return
         with self._execute_lock:
             results = self.executor.run([job for job, _ in missing])
-        fresh = [(key, result) for (_, key), result in zip(missing, results)]
+        fresh = [(key, CachedResult.of(result))
+                 for (_, key), result in zip(missing, results)]
         resolved.update(fresh)
         if peers is not None:
             peers.replicate_many(fresh)
 
-    def lookup(self, key: str) -> Tuple[str, Optional[NetworkResult]]:
-        """Look a content key up: ('done', result), ('pending', None) or
+    def lookup(self, key: str) -> Tuple[str, Optional[CachedResult]]:
+        """Look a content key up: ('done', entry), ('pending', None) or
         ('unknown', None)."""
-        result = self.cache.peek(key) if self.cache is not None else None
-        if result is not None:
-            return "done", result
+        found = (self.cache.peek_many((key,)).get(key)
+                 if self.cache is not None else None)
+        if found is not None:
+            return "done", found
         with self._lock:
             if key in self._inflight:
                 return "pending", None

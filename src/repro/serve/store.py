@@ -28,9 +28,12 @@ threads *and* many client processes share it safely.
   carries 4 keys or 400.  Key lists are chunked to stay under the 999-variable
   limit of older SQLite builds.
 
-Payload rows carry a ``format`` tag; a row whose payload does not parse or
-whose format mismatches is deleted, counted in ``invalid_entries`` and
-treated as a miss.
+A row holds a result as its JSON text
+(:meth:`~repro.sim.results.NetworkResult.to_json`), the exact bytes a node
+puts on the wire, with a ``format`` tag and a ``crc`` column (``zlib.crc32``
+of the UTF-8 text).  Loads check both and hand the text back unparsed; a row
+whose format or checksum mismatches is deleted, counted in
+``invalid_entries`` and treated as a miss.
 
 All operations are serialised behind one internal lock (SQLite connections
 are not thread-safe by themselves); cross-process serialisation is SQLite's
@@ -44,11 +47,11 @@ import os
 import sqlite3
 import threading
 import time
+import zlib
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.sim.jobs.cache import CacheBackend, StoreItem
-from repro.sim.results import NetworkResult
+from repro.sim.jobs.cache import CacheBackend, CachedResult, StoreItem
 
 __all__ = ["SQLiteResultStore", "SCHEMA_VERSION"]
 
@@ -56,14 +59,15 @@ __all__ = ["SQLiteResultStore", "SCHEMA_VERSION"]
 _FORMAT = 1
 
 #: Database schema version (``PRAGMA user_version``); bump on layout changes.
-SCHEMA_VERSION = 1
+#: Version 2 added the ``crc`` column.
+SCHEMA_VERSION = 2
 
 #: Keys per ``IN (...)`` list: under the 999 host parameters older SQLite
 #: builds allow in one statement.
 _KEY_CHUNK = 500
 
-#: Rows per multi-row ``INSERT`` (six parameters each).
-_ROW_CHUNK = 999 // 6
+#: Rows per multi-row ``INSERT`` (seven parameters each).
+_ROW_CHUNK = 999 // 7
 
 _CREATE_RESULTS = """
 CREATE TABLE IF NOT EXISTS results (
@@ -71,6 +75,7 @@ CREATE TABLE IF NOT EXISTS results (
     format       INTEGER NOT NULL,
     spec         TEXT,
     result       TEXT NOT NULL,
+    crc          INTEGER NOT NULL,
     created_at   REAL NOT NULL,
     last_used_at REAL NOT NULL,
     hits         INTEGER NOT NULL DEFAULT 0
@@ -166,31 +171,28 @@ class SQLiteResultStore(CacheBackend):
 
     # -- CacheBackend protocol -----------------------------------------------
 
-    def load(self, key: str) -> Optional[NetworkResult]:
+    def load(self, key: str) -> Optional[CachedResult]:
         return self.load_many((key,)).get(key)
 
-    def store(self, key: str, result: NetworkResult,
-              spec: Optional[dict] = None) -> None:
+    def store(self, key: str, result, spec: Optional[dict] = None) -> None:
         self.store_many(((key, result, spec),))
 
-    def load_many(self, keys: Iterable[str]) -> Dict[str, NetworkResult]:
+    def load_many(self, keys: Iterable[str]) -> Dict[str, CachedResult]:
         keys = list(dict.fromkeys(keys))
-        found: Dict[str, NetworkResult] = {}
+        found: Dict[str, CachedResult] = {}
         if not keys:
             return found
         with self._lock:
             damaged: List[str] = []
             for chunk in _chunks(keys, _KEY_CHUNK):
                 rows = self._conn.execute(
-                    "SELECT key, format, result FROM results "
+                    "SELECT key, format, crc, result FROM results "
                     f"WHERE key IN ({_marks(len(chunk))})", chunk).fetchall()
-                for key, row_format, payload in rows:
-                    try:
-                        if row_format != _FORMAT:
-                            raise ValueError("row format mismatch")
-                        found[key] = NetworkResult.from_dict(
-                            json.loads(payload))
-                    except (ValueError, KeyError, TypeError):
+                for key, row_format, crc, payload in rows:
+                    if row_format == _FORMAT and isinstance(payload, str) \
+                            and _crc(payload) == crc:
+                        found[key] = CachedResult(payload)
+                    else:
                         damaged.append(key)
             if not found and not damaged:
                 return found
@@ -221,18 +223,19 @@ class SQLiteResultStore(CacheBackend):
         if not rows:
             return
         now = time.time()
-        values = [
-            (key, _FORMAT, json.dumps(spec) if spec is not None else None,
-             json.dumps(result.to_dict()), now, now)
-            for key, (result, spec) in rows.items()
-        ]
+        values = []
+        for key, (result, spec) in rows.items():
+            text = result.to_json()
+            values.append((key, _FORMAT,
+                           json.dumps(spec) if spec is not None else None,
+                           text, _crc(text), now, now))
         with self._lock, self._conn:
             for chunk in _chunks(values, _ROW_CHUNK):
                 self._conn.execute(
                     "INSERT OR REPLACE INTO results "
-                    "(key, format, spec, result, created_at, last_used_at, "
-                    "hits) VALUES "
-                    + ", ".join(["(?, ?, ?, ?, ?, ?, 0)"] * len(chunk)),
+                    "(key, format, spec, result, crc, created_at, "
+                    "last_used_at, hits) VALUES "
+                    + ", ".join(["(?, ?, ?, ?, ?, ?, ?, 0)"] * len(chunk)),
                     [field for row in chunk for field in row])
             if self.max_entries is not None:
                 (count,) = self._conn.execute(
@@ -345,6 +348,11 @@ class SQLiteResultStore(CacheBackend):
             "invalid_entries": self.invalid_entries,
             "schema_resets": self.schema_resets,
         }
+
+
+def _crc(text: str) -> int:
+    """The ``crc`` column of a row holding ``text``."""
+    return zlib.crc32(text.encode("utf-8"))
 
 
 def _chunks(items: Sequence, size: int):

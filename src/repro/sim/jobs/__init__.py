@@ -28,7 +28,12 @@ Quick tour::
 every unique job exactly once across all of its tables and figures.
 """
 
-from repro.sim.jobs.cache import CacheBackend, CacheStats, ResultCache
+from repro.sim.jobs.cache import (
+    CacheBackend,
+    CachedResult,
+    CacheStats,
+    ResultCache,
+)
 from repro.sim.jobs.executor import (
     ExecutorStats,
     JobEvent,
@@ -56,6 +61,7 @@ __all__ = [
     "AcceleratorSpec",
     "CacheBackend",
     "CacheStats",
+    "CachedResult",
     "ExecutorStats",
     "JobEvent",
     "JobExecutor",

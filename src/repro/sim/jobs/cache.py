@@ -1,11 +1,12 @@
 """Content-keyed result cache for simulation jobs.
 
 The cache maps a :func:`~repro.sim.jobs.spec.job_key` content hash to the
-:class:`~repro.sim.results.NetworkResult` the job produced.  Lookups go
-through an in-memory dict first; an optional persistent :class:`CacheBackend`
-makes results survive across processes and invocations, which is what lets a
-repeated ``loom-repro all`` -- or a long-running ``loom-repro serve`` process
--- skip every simulation it has already done.
+JSON text of the :class:`~repro.sim.results.NetworkResult` the job
+produced.  Lookups go through an in-memory dict first; an optional
+persistent :class:`CacheBackend` makes results survive across processes and
+invocations, which is what lets a repeated ``loom-repro all`` -- or a
+long-running ``loom-repro serve`` process -- skip every simulation it has
+already done.
 
 One backend ships with the repository:
 :class:`repro.serve.store.SQLiteResultStore`, a single SQLite database in
@@ -29,13 +30,22 @@ take a whole request's keys at once, so a persistent backend can answer a
 batch with one query and persist it in one transaction.  ``get``, ``peek``,
 ``put``, ``load`` and ``store`` are the one-key forms.
 
+Both tiers hold a result as its JSON text
+(:meth:`~repro.sim.results.NetworkResult.to_json`), the same bytes a serve
+node puts on the wire, so a warm hit does no encoding or decoding at all.
+The batch lookups answer :class:`CachedResult` entries -- the text, plus
+the result decoded lazily on first use -- and the stores take anything with
+a ``to_json()`` (a :class:`~repro.sim.results.NetworkResult` or a
+:class:`CachedResult`).  The one-key ``get``/``peek`` decode.
+
 These two tiers are local to the process: no ``ResultCache`` operation ever
 does network I/O.  A cluster worker's peer tier
 (:class:`repro.cluster.peercache.PeerCacheBackend`) is not a backend here;
 the worker's :class:`~repro.serve.core.ServiceCore` consults it on its miss
 path, after this cache has missed.
 
-Cached results are shared objects: treat them as read-only.
+A decoded result shares nothing with the cache: each lookup that decodes
+builds its own object.
 """
 
 from __future__ import annotations
@@ -48,10 +58,45 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.sim.results import NetworkResult
 
-__all__ = ["CacheBackend", "CacheStats", "ResultCache"]
+__all__ = ["CacheBackend", "CacheStats", "CachedResult", "ResultCache"]
 
-#: One ``store_many`` item: ``(key, result, spec)``.
-StoreItem = Tuple[str, NetworkResult, Optional[dict]]
+
+class CachedResult:
+    """One cached result: its JSON text, decoded only when asked.
+
+    ``text`` is :meth:`NetworkResult.to_json` output; :attr:`result` decodes
+    it on first access (with :meth:`NetworkResult.from_json`) and keeps the
+    object.  An entry built from a result in hand (:meth:`of`) starts
+    decoded.
+    """
+
+    __slots__ = ("text", "_result")
+
+    def __init__(self, text: str,
+                 result: Optional[NetworkResult] = None) -> None:
+        self.text = text
+        self._result = result
+
+    @classmethod
+    def of(cls, result: NetworkResult) -> "CachedResult":
+        return cls(result.to_json(), result)
+
+    @property
+    def result(self) -> NetworkResult:
+        if self._result is None:
+            self._result = NetworkResult.from_json(self.text)
+        return self._result
+
+    def to_json(self) -> str:
+        return self.text
+
+    def to_dict(self) -> Dict[str, object]:
+        return self.result.to_dict()
+
+
+#: One ``store_many`` item: ``(key, result, spec)``; ``result`` is anything
+#: with a ``to_json()`` (a NetworkResult or a CachedResult).
+StoreItem = Tuple[str, object, Optional[dict]]
 
 
 @dataclass
@@ -93,15 +138,17 @@ class CacheStats:
 
 
 class CacheBackend(abc.ABC):
-    """Persistent key -> :class:`NetworkResult` store behind a ResultCache.
+    """Persistent key -> result-text store behind a ResultCache.
 
     Implementations must be tolerant of damaged storage: :meth:`load` returns
     ``None`` (and :meth:`load_many` omits the key) for entries that are
     missing *or* unreadable (counting the latter in ``invalid_entries``) and
     never raises for bad data -- a cache entry is always recomputable, so
     corruption is a miss, not an error.  Implementations must also be safe
-    to call from multiple threads.  The batch forms default to a loop over
-    the one-key forms; a backend that can do better overrides them.
+    to call from multiple threads.  Loads answer :class:`CachedResult`
+    entries holding the stored text; stores persist ``result.to_json()``.
+    The batch forms default to a loop over the one-key forms; a backend
+    that can do better overrides them.
     """
 
     #: Display name used in executor summaries (e.g. ``"disk cache"``).
@@ -116,17 +163,17 @@ class CacheBackend(abc.ABC):
         self.invalid_entries = 0
 
     @abc.abstractmethod
-    def load(self, key: str) -> Optional[NetworkResult]:
-        """Return the stored result for ``key``, or ``None`` if absent/bad."""
+    def load(self, key: str) -> Optional[CachedResult]:
+        """Return the stored entry for ``key``, or ``None`` if absent/bad."""
 
     @abc.abstractmethod
-    def store(self, key: str, result: NetworkResult,
-              spec: Optional[dict] = None) -> None:
-        """Persist ``result`` under ``key`` (``spec`` kept for audit)."""
+    def store(self, key: str, result, spec: Optional[dict] = None) -> None:
+        """Persist ``result.to_json()`` under ``key`` (``spec`` kept for
+        audit)."""
 
-    def load_many(self, keys: Iterable[str]) -> Dict[str, NetworkResult]:
-        """The stored results for ``keys``; absent or bad keys are omitted."""
-        found: Dict[str, NetworkResult] = {}
+    def load_many(self, keys: Iterable[str]) -> Dict[str, CachedResult]:
+        """The stored entries for ``keys``; absent or bad keys are omitted."""
+        found: Dict[str, CachedResult] = {}
         for key in dict.fromkeys(keys):
             result = self.load(key)
             if result is not None:
@@ -178,28 +225,32 @@ class ResultCache:
             )
         self.backend = backend
         self.max_memory_entries = max_memory_entries
-        self._memory: "OrderedDict[str, NetworkResult]" = OrderedDict()
+        #: key -> result text (``NetworkResult.to_json``), LRU order.
+        self._memory: "OrderedDict[str, str]" = OrderedDict()
         self._lock = threading.RLock()
         self.stats = CacheStats()
 
     # -- lookup --------------------------------------------------------------
 
     def get(self, key: str) -> Optional[NetworkResult]:
-        """Return the cached result for ``key``, or ``None`` on a miss."""
-        return self.get_many((key,)).get(key)
+        """Return the cached result for ``key`` (decoded), or ``None`` on a
+        miss."""
+        entry = self.get_many((key,)).get(key)
+        return entry.result if entry is not None else None
 
     def peek(self, key: str) -> Optional[NetworkResult]:
         """Like :meth:`get`, but a miss is not counted in the statistics."""
-        return self.peek_many((key,)).get(key)
+        entry = self.peek_many((key,)).get(key)
+        return entry.result if entry is not None else None
 
-    def get_many(self, keys: Iterable[str]) -> Dict[str, NetworkResult]:
-        """The cached results for ``keys``; a missed key is absent.
+    def get_many(self, keys: Iterable[str]) -> Dict[str, CachedResult]:
+        """The cached entries for ``keys``; a missed key is absent.
 
         A key repeated in ``keys`` is looked up (and counted) once.
         """
         return self._lookup_many(keys, count_miss=True)
 
-    def peek_many(self, keys: Iterable[str]) -> Dict[str, NetworkResult]:
+    def peek_many(self, keys: Iterable[str]) -> Dict[str, CachedResult]:
         """Like :meth:`get_many`, but misses are not counted.
 
         For probe-style lookups (the service's pre-admission pass, result
@@ -210,15 +261,15 @@ class ResultCache:
         return self._lookup_many(keys, count_miss=False)
 
     def _lookup_many(self, keys: Iterable[str],
-                     count_miss: bool) -> Dict[str, NetworkResult]:
-        found: Dict[str, NetworkResult] = {}
+                     count_miss: bool) -> Dict[str, CachedResult]:
+        found: Dict[str, CachedResult] = {}
         missing = []
         with self._lock:
             for key in dict.fromkeys(keys):
-                result = self._memory.get(key)
-                if result is not None:
+                text = self._memory.get(key)
+                if text is not None:
                     self._memory.move_to_end(key)
-                    found[key] = result
+                    found[key] = CachedResult(text)
                 else:
                     missing.append(key)
             self.stats.memory_hits += len(found)
@@ -227,14 +278,14 @@ class ResultCache:
         # Backend I/O runs outside the cache-wide lock (the backend carries
         # its own), so warm memory hits never serialise behind another
         # thread's disk/SQLite access.  Concurrent same-key loads are
-        # idempotent: both threads remember the same stored result.
+        # idempotent: both threads remember the same stored text.
         loaded = (self.backend.load_many(missing)
                   if self.backend is not None else {})
         with self._lock:
             if self.backend is not None:
                 self.stats.invalid_disk_entries = self.backend.invalid_entries
-            for key, result in loaded.items():
-                self._remember(key, result)
+            for key, entry in loaded.items():
+                self._remember(key, entry.text)
             self.stats.disk_hits += len(loaded)
             if count_miss:
                 self.stats.misses += len(missing) - len(loaded)
@@ -252,27 +303,27 @@ class ResultCache:
 
     # -- store ---------------------------------------------------------------
 
-    def put(self, key: str, result: NetworkResult,
-            spec: Optional[dict] = None) -> None:
+    def put(self, key: str, result, spec: Optional[dict] = None) -> None:
         """Store ``result`` under ``key``; ``spec`` is kept on disk for audit."""
         self.put_many(((key, result, spec),))
 
     def put_many(self, items: Iterable[StoreItem]) -> None:
         """Store every ``(key, result, spec)`` of ``items``; the backend
-        persists the whole batch at once."""
+        persists the whole batch at once.  ``result`` is anything with a
+        ``to_json()``; a fresh NetworkResult is encoded here, once."""
         items = list(items)
         if not items:
             return
         with self._lock:
             for key, result, _ in items:
-                self._remember(key, result)
+                self._remember(key, result.to_json())
             self.stats.stores += len(items)
         if self.backend is not None:
             # Outside the lock: persisting must not block memory lookups.
             self.backend.store_many(items)
 
-    def _remember(self, key: str, result: NetworkResult) -> None:
-        self._memory[key] = result
+    def _remember(self, key: str, text: str) -> None:
+        self._memory[key] = text
         self._memory.move_to_end(key)
         if self.max_memory_entries is not None:
             while len(self._memory) > self.max_memory_entries:

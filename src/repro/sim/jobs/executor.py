@@ -202,8 +202,9 @@ class JobExecutor:
         once; with a cache attached, jobs already answered by a previous
         batch are not simulated at all.  Progress events fire as each job
         resolves (cache lookups and executions as they happen; batch
-        duplicates once the job they piggyback on has resolved).  Returned
-        results are shared with the cache -- treat them as read-only.
+        duplicates once the job they piggyback on has resolved).  A cached
+        job's result is decoded from the cache's text; repeats of a key in
+        one batch share one object.
         """
         from repro.sim.batched import get_default_engine
 
@@ -241,7 +242,7 @@ class JobExecutor:
             cached = self.cache.get_many(first_index)
             for key, index in first_index.items():
                 if key in cached:
-                    resolved[key] = cached[key]
+                    resolved[key] = cached[key].result
                     statuses[key] = "cached"
                     emit(jobs[index], key, "cached", index)
                 else:

@@ -8,6 +8,7 @@ relative speedup / energy-efficiency numbers that the paper's tables report.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -119,15 +120,24 @@ class LayerResult:
 
 @dataclass
 class NetworkResult:
-    """Aggregated result of running one network on one accelerator."""
+    """Aggregated result of running one network on one accelerator.
+
+    :meth:`to_json` / :meth:`from_json` are the one codec a result crosses
+    a cache tier or the wire through; the text is memoised on the object
+    (not a dataclass field), so a result is encoded at most once.
+    """
 
     network: str
     accelerator: str
     layers: List[LayerResult] = field(default_factory=list)
     clock_ghz: float = 1.0
 
+    #: Memoised :meth:`to_json` text (a plain class attribute, not a field).
+    _json = None
+
     def add(self, result: LayerResult) -> None:
         self.layers.append(result)
+        self._json = None
 
     # -- selections ----------------------------------------------------------
 
@@ -194,6 +204,27 @@ class NetworkResult:
             clock_ghz=data["clock_ghz"],
             layers=[LayerResult.from_dict(lr) for lr in data["layers"]],
         )
+
+    def to_json(self) -> str:
+        """The result's JSON text: ``json.dumps(self.to_dict())``, encoded
+        once and memoised (:meth:`add` forgets it).
+
+        This text is the result's form at rest (every cache tier) and on
+        the wire; ``repr`` round-trips float64 exactly, so
+        ``from_json(to_json())`` is field-for-field equal to the original.
+        """
+        text = self._json
+        if text is None:
+            text = self._json = json.dumps(self.to_dict())
+        return text
+
+    @classmethod
+    def from_json(cls, text: str) -> "NetworkResult":
+        """Decode :meth:`to_json` text; raises ``ValueError``, ``KeyError``
+        or ``TypeError`` for text that is not a result."""
+        result = cls.from_dict(json.loads(text))
+        result._json = text
+        return result
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ against in-process coordinator + worker nodes:
 * the coordinator's token-bucket rate limiting and quotas answer 429.
 """
 
+import asyncio
 import contextlib
 import json
 import re
@@ -68,6 +69,12 @@ def _slow(worker, delay_s=0.2):
         return original(jobs, **kwargs)
 
     worker.core.executor.run = run
+
+
+def _key(point):
+    from repro.explore.space import canonical_point, point_to_job
+
+    return job_key(point_to_job(canonical_point(point)))
 
 
 def _point_routed_to(coordinator, worker):
@@ -579,3 +586,132 @@ class TestClusterObservability:
         assert "# TYPE loom_executor_phase_seconds histogram" in text
         assert 'loom_executor_phase_seconds_count{phase="simulate"} 1' \
             in text
+
+
+def _record_job_clients(node, clients):
+    """Collect the client address of every ``POST /jobs`` ``node`` serves:
+    one address per connection the node accepted for it."""
+    route = node._route
+
+    async def recording(request, responder, path):
+        if request.method == "POST" and path == "/jobs":
+            clients.add(request.client)
+        return await route(request, responder, path)
+
+    node._route = recording
+
+
+class TestKeepAlive:
+    """Every hop reuses its connections; a stop or restart is invisible."""
+
+    def test_sequential_batches_reuse_one_connection_per_hop(self):
+        with cluster(n=2) as (coordinator, workers, client):
+            seen = {node.url: set() for node in [coordinator, *workers]}
+            for node in [coordinator, *workers]:
+                _record_job_clients(node, seen[node.url])
+            for _ in range(20):
+                client.submit_points(MATRIX)
+        assert len(seen[coordinator.url]) == 1
+        assert all(len(seen[worker.url]) <= 1 for worker in workers)
+        assert sum(len(seen[worker.url]) for worker in workers) >= 1
+
+    def test_stop_is_prompt_with_idle_pooled_connections(self):
+        worker = ClusterWorker()
+        worker.start()
+        coordinator = ClusterCoordinator([worker.url],
+                                         health_interval_s=60.0)
+        coordinator.start()
+        try:
+            ServeClient(coordinator.url, timeout_s=60.0).submit_points(
+                MATRIX[:2])
+            direct = ServeClient(worker.url, timeout_s=60.0)
+            direct.healthz()
+            assert direct._connection().sock is not None  # held open, idle
+            started = time.monotonic()
+            worker.stop()
+            assert time.monotonic() - started < 2.0
+        finally:
+            coordinator.stop()
+            worker.stop()
+
+    def test_worker_restart_on_the_same_port_is_invisible(self):
+        with cluster(n=2) as (coordinator, workers, client):
+            client.submit_points(MATRIX)  # pools a connection per worker
+            port = workers[1].port
+            workers[1].stop()
+            workers[1] = ClusterWorker(port=port)  # torn down by cluster()
+            workers[1].start()
+            batch = MATRIX + [_point_routed_to(coordinator, workers[1])]
+            routed = sum(
+                1 for point in batch
+                if coordinator.ring.node_for(_key(point)) == workers[1].url)
+            entries = client.submit_points(batch)
+            assert len(entries) == len(batch)
+            assert all(shard.healthy
+                       for shard in coordinator.shards.values())
+            assert coordinator.stats.shard_retries == 0
+            assert workers[1].core.stats.submitted_points == routed
+
+    def test_shutdown_closes_the_client_connection(self):
+        worker = ClusterWorker()
+        client = ServeClient(worker.start(), timeout_s=30.0)
+        try:
+            client.healthz()
+            connection = client._connection()
+            assert connection.sock is not None
+            client.shutdown()
+            # The reply said Connection: close, so the client let go.
+            assert connection.sock is None
+            worker.wait_until_stopped(poll_s=0.05)
+            started = time.monotonic()
+            with pytest.raises(ServeError) as excinfo:
+                client.healthz()
+            assert excinfo.value.status == 503
+            assert time.monotonic() - started < 2.0
+        finally:
+            worker.stop()
+
+    def test_fetch_retries_a_stale_pooled_connection_once(self):
+        from repro.cluster.aio import (
+            AsyncHTTPServer,
+            close_idle_connections,
+            fetch,
+        )
+
+        accepted = []
+
+        async def handler(request, responder):
+            accepted.append(request.client)
+            responder.close_after = request.path == "/bye"
+            await responder.send_json(200, {"path": request.path})
+
+        async def scenario():
+            first = AsyncHTTPServer(handler)
+            url = first.start()
+            try:
+                await fetch(url, "GET", "/a")
+                await fetch(url, "GET", "/b")  # reuses the connection
+                # Blocking here keeps this loop from seeing the close, so
+                # the pooled connection still looks open when it is taken.
+                first.stop()
+            finally:
+                first.stop()
+            second = AsyncHTTPServer(handler, port=first.port)
+            second.start()
+            try:
+                reply = await fetch(url, "GET", "/c")
+                await fetch(url, "GET", "/bye")
+                await fetch(url, "GET", "/d")  # "/bye" was not pooled
+            finally:
+                await close_idle_connections()
+                second.stop()
+            return reply
+
+        reply = asyncio.run(scenario())
+        assert reply.status == 200 and reply.json() == {"path": "/c"}
+        assert len(accepted) == 5
+        # One connection for /a and /b; /c went out on a fresh one after
+        # the stale retry and carried /bye; /d needed another.
+        assert len(set(accepted[:2])) == 1
+        assert accepted[2] == accepted[3] != accepted[4]
+        assert accepted[2] != accepted[0]

@@ -362,6 +362,24 @@ class TestEvaluator:
             evaluator.evaluate([point, point])
             assert executor.stats.submitted == submitted
 
+    def test_warm_presence_checks_decode_nothing(self, monkeypatch):
+        # The cache tiers hold result texts: asking whether a point is
+        # warm must test key presence, not decode results it throws away.
+        from repro.sim.results import NetworkResult
+
+        space = small_space()
+        points = space.points()
+        with JobExecutor() as executor:
+            PointEvaluator(space, executor=executor).evaluate(points)
+            decoded = []
+            for name in ("from_json", "from_dict"):
+                monkeypatch.setattr(NetworkResult, name, classmethod(
+                    lambda cls, data, name=name: decoded.append(name)),
+                    raising=False)
+            fresh = PointEvaluator(space, executor=executor)
+            assert fresh.warm(points) == points
+            assert decoded == []
+
 
 class TestReporting:
     @pytest.fixture(scope="class")

@@ -18,6 +18,7 @@ from repro.memory.dram import LPDDR4_4267
 from repro.quant.dynamic import DynamicPrecisionModel
 from repro.serve.store import SQLiteResultStore
 from repro.sim import run_network
+from repro.sim.validate import compare_layer_results
 from repro.sim.jobs import (
     AcceleratorSpec,
     JobExecutor,
@@ -140,9 +141,13 @@ class TestExecution:
         assert executor.stats.executed == 1
         assert executor.cache.stats.misses == 1
         second = executor.run([job])[0]
-        assert second is first  # answered from the in-memory cache
+        # Answered from the in-memory cache, which holds the result's text:
+        # the hit decodes a fresh object, field-for-field equal to the first.
         assert executor.stats.executed == 1
         assert executor.cache.stats.memory_hits == 1
+        assert compare_layer_results(second.layers, first.layers) == []
+        assert (second.network, second.accelerator, second.clock_ghz) \
+            == (first.network, first.accelerator, first.clock_ghz)
 
     def test_batch_duplicates_deduplicated(self):
         executor = JobExecutor()

@@ -118,6 +118,31 @@ class TestSchemaVersioning:
         reopened.store(KEY, _result())  # and fully usable again
         assert reopened.contains(KEY)
 
+    def test_schema_1_store_is_reset_on_open(self, tmp_path):
+        # Schema 2 added the crc column; a v1 database (no checksums) is
+        # wiped and counted -- results are recomputable.
+        path = tmp_path / "cache.db"
+        conn = sqlite3.connect(str(path))
+        with conn:
+            conn.execute(
+                "CREATE TABLE results (key TEXT PRIMARY KEY, format INTEGER "
+                "NOT NULL, spec TEXT, result TEXT NOT NULL, created_at REAL "
+                "NOT NULL, last_used_at REAL NOT NULL, hits INTEGER NOT NULL "
+                "DEFAULT 0)")
+            conn.execute(
+                "INSERT INTO results VALUES (?, 1, NULL, ?, 0.0, 0.0, 0)",
+                (KEY, json.dumps(_result().to_dict())))
+            conn.execute("PRAGMA user_version = 1")
+        conn.close()
+        store = SQLiteResultStore(path)
+        assert SCHEMA_VERSION == 2
+        assert store.schema_resets == 1
+        assert len(store) == 0
+        assert store.load(KEY) is None
+        store.store(KEY, _result())
+        assert store.load(KEY).to_dict() == _result().to_dict()
+        store.close()
+
     def test_non_sqlite_file_is_replaced(self, tmp_path):
         path = tmp_path / "cache.db"
         path.write_text("this is not a sqlite database at all")
@@ -199,6 +224,26 @@ class TestCorruptRows:
         assert store.invalid_entries == 1
         # The damaged row was deleted so it cannot poison later lookups.
         assert not store.contains(KEY)
+
+    def test_payload_edited_into_other_valid_json_is_a_counted_miss(
+            self, tmp_path):
+        # Rows are checked by CRC, not by parsing: a payload that still
+        # parses but no longer holds the stored result must not be served.
+        store = SQLiteResultStore(tmp_path / "cache.db")
+        store.store(KEY, _result(cycles=100.0))
+        (payload,) = store._conn.execute(
+            "SELECT result FROM results WHERE key = ?", (KEY,)).fetchone()
+        edited = payload.replace('"cycles": 100.0', '"cycles": 900.0', 1)
+        assert edited != payload
+        assert NetworkResult.from_dict(json.loads(edited)).total_cycles() \
+            == 950.0
+        store._conn.execute(
+            "UPDATE results SET result = ? WHERE key = ?", (edited, KEY))
+        store._conn.commit()
+        assert store.load(KEY) is None
+        assert store.invalid_entries == 1
+        assert not store.contains(KEY)
+        store.close()
 
     def test_format_mismatch_is_a_counted_miss(self, tmp_path):
         store = SQLiteResultStore(tmp_path / "cache.db")
