@@ -31,6 +31,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.layout import BitInterleavedLayout, BitParallelLayout, Transposer
 from repro.memory.sram import SRAMBuffer
 from repro.nn.network import LayerWithPrecision
+from repro.sim.jobs.spec import canonical_number
 from repro.sim.results import LayerResult
 
 __all__ = ["AcceleratorConfig", "Accelerator", "ceil_div", "LANES_PER_UNIT"]
@@ -47,6 +48,13 @@ _DPNN_AM_BYTES_AT_128 = 2 * 1024 * 1024
 _LOOM_AM_BYTES_AT_128 = 1 * 1024 * 1024
 _DPNN_WM_BYTES_AT_128 = 1 * 1024 * 1024
 _LOOM_WM_BYTES_AT_128 = 2 * 1024 * 1024
+
+#: Declared type of each scalar config field: equal spellings (``1``,
+#: ``1.0``, ``True``) are stored as it, so equal configs key alike.
+_SCALAR_FIELDS = (("equivalent_macs", int), ("clock_ghz", float),
+                  ("am_capacity_bytes", int), ("wm_capacity_bytes", int),
+                  ("abin_bytes", int), ("about_bytes", int),
+                  ("charge_offchip_energy", bool))
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -97,6 +105,11 @@ class AcceleratorConfig:
     tech: TechnologyParameters = TSMC_65NM
 
     def __post_init__(self) -> None:
+        for name, declared in _SCALAR_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not declared:
+                object.__setattr__(self, name,
+                                   canonical_number(value, declared))
         if self.equivalent_macs < LANES_PER_UNIT or \
                 self.equivalent_macs % LANES_PER_UNIT:
             raise ValueError(

@@ -80,6 +80,7 @@ from repro.obs import Span, get_logger, get_tracer
 from repro.serve.client import compute_backoff
 from repro.serve.core import (
     _networks_payload,
+    keyed_jobs,
     parse_explore_request,
     parse_jobs_request,
 )
@@ -392,16 +393,7 @@ class ClusterCoordinator(HTTPNode):
         """Content keys for ``points`` (validates them as a side effect)."""
 
         def _compute() -> List[str]:
-            from repro.explore.space import canonical_point, point_to_job
-            from repro.sim.jobs import job_key
-
-            keys = []
-            for raw in points:
-                if not isinstance(raw, Mapping):
-                    raise ValueError(f"a job point must be a JSON object, "
-                                     f"got {type(raw).__name__}")
-                keys.append(job_key(point_to_job(canonical_point(raw))))
-            return keys
+            return [key for _, key in keyed_jobs(points)]
 
         return await asyncio.get_running_loop().run_in_executor(None,
                                                                 _compute)

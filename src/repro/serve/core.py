@@ -29,10 +29,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.explore.engine import explore
 from repro.explore.search import strategy_from_request
 from repro.explore.space import SweepSpec, canonical_point, point_to_job
-from repro.sim.jobs import CachedResult, JobExecutor, ResultCache, job_key
+from repro.sim.jobs import (
+    CachedResult, JobExecutor, ResultCache, SimJob, job_key,
+)
 from repro.sim.results import NetworkResult
 
-__all__ = ["Backpressure", "ServiceCore", "ServiceStats",
+__all__ = ["Backpressure", "ServiceCore", "ServiceStats", "keyed_jobs",
            "parse_explore_request", "parse_jobs_request"]
 
 #: Keys a ``POST /explore`` body may carry (``stream`` is read by fronts
@@ -63,6 +65,23 @@ def parse_jobs_request(payload: Mapping[str, object]
             "{'points': [...]}"
         )
     return [point], True
+
+
+def keyed_jobs(raw_points: Sequence[object]) -> List[Tuple[SimJob, str]]:
+    """``(job, content key)`` for each raw point mapping, in order.
+
+    Raises ``ValueError`` for a point that is not a mapping or does not
+    canonicalise into a job.
+    """
+    entries = []
+    for raw in raw_points:
+        if not isinstance(raw, Mapping):
+            raise ValueError(
+                f"a job point must be a JSON object, got {type(raw).__name__}"
+            )
+        job = point_to_job(canonical_point(raw))
+        entries.append((job, job_key(job)))
+    return entries
 
 
 def parse_explore_request(request: Mapping[str, object]) -> Dict[str, object]:
@@ -281,14 +300,7 @@ class ServiceCore:
         points.
         """
         timeout_s = timeout_s if timeout_s is not None else self.wait_timeout_s
-        entries: List[Tuple[object, str]] = []
-        for raw in raw_points:
-            if not isinstance(raw, Mapping):
-                raise ValueError(
-                    f"a job point must be a JSON object, got {type(raw).__name__}"
-                )
-            job = point_to_job(canonical_point(raw))
-            entries.append((job, job_key(job)))
+        entries = keyed_jobs(raw_points)
 
         statuses: Dict[str, str] = {}
         resolved: Dict[str, CachedResult] = {}

@@ -33,7 +33,9 @@ A row holds a result as its JSON text
 puts on the wire, with a ``format`` tag and a ``crc`` column (``zlib.crc32``
 of the UTF-8 text).  Loads check both and hand the text back unparsed; a row
 whose format or checksum mismatches is deleted, counted in
-``invalid_entries`` and treated as a miss.
+``invalid_entries`` and treated as a miss.  The ``spec`` column holds the
+job's canonical JSON text (:func:`~repro.sim.jobs.spec.spec_payload`),
+written verbatim, so every row checks as ``sha256(spec) == key``.
 
 All operations are serialised behind one internal lock (SQLite connections
 are not thread-safe by themselves); cross-process serialisation is SQLite's
@@ -42,7 +44,6 @@ own locking with a generous busy timeout.
 
 from __future__ import annotations
 
-import json
 import os
 import sqlite3
 import threading
@@ -174,7 +175,7 @@ class SQLiteResultStore(CacheBackend):
     def load(self, key: str) -> Optional[CachedResult]:
         return self.load_many((key,)).get(key)
 
-    def store(self, key: str, result, spec: Optional[dict] = None) -> None:
+    def store(self, key: str, result, spec: Optional[str] = None) -> None:
         self.store_many(((key, result, spec),))
 
     def load_many(self, keys: Iterable[str]) -> Dict[str, CachedResult]:
@@ -226,9 +227,7 @@ class SQLiteResultStore(CacheBackend):
         values = []
         for key, (result, spec) in rows.items():
             text = result.to_json()
-            values.append((key, _FORMAT,
-                           json.dumps(spec) if spec is not None else None,
-                           text, _crc(text), now, now))
+            values.append((key, _FORMAT, spec, text, _crc(text), now, now))
         with self._lock, self._conn:
             for chunk in _chunks(values, _ROW_CHUNK):
                 self._conn.execute(

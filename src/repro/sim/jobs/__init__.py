@@ -54,6 +54,7 @@ from repro.sim.jobs.spec import (
     network_kind_counts,
     network_layer_counts,
     spec_dict,
+    spec_payload,
 )
 
 __all__ = [
@@ -77,5 +78,6 @@ __all__ = [
     "network_layer_counts",
     "set_default_executor",
     "spec_dict",
+    "spec_payload",
     "use_executor",
 ]

@@ -95,8 +95,9 @@ class CachedResult:
 
 
 #: One ``store_many`` item: ``(key, result, spec)``; ``result`` is anything
-#: with a ``to_json()`` (a NetworkResult or a CachedResult).
-StoreItem = Tuple[str, object, Optional[dict]]
+#: with a ``to_json()`` (a NetworkResult or a CachedResult), ``spec`` the
+#: key's preimage text (:func:`~repro.sim.jobs.spec.spec_payload`) or None.
+StoreItem = Tuple[str, object, Optional[str]]
 
 
 @dataclass
@@ -154,8 +155,9 @@ class CacheBackend(abc.ABC):
     #: Display name used in executor summaries (e.g. ``"disk cache"``).
     name: str = "backend"
 
-    #: Whether :meth:`store` wants the audit ``spec`` dict.  Executors skip
-    #: computing it for backends that discard it.
+    #: Whether :meth:`store` wants the audit ``spec`` text (the job's
+    #: :func:`~repro.sim.jobs.spec.spec_payload`, whose sha256 is the key).
+    #: Executors skip building it for backends that discard it.
     keeps_spec: bool = True
 
     def __init__(self) -> None:
@@ -167,9 +169,9 @@ class CacheBackend(abc.ABC):
         """Return the stored entry for ``key``, or ``None`` if absent/bad."""
 
     @abc.abstractmethod
-    def store(self, key: str, result, spec: Optional[dict] = None) -> None:
-        """Persist ``result.to_json()`` under ``key`` (``spec`` kept for
-        audit)."""
+    def store(self, key: str, result, spec: Optional[str] = None) -> None:
+        """Persist ``result.to_json()`` under ``key``; ``spec``, when
+        given, is the key's preimage text, kept verbatim for audit."""
 
     def load_many(self, keys: Iterable[str]) -> Dict[str, CachedResult]:
         """The stored entries for ``keys``; absent or bad keys are omitted."""
@@ -303,8 +305,9 @@ class ResultCache:
 
     # -- store ---------------------------------------------------------------
 
-    def put(self, key: str, result, spec: Optional[dict] = None) -> None:
-        """Store ``result`` under ``key``; ``spec`` is kept on disk for audit."""
+    def put(self, key: str, result, spec: Optional[str] = None) -> None:
+        """Store ``result`` under ``key``; ``spec`` (the key's preimage
+        text) is kept on disk for audit."""
         self.put_many(((key, result, spec),))
 
     def put_many(self, items: Iterable[StoreItem]) -> None:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.obs.trace import get_tracer
 from repro.sim.jobs.cache import ResultCache
-from repro.sim.jobs.spec import SimJob, execute_job, job_key, spec_dict
+from repro.sim.jobs.spec import SimJob, execute_job, job_key, spec_payload
 from repro.sim.results import NetworkResult
 
 __all__ = [
@@ -256,8 +256,8 @@ class JobExecutor:
                     f"simulating {len(pending)} of {total} jobs "
                     f"({total - len(pending)} cached/deduplicated)"
                 )
-            # The audit spec on persistent entries is only worth computing
-            # when there is a backend that stores it.
+            # The audit spec on persistent entries (the key's preimage) is
+            # only worth building when there is a backend that stores it.
             keep_spec = (self.cache.backend is not None
                          and self.cache.backend.keeps_spec)
 
@@ -269,7 +269,7 @@ class JobExecutor:
 
             fresh = self._execute_timed(pending, on_result)
             self.cache.put_many(
-                (key, result, spec_dict(job) if keep_spec else None)
+                (key, result, spec_payload(job) if keep_spec else None)
                 for job, key, result in zip(pending, pending_keys, fresh))
 
         # Account and emit the remaining submissions: repeats of a cached key

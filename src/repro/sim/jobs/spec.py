@@ -11,7 +11,9 @@ Because the spec is pure data it can be
 
 * hashed into a deterministic *content key* (:func:`job_key`) that the result
   cache uses -- two jobs with the same key are guaranteed to produce the same
-  :class:`~repro.sim.results.NetworkResult`;
+  :class:`~repro.sim.results.NetworkResult`.  The key is the sha256 of the
+  job's canonical JSON text (:func:`spec_payload`), which persistent stores
+  keep beside the result as its audit spec;
 * sent over the wire, so serve nodes and cluster workers execute the same
   jobs a local :class:`~repro.sim.jobs.executor.JobExecutor` would.
 
@@ -26,9 +28,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import threading
 import time
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from repro.sim.results import NetworkResult
@@ -40,8 +43,10 @@ __all__ = [
     "NetworkSpec",
     "AcceleratorSpec",
     "SimJob",
+    "canonical_number",
     "job_key",
     "spec_dict",
+    "spec_payload",
     "build_accelerator",
     "build_spec_network",
     "network_layer_counts",
@@ -146,6 +151,30 @@ def _canonical_value(value):
     )
 
 
+def canonical_number(value, declared: type):
+    """``value`` spelled as ``declared`` (``int``, ``float`` or ``bool``)
+    when that changes no value; anything else is returned unchanged.
+
+    ``1``, ``1.0`` and ``True`` compare and hash alike, so two equal jobs
+    could otherwise encode -- and key -- differently, and the memo on
+    :func:`job_key` would answer whichever spelling it saw first.
+    """
+    if type(value) is declared or type(value) not in (int, float, bool):
+        return value
+    try:
+        converted = declared(value)
+    except (OverflowError, ValueError):  # int() of inf or nan
+        return value
+    return converted if converted == value else value
+
+
+def _as_default_type(value, default):
+    """An accelerator option spelled as its constructor default's type."""
+    if type(default) in (int, float, bool):
+        return canonical_number(value, type(default))
+    return value
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Names a zoo network with a bound paper precision profile.
@@ -165,14 +194,23 @@ class NetworkSpec:
     groups: Optional[int] = None
     heads: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        for name, declared in (("with_effective_weights", bool),
+                               ("groups", int), ("heads", int)):
+            value = getattr(self, name)
+            if type(value) is not declared:
+                object.__setattr__(self, name,
+                                   canonical_number(value, declared))
+
 
 @dataclass(frozen=True)
 class AcceleratorSpec:
     """Names an accelerator design: a registry ``kind`` plus constructor options.
 
     Use :meth:`create` rather than the raw constructor -- it canonicalises the
-    options (sorted tuple of pairs, dataclasses flattened) so that two specs
-    describing the same design always compare, hash and serialise equal.
+    options (sorted tuple of pairs, dataclasses flattened, numbers spelled
+    as their constructor default's type) so that two specs describing the
+    same design always compare, hash and serialise equal.
     """
 
     kind: str
@@ -191,7 +229,8 @@ class AcceleratorSpec:
         canonical = tuple(
             (key, canonical_value)
             for key, canonical_value in (
-                (key, _canonical_value(value))
+                (key, _canonical_value(_as_default_type(
+                    value, defaults.get(key))))
                 for key, value in sorted(options.items())
             )
             # Options pinned at their constructor default describe the same
@@ -230,33 +269,41 @@ def _jsonable(value):
     return value
 
 
-def spec_dict(job: SimJob) -> Dict[str, object]:
-    """The canonical, JSON-serialisable description of a job.
-
-    This is what gets hashed into the cache key, so *everything* that can
-    change a simulation's outcome must appear here: the network identity and
-    profile, the accelerator kind and constructor options, and every
-    :class:`AcceleratorConfig` knob (including the DRAM channel and the
-    technology parameters, which are nested dataclasses).
-    """
-    network = asdict(job.network)
+def _head_dicts(network: NetworkSpec, accelerator: AcceleratorSpec
+                ) -> Tuple[Dict[str, object], Dict[str, object]]:
+    """The ``network`` and ``accelerator`` entries of a job's spec."""
+    network_dict = asdict(network)
     # Absent structural overrides hash identically to specs that predate the
     # override fields, so a warm on-disk cache stays valid for every job the
     # fields cannot affect; set overrides still change the key.
     for override in ("groups", "heads"):
-        if network.get(override) is None:
-            del network[override]
-    if job.accelerator.kind in _PROFILE_INSENSITIVE_KINDS:
+        if network_dict.get(override) is None:
+            del network_dict[override]
+    if accelerator.kind in _PROFILE_INSENSITIVE_KINDS:
         # Bit-parallel designs ignore precision profiles entirely; normalise
         # so equivalent simulations share one cache entry.
-        network["accuracy"] = "100%"
-        network["with_effective_weights"] = False
+        network_dict["accuracy"] = "100%"
+        network_dict["with_effective_weights"] = False
+    return network_dict, {
+        "kind": accelerator.kind,
+        "options": _jsonable(list(accelerator.options)),
+    }
+
+
+def spec_dict(job: SimJob) -> Dict[str, object]:
+    """The canonical, JSON-serialisable description of a job.
+
+    This is what the cache key describes, so *everything* that can change a
+    simulation's outcome must appear here: the network identity and
+    profile, the accelerator kind and constructor options, and every
+    :class:`AcceleratorConfig` knob (including the DRAM channel and the
+    technology parameters, which are nested dataclasses).
+    :func:`spec_payload` is its canonical JSON text, built without it.
+    """
+    network, accelerator = _head_dicts(job.network, job.accelerator)
     return {
         "network": network,
-        "accelerator": {
-            "kind": job.accelerator.kind,
-            "options": _jsonable(list(job.accelerator.options)),
-        },
+        "accelerator": accelerator,
         "config": _jsonable(job.config),
     }
 
@@ -265,15 +312,81 @@ def spec_dict(job: SimJob) -> Dict[str, object]:
 #: stay memoised, while never-seen points cannot pin memory without limit.
 JOB_KEY_MEMO_SIZE = 8192
 
+#: Fragment memo bound: encoded (network, accelerator) heads plus nested
+#: config dataclasses (technology parameters, DRAM channels).
+FRAGMENT_MEMO_SIZE = 1024
+
 #: ``build_accelerator`` memo bound (one instance per distinct design).
 ACCELERATOR_MEMO_SIZE = 1024
+
+#: The key's canonical JSON settings: sorted keys, no whitespace.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@functools.lru_cache(maxsize=FRAGMENT_MEMO_SIZE)
+def _fragment(part):
+    """Canonical JSON of a payload part that many jobs share.
+
+    ``part`` is a nested config dataclass (its JSON object text) or a
+    ``(NetworkSpec, AcceleratorSpec)`` head, whose fragment is the
+    ``(prefix, suffix)`` pair the config's JSON goes between: the
+    payload's keys sort as ``accelerator``, ``config``, ``network``.
+    """
+    if type(part) is not tuple:
+        return _ENCODE(_jsonable(part))
+    network, accelerator = _head_dicts(*part)
+    return ('{"accelerator":' + _ENCODE(accelerator) + ',"config":',
+            ',"network":' + _ENCODE(network) + "}")
+
+
+@functools.lru_cache(maxsize=None)
+def _config_layout(config_class: type) -> Tuple[Tuple[str, str], ...]:
+    """``('"name":', name)`` per field of ``config_class``, in key order."""
+    return tuple((_ENCODE(name) + ":", name)
+                 for name in sorted(f.name for f in fields(config_class)))
+
+
+def _value_json(value) -> str:
+    """The canonical JSON of one config field's value."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return repr(value)  # what json emits for both
+    if is_dataclass(value):
+        return _fragment(value)
+    return _ENCODE(value)
+
+
+def spec_payload(job: SimJob) -> str:
+    """The job's canonical JSON text: the preimage of :func:`job_key`.
+
+    Byte-identical to ``json.dumps(spec_dict(job), sort_keys=True,
+    separators=(",", ":"))``, but assembled from memoised fragments -- the
+    head and each nested dataclass are encoded once per process -- plus
+    the config's scalar fields, so it costs a fraction of ``spec_dict``.
+    Persistent stores keep it as the row's audit spec, so a row checks as
+    ``sha256(spec) == key``.
+    """
+    prefix, suffix = _fragment((job.network, job.accelerator))
+    config = job.config
+    return prefix + "{" + ",".join([
+        name_json + _value_json(getattr(config, name))
+        for name_json, name in _config_layout(type(config))
+    ]) + "}" + suffix
 
 
 @functools.lru_cache(maxsize=JOB_KEY_MEMO_SIZE)
 def job_key(job: SimJob) -> str:
-    """Deterministic content key: sha256 over the canonical spec JSON."""
-    payload = json.dumps(spec_dict(job), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Deterministic content key: sha256 over :func:`spec_payload`.
+
+    The memo holds key strings only, never payloads, so a stream of
+    never-seen jobs keeps memory flat.
+    """
+    return hashlib.sha256(spec_payload(job).encode("utf-8")).hexdigest()
 
 
 # -- spec -> objects ----------------------------------------------------------

@@ -30,6 +30,7 @@ from repro.sim.jobs import (
     job_key,
     network_layer_counts,
     spec_dict,
+    spec_payload,
     use_executor,
 )
 
@@ -427,7 +428,7 @@ class TestModernLayerTypeCaching:
                      accelerator=AcceleratorSpec.create("loom"))
         result = execute_job(job)
         cache = _disk_cache(tmp_path)
-        cache.put(job_key(job), result, spec=spec_dict(job))
+        cache.put(job_key(job), result, spec=spec_payload(job))
         fresh = _disk_cache(tmp_path).get(job_key(job))
         assert fresh is not None
         assert [layer.layer_kind for layer in fresh.layers] == \

@@ -1,0 +1,351 @@
+"""Content keys: pinned golden keys, the canonical-payload oracle, and
+spelling-independence of equal jobs.
+
+``GOLDEN_KEYS`` pins the keys of a fixed job set as the original
+``asdict``-based formula produced them; every existing store is keyed by
+them, so any change here invalidates warm caches and must be deliberate.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.accelerators.base import AcceleratorConfig
+from repro.energy.tech import TSMC_65NM
+from repro.explore.space import canonical_point, point_to_job
+from repro.memory.dram import LPDDR4_4267
+from repro.quant.dynamic import DynamicPrecisionModel
+from repro.nn import available_networks
+from repro.sim.jobs import (
+    AcceleratorSpec, NetworkSpec, SimJob, execute_job, job_key, spec_dict,
+    spec_payload,
+)
+from repro.sim.jobs import spec as jobs_spec
+from repro.sim.jobs.spec import canonical_number
+from repro.sim.validate import compare_layer_results
+
+#: The perfbench networks and designs (the paper's six networks, its
+#: stock designs with Loom at 1, 2 and 4 bits per cycle).
+NETWORKS = ("nin", "alexnet", "googlenet", "vggs", "vggm", "vgg19")
+DESIGNS = (("dpnn", {}), ("stripes", {}), ("dstripes", {}),
+           ("loom", {"bits_per_cycle": 1}), ("loom", {"bits_per_cycle": 2}),
+           ("loom", {"bits_per_cycle": 4}))
+
+CUSTOM_TECH = dataclasses.replace(TSMC_65NM, name="custom-28nm",
+                                  feature_nm=28.0, activity_factor=0.6)
+
+
+def oracle_payload(job: SimJob) -> str:
+    """The original payload formula: ``json.dumps`` of ``spec_dict``."""
+    return json.dumps(spec_dict(job), sort_keys=True, separators=(",", ":"))
+
+
+def oracle_key(job: SimJob) -> str:
+    """The original key formula: sha256 over :func:`oracle_payload`."""
+    return hashlib.sha256(oracle_payload(job).encode("utf-8")).hexdigest()
+
+
+def clear_key_memos() -> None:
+    job_key.cache_clear()
+    jobs_spec._fragment.cache_clear()
+
+
+def golden_jobs():
+    """``(name, job)`` pairs of the pinned job set."""
+    for network in NETWORKS:
+        for kind, options in DESIGNS:
+            label = "-".join([network, kind] + [f"{k}{v}" for k, v in
+                                                options.items()])
+            yield label, SimJob(NetworkSpec(network),
+                                AcceleratorSpec.create(kind, **options))
+    yield "dpnn-99", SimJob(NetworkSpec("alexnet", "99%"),
+                            AcceleratorSpec.create("dpnn"))
+    yield "loom-bpc2-dynamic", SimJob(
+        NetworkSpec("googlenet", "99%"),
+        AcceleratorSpec.create(
+            "loom", bits_per_cycle=2,
+            dynamic_precision=DynamicPrecisionModel(
+                activation_reduction=0.5)))
+    yield "stripes-effective-weights", SimJob(
+        NetworkSpec("vggs", with_effective_weights=True),
+        AcceleratorSpec.create("stripes"))
+    yield "resnet18-groups", SimJob(NetworkSpec("resnet18", groups=2),
+                                    AcceleratorSpec.create("loom"))
+    yield "transformer-heads", SimJob(
+        NetworkSpec("tiny_transformer", heads=2),
+        AcceleratorSpec.create("dstripes"))
+    yield "lpddr4", SimJob(NetworkSpec("alexnet"),
+                           AcceleratorSpec.create("loom"),
+                           AcceleratorConfig(dram=LPDDR4_4267))
+    yield "capacities", SimJob(
+        NetworkSpec("nin"), AcceleratorSpec.create("dpnn"),
+        AcceleratorConfig(am_capacity_bytes=512 * 1024,
+                          wm_capacity_bytes=3 * 1024 * 1024))
+    yield "custom-tech", SimJob(NetworkSpec("vggm"),
+                                AcceleratorSpec.create("loom"),
+                                AcceleratorConfig(tech=CUSTOM_TECH))
+    yield "perfbench-point", point_to_job(canonical_point({
+        "network": "vgg19",
+        "accelerator": {"kind": "loom", "bits_per_cycle": 4},
+        "equivalent_macs": 256, "clock_ghz": 1.337, "abin_bytes": 4096,
+        "charge_offchip_energy": False,
+    }))
+
+
+GOLDEN_KEYS = {
+    "nin-dpnn":
+        "018463176e29e623382349c5c4d17063ebe32652d6717cd98f4cd036b7a2eed0",
+    "nin-stripes":
+        "37469c278fabf2a84f96ad432ae8123f9ee89fc7c285b0b00caedb619e44b0a8",
+    "nin-dstripes":
+        "cca4dbe7690e9a620d2bad9c20d1d1597f255173314d32548c4564bb0d731a13",
+    "nin-loom-bits_per_cycle1":
+        "1b28149a106c091daaacc0482b533339b09ecb7730b76ae3c558724e76a73599",
+    "nin-loom-bits_per_cycle2":
+        "ea20eb2521576d730e33b8e80352266bfa539ef19eafe93b98947fd0189af743",
+    "nin-loom-bits_per_cycle4":
+        "4ffd623a8686aabf1f5ede52aae573119371766214a6376493c1f54330f8eeec",
+    "alexnet-dpnn":
+        "cfa91a0d967e1567108339a44bc587812675b6aa486690b773f60e8b1ad34c16",
+    "alexnet-stripes":
+        "6b7b2804d950b0ba2a9b85751e2cc080c4068f7666c9c67b1e8de66b720fae89",
+    "alexnet-dstripes":
+        "3d3cb2b9f6577695a4c28305b588811cc9eab057018c5b8abdb3e0d3b60781db",
+    "alexnet-loom-bits_per_cycle1":
+        "9be2d913815cd653506fa55d5f2185e3afa4404ff8ad2e93558f09cb896f44b2",
+    "alexnet-loom-bits_per_cycle2":
+        "d1417ea4305693f2e8dbe83b07c534252ce0933b599d563e81aedbffc1ea8515",
+    "alexnet-loom-bits_per_cycle4":
+        "1f584bf9766a34f374f354f5c409abc0ef3b9133ea119044ecbfb8758af565dd",
+    "googlenet-dpnn":
+        "f5b4b644eb1eeed4978405aeffa897463475b01a97870ff4db1ed4e585ad47a7",
+    "googlenet-stripes":
+        "100311afec10b08c0badd508513fd79d53e95cf0495dd9e8b81a513954cb5eb6",
+    "googlenet-dstripes":
+        "813946bacda48cce89caa2900acbb5c4c41aedd29d2b9834fb87d7950181e6c6",
+    "googlenet-loom-bits_per_cycle1":
+        "9a88a33576f16a386174139aac7a255f6ad7461e90941050d189fcf35e96c9be",
+    "googlenet-loom-bits_per_cycle2":
+        "f5143e6b9b9f3bd6482c44dc57655f4bf377a45ecfd2f571ef942a96bbccf460",
+    "googlenet-loom-bits_per_cycle4":
+        "45b09a807ab9a2567d8fd7398f5df771b604c01a180f1a255884c40c43a89ee5",
+    "vggs-dpnn":
+        "b3ce83cf094cb407cbf358c2480839b1fa668eb10887bf208fc45bc3c158c795",
+    "vggs-stripes":
+        "6e73a31e6ea3918feaacd903dbffdb691444085adbed4010e6e3adfe82bab2b4",
+    "vggs-dstripes":
+        "61e204eb08a6b78e0d7cf6902ace941624da06695603df60d6f91d039867442a",
+    "vggs-loom-bits_per_cycle1":
+        "6db665d4aa785a7a6dcd49119008e418dcfe28cb0e320246cc359424ee9f8fb0",
+    "vggs-loom-bits_per_cycle2":
+        "12ec3661a3abc5400ce9f3858bb660e1bd27fd96f5f3b20e0b1452fa73b29229",
+    "vggs-loom-bits_per_cycle4":
+        "88402247e8b70ea9c736ed282831de62b3c279aaaa73ac129a455b22dd8bbdc7",
+    "vggm-dpnn":
+        "a9e87da008ef9baa522da284d8dd0bb6ec9975cf5fadfbd4ccf6d69e62f2c515",
+    "vggm-stripes":
+        "2e3a6c23b65507d435f2aaebec20a5e6ec05f2eec6ae2ce78c32a2516109679a",
+    "vggm-dstripes":
+        "2e0e8f3af7fa25793d5c454dd770afa8b831bd9ad05c2cc3439cda75163a5bed",
+    "vggm-loom-bits_per_cycle1":
+        "7ed65f07988e52ccca6f0d303a0beb53cc7c9eecf460a57d021b2fa9cdebce40",
+    "vggm-loom-bits_per_cycle2":
+        "58cb015a00fb15159b7616b658f6dbccc69b6f89e686b40f8b4efc9f65ce4f99",
+    "vggm-loom-bits_per_cycle4":
+        "9c902c6c0422973902e00b6de9d68ab5d86ee8e94bae3f21f20aa5adaa4b614e",
+    "vgg19-dpnn":
+        "1ccbc68a2341aaa0efe43647f532be08f935672938fc0d8fb2affa224f1cf19b",
+    "vgg19-stripes":
+        "681866cd4d5ed3fbba19c30866913afdc4ab9973aacd93e5d88a44db18aa7822",
+    "vgg19-dstripes":
+        "ce60e9b5bfcd320618210325f027e5618c2d0720a24d1de92c713bd6aa3372b4",
+    "vgg19-loom-bits_per_cycle1":
+        "220efc89b1fbe7ebbcf90b9567998bd355105d860acadf858ac3a01839af4d7d",
+    "vgg19-loom-bits_per_cycle2":
+        "3fe0c5a01eadd757d4cba00a4e5ca866d1dc73b056102150112cc5c97031e562",
+    "vgg19-loom-bits_per_cycle4":
+        "7c45c4e7797d2f89080bc966b0a7e2c10cab63a32ff9819f4b5c95e4a0812a1d",
+    "dpnn-99":
+        "cfa91a0d967e1567108339a44bc587812675b6aa486690b773f60e8b1ad34c16",
+    "loom-bpc2-dynamic":
+        "e64dc5ca163dc4a5d6528607e7f68579143606192d1795b549c7d53c71fc37ce",
+    "stripes-effective-weights":
+        "418a122ea99408776f2790bc1cca4a3f31a3703cc235d51dad46e16fe573d637",
+    "resnet18-groups":
+        "9e1e8603b4a165fada3add6d0850a5c3a5c5dc5c52f3ab13ef26bbfa2ec5e2df",
+    "transformer-heads":
+        "b34aaa47b77231de4a5469cf1ebd3b2ba18ae58baabcec8a00a1814bad82afca",
+    "lpddr4":
+        "71887787b477842b94a45bb8f9523105b81fea292a70a9584ad98e8c4883ffe9",
+    "capacities":
+        "c1acf9e9f910e29b5a668d00dd7dd6b427852781b568c46982e1677cc8b07924",
+    "custom-tech":
+        "246ce9cad3f3b3c73f884dfd61f50aa0e99b468ea7ef763d25b2430cb6752563",
+    "perfbench-point":
+        "2f49a3171b9b9581539ac12fbd273fa5965dcb56f795ff16f76a80b74fd7a065",
+}
+
+
+class TestGoldenKeys:
+    def test_every_golden_key_is_unchanged(self):
+        keys = {name: job_key(job) for name, job in golden_jobs()}
+        assert keys == GOLDEN_KEYS
+
+    def test_golden_keys_match_the_oracle(self):
+        for name, job in golden_jobs():
+            assert oracle_key(job) == GOLDEN_KEYS[name], name
+
+    def test_profile_insensitive_design_shares_the_100_percent_key(self):
+        assert GOLDEN_KEYS["dpnn-99"] == GOLDEN_KEYS["alexnet-dpnn"]
+
+
+# -- the oracle over drawn jobs -----------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+accelerators = st.one_of(
+    st.sampled_from(("dpnn", "stripes", "dstripes")).map(AcceleratorSpec.create),
+    st.builds(
+        lambda bits, fanout, cascading, reduction: AcceleratorSpec.create(
+            "loom", bits_per_cycle=bits, window_fanout=fanout,
+            use_cascading=cascading,
+            **({} if reduction is None else {
+                "dynamic_precision": DynamicPrecisionModel(
+                    activation_reduction=reduction)})),
+        st.sampled_from((1, 2, 4)), st.integers(1, 4), st.booleans(),
+        st.one_of(st.none(), st.floats(0.01, 1.0))),
+)
+networks = st.builds(
+    NetworkSpec,
+    name=st.sampled_from(available_networks()),
+    accuracy=st.sampled_from(("100%", "99%")),
+    with_effective_weights=st.booleans(),
+    groups=st.one_of(st.none(), st.integers(1, 64)),
+    heads=st.one_of(st.none(), st.integers(1, 16)),
+)
+configs = st.builds(
+    AcceleratorConfig,
+    equivalent_macs=st.integers(1, 64).map(lambda units: 16 * units),
+    clock_ghz=st.floats(min_value=5e-324, max_value=1e6),
+    am_capacity_bytes=st.one_of(st.none(), st.integers(1, 2 ** 40)),
+    wm_capacity_bytes=st.one_of(st.none(), st.integers(1, 2 ** 40)),
+    abin_bytes=st.integers(1, 2 ** 20),
+    about_bytes=st.integers(1, 2 ** 20),
+    dram=st.sampled_from((None, LPDDR4_4267)),
+    charge_offchip_energy=st.booleans(),
+    tech=st.one_of(
+        st.just(TSMC_65NM),
+        st.builds(lambda factor, name: dataclasses.replace(
+            TSMC_65NM, activity_factor=factor, name=name),
+            st.floats(0.01, 1.0), st.text(max_size=8))),
+)
+jobs = st.builds(SimJob, network=networks, accelerator=accelerators,
+                 config=configs)
+
+
+class TestOracle:
+    @given(job=jobs)
+    @settings(max_examples=300, deadline=None)
+    def test_payload_and_key_match_the_original_formula(self, job):
+        assert spec_payload(job) == oracle_payload(job)
+        assert job_key(job) == oracle_key(job)
+
+    @given(value=st.one_of(finite, st.just(float("nan")),
+                           st.just(float("inf")), st.just(-float("inf")),
+                           st.integers(-2 ** 80, 2 ** 80), st.text(),
+                           st.booleans(), st.none()))
+    @settings(max_examples=200, deadline=None)
+    def test_any_config_scalar_encodes_like_json(self, value):
+        assert jobs_spec._value_json(value) == json.dumps(value)
+
+    def test_the_key_hashes_the_payload(self):
+        for _, job in golden_jobs():
+            assert job_key(job) == hashlib.sha256(
+                spec_payload(job).encode()).hexdigest()
+
+    def test_fragment_memo_is_bounded(self):
+        assert jobs_spec._fragment.cache_info().maxsize \
+            == jobs_spec.FRAGMENT_MEMO_SIZE
+
+
+# -- equal jobs, one key ------------------------------------------------------
+
+BASE_POINT = {"network": "alexnet", "accelerator": {"kind": "loom"}}
+
+#: Pairs of raw points that describe one job, canonical spelling first.
+SPELLINGS = (
+    ({"clock_ghz": 1.0}, {"clock_ghz": 1}),
+    ({"clock_ghz": 2.0}, {"clock_ghz": 2}),
+    ({"equivalent_macs": 128}, {"equivalent_macs": 128.0}),
+    ({"abin_bytes": 4096}, {"abin_bytes": 4096.0}),
+    ({"am_capacity_bytes": 1 << 20}, {"am_capacity_bytes": float(1 << 20)}),
+    ({"charge_offchip_energy": False}, {"charge_offchip_energy": 0}),
+    ({"accelerator": {"kind": "loom", "bits_per_cycle": 2}},
+     {"accelerator": {"kind": "loom", "bits_per_cycle": 2.0}}),
+    ({"accelerator": {"kind": "loom", "use_cascading": False}},
+     {"accelerator": {"kind": "loom", "use_cascading": 0}}),
+    ({"network": "resnet18", "groups": 2}, {"network": "resnet18",
+                                            "groups": 2.0}),
+)
+
+
+def _point_job(overrides):
+    return point_to_job(canonical_point({**BASE_POINT, **overrides}))
+
+
+class TestSpellings:
+    def test_equal_jobs_share_one_key_in_either_memo_order(self):
+        for canonical, other in SPELLINGS:
+            first, second = _point_job(canonical), _point_job(other)
+            assert first == second
+            keys = []
+            for order in ((first, second), (second, first)):
+                clear_key_memos()
+                keys += [job_key(job) for job in order]
+            assert set(keys) == {oracle_key(first)}, (canonical, other)
+            assert spec_payload(second) == oracle_payload(first)
+
+    def test_equal_spellings_simulate_alike(self):
+        first = _point_job({"clock_ghz": 1.0, "equivalent_macs": 128,
+                            "accelerator": {"kind": "loom",
+                                            "bits_per_cycle": 2}})
+        second = _point_job({"clock_ghz": 1, "equivalent_macs": 128.0,
+                             "accelerator": {"kind": "loom",
+                                             "bits_per_cycle": 2.0}})
+        results = [execute_job(job) for job in (first, second)]
+        assert compare_layer_results(results[0].layers,
+                                     results[1].layers) == []
+        assert results[0].to_dict() == results[1].to_dict()
+        assert results[0].to_json() == results[1].to_json()
+
+    def test_python_api_spellings_are_canonical_too(self):
+        assert type(AcceleratorConfig(clock_ghz=1).clock_ghz) is float
+        clear_key_memos()
+        spelled = SimJob(NetworkSpec("alexnet", groups=None),
+                         AcceleratorSpec.create("loom"),
+                         AcceleratorConfig(clock_ghz=1))
+        assert job_key(spelled) == GOLDEN_KEYS["alexnet-loom-bits_per_cycle1"]
+        assert type(NetworkSpec("resnet18", groups=2.0).groups) is int
+
+    def test_every_scalar_config_field_has_a_declared_type(self):
+        from repro.accelerators.base import _SCALAR_FIELDS
+
+        nested = {"dram", "tech"}
+        assert {name for name, _ in _SCALAR_FIELDS} == {
+            f.name for f in dataclasses.fields(AcceleratorConfig)} - nested
+
+
+class TestCanonicalNumber:
+    def test_spells_equal_values_as_the_declared_type(self):
+        assert type(canonical_number(1, float)) is float
+        assert type(canonical_number(2.0, int)) is int
+        assert type(canonical_number(True, int)) is int
+        assert canonical_number(0.0, bool) is False
+
+    def test_leaves_values_it_cannot_convert_exactly(self):
+        for value, declared in ((1.5, int), (float("nan"), int),
+                                (float("inf"), int), (2 ** 60 + 1, float),
+                                (2, bool), ("1", int), (None, int)):
+            assert canonical_number(value, declared) is value

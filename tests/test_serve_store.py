@@ -7,6 +7,7 @@ persistent backend -- threads and processes racing the same key without
 corrupting an entry or changing the result.
 """
 
+import hashlib
 import json
 import multiprocessing
 import sqlite3
@@ -16,7 +17,7 @@ import threading
 import pytest
 
 from repro.serve.store import SCHEMA_VERSION, SQLiteResultStore
-from repro.sim.jobs import JobExecutor, ResultCache, job_key
+from repro.sim.jobs import JobExecutor, ResultCache, job_key, spec_dict
 from repro.sim.jobs.cache import CacheBackend
 from repro.sim.results import LayerResult, NetworkResult
 
@@ -39,7 +40,7 @@ class TestSQLiteStoreBasics:
     def test_round_trip_preserves_every_field(self, tmp_path):
         store = SQLiteResultStore(tmp_path / "cache.db")
         original = _result()
-        store.store(KEY, original, spec={"network": {"name": "netA"}})
+        store.store(KEY, original, spec='{"network":{"name":"netA"}}')
         loaded = store.load(KEY)
         assert loaded is not None
         assert loaded.to_dict() == original.to_dict()
@@ -464,6 +465,8 @@ class TestResultCacheIntegration:
             (job_key(job),)).fetchone()
         assert row is not None
         assert json.loads(row[0])["network"]["name"] == "alexnet"
+        assert hashlib.sha256(row[0].encode()).hexdigest() == job_key(job)
+        assert json.loads(row[0]) == spec_dict(job)
         cache.close()
 
 
