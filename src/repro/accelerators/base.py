@@ -22,6 +22,7 @@ import abc
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.canonical import canonical_number
 from repro.energy.area import AreaModel, DatapathArea
 from repro.energy.power import DatapathPower, PowerModel
 from repro.energy.tech import TechnologyParameters, TSMC_65NM
@@ -31,7 +32,6 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.layout import BitInterleavedLayout, BitParallelLayout, Transposer
 from repro.memory.sram import SRAMBuffer
 from repro.nn.network import LayerWithPrecision
-from repro.sim.jobs.spec import canonical_number
 from repro.sim.results import LayerResult
 
 __all__ = ["AcceleratorConfig", "Accelerator", "ceil_div", "LANES_PER_UNIT"]

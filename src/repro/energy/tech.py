@@ -17,7 +17,9 @@ EXPERIMENTS.md records the values these models actually produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from repro.canonical import canonical_number
 
 __all__ = ["TechnologyParameters", "TSMC_65NM"]
 
@@ -71,23 +73,23 @@ class TechnologyParameters:
     activity_factor: float = 0.55
 
     def __post_init__(self) -> None:
-        numeric_fields = [
-            self.feature_nm, self.clock_ghz, self.nominal_vdd,
-            self.mult16_energy_pj, self.add32_energy_pj, self.reg16_energy_pj,
-            self.and_gate_energy_pj, self.serial_tree_energy_pj_per_input,
-            self.accumulator_energy_pj, self.bit_register_energy_pj,
-            self.stripes_unit_overhead_pj, self.precision_detect_energy_pj,
-            self.mult16_area_um2, self.add32_area_um2, self.reg16_area_um2,
-            self.and_gate_area_um2, self.serial_tree_area_um2_per_input,
-            self.accumulator_area_um2, self.bit_register_area_um2,
-            self.stripes_unit_overhead_area_um2, self.precision_detect_area_um2,
-        ]
-        if any(v <= 0 for v in numeric_fields):
+        # Every field but ``name`` is a float: equal spellings (``65``,
+        # ``65.0``) are stored as one, so equal parameter sets key alike.
+        for name in _NUMERIC_FIELDS:
+            object.__setattr__(self, name,
+                               canonical_number(getattr(self, name), float))
+        if any(getattr(self, name) <= 0
+               for name in _NUMERIC_FIELDS if name != "activity_factor"):
             raise ValueError("all technology parameters must be positive")
         if not 0.0 < self.activity_factor <= 1.0:
             raise ValueError(
                 f"activity_factor must be in (0, 1], got {self.activity_factor}"
             )
+
+
+#: Numeric fields of :class:`TechnologyParameters`, in declaration order.
+_NUMERIC_FIELDS = tuple(f.name for f in fields(TechnologyParameters)
+                        if f.name != "name")
 
 
 #: The default technology: TSMC 65 nm, typical corner, 1 GHz (as in the paper).

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.canonical import canonical_number
+
 __all__ = ["DRAMChannel", "LPDDR4_4267"]
 
 
@@ -46,6 +48,11 @@ class DRAMChannel:
     energy_pj_per_bit: float = 15.0
 
     def __post_init__(self) -> None:
+        # Equal spellings (``15``, ``15.0``; ``0.0``, ``-0.0``) are stored
+        # as the declared type, so equal channels key alike.
+        for name, declared in _NUMERIC_FIELDS:
+            object.__setattr__(self, name,
+                               canonical_number(getattr(self, name), declared))
         if self.transfer_rate_mts <= 0:
             raise ValueError("transfer_rate_mts must be > 0")
         if self.interface_bits < 1:
@@ -93,6 +100,11 @@ class DRAMChannel:
         if np.any(np.asarray(bits) < 0):
             raise ValueError(f"bits must be >= 0, got {bits}")
         return bits * self.energy_pj_per_bit
+
+
+#: Declared type of each numeric :class:`DRAMChannel` field.
+_NUMERIC_FIELDS = (("transfer_rate_mts", float), ("interface_bits", int),
+                   ("efficiency", float), ("energy_pj_per_bit", float))
 
 
 #: The channel used in the paper's scaling study: a single channel of

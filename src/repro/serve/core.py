@@ -21,8 +21,10 @@ HTTP 400.
 from __future__ import annotations
 
 import contextlib
+import struct
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -32,6 +34,7 @@ from repro.explore.space import SweepSpec, canonical_point, point_to_job
 from repro.sim.jobs import (
     CachedResult, JobExecutor, ResultCache, SimJob, job_key,
 )
+from repro.sim.jobs.spec import JOB_KEY_MEMO_SIZE
 from repro.sim.results import NetworkResult
 
 __all__ = ["Backpressure", "ServiceCore", "ServiceStats", "keyed_jobs",
@@ -67,20 +70,111 @@ def parse_jobs_request(payload: Mapping[str, object]
     return [point], True
 
 
+class _Unfrozen(Exception):
+    """A raw value :func:`_frozen` cannot spell exactly."""
+
+
+_FLOAT_BITS = struct.Struct("<d").pack
+
+#: Tags of :func:`_frozen` spellings that are not the value itself.
+_TRUE, _FALSE, _DICT, _LIST, _TUPLE = (object() for _ in range(5))
+
+
+def _frozen(value):
+    """A hashable spelling of a raw JSON-like value, equal for two values
+    only if they are spelled exactly alike.
+
+    ``str``, ``int`` and ``None`` spell as themselves, a float as its
+    eight bytes (``-0.0`` is not ``0.0``) and a bool as a tag of its own,
+    so ``True``, ``1``, ``1.0`` and ``"1"`` all differ.  A dict, list or
+    tuple spells as a tuple led by a tag of its kind, with a dict's items
+    in insertion order.  Anything else -- subclasses included -- raises
+    :class:`_Unfrozen`.
+    """
+    kind = type(value)
+    if kind is str or kind is int or value is None:
+        return value
+    if kind is float:
+        return _FLOAT_BITS(value)
+    if kind is bool:
+        return _TRUE if value else _FALSE
+    if kind is dict:
+        spelling = [_DICT]
+        for name, item in value.items():
+            spelling.append(name if type(name) is str else _frozen(name))
+            spelling.append(_frozen(item))
+        return tuple(spelling)
+    if kind is list or kind is tuple:
+        return (_LIST if kind is list else _TUPLE,
+                *[_frozen(item) for item in value])
+    raise _Unfrozen
+
+
+class _PointMemo:
+    """Bounded, thread-safe LRU memo: a raw point's exact spelling ->
+    its ``(job, content key)``."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._entries: "OrderedDict[tuple, Tuple[SimJob, str]]" = \
+            OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, spelling: tuple) -> Optional[Tuple[SimJob, str]]:
+        with self._lock:
+            entry = self._entries.get(spelling)
+            if entry is not None:
+                self._entries.move_to_end(spelling)
+            return entry
+
+    def put(self, spelling: tuple, entry: Tuple[SimJob, str]) -> None:
+        with self._lock:
+            self._entries[spelling] = entry
+            if len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+#: Raw point -> ``(job, key)``, bounded like the ``job_key`` memo whose jobs
+#: it shares.  Per process: each node warms its own on repeated points.
+_point_memo = _PointMemo(JOB_KEY_MEMO_SIZE)
+
+
 def keyed_jobs(raw_points: Sequence[object]) -> List[Tuple[SimJob, str]]:
     """``(job, content key)`` for each raw point mapping, in order.
 
     Raises ``ValueError`` for a point that is not a mapping or does not
-    canonicalise into a job.
+    canonicalise into a job.  A point spelled exactly like one seen before
+    (same keys, value types, nesting and float bits; see :func:`_frozen`)
+    is answered from a bounded per-process memo; any other runs
+    ``canonical_point``, ``point_to_job`` and ``job_key``.  Only points
+    that canonicalise are memoised, so an invalid point raises the same
+    error every time.
     """
     entries = []
     for raw in raw_points:
-        if not isinstance(raw, Mapping):
-            raise ValueError(
-                f"a job point must be a JSON object, got {type(raw).__name__}"
-            )
-        job = point_to_job(canonical_point(raw))
-        entries.append((job, job_key(job)))
+        try:
+            spelling = _frozen(raw) if type(raw) is dict else None
+        except (_Unfrozen, RecursionError):  # skips the memo
+            spelling = None
+        entry = None if spelling is None else _point_memo.get(spelling)
+        if entry is None:
+            if not isinstance(raw, Mapping):
+                raise ValueError(
+                    f"a job point must be a JSON object, got "
+                    f"{type(raw).__name__}"
+                )
+            job = point_to_job(canonical_point(raw))
+            entry = (job, job_key(job))
+            if spelling is not None:
+                _point_memo.put(spelling, entry)
+        entries.append(entry)
     return entries
 
 

@@ -34,6 +34,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
+from repro.canonical import canonical_number
 from repro.sim.results import NetworkResult
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
@@ -43,7 +44,6 @@ __all__ = [
     "NetworkSpec",
     "AcceleratorSpec",
     "SimJob",
-    "canonical_number",
     "job_key",
     "spec_dict",
     "spec_payload",
@@ -149,23 +149,6 @@ def _canonical_value(value):
         f"accelerator option value {value!r} cannot be canonicalised; "
         f"use primitives, dataclasses or mappings"
     )
-
-
-def canonical_number(value, declared: type):
-    """``value`` spelled as ``declared`` (``int``, ``float`` or ``bool``)
-    when that changes no value; anything else is returned unchanged.
-
-    ``1``, ``1.0`` and ``True`` compare and hash alike, so two equal jobs
-    could otherwise encode -- and key -- differently, and the memo on
-    :func:`job_key` would answer whichever spelling it saw first.
-    """
-    if type(value) is declared or type(value) not in (int, float, bool):
-        return value
-    try:
-        converted = declared(value)
-    except (OverflowError, ValueError):  # int() of inf or nan
-        return value
-    return converted if converted == value else value
 
 
 def _as_default_type(value, default):

@@ -64,7 +64,7 @@ class LayerResult:
     extra: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.layer_kind not in ("conv", "fc", "matmul"):
+        if self.layer_kind not in _LAYER_KINDS:
             raise ValueError(
                 f"layer_kind must be 'conv', 'fc' or 'matmul', "
                 f"got {self.layer_kind!r}"
@@ -115,7 +115,50 @@ class LayerResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "LayerResult":
+        """Inverse of :meth:`to_dict`; equal to ``cls(**data)``.
+
+        A plain dict holding exactly the twelve fields (every decoded
+        tier's case) skips the keyword call: the instance is built with
+        ``object.__new__`` and its attributes stored in field order, as
+        the vector engine's scatter does, and ``__post_init__``'s checks
+        run inline.  Any other key set, a subclass, or a value those
+        checks reject takes ``cls(**data)``, so every error stays the
+        same.
+        """
+        if (cls is LayerResult and type(data) is dict
+                and data.keys() == _LAYER_FIELDS):
+            kind = data["layer_kind"]
+            cycles = data["cycles"]
+            if kind in _LAYER_KINDS and not cycles < 0:
+                compute_cycles = data["compute_cycles"]
+                memory_cycles = data["memory_cycles"]
+                if compute_cycles == 0.0 and memory_cycles == 0.0:
+                    compute_cycles = cycles
+                layer = object.__new__(LayerResult)
+                layer.layer_name = data["layer_name"]
+                layer.layer_kind = kind
+                layer.cycles = cycles
+                layer.compute_cycles = compute_cycles
+                layer.memory_cycles = memory_cycles
+                layer.energy_pj = data["energy_pj"]
+                layer.weight_bits_read = data["weight_bits_read"]
+                layer.activation_bits_read = data["activation_bits_read"]
+                layer.activation_bits_written = data["activation_bits_written"]
+                layer.macs = data["macs"]
+                layer.utilization = data["utilization"]
+                layer.extra = data["extra"]
+                return layer
         return cls(**data)
+
+
+#: The fields ``LayerResult.from_dict``'s fast path stores, spelled out:
+#: a field added to the class but not to the fast path takes the
+#: constructor, never a half-built instance.
+_LAYER_FIELDS = frozenset((
+    "layer_name", "layer_kind", "cycles", "compute_cycles", "memory_cycles",
+    "energy_pj", "weight_bits_read", "activation_bits_read",
+    "activation_bits_written", "macs", "utilization", "extra"))
+_LAYER_KINDS = ("conv", "fc", "matmul")
 
 
 @dataclass
@@ -198,11 +241,12 @@ class NetworkResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "NetworkResult":
+        decode = LayerResult.from_dict
         return cls(
             network=data["network"],
             accelerator=data["accelerator"],
             clock_ghz=data["clock_ghz"],
-            layers=[LayerResult.from_dict(lr) for lr in data["layers"]],
+            layers=[decode(lr) for lr in data["layers"]],
         )
 
     def to_json(self) -> str:

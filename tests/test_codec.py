@@ -8,6 +8,7 @@ hand-picked edge values, and that results served warm from a live cluster's
 SQLite stores -- spliced, never re-encoded -- equal the event engine.
 """
 
+import dataclasses
 import math
 
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from repro.nn import available_networks
 from repro.serve import ServeClient
 from repro.sim.batched import simulate_jobs_batched
 from repro.sim.jobs import ACCELERATOR_KINDS, execute_job
-from repro.sim.results import LayerResult, NetworkResult
+from repro.sim.results import _LAYER_FIELDS, LayerResult, NetworkResult
 from repro.sim.validate import compare_layer_results
 
 points = st.fixed_dictionaries({
@@ -132,3 +133,102 @@ class TestSplicedPath:
                         served.clock_ghz) == (event.network,
                                               event.accelerator,
                                               event.clock_ghz)
+
+
+# -- LayerResult.from_dict's fast path ------------------------------------------
+
+#: Floats with the cycle fix-up's zeros (both signs) drawn often.
+floats = st.one_of(st.sampled_from((0.0, -0.0, 1.0)), st.floats())
+layer_dicts = st.fixed_dictionaries({
+    "layer_name": st.text(max_size=12),
+    "layer_kind": st.sampled_from(("conv", "fc", "matmul")),
+    "cycles": st.one_of(st.sampled_from((0.0, -0.0)),
+                        st.floats(min_value=0.0), st.integers(0, 2 ** 70)),
+    "compute_cycles": floats,
+    "memory_cycles": floats,
+    "energy_pj": floats,
+    "weight_bits_read": floats,
+    "activation_bits_read": floats,
+    "activation_bits_written": floats,
+    "macs": st.integers(0, 2 ** 70),
+    "utilization": floats,
+    "extra": st.dictionaries(st.text(max_size=8), floats, max_size=3),
+})
+
+
+def _spelling(layer):
+    """Every attribute with its type and repr, in storage order."""
+    return [(name, type(value), repr(value))
+            for name, value in vars(layer).items()]
+
+
+def _outcome(build, data):
+    try:
+        return build(data)
+    except Exception as error:  # compared by type and message
+        return type(error), str(error)
+
+
+class TestLayerDecode:
+    @given(data=layer_dicts)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_keyword_constructor(self, data):
+        fast = LayerResult.from_dict(data)
+        slow = LayerResult(**data)
+        assert type(fast) is LayerResult
+        assert _spelling(fast) == _spelling(slow)
+        assert fast.extra is slow.extra is data["extra"]
+
+    def test_rejects_what_the_constructor_rejects_with_the_same_error(self):
+        good = LayerResult(layer_name="l", layer_kind="conv",
+                           cycles=1.0).to_dict()
+        missing = dict(good)
+        del missing["cycles"]
+        bad = [
+            {**good, "layer_kind": "pool"},
+            {**good, "layer_kind": ["conv"]},
+            {**good, "cycles": -1.0},
+            {**good, "cycles": "1"},
+            {**good, "compute_cycles": 0.0, "memory_cycles": 0.0,
+             "cycles": -0.5},
+            missing,
+            {**good, "unknown": 1},
+            {"layer_name": "l", "layer_kind": "conv"},
+            [("layer_name", "l")],
+        ]
+        for data in bad:
+            expected = _outcome(lambda d: LayerResult(**d), data)
+            assert isinstance(expected, tuple), data  # it does raise
+            assert _outcome(LayerResult.from_dict, data) == expected, data
+
+    def test_a_partial_dict_takes_the_constructor_and_its_defaults(self):
+        data = {"layer_name": "l", "layer_kind": "conv", "cycles": 4.0}
+        assert _spelling(LayerResult.from_dict(data)) \
+            == _spelling(LayerResult(**data))
+
+    def test_compute_cycles_fix_up_is_kept(self):
+        base = LayerResult(layer_name="l", layer_kind="fc",
+                           cycles=7.0).to_dict()
+        both_zero = LayerResult.from_dict(
+            {**base, "compute_cycles": 0.0, "memory_cycles": -0.0})
+        assert both_zero.compute_cycles == 7.0
+        memory_bound = LayerResult.from_dict(
+            {**base, "compute_cycles": 0.0, "memory_cycles": 3.0})
+        assert memory_bound.compute_cycles == 0.0
+        assert memory_bound.memory_cycles == 3.0
+
+    def test_the_fast_path_stores_every_field(self):
+        assert _LAYER_FIELDS == {
+            f.name for f in dataclasses.fields(LayerResult)}
+
+    def test_a_subclass_takes_the_constructor(self):
+        class Tagged(LayerResult):
+            def __post_init__(self):
+                super().__post_init__()
+                self.extra = {**self.extra, "tagged": 1.0}
+
+        data = LayerResult(layer_name="l", layer_kind="matmul",
+                           cycles=2.0).to_dict()
+        decoded = Tagged.from_dict(data)
+        assert type(decoded) is Tagged
+        assert decoded.extra == {"tagged": 1.0}

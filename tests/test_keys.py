@@ -8,23 +8,31 @@ them, so any change here invalidates warm caches and must be deliberate.
 
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
+import sys
+import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accelerators.base import AcceleratorConfig
+from repro.canonical import canonical_number
 from repro.energy.tech import TSMC_65NM
 from repro.explore.space import canonical_point, point_to_job
-from repro.memory.dram import LPDDR4_4267
+from repro.memory.dram import DRAMChannel, LPDDR4_4267
 from repro.quant.dynamic import DynamicPrecisionModel
 from repro.nn import available_networks
+from repro.serve import core as serve_core
+from repro.serve.core import keyed_jobs
 from repro.sim.jobs import (
     AcceleratorSpec, NetworkSpec, SimJob, execute_job, job_key, spec_dict,
     spec_payload,
 )
 from repro.sim.jobs import spec as jobs_spec
-from repro.sim.jobs.spec import canonical_number
+from repro.sim.jobs.spec import JOB_KEY_MEMO_SIZE
 from repro.sim.validate import compare_layer_results
 
 #: The perfbench networks and designs (the paper's six networks, its
@@ -51,6 +59,7 @@ def oracle_key(job: SimJob) -> str:
 def clear_key_memos() -> None:
     job_key.cache_clear()
     jobs_spec._fragment.cache_clear()
+    serve_core._point_memo.clear()
 
 
 def golden_jobs():
@@ -349,3 +358,275 @@ class TestCanonicalNumber:
                                 (float("inf"), int), (2 ** 60 + 1, float),
                                 (2, bool), ("1", int), (None, int)):
             assert canonical_number(value, declared) is value
+
+    def test_spells_a_float_zero_as_positive_zero(self):
+        for value in (-0.0, 0.0, 0, False):
+            converted = canonical_number(value, float)
+            assert type(converted) is float
+            assert math.copysign(1.0, converted) == 1.0
+        assert canonical_number(-0.0, int) == 0
+        assert type(canonical_number(-0.0, int)) is int
+
+
+# -- custom technology parameters and DRAM channels ----------------------------
+
+
+def _custom_tech(**spelled):
+    return dataclasses.replace(TSMC_65NM, name="custom", **spelled)
+
+
+def _custom_dram(**spelled):
+    return DRAMChannel(**{"name": "custom", "transfer_rate_mts": 4267.0,
+                          "interface_bits": 32, "efficiency": 0.85,
+                          "energy_pj_per_bit": 15.0, **spelled})
+
+
+#: Pairs of equal nested config values, canonical spelling first.
+NESTED_SPELLINGS = (
+    ({"tech": _custom_tech(feature_nm=65.0)},
+     {"tech": _custom_tech(feature_nm=65)}),
+    ({"tech": _custom_tech(clock_ghz=1.0, activity_factor=1.0)},
+     {"tech": _custom_tech(clock_ghz=True, activity_factor=1)}),
+    ({"dram": _custom_dram(energy_pj_per_bit=0.0)},
+     {"dram": _custom_dram(energy_pj_per_bit=-0.0)}),
+    ({"dram": _custom_dram(transfer_rate_mts=4267.0, interface_bits=32)},
+     {"dram": _custom_dram(transfer_rate_mts=4267, interface_bits=32.0)}),
+)
+
+
+class TestNestedSpellings:
+    def test_numeric_fields_are_stored_as_their_declared_types(self):
+        tech = _custom_tech(feature_nm=65, clock_ghz=True)
+        assert type(tech.feature_nm) is float
+        assert type(tech.clock_ghz) is float
+        dram = _custom_dram(transfer_rate_mts=4267, interface_bits=32.0,
+                            energy_pj_per_bit=-0.0)
+        assert type(dram.transfer_rate_mts) is float
+        assert type(dram.interface_bits) is int
+        assert math.copysign(1.0, dram.energy_pj_per_bit) == 1.0
+
+    def test_equal_custom_sets_share_one_key_in_either_memo_order(self):
+        for canonical, other in NESTED_SPELLINGS:
+            first, second = (SimJob(NetworkSpec("alexnet"),
+                                    AcceleratorSpec.create("loom"),
+                                    AcceleratorConfig(**spelled))
+                             for spelled in (canonical, other))
+            assert first == second
+            keys, payloads = [], []
+            for order in ((first, second), (second, first)):
+                clear_key_memos()
+                keys += [job_key(job) for job in order]
+                payloads += [spec_payload(job) for job in order]
+            assert set(keys) == {oracle_key(first)}, other
+            assert set(payloads) == {oracle_payload(first)}, other
+            results = [execute_job(job) for job in (first, second)]
+            assert compare_layer_results(results[0].layers,
+                                         results[1].layers) == []
+            assert results[0].to_json() == results[1].to_json()
+
+    def test_invalid_values_are_still_rejected(self):
+        for spelled in ({"feature_nm": 0}, {"feature_nm": -0.0},
+                        {"activity_factor": 0}):
+            with pytest.raises(ValueError):
+                _custom_tech(**spelled)
+        for spelled in ({"transfer_rate_mts": 0}, {"interface_bits": 0.0},
+                        {"energy_pj_per_bit": -1}):
+            with pytest.raises(ValueError):
+                _custom_dram(**spelled)
+
+
+# -- the raw point memo in keyed_jobs -------------------------------------------
+
+
+def oracle_entry(raw):
+    """What ``keyed_jobs`` must answer for ``raw``, computed without it."""
+    job = point_to_job(canonical_point(raw))
+    return job, job_key(job)
+
+
+def assert_matches_oracle(entry, raw):
+    job, key = entry
+    oracle_job, oracle_job_key = oracle_entry(raw)
+    assert job == oracle_job
+    assert spec_payload(job) == oracle_payload(oracle_job)
+    assert key == oracle_job_key == oracle_key(oracle_job)
+
+
+#: The perfbench axes, plus spellings of the same values.
+PERFBENCH_ACCELERATORS = ({"kind": "dpnn"}, {"kind": "stripes"},
+                          {"kind": "dstripes"},
+                          {"kind": "loom", "bits_per_cycle": 1},
+                          {"kind": "loom", "bits_per_cycle": 2},
+                          {"kind": "loom", "bits_per_cycle": 4})
+
+
+def _spelled(value):
+    """``value`` and its equal spellings as a raw point may carry them."""
+    spellings = [st.just(value)]
+    if type(value) is int:
+        spellings.append(st.just(float(value)))
+        if value in (0, 1):
+            spellings.append(st.just(bool(value)))
+    elif type(value) is float:
+        if value == int(value):
+            spellings.append(st.just(int(value)))
+        if value == 0.0:
+            spellings.append(st.just(-0.0))
+    return st.one_of(*spellings)
+
+
+def _raw_accelerator(design):
+    options = {name: value for name, value in design.items()
+               if name != "kind"}
+    spelled = st.fixed_dictionaries(
+        {"kind": st.just(design["kind"]),
+         **{name: _spelled(value) for name, value in options.items()}})
+    forms = [spelled,
+             spelled.map(lambda d: [d["kind"], {k: v for k, v in d.items()
+                                                if k != "kind"}])]
+    if not options:
+        forms.append(st.just(design["kind"]))
+    return st.one_of(*forms)
+
+
+raw_points = st.fixed_dictionaries(
+    {"network": st.sampled_from(NETWORKS),
+     "accelerator": st.sampled_from(PERFBENCH_ACCELERATORS).flatmap(
+         _raw_accelerator),
+     "equivalent_macs": st.sampled_from((32, 64, 128, 256, 512)).flatmap(
+         _spelled),
+     "clock_ghz": st.sampled_from((0.5, 1.0, 1.337, 2.0)).flatmap(_spelled),
+     "abin_bytes": st.sampled_from((1024, 4096, 65536)).flatmap(_spelled)},
+    optional={"accuracy": st.sampled_from(("100%", "99%")),
+              "charge_offchip_energy": st.sampled_from(
+                  (True, False, 1, 0, 1.0, 0.0, -0.0)),
+              "dram": st.just("lpddr4-4267"),
+              "am_capacity_bytes": st.sampled_from(
+                  (None, 1 << 20)).flatmap(_spelled)},
+)
+
+
+class TestPointMemo:
+    @given(raw=raw_points)
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_points_match_the_oracle_on_first_sight_and_repeat(
+            self, raw):
+        serve_core._point_memo.clear()
+        (first,) = keyed_jobs([raw])
+        assert_matches_oracle(first, raw)
+        (again,) = keyed_jobs([raw])
+        assert again[0] is first[0]  # answered by the memo
+        assert_matches_oracle(again, raw)
+
+    #: Groups of equal raw spellings of one point (over ``BASE_POINT``).
+    SPELLING_GROUPS = (
+        [{"clock_ghz": 1}, {"clock_ghz": 1.0}, {"clock_ghz": True}],
+        [{"charge_offchip_energy": 0.0}, {"charge_offchip_energy": -0.0},
+         {"charge_offchip_energy": False}, {"charge_offchip_energy": 0}],
+        [{"accelerator": {"kind": "loom", "use_cascading": -0.0}},
+         {"accelerator": {"kind": "loom", "use_cascading": 0.0}}],
+        [{"accelerator": {"kind": "loom", "bits_per_cycle": 1}},
+         {"accelerator": {"kind": "loom", "bits_per_cycle": 1.0}},
+         {"accelerator": {"kind": "loom", "bits_per_cycle": True}}],
+    )
+
+    def test_spellings_match_the_oracle_in_every_memo_order(self):
+        for group in self.SPELLING_GROUPS:
+            points = [{**BASE_POINT, **spelled} for spelled in group]
+            for order in itertools.permutations(points):
+                clear_key_memos()
+                for raw in order + order:
+                    (entry,) = keyed_jobs([raw])
+                    assert_matches_oracle(entry, raw)
+                assert len(serve_core._point_memo) == len(group)
+
+    def test_spellings_never_share_an_entry(self):
+        frozen = serve_core._frozen
+        values = [True, 1, 1.0, "1", 0.0, -0.0, 0, False, None, "",
+                  [1], (1,), {"a": 1}, {"a": 1.0}, {"a": True}, [1.0],
+                  {1: 1}, {True: 1}, {"a": 1, "b": 2}, {"b": 2, "a": 1},
+                  [[1]], [(1,)], [{"a": -0.0}], [{"a": 0.0}],
+                  float("inf"), -float("inf")]
+        spellings = [frozen(value) for value in values]
+        for (i, a), (j, b) in itertools.combinations(
+                enumerate(spellings), 2):
+            assert a != b, (values[i], values[j])
+        assert frozen({"a": [1, {"b": 2.5}]}) == frozen({"a": [1, {"b": 2.5}]})
+
+    def test_values_it_cannot_spell_bypass_the_memo(self):
+        class Clock(float):
+            pass
+
+        clear_key_memos()
+        raw = {**BASE_POINT, "clock_ghz": Clock(1.5)}
+        for _ in range(2):
+            (entry,) = keyed_jobs([raw])
+            assert_matches_oracle(entry, raw)
+        assert len(serve_core._point_memo) == 0
+
+    def test_an_invalid_point_raises_the_same_error_every_time(self):
+        clear_key_memos()
+        for raw in ({"network": "alexnet"},
+                    {"network": "alexnet", "accelerator": {"kind": "nope"}},
+                    {**BASE_POINT, "equivalent_macs": 20},
+                    {**BASE_POINT, "no_such_parameter": 1},
+                    [1, 2]):
+            errors = []
+            for _ in range(2):
+                try:
+                    keyed_jobs([raw])
+                except ValueError as error:
+                    errors.append(str(error))
+            assert len(errors) == 2 and errors[0] == errors[1], raw
+        assert len(serve_core._point_memo) == 0
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        assert serve_core._point_memo.maxsize == JOB_KEY_MEMO_SIZE
+        small = serve_core._PointMemo(8)
+        monkeypatch.setattr(serve_core, "_point_memo", small)
+        points = [{**BASE_POINT, "clock_ghz": 1.0 + index / 64}
+                  for index in range(40)]
+        for raw in points:
+            keyed_jobs([raw, points[0]])  # keeps the first point recent
+            assert len(small) <= 8
+        assert len(small) == 8
+        (entry,) = keyed_jobs([points[0]])
+        assert entry is small.get(serve_core._frozen(points[0]))
+        assert small.get(serve_core._frozen(points[1])) is None
+
+    def test_threads_keying_the_same_points_agree(self):
+        clear_key_memos()
+        points = [
+            {"network": network, "accelerator": dict(design),
+             "equivalent_macs": macs, "clock_ghz": clock}
+            for network, design, macs, clock in itertools.islice(
+                itertools.product(NETWORKS, PERFBENCH_ACCELERATORS,
+                                  (32, 64, 128, 256, 512),
+                                  (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)), 1000)
+        ]
+        answers = [None] * 8
+        start = threading.Barrier(len(answers))
+
+        def key_all(slot):
+            start.wait()
+            keys = []
+            for index in range(0, len(points), 16):
+                keys += [key for _, key in keyed_jobs(points[index:index + 16])]
+            answers[slot] = keys
+
+        threads = [threading.Thread(target=key_all, args=(slot,))
+                   for slot in range(len(answers))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = [oracle_key(point_to_job(canonical_point(raw)))
+                    for raw in points]
+        assert all(keys == expected for keys in answers)
+        assert len(serve_core._point_memo) == len(points)
