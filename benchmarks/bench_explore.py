@@ -58,8 +58,8 @@ from repro.explore import (
     resolve_strategy,
     scalar_score,
 )
+from repro.memo import clear_memos
 from repro.sim.jobs import JobExecutor
-from repro.sim.jobs import spec as jobs_spec
 
 
 def _sweep_space(quick: bool) -> SweepSpec:
@@ -77,13 +77,6 @@ def _sweep_space(quick: bool) -> SweepSpec:
         ]
     base = {"network": "alexnet"} if quick else {}
     return SweepSpec(axes=axes, base=base)
-
-
-def _clear_memos():
-    """Forget memoised networks/accelerators (cold-start conditions)."""
-    jobs_spec.build_spec_network.cache_clear()
-    jobs_spec._spec_layers.cache_clear()
-    jobs_spec.build_accelerator.cache_clear()
 
 
 def _run_workload(space, make_executor):
@@ -118,13 +111,13 @@ def measure(quick: bool = False):
     """Time and count both styles; returns a dict of measurements."""
     space = _sweep_space(quick)
 
-    _clear_memos()
+    clear_memos()
     start = time.perf_counter()
     naive_executed, naive_frontiers = _run_workload(
         space, lambda: JobExecutor(cache=None))
     naive_wall = time.perf_counter() - start
 
-    _clear_memos()
+    clear_memos()
     start = time.perf_counter()
     cached_executed, cached_frontiers = _run_workload_shared(space)
     cached_wall = time.perf_counter() - start
@@ -224,14 +217,14 @@ def measure_surrogate(quick: bool = False):
         rounds=2 if quick else 4,
     )
 
-    _clear_memos()
+    clear_memos()
     start = time.perf_counter()
     with JobExecutor() as executor:
         grid_result = explore(space, strategy="grid", executor=executor)
         grid_executed = executor.stats.executed
     grid_wall = time.perf_counter() - start
 
-    _clear_memos()
+    clear_memos()
     start = time.perf_counter()
     with JobExecutor() as executor:
         surrogate_result = explore(space, strategy=surrogate,

@@ -24,16 +24,9 @@ import numpy as np
 
 from repro.cli import main
 from repro.experiments import area, figure4, figure5, table1, table2, table3, table4
+from repro.memo import clear_memos
 from repro.quant import groups
 from repro.sim.jobs import JobExecutor
-from repro.sim.jobs import spec as jobs_spec
-
-
-def _clear_memos():
-    """Forget memoised networks/accelerators (cold-start conditions)."""
-    jobs_spec.build_spec_network.cache_clear()
-    jobs_spec._spec_layers.cache_clear()
-    jobs_spec.build_accelerator.cache_clear()
 
 
 def _seed_count_significant_bits(codes, signed=False):
@@ -72,7 +65,7 @@ def _run_all_seed_style() -> str:
     outputs = [table1.format_table()]
 
     def run(harness, formatter):
-        _clear_memos()
+        clear_memos()
         with JobExecutor(cache=None) as executor:
             return formatter(harness(executor))
 
@@ -89,7 +82,7 @@ def _run_all_seed_style() -> str:
 
 def _run_all_pipelined() -> str:
     """The current ``loom-repro all``: one shared executor, warm memos off."""
-    _clear_memos()
+    clear_memos()
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         assert main(["all"]) == 0

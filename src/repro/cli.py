@@ -72,6 +72,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sqlite3
 import sys
@@ -147,8 +148,9 @@ def _positive_float(value: str) -> float:
         number = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
-    if number <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {number}")
+    if not math.isfinite(number) or number <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be > 0 and finite, got {number}")
     return number
 
 

@@ -59,6 +59,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -216,9 +217,9 @@ class ClusterCoordinator(HTTPNode):
             raise ValueError(f"duplicate worker URLs in {list(workers)}")
         self.ring = ConsistentHashRing(self.shards, replicas=replicas)
         self.rate_limiter = rate_limiter
-        if peer_timeout_s <= 0:
+        if not math.isfinite(peer_timeout_s) or peer_timeout_s <= 0:
             raise ValueError(
-                f"peer_timeout_s must be > 0, got {peer_timeout_s}")
+                f"peer_timeout_s must be finite and > 0, got {peer_timeout_s}")
         self.peer_cache = peer_cache
         self.peer_timeout_s = peer_timeout_s
         self.health_interval_s = health_interval_s

@@ -23,7 +23,6 @@ JSON file format is.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from typing import (
 )
 
 from repro.accelerators.base import AcceleratorConfig
+from repro.memo import DESIGN_MEMO_SIZE, memo
 from repro.memory.dram import DRAMChannel, LPDDR4_4267
 from repro.sim.jobs import (
     AcceleratorSpec,
@@ -251,7 +251,7 @@ def format_parameter(name: str, value: object) -> str:
     return str(value)
 
 
-@functools.lru_cache(maxsize=None)
+@memo(DESIGN_MEMO_SIZE)
 def _overrides_buildable(network: str, groups, heads) -> bool:
     """Whether the zoo builder accepts this (network, overrides) combination."""
     from repro.nn import build_network

@@ -24,17 +24,16 @@ import contextlib
 import struct
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.explore.engine import explore
 from repro.explore.search import strategy_from_request
 from repro.explore.space import SweepSpec, canonical_point, point_to_job
+from repro.memo import POINT_MEMO_SIZE, memo
 from repro.sim.jobs import (
     CachedResult, JobExecutor, ResultCache, SimJob, job_key,
 )
-from repro.sim.jobs.spec import JOB_KEY_MEMO_SIZE
 from repro.sim.results import NetworkResult
 
 __all__ = ["Backpressure", "ServiceCore", "ServiceStats", "keyed_jobs",
@@ -75,6 +74,7 @@ class _Unfrozen(Exception):
 
 
 _FLOAT_BITS = struct.Struct("<d").pack
+_FLOAT_VALUE = struct.Struct("<d").unpack
 
 #: Tags of :func:`_frozen` spellings that are not the value itself.
 _TRUE, _FALSE, _DICT, _LIST, _TUPLE = (object() for _ in range(5))
@@ -110,40 +110,36 @@ def _frozen(value):
     raise _Unfrozen
 
 
-class _PointMemo:
-    """Bounded, thread-safe LRU memo: a raw point's exact spelling ->
-    its ``(job, content key)``."""
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[tuple, Tuple[SimJob, str]]" = \
-            OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, spelling: tuple) -> Optional[Tuple[SimJob, str]]:
-        with self._lock:
-            entry = self._entries.get(spelling)
-            if entry is not None:
-                self._entries.move_to_end(spelling)
-            return entry
-
-    def put(self, spelling: tuple, entry: Tuple[SimJob, str]) -> None:
-        with self._lock:
-            self._entries[spelling] = entry
-            if len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+def _thawed(spelling):
+    """The raw value :func:`_frozen` spelled as ``spelling`` (its inverse:
+    same types, same float bits)."""
+    kind = type(spelling)
+    if kind is tuple:
+        tag, items = spelling[0], spelling[1:]
+        if tag is _DICT:
+            return {_thawed(items[index]): _thawed(items[index + 1])
+                    for index in range(0, len(items), 2)}
+        values = [_thawed(item) for item in items]
+        return values if tag is _LIST else tuple(values)
+    if kind is bytes:
+        return _FLOAT_VALUE(spelling)[0]
+    if spelling is _TRUE or spelling is _FALSE:
+        return spelling is _TRUE
+    return spelling
 
 
-#: Raw point -> ``(job, key)``, bounded like the ``job_key`` memo whose jobs
-#: it shares.  Per process: each node warms its own on repeated points.
-_point_memo = _PointMemo(JOB_KEY_MEMO_SIZE)
+def _keyed(raw: Mapping[str, object]) -> Tuple[SimJob, str]:
+    """``(job, key)`` of a raw point, through the module's own names."""
+    job = point_to_job(canonical_point(raw))
+    return job, job_key(job)
+
+
+@memo(POINT_MEMO_SIZE)
+def _keyed_spelling(spelling: tuple) -> Tuple[SimJob, str]:
+    """``(job, key)`` of the raw point spelled ``spelling``, memoised per
+    process: each node warms its own on repeated points.  An exception is
+    never memoised, so an invalid point raises the same error every time."""
+    return _keyed(_thawed(spelling))
 
 
 def keyed_jobs(raw_points: Sequence[object]) -> List[Tuple[SimJob, str]]:
@@ -153,28 +149,23 @@ def keyed_jobs(raw_points: Sequence[object]) -> List[Tuple[SimJob, str]]:
     canonicalise into a job.  A point spelled exactly like one seen before
     (same keys, value types, nesting and float bits; see :func:`_frozen`)
     is answered from a bounded per-process memo; any other runs
-    ``canonical_point``, ``point_to_job`` and ``job_key``.  Only points
-    that canonicalise are memoised, so an invalid point raises the same
-    error every time.
+    ``canonical_point``, ``point_to_job`` and ``job_key``.
     """
     entries = []
     for raw in raw_points:
-        try:
-            spelling = _frozen(raw) if type(raw) is dict else None
-        except (_Unfrozen, RecursionError):  # skips the memo
-            spelling = None
-        entry = None if spelling is None else _point_memo.get(spelling)
-        if entry is None:
-            if not isinstance(raw, Mapping):
-                raise ValueError(
-                    f"a job point must be a JSON object, got "
-                    f"{type(raw).__name__}"
-                )
-            job = point_to_job(canonical_point(raw))
-            entry = (job, job_key(job))
-            if spelling is not None:
-                _point_memo.put(spelling, entry)
-        entries.append(entry)
+        if type(raw) is dict:
+            try:
+                spelling = _frozen(raw)
+            except (_Unfrozen, RecursionError):  # skips the memo
+                pass
+            else:
+                entries.append(_keyed_spelling(spelling))
+                continue
+        elif not isinstance(raw, Mapping):
+            raise ValueError(
+                f"a job point must be a JSON object, got {type(raw).__name__}"
+            )
+        entries.append(_keyed(raw))
     return entries
 
 

@@ -39,12 +39,12 @@ it because both engines are bit-identical.
 from __future__ import annotations
 
 import contextlib
-import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.memo import DESIGN_MEMO_SIZE, PLANE_MEMO_SIZE, memo
 from repro.sim.results import LayerResult, NetworkResult
 
 # repro.core.closed_form and the accelerator classes are imported lazily:
@@ -239,8 +239,8 @@ def stack_layer_tables(tables: Sequence[LayerTable]) -> BatchedLayerTable:
 # stacked table for a given tuple of network specs is rebuilt identically per
 # design group.  Memoise it (the member LayerTables are themselves memoised
 # per spec, so equal spec tuples always yield the same stack).  Like the other
-# spec->object memo caches this is per process and read-only once built.
-@functools.lru_cache(maxsize=256)
+# spec->object memos this is per process and read-only once built.
+@memo(DESIGN_MEMO_SIZE)
 def _stacked_tables_for_specs(network_specs: tuple) -> BatchedLayerTable:
     from repro.sim.jobs.spec import _spec_layer_table
 
@@ -256,7 +256,7 @@ def _stacked_tables_for_specs(network_specs: tuple) -> BatchedLayerTable:
 # means one kernel branch in _compute_cycles plus its entries here.
 
 
-@functools.lru_cache(maxsize=1)
+@memo(None)
 def _stock_kinds():
     """Exact classes with a vector kernel (imported lazily: no package cycles)."""
     from repro.accelerators.dpnn import DPNN
@@ -382,25 +382,12 @@ def _design_params(accelerator) -> Dict[str, object]:
     return params
 
 
-# Design records keyed by accelerator identity.  Accelerator instances hash
-# by id and the memo holds a strong reference (which also keeps the id
-# stable); build_accelerator memoises instances per (spec, config) up to
-# its LRU bound, and this memo is capped to match: cleared wholesale when
-# it reaches that many designs.  Stock designs are immutable in every field
-# a record reads.
-_DESIGN_RECORDS: Dict[object, Tuple[tuple, Dict[str, object]]] = {}
-_DESIGN_RECORDS_CAP = 1024
-
-
+@memo(DESIGN_MEMO_SIZE)
 def _design_record(accelerator) -> Tuple[tuple, Dict[str, object]]:
-    """``(signature, params)`` for ``accelerator``, memoised."""
-    record = _DESIGN_RECORDS.get(accelerator)
-    if record is None:
-        record = (_design_signature(accelerator), _design_params(accelerator))
-        if len(_DESIGN_RECORDS) >= _DESIGN_RECORDS_CAP:
-            _DESIGN_RECORDS.clear()
-        _DESIGN_RECORDS[accelerator] = record
-    return record
+    """``(signature, params)`` for ``accelerator``, memoised per instance
+    (accelerators hash by identity; stock designs are immutable in every
+    field a record reads)."""
+    return _design_signature(accelerator), _design_params(accelerator)
 
 
 # -- design planes -------------------------------------------------------------
@@ -410,14 +397,12 @@ def _design_record(accelerator) -> Tuple[tuple, Dict[str, object]]:
 class _DesignPlane:
     """Designs of one signature over their layer rows, ready to evaluate.
 
-    ``members`` holds strong references to the (accelerator, table) pairs
-    (which also pins the ids the plane cache is keyed by); ``flat``
-    concatenates the member tables end to end.  ``params`` maps each design
-    parameter to a scalar for a one-design plane (it broadcasts) or to an
-    array repeating each design's value over that design's rows.
+    ``flat`` concatenates the member designs' tables end to end.
+    ``params`` maps each design parameter to a scalar when every member
+    design has that value (it broadcasts) or to an array repeating each
+    design's value over that design's rows.
     """
 
-    members: Tuple[Tuple[object, LayerTable], ...]
     structure: Dict[str, object]
     flat: LayerTable
     conv: np.ndarray
@@ -425,45 +410,39 @@ class _DesignPlane:
     params: Dict[str, object]
 
 
-# Multi-design planes keyed by the member (accelerator, table) id pairs;
-# values reference the members, keeping the keys valid.  Sweeps re-evaluate
-# the same design x network mix repeatedly (explore rounds, serve batches),
-# so the concatenation + np.repeat work is paid once.  One-design planes are
-# cheap to build and are not cached.
-_PLANE_CACHE: Dict[Tuple[Tuple[int, int], ...], _DesignPlane] = {}
-_PLANE_CACHE_CAP = 128
-
-
 def _design_plane(members: Sequence[Tuple[object, LayerTable]]) -> _DesignPlane:
     """Build the plane for ``members``, which share one design signature."""
-    key = (tuple((id(a), id(t)) for a, t in members) if len(members) > 1
-           else None)
-    plane = _PLANE_CACHE.get(key)
-    if plane is not None:
-        return plane
     records = [_design_record(accelerator) for accelerator, _ in members]
     flat = _concat_tables([table for _, table in members])
-    if key is None:
+    if len(members) == 1:
         params = records[0][1]
     else:
         counts = [len(table) for _, table in members]
-        params = {
-            name: np.repeat(np.asarray([p[name] for _, p in records]), counts)
-            for name in records[0][1]
-        }
-    plane = _DesignPlane(
-        members=tuple(members),
+        params = {}
+        for name in records[0][1]:
+            values = [p[name] for _, p in records]
+            # A value every design spells alike stays a scalar, as in a
+            # one-design plane, so memoised planes stay small.
+            params[name] = (values[0] if len(set(map(repr, values))) == 1
+                            else np.repeat(np.asarray(values), counts))
+    return _DesignPlane(
         structure=dict(zip(_SIGNATURE_FIELDS, records[0][0])),
         flat=flat,
         conv=np.flatnonzero(flat.is_conv),
         fc=np.flatnonzero(~flat.is_conv),
         params=params,
     )
-    if key is not None:
-        if len(_PLANE_CACHE) >= _PLANE_CACHE_CAP:
-            _PLANE_CACHE.clear()
-        _PLANE_CACHE[key] = plane
-    return plane
+
+
+# Multi-design planes keyed by value: (accelerator, network-spec tuple) per
+# member.  Sweeps re-evaluate the same design x network mix repeatedly
+# (explore rounds, serve batches), so the concatenation + np.repeat work is
+# paid once.  One-design planes are cheap to build and are not memoised.
+@memo(PLANE_MEMO_SIZE)
+def _spec_plane(members: Tuple[Tuple[object, tuple], ...]) -> _DesignPlane:
+    """The plane of several designs, each over its jobs' network specs."""
+    return _design_plane([(accelerator, _stacked_tables_for_specs(specs).flat)
+                          for accelerator, specs in members])
 
 
 def _rows(value, idx: np.ndarray):
@@ -758,14 +737,14 @@ def simulate_jobs_batched(jobs: Iterable["SimJob"]) -> List[NetworkResult]:
 
     new = NetworkResult.__new__
     for members in planes.values():
-        stacks = [
-            _stacked_tables_for_specs(tuple([jobs[i].network for i in indices]))
-            for _, indices in members
-        ]
-        layers = _simulate_plane(_design_plane(
-            [(accelerator, stack.flat)
-             for (accelerator, _), stack in zip(members, stacks)]
-        ))
+        specs = [tuple([jobs[i].network for i in indices])
+                 for _, indices in members]
+        stacks = [_stacked_tables_for_specs(spec) for spec in specs]
+        if len(members) == 1:
+            plane = _design_plane([(members[0][0], stacks[0].flat)])
+        else:
+            plane = _spec_plane(tuple(zip([a for a, _ in members], specs)))
+        layers = _simulate_plane(plane)
         cursor = 0
         for (accelerator, indices), stack in zip(members, stacks):
             name = accelerator.name

@@ -25,16 +25,17 @@ touching the same network pays the build cost once.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, get_type_hints
 
 from repro.canonical import canonical_number
+from repro.memo import DESIGN_MEMO_SIZE, POINT_MEMO_SIZE, memo
+from repro.quant.dynamic import DynamicPrecisionModel
 from repro.sim.results import NetworkResult
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
@@ -66,13 +67,6 @@ _PROFILE_INSENSITIVE_KINDS = frozenset({"dpnn"})
 
 def _loom_factory(config, options: Dict[str, object]):
     from repro.core import Loom
-    from repro.quant.dynamic import DynamicPrecisionModel
-
-    if "dynamic_precision" in options:
-        options = dict(options)
-        options["dynamic_precision"] = DynamicPrecisionModel(
-            **dict(options["dynamic_precision"])
-        )
     return Loom(config, **options)
 
 
@@ -112,7 +106,7 @@ _KIND_CLASSES = {
 assert set(_KIND_CLASSES) == set(ACCELERATOR_KINDS)
 
 
-@functools.lru_cache(maxsize=None)
+@memo(None)
 def _kind_defaults(kind: str) -> Tuple[Tuple[str, object], ...]:
     """Constructor defaults for a kind (canonicalised), for key normalisation."""
     import importlib
@@ -151,10 +145,28 @@ def _canonical_value(value):
     )
 
 
-def _as_default_type(value, default):
-    """An accelerator option spelled as its constructor default's type."""
+#: Options whose value is a dataclass, given as one or as a mapping of its
+#: fields.
+_DATACLASS_OPTIONS = {"dynamic_precision": DynamicPrecisionModel}
+
+
+def _as_default_type(key: str, value, default):
+    """An accelerator option spelled as its constructor default's type.
+
+    A dataclass option, given as a mapping or as the dataclass, keeps only
+    the fields given (filling in defaults would change stored keys), each
+    spelled as its declared field type, so ``{"enabled": 1}`` and
+    ``{"enabled": True}`` make one spec.
+    """
     if type(default) in (int, float, bool):
         return canonical_number(value, type(default))
+    if key in _DATACLASS_OPTIONS and (isinstance(value, Mapping)
+                                      or is_dataclass(value)):
+        declared = get_type_hints(_DATACLASS_OPTIONS[key])
+        given = value if isinstance(value, Mapping) else asdict(value)
+        return {name: canonical_number(item, declared[name])
+                if declared.get(name) in (int, float, bool) else item
+                for name, item in given.items()}
     return value
 
 
@@ -213,7 +225,7 @@ class AcceleratorSpec:
             (key, canonical_value)
             for key, canonical_value in (
                 (key, _canonical_value(_as_default_type(
-                    value, defaults.get(key))))
+                    key, value, defaults.get(key))))
                 for key, value in sorted(options.items())
             )
             # Options pinned at their constructor default describe the same
@@ -291,22 +303,11 @@ def spec_dict(job: SimJob) -> Dict[str, object]:
     }
 
 
-#: ``job_key`` memo bound: above a 3072-point warm working set, so warm keys
-#: stay memoised, while never-seen points cannot pin memory without limit.
-JOB_KEY_MEMO_SIZE = 8192
-
-#: Fragment memo bound: encoded (network, accelerator) heads plus nested
-#: config dataclasses (technology parameters, DRAM channels).
-FRAGMENT_MEMO_SIZE = 1024
-
-#: ``build_accelerator`` memo bound (one instance per distinct design).
-ACCELERATOR_MEMO_SIZE = 1024
-
 #: The key's canonical JSON settings: sorted keys, no whitespace.
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-@functools.lru_cache(maxsize=FRAGMENT_MEMO_SIZE)
+@memo(DESIGN_MEMO_SIZE)
 def _fragment(part):
     """Canonical JSON of a payload part that many jobs share.
 
@@ -322,7 +323,7 @@ def _fragment(part):
             ',"network":' + _ENCODE(network) + "}")
 
 
-@functools.lru_cache(maxsize=None)
+@memo(None)
 def _config_layout(config_class: type) -> Tuple[Tuple[str, str], ...]:
     """``('"name":', name)`` per field of ``config_class``, in key order."""
     return tuple((_ENCODE(name) + ":", name)
@@ -362,7 +363,7 @@ def spec_payload(job: SimJob) -> str:
     ]) + "}" + suffix
 
 
-@functools.lru_cache(maxsize=JOB_KEY_MEMO_SIZE)
+@memo(POINT_MEMO_SIZE)
 def job_key(job: SimJob) -> str:
     """Deterministic content key: sha256 over :func:`spec_payload`.
 
@@ -374,13 +375,13 @@ def job_key(job: SimJob) -> str:
 
 # -- spec -> objects ----------------------------------------------------------
 #
-# The memo caches below are per process, so every process builds each
-# profiled network and each accelerator at most once no matter how many jobs
+# The memos below are per process, so every process builds each profiled
+# network and each accelerator once per stay in its memo, however many jobs
 # reference it.  The memoised networks and layer lists are shared across jobs
 # and must be treated as read-only.
 
 
-@functools.lru_cache(maxsize=None)
+@memo(DESIGN_MEMO_SIZE)
 def build_spec_network(spec: NetworkSpec):
     """Build the zoo network named by ``spec`` with its profile attached."""
     from repro.nn import build_network
@@ -395,56 +396,32 @@ def build_spec_network(spec: NetworkSpec):
     return network
 
 
-@functools.lru_cache(maxsize=None)
+@memo(DESIGN_MEMO_SIZE)
 def _spec_layers(spec: NetworkSpec) -> tuple:
     """Resolved compute layers for a network spec (shared, read-only)."""
     return tuple(build_spec_network(spec).compute_layers())
 
 
-class _LayerTableMemo:
-    """Timed memo for layer tables: like ``lru_cache`` plus a build clock.
+#: Cumulative wall seconds spent in :func:`_spec_layer_table` builds.
+_table_build_seconds = 0.0
+_table_clock_lock = threading.Lock()
 
-    The executor's phase accounting needs to know how much wall time a batch
-    spent (re)building layer tables, which ``functools.lru_cache`` cannot
-    report -- hence this hand-rolled equivalent.  ``build_seconds`` is
-    cumulative; callers sample it before/after a batch and attribute the
-    delta.  Double-checked locking keeps hits lock-free-ish while ensuring a
-    table is built at most once per process.
+
+@memo(DESIGN_MEMO_SIZE)
+def _spec_layer_table(spec: NetworkSpec):
+    """Column-wise layer table for the vector engine (shared, read-only).
+
+    The time each build takes runs the build clock that the executor's
+    ``layer_table_build`` phase reads (:func:`layer_table_build_seconds`).
     """
+    global _table_build_seconds
+    from repro.sim.batched import build_layer_table
 
-    def __init__(self) -> None:
-        self._tables: Dict[NetworkSpec, object] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.builds = 0
-        self.build_seconds = 0.0
-
-    def __call__(self, spec: NetworkSpec):
-        table = self._tables.get(spec)
-        if table is not None:
-            self.hits += 1
-            return table
-        from repro.sim.batched import build_layer_table
-
-        with self._lock:
-            table = self._tables.get(spec)
-            if table is not None:
-                self.hits += 1
-                return table
-            started = time.perf_counter()
-            table = build_layer_table(_spec_layers(spec))
-            self.build_seconds += time.perf_counter() - started
-            self.builds += 1
-            self._tables[spec] = table
-            return table
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._tables.clear()
-
-
-#: Column-wise layer tables for the vector engine (shared, read-only).
-_spec_layer_table = _LayerTableMemo()
+    started = time.perf_counter()
+    table = build_layer_table(_spec_layers(spec))
+    with _table_clock_lock:
+        _table_build_seconds += time.perf_counter() - started
+    return table
 
 
 def layer_table_cache_info() -> Dict[str, int]:
@@ -453,17 +430,18 @@ def layer_table_cache_info() -> Dict[str, int]:
     ``hits`` counts table requests answered without reconstruction;
     ``builds`` counts actual :func:`~repro.sim.batched.build_layer_table`
     runs.  The counters are process-wide (the memo is shared by every
-    executor and engine in the process) and cumulative since process start;
+    executor and engine in the process) and cumulative since process start
+    or the last :func:`~repro.memo.clear_memos`;
     :meth:`~repro.sim.jobs.executor.ExecutorStats.to_dict` surfaces them so
     sweep services can confirm repeated sweeps skip table reconstruction.
     """
-    return {"hits": _spec_layer_table.hits,
-            "builds": _spec_layer_table.builds}
+    info = _spec_layer_table.cache_info()
+    return {"hits": info.hits, "builds": info.misses}
 
 
 def layer_table_build_seconds() -> float:
     """Cumulative wall seconds spent building layer tables (this process)."""
-    return _spec_layer_table.build_seconds
+    return _table_build_seconds
 
 
 def network_layer_counts(name: str) -> Tuple[int, int]:
@@ -485,14 +463,17 @@ def network_kind_counts(name: str) -> Dict[str, int]:
     return counts
 
 
-@functools.lru_cache(maxsize=ACCELERATOR_MEMO_SIZE)
+@memo(DESIGN_MEMO_SIZE)
 def build_accelerator(spec: AcceleratorSpec,
                       config: "Optional[AcceleratorConfig]" = None):
     """Instantiate the accelerator described by ``spec`` (memoised, LRU
-    bounded at :data:`ACCELERATOR_MEMO_SIZE` designs)."""
+    bounded at :data:`~repro.memo.DESIGN_MEMO_SIZE` designs)."""
+    options = spec.options_dict()
+    for key in _DATACLASS_OPTIONS.keys() & options.keys():
+        options[key] = _DATACLASS_OPTIONS[key](**dict(options[key]))
     factory = ACCELERATOR_KINDS[spec.kind]
     return factory(config if config is not None else _default_config(),
-                   spec.options_dict())
+                   options)
 
 
 def execute_job(job: SimJob, engine: Optional[str] = None) -> NetworkResult:

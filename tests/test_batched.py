@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.accelerators.base import AcceleratorConfig
+from repro.memo import DESIGN_MEMO_SIZE, POINT_MEMO_SIZE, clear_memos
 from repro.sim import batched
 from repro.sim.batched import (
     _design_signature,
@@ -318,6 +319,32 @@ class TestCLIEngineSelection:
         assert "invalid choice: 'warp'" in capsys.readouterr().err
 
 
+class TestClearMemos:
+    def test_a_mixed_batch_is_unchanged_by_clearing_every_memo(
+            self, monkeypatch):
+        from repro.core import Loom
+
+        class TunedLoom(Loom):
+            def compute_cycles(self, layer):
+                return super().compute_cycles(layer) * 2.0
+
+        monkeypatch.setitem(jobs_spec.ACCELERATOR_KINDS, "tunedloom",
+                            lambda config, options: TunedLoom(config))
+        monkeypatch.setitem(jobs_spec._KIND_CLASSES, "tunedloom",
+                            ("repro.core", "Loom"))
+        networks = _NETWORKS + (NetworkSpec("resnet18", groups=2),
+                                NetworkSpec("tiny_transformer", heads=2))
+        jobs = [SimJob(network, spec, config)
+                for network in networks for spec, config in _DESIGNS]
+        jobs.insert(5, SimJob(networks[-2], AcceleratorSpec("tunedloom")))
+        before = simulate_jobs_batched(jobs)
+        simulate_jobs_batched(jobs)  # a repeat answers from warm memos
+        clear_memos()
+        after = simulate_jobs_batched(jobs)
+        _jobs_equal(before, after)
+        _jobs_equal(after, _reference(jobs))
+
+
 class TestBoundedMemos:
     """Never-seen points cannot pin memory through the process memos."""
 
@@ -326,19 +353,18 @@ class TestBoundedMemos:
         loom = AcceleratorSpec.create("loom")
         jobs = [SimJob(network, loom,
                        AcceleratorConfig(clock_ghz=2.0 + index / 100_000))
-                for index in range(3 * jobs_spec.JOB_KEY_MEMO_SIZE + 1)]
+                for index in range(3 * POINT_MEMO_SIZE + 1)]
         first = jobs[0]
         evicted = build_accelerator(first.accelerator, first.config)
         for job in jobs:
             jobs_spec.job_key(job)
-        assert jobs_spec.job_key.cache_info().currsize \
-            <= jobs_spec.JOB_KEY_MEMO_SIZE
-        designs = jobs[1:3 * jobs_spec.ACCELERATOR_MEMO_SIZE + 2]
+        assert jobs_spec.job_key.cache_info().currsize <= POINT_MEMO_SIZE
+        designs = jobs[1:3 * DESIGN_MEMO_SIZE + 2]
         assert len(simulate_jobs_batched(designs)) == len(designs)
-        assert build_accelerator.cache_info().currsize \
-            <= jobs_spec.ACCELERATOR_MEMO_SIZE
-        assert batched._DESIGN_RECORDS_CAP == jobs_spec.ACCELERATOR_MEMO_SIZE
-        assert len(batched._DESIGN_RECORDS) <= batched._DESIGN_RECORDS_CAP
+        assert build_accelerator.cache_info().currsize <= DESIGN_MEMO_SIZE
+        assert batched._design_record.cache_info().maxsize == DESIGN_MEMO_SIZE
+        assert batched._design_record.cache_info().currsize \
+            <= DESIGN_MEMO_SIZE
         # The first design's accelerator was evicted; it is rebuilt, and
         # the rebuilt design is still bit-identical to the event engine.
         assert build_accelerator(first.accelerator, first.config) \

@@ -231,6 +231,16 @@ class TestClusterParser:
             build_parser().parse_args(
                 ["cluster", "--peer-timeout-ms", "0"])
 
+    def test_cluster_rejects_non_finite_budgets(self, capsys):
+        # Regression: `--peer-timeout-ms nan` parsed, and the peer tier
+        # then stayed off (every /ring push answered 400).
+        for flag in ("--peer-timeout-ms", "--rate"):
+            for value in ("nan", "inf", "-inf"):
+                with pytest.raises(SystemExit) as excinfo:
+                    build_parser().parse_args(["cluster", flag, value])
+                assert excinfo.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_cluster_conflicts_with_global_cache_flags(self, capsys):
         for flags in (["--no-cache"], ["--cache-dir", "/tmp/c"]):
             with pytest.raises(SystemExit) as excinfo:

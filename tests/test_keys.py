@@ -7,10 +7,12 @@ them, so any change here invalidates warm caches and must be deliberate.
 """
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import math
+import struct
 import sys
 import threading
 
@@ -22,6 +24,7 @@ from repro.accelerators.base import AcceleratorConfig
 from repro.canonical import canonical_number
 from repro.energy.tech import TSMC_65NM
 from repro.explore.space import canonical_point, point_to_job
+from repro.memo import DESIGN_MEMO_SIZE, POINT_MEMO_SIZE, clear_memos
 from repro.memory.dram import DRAMChannel, LPDDR4_4267
 from repro.quant.dynamic import DynamicPrecisionModel
 from repro.nn import available_networks
@@ -32,7 +35,6 @@ from repro.sim.jobs import (
     spec_payload,
 )
 from repro.sim.jobs import spec as jobs_spec
-from repro.sim.jobs.spec import JOB_KEY_MEMO_SIZE
 from repro.sim.validate import compare_layer_results
 
 #: The perfbench networks and designs (the paper's six networks, its
@@ -54,12 +56,6 @@ def oracle_payload(job: SimJob) -> str:
 def oracle_key(job: SimJob) -> str:
     """The original key formula: sha256 over :func:`oracle_payload`."""
     return hashlib.sha256(oracle_payload(job).encode("utf-8")).hexdigest()
-
-
-def clear_key_memos() -> None:
-    job_key.cache_clear()
-    jobs_spec._fragment.cache_clear()
-    serve_core._point_memo.clear()
 
 
 def golden_jobs():
@@ -275,8 +271,7 @@ class TestOracle:
                 spec_payload(job).encode()).hexdigest()
 
     def test_fragment_memo_is_bounded(self):
-        assert jobs_spec._fragment.cache_info().maxsize \
-            == jobs_spec.FRAGMENT_MEMO_SIZE
+        assert jobs_spec._fragment.cache_info().maxsize == DESIGN_MEMO_SIZE
 
 
 # -- equal jobs, one key ------------------------------------------------------
@@ -311,7 +306,7 @@ class TestSpellings:
             assert first == second
             keys = []
             for order in ((first, second), (second, first)):
-                clear_key_memos()
+                clear_memos()
                 keys += [job_key(job) for job in order]
             assert set(keys) == {oracle_key(first)}, (canonical, other)
             assert spec_payload(second) == oracle_payload(first)
@@ -331,7 +326,7 @@ class TestSpellings:
 
     def test_python_api_spellings_are_canonical_too(self):
         assert type(AcceleratorConfig(clock_ghz=1).clock_ghz) is float
-        clear_key_memos()
+        clear_memos()
         spelled = SimJob(NetworkSpec("alexnet", groups=None),
                          AcceleratorSpec.create("loom"),
                          AcceleratorConfig(clock_ghz=1))
@@ -414,7 +409,7 @@ class TestNestedSpellings:
             assert first == second
             keys, payloads = [], []
             for order in ((first, second), (second, first)):
-                clear_key_memos()
+                clear_memos()
                 keys += [job_key(job) for job in order]
                 payloads += [spec_payload(job) for job in order]
             assert set(keys) == {oracle_key(first)}, other
@@ -506,12 +501,44 @@ raw_points = st.fixed_dictionaries(
 )
 
 
+def point_memo_size() -> int:
+    return serve_core._keyed_spelling.cache_info().currsize
+
+
+#: Raw JSON-like values as points may carry them, floats of every bit
+#: pattern (NaN, -0.0, infinities) included.
+_hashable_scalars = (st.none() | st.booleans() | st.integers()
+                     | st.floats() | st.text(max_size=4))
+spelled_values = st.recursive(
+    _hashable_scalars,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(_hashable_scalars, children,
+                                        max_size=3)),
+    max_leaves=12)
+
+
+def spelled_alike(a, b) -> bool:
+    """Same types throughout, same float bits, same dict item order."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if type(a) is dict:
+        return len(a) == len(b) and all(
+            spelled_alike(ka, kb) and spelled_alike(va, vb)
+            for (ka, va), (kb, vb) in zip(a.items(), b.items()))
+    if type(a) in (list, tuple):
+        return len(a) == len(b) and all(map(spelled_alike, a, b))
+    return a == b
+
+
 class TestPointMemo:
     @given(raw=raw_points)
     @settings(max_examples=150, deadline=None)
     def test_drawn_points_match_the_oracle_on_first_sight_and_repeat(
             self, raw):
-        serve_core._point_memo.clear()
+        serve_core._keyed_spelling.cache_clear()
         (first,) = keyed_jobs([raw])
         assert_matches_oracle(first, raw)
         (again,) = keyed_jobs([raw])
@@ -528,17 +555,47 @@ class TestPointMemo:
         [{"accelerator": {"kind": "loom", "bits_per_cycle": 1}},
          {"accelerator": {"kind": "loom", "bits_per_cycle": 1.0}},
          {"accelerator": {"kind": "loom", "bits_per_cycle": True}}],
+        # Nested accelerator options take DynamicPrecisionModel's types.
+        [{"accelerator": {"kind": "loom",
+                          "dynamic_precision": {"enabled": True}}},
+         {"accelerator": {"kind": "loom",
+                          "dynamic_precision": {"enabled": 1}}},
+         {"accelerator": {"kind": "loom",
+                          "dynamic_precision": {"enabled": 1.0}}}],
+        [{"accelerator": {"kind": "loom",
+                          "dynamic_precision": {"enabled": False}}},
+         {"accelerator": {"kind": "loom",
+                          "dynamic_precision": {"enabled": 0}}},
+         {"accelerator": {"kind": "loom",
+                          "dynamic_precision": {"enabled": -0.0}}}],
+        [{"accelerator": {"kind": "dstripes", "dynamic_precision": {
+            "activation_reduction": 1.0}}},
+         {"accelerator": {"kind": "dstripes", "dynamic_precision": {
+            "activation_reduction": 1}}},
+         {"accelerator": {"kind": "dstripes", "dynamic_precision": {
+            "activation_reduction": True}}}],
+        [{"accelerator": {"kind": "loom", "dynamic_precision": {
+            "enabled": True, "activation_reduction": 0.5}}},
+         {"accelerator": {"kind": "loom", "dynamic_precision": {
+            "activation_reduction": 0.5, "enabled": 1}}}],
     )
 
     def test_spellings_match_the_oracle_in_every_memo_order(self):
         for group in self.SPELLING_GROUPS:
             points = [{**BASE_POINT, **spelled} for spelled in group]
             for order in itertools.permutations(points):
-                clear_key_memos()
+                clear_memos()
                 for raw in order + order:
                     (entry,) = keyed_jobs([raw])
                     assert_matches_oracle(entry, raw)
-                assert len(serve_core._point_memo) == len(group)
+                assert point_memo_size() == len(group)
+
+    @given(value=spelled_values)
+    @settings(max_examples=300, deadline=None)
+    def test_thawing_inverts_freezing(self, value):
+        thawed = serve_core._thawed(serve_core._frozen(value))
+        assert spelled_alike(thawed, value)
+        assert serve_core._frozen(thawed) == serve_core._frozen(value)
 
     def test_spellings_never_share_an_entry(self):
         frozen = serve_core._frozen
@@ -557,15 +614,15 @@ class TestPointMemo:
         class Clock(float):
             pass
 
-        clear_key_memos()
+        clear_memos()
         raw = {**BASE_POINT, "clock_ghz": Clock(1.5)}
         for _ in range(2):
             (entry,) = keyed_jobs([raw])
             assert_matches_oracle(entry, raw)
-        assert len(serve_core._point_memo) == 0
+        assert point_memo_size() == 0
 
     def test_an_invalid_point_raises_the_same_error_every_time(self):
-        clear_key_memos()
+        clear_memos()
         for raw in ({"network": "alexnet"},
                     {"network": "alexnet", "accelerator": {"kind": "nope"}},
                     {**BASE_POINT, "equivalent_macs": 20},
@@ -578,24 +635,30 @@ class TestPointMemo:
                 except ValueError as error:
                     errors.append(str(error))
             assert len(errors) == 2 and errors[0] == errors[1], raw
-        assert len(serve_core._point_memo) == 0
+        assert point_memo_size() == 0
 
     def test_the_memo_is_bounded(self, monkeypatch):
-        assert serve_core._point_memo.maxsize == JOB_KEY_MEMO_SIZE
-        small = serve_core._PointMemo(8)
-        monkeypatch.setattr(serve_core, "_point_memo", small)
+        assert serve_core._keyed_spelling.cache_info().maxsize \
+            == POINT_MEMO_SIZE
+        small = functools.lru_cache(maxsize=8)(
+            serve_core._keyed_spelling.__wrapped__)
+        monkeypatch.setattr(serve_core, "_keyed_spelling", small)
         points = [{**BASE_POINT, "clock_ghz": 1.0 + index / 64}
                   for index in range(40)]
         for raw in points:
             keyed_jobs([raw, points[0]])  # keeps the first point recent
-            assert len(small) <= 8
-        assert len(small) == 8
+            assert small.cache_info().currsize <= 8
+        assert small.cache_info().currsize == 8
+        first = small(serve_core._frozen(points[0]))
+        misses = small.cache_info().misses
         (entry,) = keyed_jobs([points[0]])
-        assert entry is small.get(serve_core._frozen(points[0]))
-        assert small.get(serve_core._frozen(points[1])) is None
+        assert entry is first
+        assert small.cache_info().misses == misses  # still memoised
+        keyed_jobs([points[1]])
+        assert small.cache_info().misses == misses + 1  # was evicted
 
     def test_threads_keying_the_same_points_agree(self):
-        clear_key_memos()
+        clear_memos()
         points = [
             {"network": network, "accelerator": dict(design),
              "equivalent_macs": macs, "clock_ghz": clock}
@@ -629,4 +692,4 @@ class TestPointMemo:
         expected = [oracle_key(point_to_job(canonical_point(raw)))
                     for raw in points]
         assert all(keys == expected for keys in answers)
-        assert len(serve_core._point_memo) == len(points)
+        assert point_memo_size() == len(points)

@@ -318,6 +318,14 @@ class TestPeerCacheUnit:
                 backend.timeout_s = timeout_s
         assert backend.timeout_s == 0.5  # a rejected budget changes nothing
 
+    def test_coordinator_rejects_a_non_finite_peer_budget(self):
+        # Regression: a NaN budget passed ``<= 0``, then every /ring push
+        # answered 400 and the peer tier stayed silently off.
+        for timeout_s in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="peer_timeout_s"):
+                ClusterCoordinator(["http://127.0.0.1:1"],
+                                   peer_timeout_s=timeout_s)
+
     def test_stats_dict_reports_peer_counters(self):
         backend = PeerCacheBackend(timeout_s=0.7)
         backend.configure(["http://a:1", "http://b:1"],
