@@ -438,14 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     peer_group = cluster_cmd.add_mutually_exclusive_group()
     peer_group.add_argument(
         "--peer-cache", dest="peer_cache", action="store_true", default=True,
-        help="share each worker's cache across the cluster: local misses "
-             "ask the key's owning peer before simulating, and fresh "
-             "results replicate to the key's failover shard (default: on)",
+        help="let a worker that rejoins the ring ask its ring peer for "
+             "a key before simulating it, for a short recovery window "
+             "(default: on)",
     )
     peer_group.add_argument(
         "--no-peer-cache", dest="peer_cache", action="store_false",
-        help="keep workers shared-nothing (no peer lookups, no "
-             "write-through replication)",
+        help="keep workers shared-nothing (no peer lookups)",
     )
     cluster_cmd.add_argument(
         "--peer-timeout-ms", type=_positive_float, default=1000.0,

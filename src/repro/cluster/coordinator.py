@@ -11,8 +11,9 @@ run), and layers on the operational surface one box never needed:
 * **Failover** -- a worker that dies mid-batch has its keys re-routed to
   the surviving shards (ring exclusion, not mutation: the worker regains
   its keyspace the moment a health check sees it again).  With the peer
-  cache on, every finished result was replicated to exactly the survivor
-  its key now routes to, so re-routed keys answer ``cached``;
+  cache on, a shard that rejoins gets a recovery ring push, and for a
+  while asks its ring peer before simulating a key, so keys a survivor
+  computed in its absence answer ``cached``;
 * **Backpressure politeness** -- shard 429s are retried with capped
   exponential backoff honouring ``Retry-After``;
 * **Rate limiting** -- per-client token buckets and quotas at the door
@@ -109,6 +110,9 @@ class ShardState:
     #: Whether this shard holds current ring membership (pushed at start;
     #: re-pushed when a restarted shard comes back with empty state).
     ring_pushed: bool = False
+    #: Ring pushes sent.  Every push after the first is a recovery push:
+    #: it opens the shard's peer-lookup window.
+    ring_pushes: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -117,6 +121,7 @@ class ShardState:
             "consecutive_failures": self.consecutive_failures,
             "last_error": self.last_error,
             "ring_pushed": self.ring_pushed,
+            "ring_pushes": self.ring_pushes,
         }
 
 
@@ -183,10 +188,12 @@ class ClusterCoordinator(HTTPNode):
         backoff honouring ``Retry-After``) before failing the request.
     peer_cache:
         Activate the cluster-shared cache tier: ring membership is pushed
-        to every worker at start (``POST /ring``), workers ask the key's
-        ring peer before simulating a miss and replicate fresh results to
-        the key's failover shard -- so a dead shard's re-routed keys find
-        their replicas on the survivors that now own them.
+        to every worker at start (``POST /ring``).  A shard that rejoins
+        (marked down, or reporting no ring on ``/healthz``) is pushed
+        again with ``"recovery": true``, and for
+        :data:`~repro.cluster.peercache.RECOVERY_WINDOW_S` asks a key's
+        ring peer before simulating it -- so keys a survivor computed
+        while the shard was away are not simulated twice.
     peer_timeout_s:
         Strict budget for one worker's peer-cache lookup.
     """
@@ -351,20 +358,24 @@ class ClusterCoordinator(HTTPNode):
         self._shard_healthy.set(1 if healthy else 0, shard=url)
 
     async def _push_ring(self, url: str) -> bool:
-        """Hand ``url`` the ring membership (and the peer lookup budget)."""
+        """Hand ``url`` the ring membership (and the peer lookup budget);
+        every push after the first opens its recovery window."""
+        shard = self.shards[url]
         payload = {
             "nodes": list(self.shards),
             "self": url,
             "replicas": self.ring.replicas,
             "timeout_ms": self.peer_timeout_s * 1000.0,
+            "recovery": shard.ring_pushes > 0,
         }
+        shard.ring_pushes += 1
         try:
             reply = await fetch(url, "POST", "/ring", payload=payload,
                                 timeout_s=10.0)
             ok = 200 <= reply.status < 300
         except (ConnectionError, OSError, asyncio.TimeoutError):
             ok = False
-        self.shards[url].ring_pushed = ok
+        shard.ring_pushed = ok
         return ok
 
     async def _probe_shard(self, url: str) -> bool:
@@ -373,7 +384,11 @@ class ClusterCoordinator(HTTPNode):
             ok = bool(payload.get("ok"))
             self._mark_shard(url, ok,
                             None if ok else "healthz reported not ok")
-            if ok and self.peer_cache and not self.shards[url].ring_pushed:
+            # A shard restarted between two probes answers healthy but
+            # holds no ring: push it again, as a recovery push.
+            if ok and self.peer_cache and (
+                    not self.shards[url].ring_pushed
+                    or payload.get("ring") is False):
                 await self._push_ring(url)
             return ok
         except (ConnectionError, OSError, asyncio.TimeoutError,
@@ -517,9 +532,6 @@ class ClusterCoordinator(HTTPNode):
                     # points.  (A client-level RequestError propagates out
                     # of gather above -- a 400 is the caller's bug on every
                     # shard alike, not a failover case.)
-                    # With the peer cache on, the dead shard's finished
-                    # results were replicated to exactly the survivors its
-                    # keys now route to, which answer them as "cached".
                     self._mark_shard(url, False,
                                      f"{type(error).__name__}: {error}")
                     dead.add(url)

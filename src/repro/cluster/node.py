@@ -43,7 +43,7 @@ _log = get_logger("cluster.node")
 #: Paths that label themselves; everything else is ``<other>``.
 _ROUTES = frozenset(("/", "/jobs", "/explore", "/networks", "/healthz",
                      "/stats", "/metrics", "/trace", "/ring", "/shutdown",
-                     "/cache/lookup", "/cache/replicate"))
+                     "/cache/lookup"))
 
 
 def path_label(path: str) -> str:

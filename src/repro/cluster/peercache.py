@@ -1,53 +1,47 @@
-"""Cluster-shared cache tier: ring-routed peer lookups and replicas.
+"""Cluster-shared cache tier: ring-routed peer lookups after a rejoin.
 
-Cluster shards were shared-nothing through PR 7: each worker's warm
-:class:`~repro.serve.store.SQLiteResultStore` answered only the keys that
-worker had simulated itself, so a failover or ring change that re-routed a
-key to another shard paid for a fresh simulation -- throwing away exactly
-the warm-store amortisation that makes ``serve`` worth running.
+Each worker's :class:`~repro.serve.store.SQLiteResultStore` answers only
+the keys that worker simulated itself.  While a shard is down, its keys
+are re-routed to its failover successor, which simulates them; once the
+shard rejoins, those keys route home again, to a shard that lacks them.
+:class:`PeerCacheBackend` lets the rejoined shard ask the successor
+instead of simulating them a second time.
 
-:class:`PeerCacheBackend` turns the N private caches into one cluster-wide
-result cache.  It is not a cache layer itself: it is the network client a
-worker's :class:`~repro.serve.core.ServiceCore` calls on its miss path,
-after the local tiers (memory and store, inside
-:class:`~repro.sim.jobs.cache.ResultCache`) have missed and the request has
-claimed its keys.  Both directions are batch-shaped: a worker request
-costs one peer request per peer and direction, however many keys it
-carries.
+It is not a cache layer itself: it is the network client a worker's
+:class:`~repro.serve.core.ServiceCore` calls on its miss path, after the
+local tiers (memory and store, inside
+:class:`~repro.sim.jobs.cache.ResultCache`) have missed and the request
+has claimed its keys.
 
-* **load_many** -- group the claimed keys by their ring-preferred peer (the
-  node a re-routed key would land on) and send each peer one
+* **recovery window** -- the tier asks peers only for
+  :data:`RECOVERY_WINDOW_S` after a ``POST /ring`` that carries
+  ``"recovery": true``.  The coordinator sets that flag on every push to
+  a shard after its first: the shard was marked down, or came back
+  without a ring.  Outside the window :meth:`load_many` answers nothing
+  and sends nothing, so steady cold traffic costs one compute and one
+  local write per point.  A probe on a never-seen point cannot hit, and
+  a recompute is always bit-identical, so nothing is lost.
+* **load_many** -- group the claimed keys by their ring-preferred peer
+  (``ring.node_for(key, exclude={self})``: the owner when this shard is
+  not it, the failover successor when it is) and send each peer one
   ``POST /cache/lookup {"keys": [...]}``, all peers concurrently.  A peer
   answers ``{"results": {key: result}}``; a key absent from ``results`` is
   a miss.  The core stores the answers in its own cache, so each key
   crosses the network at most once per shard.
-* **replicate_many** -- send freshly simulated results (fire and forget),
-  grouped by failover target, as one ``POST /cache/replicate {"entries":
-  {key: result}}`` per peer.  The target is the ring owner when this
-  shard is not the owner, or the ring *successor* when it is: precisely the
-  shard the key will be re-routed to if this one dies, so a re-routed key
-  finds its replica in the new owner's local tiers.
 * **timeout budget** -- every batched lookup has a strict deadline
   (``timeout_s``) shared by its concurrent peer requests; a slow or dead
   peer degrades gracefully to local compute, and a connection-refused peer
   is put on a short cooldown so a dead shard does not tax every subsequent
   miss with a full timeout.
 
-The peer target for both directions is ``ring.node_for(key,
-exclude={self})``: for a non-owner that is the owner; for the owner it is
-the failover successor.  One expression covers lookup and replication.
-
-The counters stay per key: ``peer_hits``, ``peer_misses`` and
+The counters count keys: ``peer_hits``, ``peer_misses`` and
 ``peer_timeouts`` add up to the keys asked (a failed or timed-out request
-counts each of its keys), and ``peer_writes`` counts replicated keys.
+counts each of its keys).
 
-A peer serves ``POST /cache/lookup`` with ``ResultCache.peek_many`` and
-stores replicas with ``ResultCache.put_many``.  Neither reaches this class,
-so a lookup cannot chain through the ring and a replica cannot bounce back.
-
-Results travel as their JSON texts, framed by :mod:`repro.cluster.wire`:
-a replica is sent as the text the sender's cache holds, and an answer is
-decoded once, to validate it, then cached as the text it arrived as.
+A peer serves ``POST /cache/lookup`` with ``ResultCache.peek_many``,
+which never reaches this class, so a lookup cannot chain through the ring.
+An answer arrives framed by :mod:`repro.cluster.wire`; it is decoded once,
+to validate it, then cached as the text it arrived as.
 
 The backend runs its network I/O on a private asyncio loop in a daemon
 thread (reusing :func:`repro.cluster.aio.fetch` and its keep-alive
@@ -59,11 +53,10 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import functools
 import math
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.cluster import wire
 from repro.cluster.aio import TIMEOUTS, close_idle_connections, fetch
@@ -78,22 +71,23 @@ __all__ = ["PeerCacheBackend"]
 #: long: a dead shard should cost one failed dial, not one per miss.
 DEAD_PEER_COOLDOWN_S = 2.0
 
-#: Most results one ``POST /cache/replicate`` carries.  The largest zoo
-#: result encodes to ~19 KB, so a full request stays well under the
-#: receiving node's 4 MB body limit however large the worker request was.
-REPLICATE_CHUNK = 128
+#: How long a recovery ``POST /ring`` lets this shard ask its peers: long
+#: enough for clients to come back for the keys its successor computed
+#: while it was away, short enough that cold traffic soon stops paying a
+#: probe that cannot hit.
+RECOVERY_WINDOW_S = 30.0
 
 
 class PeerCacheBackend:
-    """Ring-routed peer lookups and write-through replicas for one shard.
+    """Ring-routed peer lookups for one shard, inside a recovery window.
 
     Parameters
     ----------
     ring / self_url:
         Ring membership and this shard's own URL.  Both may be deferred to
         :meth:`configure` (the worker learns membership from the
-        coordinator's ``POST /ring``); until configured, :meth:`load_many`
-        answers nothing and :meth:`replicate_many` does nothing.
+        coordinator's ``POST /ring``); until configured, and outside a
+        recovery window, :meth:`load_many` answers nothing.
     timeout_s:
         Strict budget for one batched peer lookup, queueing included:
         finite and > 0.  On expiry the outstanding requests are abandoned
@@ -116,11 +110,9 @@ class PeerCacheBackend:
         self.peer_hits = 0
         self.peer_misses = 0
         self.peer_timeouts = 0
-        self.peer_writes = 0
-        self.peer_write_errors = 0
         self._lock = threading.Lock()
         self._cooldown_until: Dict[str, float] = {}
-        self._pending_writes: set = set()
+        self._recovery_until = 0.0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
         self._closed = False
@@ -163,11 +155,13 @@ class PeerCacheBackend:
     # -- membership -----------------------------------------------------------
 
     def configure(self, nodes: List[str], self_url: Optional[str] = None,
-                  replicas: int = 64) -> None:
+                  replicas: int = 64, recovery: bool = False) -> None:
         """(Re)build the ring over ``nodes``; idempotent membership update.
 
         ``replicas`` must match the coordinator's ring or the two sides
-        would disagree about key ownership.
+        would disagree about key ownership.  ``recovery`` opens a
+        :data:`RECOVERY_WINDOW_S` window from now; without it an open
+        window stays as it is.
         """
         ring = ConsistentHashRing((url.rstrip("/") for url in nodes),
                                   replicas=replicas)
@@ -176,9 +170,16 @@ class PeerCacheBackend:
             if self_url is not None:
                 self.self_url = self_url.rstrip("/")
             self._cooldown_until.clear()
+            if recovery:
+                self._recovery_until = time.monotonic() + RECOVERY_WINDOW_S
+
+    @property
+    def recovering(self) -> bool:
+        """Whether the recovery window is open (peers are asked)."""
+        return time.monotonic() < self._recovery_until
 
     def peer_for(self, key: str) -> Optional[str]:
-        """The peer worth asking (and replicating to) for ``key``.
+        """The peer worth asking for ``key``.
 
         The first ring node that is not this shard: the key's owner when
         we are not it, its failover successor when we are.  ``None`` when
@@ -200,9 +201,12 @@ class PeerCacheBackend:
 
         Returns the answered keys; a miss, a timeout, a dead or
         cooling-down peer and an unconfigured ring all leave a key out.
-        The caller always has local compute to fall back on, so nothing
-        here raises.
+        Outside the recovery window nothing is asked or counted.  The
+        caller always has local compute to fall back on, so nothing here
+        raises.
         """
+        if not self.recovering:
+            return {}
         by_peer: Dict[str, List[str]] = {}
         for key in dict.fromkeys(keys):
             peer = self.peer_for(key)
@@ -234,7 +238,6 @@ class PeerCacheBackend:
         return found
 
     def close(self) -> None:
-        self.flush_writes(timeout_s=2.0)
         with self._lock:
             self._closed = True
             loop, thread = self._loop, self._loop_thread
@@ -307,7 +310,7 @@ class PeerCacheBackend:
             self._fetch_seconds.observe(time.monotonic() - started)
         found: Dict[str, CachedResult] = {}
         try:
-            texts = (wire.unframe_texts("results", reply.body)
+            texts = (wire.unframe_texts(reply.body)
                      if reply.status == 200 else {})
             for key in keys:
                 if key in texts:
@@ -340,61 +343,6 @@ class PeerCacheBackend:
         if metric is not None:
             metric.inc(keys)
 
-    def replicate_many(self, items: Iterable[Tuple[str, object]]) -> None:
-        """Fire-and-forget replication of fresh ``(key, result)`` pairs
-        (``result`` is anything with a ``to_json()``): one
-        ``POST /cache/replicate`` per failover target and
-        :data:`REPLICATE_CHUNK` results (no-op while the ring has no other
-        node)."""
-        by_peer: Dict[str, List[Tuple[str, str]]] = {}
-        for key, result in items:
-            peer = self.peer_for(key)
-            if peer is not None:
-                by_peer.setdefault(peer, []).append((key, result.to_json()))
-        if not by_peer:
-            return
-        try:
-            loop = self._ensure_loop()
-        except RuntimeError:  # closed mid-request
-            return
-        for peer, entries in by_peer.items():
-            for start in range(0, len(entries), REPLICATE_CHUNK):
-                chunk = dict(entries[start:start + REPLICATE_CHUNK])
-                future = asyncio.run_coroutine_threadsafe(
-                    fetch(peer, "POST", "/cache/replicate",
-                          payload=wire.frame_texts("entries", chunk),
-                          timeout_s=self.timeout_s), loop)
-                with self._lock:
-                    self._pending_writes.add(future)
-                future.add_done_callback(
-                    functools.partial(self._replicated, len(chunk)))
-
-    def _replicated(self, keys: int, completed) -> None:
-        with self._lock:
-            self._pending_writes.discard(completed)
-            try:
-                reply = completed.result()
-                if 200 <= reply.status < 300:
-                    self.peer_writes += keys
-                else:
-                    self.peer_write_errors += keys
-            except (ConnectionError, OSError, asyncio.CancelledError,
-                    ValueError) + TIMEOUTS:
-                self.peer_write_errors += keys
-
-    def flush_writes(self, timeout_s: float = 5.0) -> bool:
-        """Wait for outstanding replications; True when none
-        remain.  Tests (and close()) use this for determinism -- the hot
-        path never waits on replication."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._pending_writes:
-                    return True
-            time.sleep(0.005)
-        with self._lock:
-            return not self._pending_writes
-
     # -- introspection --------------------------------------------------------
 
     def stats_dict(self) -> Dict[str, object]:
@@ -409,6 +357,5 @@ class PeerCacheBackend:
                 "peer_hits": self.peer_hits,
                 "peer_misses": self.peer_misses,
                 "peer_timeouts": self.peer_timeouts,
-                "peer_writes": self.peer_writes,
-                "peer_write_errors": self.peer_write_errors,
+                "recovering": self.recovering,
             }

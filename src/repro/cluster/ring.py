@@ -121,34 +121,6 @@ class ConsistentHashRing:
                 return owner
         return None  # pragma: no cover - eligible is non-empty above
 
-    def preference(self, key: str, count: Optional[int] = None,
-                   exclude: Optional[Set[str]] = None) -> List[str]:
-        """Distinct eligible nodes for ``key`` in ring (failover) order.
-
-        The first entry is :meth:`node_for`'s answer; the second is where
-        the key lands if that node dies, and so on -- which makes
-        ``preference(key)[1]`` the natural *replica* target for
-        write-through (the shard a re-routed key will be asked of), and
-        the whole list the coordinator's probe order when hunting a dead
-        shard's results among the survivors.  ``count`` caps the list.
-        """
-        if not self._positions:
-            return []
-        eligible = self._nodes - (exclude or set())
-        if not eligible:
-            return []
-        start = bisect.bisect(self._positions, _position(key)) \
-            % len(self._positions)
-        ordered: List[str] = []
-        limit = len(eligible) if count is None else min(count, len(eligible))
-        for offset in range(len(self._positions)):
-            owner = self._owners[(start + offset) % len(self._positions)]
-            if owner in eligible and owner not in ordered:
-                ordered.append(owner)
-                if len(ordered) >= limit:
-                    break
-        return ordered
-
     def assign(self, keys: Sequence[str],
                exclude: Optional[Set[str]] = None) -> dict:
         """Group ``keys`` by owning node: ``{node: [key, ...]}`` (key order

@@ -9,10 +9,9 @@ the only code that knows how:
   ``{"key": "<key>", "status": "<status>", "result": <text>}``;
 * a ``POST /jobs`` batch answer frames one entry per line,
   ``{"results": [\\n<entry>,\\n<entry>\\n]}``;
-* the peer wire frames texts by key, one per line:
-  ``{"results": {\\n"<key>": <text>,\\n...\\n}}`` answers a
-  ``POST /cache/lookup`` and ``{"entries": {...}}`` carries a
-  ``POST /cache/replicate`` batch.  An empty frame is ``{"results": {}}``.
+* a ``POST /cache/lookup`` answer frames texts by key, one per line:
+  ``{"results": {\\n"<key>": <text>,\\n...\\n}}``.  An empty frame is
+  ``{"results": {}}``.
 
 Key order and separators are the ones ``json.dumps`` produces, so every
 body is one plain JSON document to any client.  ``json.dumps`` output never
@@ -44,51 +43,51 @@ def ndjson_line(index: int, entry_bytes: bytes) -> bytes:
     return b'{"index": %d, %s\n' % (index, entry_bytes[1:])
 
 
-def _frame(items: Sequence[bytes], name: str, brackets: bytes) -> bytes:
-    head = b'{%s: %s' % (_string(name), brackets[:1])
+def _frame(items: Sequence[bytes], brackets: bytes) -> bytes:
+    head = b'{"results": ' + brackets[:1]
     tail = brackets[1:] + b"}"
     if not items:
         return head + tail
     return head + b"\n" + b",\n".join(items) + b"\n" + tail
 
 
-def _unframe(body: bytes, name: str, brackets: bytes) -> List[bytes]:
-    head = b'{%s: %s' % (_string(name), brackets[:1])
+def _unframe(body: bytes, brackets: bytes) -> List[bytes]:
+    head = b'{"results": ' + brackets[:1]
     tail = brackets[1:] + b"}"
     if body == head + tail:
         return []
     if not (body.startswith(head + b"\n") and body.endswith(b"\n" + tail)):
-        raise ValueError(f"body is not a framed {name!r} document")
+        raise ValueError("body is not a framed 'results' document")
     return body[len(head) + 1:-len(tail) - 1].split(b",\n")
 
 
 def frame_entries(entries: Sequence[bytes]) -> bytes:
     """A ``POST /jobs`` batch answer over ``entries`` (in order)."""
-    return _frame(entries, "results", b"[]")
+    return _frame(entries, b"[]")
 
 
 def unframe_entries(body: bytes) -> List[bytes]:
     """The entries of a :func:`frame_entries` body; ``ValueError`` when
     the body is not one."""
-    return _unframe(body, "results", b"[]")
+    return _unframe(body, b"[]")
 
 
-def frame_texts(name: str, texts: Mapping[str, str]) -> bytes:
-    """``{"<name>": {"<key>": <text>, ...}}``, one key per line."""
+def frame_texts(texts: Mapping[str, str]) -> bytes:
+    """``{"results": {"<key>": <text>, ...}}``, one key per line."""
     return _frame([_string(key) + b": " + text.encode("utf-8")
-                   for key, text in texts.items()], name, b"{}")
+                   for key, text in texts.items()], b"{}")
 
 
-def unframe_texts(name: str, body: bytes) -> Dict[str, str]:
+def unframe_texts(body: bytes) -> Dict[str, str]:
     """The ``{key: text}`` of a :func:`frame_texts` body, texts unparsed;
     ``ValueError`` when the body is not one."""
     texts: Dict[str, str] = {}
-    for item in _unframe(body, name, b"{}"):
+    for item in _unframe(body, b"{}"):
         line = item.decode("utf-8")
         if not line.startswith('"'):
-            raise ValueError(f"bad {name!r} item: {line[:40]!r}")
+            raise ValueError(f"bad result item: {line[:40]!r}")
         key, end = json.decoder.scanstring(line, 1)
         if line[end:end + 2] != ": ":
-            raise ValueError(f"bad {name!r} item: {line[:40]!r}")
+            raise ValueError(f"bad result item: {line[:40]!r}")
         texts[key] = line[end + 2:]
     return texts

@@ -18,12 +18,11 @@ GET       /networks      the zoo with per-kind layer counts
 POST      /cache/lookup  the peer-cache wire: ``{"keys": [...]}`` answered
                          ``{"results": {key: result}}`` from this node's
                          local tiers only (``ResultCache.peek_many``)
-POST      /cache/replicate
-                         store a peer's replicas, ``{"entries": {key:
-                         result}}`` (``ResultCache.put_many``)
 POST      /ring          accept ring membership from the coordinator and
-                         activate the peer cache tier
-GET       /healthz       liveness probe, with version and uptime
+                         activate the peer cache tier (``"recovery": true``
+                         opens its recovery window)
+GET       /healthz       liveness probe, with version, uptime and whether
+                         this node holds a ring
 GET       /stats         core / executor / cache / store counters
 GET       /metrics       Prometheus text format (``loom_worker_*``)
 GET       /trace         this process's recorded spans
@@ -40,11 +39,13 @@ spans, the error mapping and the counters from
 
 On ``POST /ring`` the worker builds a
 :class:`~repro.cluster.peercache.PeerCacheBackend` and hands it to the core
-as its peer tier: a key this node claims is asked of its ring peer once
-before it is simulated, and a fresh result is replicated to the key's
-failover shard -- one request per peer for a whole ``POST /jobs`` batch in
-each direction.  The ``/cache`` routes answer from the local tiers alone,
-so peer traffic ends at the first hop.
+as its peer tier.  After a recovery push (this node rejoined the ring), a
+key this node claims is asked of its ring peer once before it is
+simulated -- one request per peer for a whole ``POST /jobs`` batch -- for
+:data:`~repro.cluster.peercache.RECOVERY_WINDOW_S`; otherwise a claimed
+key is simulated and written to the local tiers only.
+``/cache/lookup`` answers from the local tiers alone, so peer traffic
+ends at the first hop.
 
 The wire format for a job is a design-*point* mapping -- the same parameter
 namespace as ``loom-repro explore`` axes (``network`` / ``accuracy`` /
@@ -59,7 +60,7 @@ from __future__ import annotations
 import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro import __version__
 from repro.cluster import wire
@@ -73,15 +74,14 @@ from repro.serve.core import (
     parse_jobs_request,
 )
 from repro.sim.batched import get_default_engine
-from repro.sim.jobs import CachedResult
-from repro.sim.results import NetworkResult
 
 __all__ = ["ClusterWorker", "build_worker"]
 
 _log = get_logger("cluster.worker")
 
-#: Node-to-node peer-cache routes, left out of the client request counters.
-_PEER_ROUTES = frozenset(("/cache/lookup", "/cache/replicate"))
+#: The node-to-node peer-cache route, left out of the client request
+#: counters.
+_PEER_ROUTE = "/cache/lookup"
 
 
 class ClusterWorker(HTTPNode):
@@ -184,14 +184,16 @@ class ClusterWorker(HTTPNode):
     def configure_peers(self, nodes: Sequence[str],
                         self_url: Optional[str] = None,
                         replicas: int = 64,
-                        timeout_s: Optional[float] = None) -> int:
+                        timeout_s: Optional[float] = None,
+                        recovery: bool = False) -> int:
         """Activate (or re-shape) the peer cache tier over ``nodes``.
 
-        Installs a :class:`PeerCacheBackend` as the core's peer tier, so a
-        key this node claims is asked of its ring-preferred peer before the
-        executor simulates it.  Idempotent: a second call updates ring
-        membership (and, when given, the lookup budget) in place.  An
-        invalid ``timeout_s`` raises ``ValueError`` and changes nothing.
+        Installs a :class:`PeerCacheBackend` as the core's peer tier.
+        ``recovery`` opens its recovery window, in which a key this node
+        claims is asked of its ring-preferred peer before the executor
+        simulates it.  Idempotent: a second call updates ring membership
+        (and, when given, the lookup budget) in place.  An invalid
+        ``timeout_s`` raises ``ValueError`` and changes nothing.
         Returns the number of peers (nodes excluding this one).  The
         coordinator drives this through ``POST /ring``; embedders may call
         it directly.
@@ -203,13 +205,13 @@ class ClusterWorker(HTTPNode):
                     raise RuntimeError(
                         "this worker's executor has no result cache to "
                         "hold peer answers")
-                # Unconfigured, the tier answers nothing and replicates
-                # nowhere, so a push that fails validation below is inert.
+                # Unconfigured, the tier answers nothing, so a push that
+                # fails validation below is inert.
                 self.core.peers = PeerCacheBackend(metrics=self.metrics)
             if timeout_s is not None:
                 self.core.peers.timeout_s = timeout_s  # validates
             self.core.peers.configure(list(nodes), self_url=own,
-                                      replicas=replicas)
+                                      replicas=replicas, recovery=recovery)
             return sum(1 for node in nodes if node.rstrip("/") != own)
 
     # -- request handling -----------------------------------------------------
@@ -232,7 +234,7 @@ class ClusterWorker(HTTPNode):
     def _count_request(self, label: str, status: int) -> None:
         # Peer-cache traffic is node-to-node: the peer tier counts it, the
         # client counters do not.
-        if label not in _PEER_ROUTES:
+        if label != _PEER_ROUTE:
             self.core.count_request(status)
 
     async def _route(self, request: HTTPRequest, responder: HTTPResponder,
@@ -249,6 +251,8 @@ class ClusterWorker(HTTPNode):
                 "name": self.name,
                 "version": __version__,
                 "uptime_s": self.uptime_s(),
+                # False tells the coordinator to push the ring again.
+                "ring": getattr(self.peer_cache, "ring", None) is not None,
             })
         elif method == "GET" and path == "/stats":
             await responder.send_json(200,
@@ -283,18 +287,6 @@ class ClusterWorker(HTTPNode):
                 raise RequestError(400, "'keys' must be a list of strings")
             await responder.send(200, await self._in_thread(
                 self._peer_lookup, keys), "application/json")
-        elif method == "POST" and path == "/cache/replicate":
-            try:
-                items = await self._in_thread(_replicas, request.body)
-            except (ValueError, KeyError, TypeError) as error:
-                raise RequestError(
-                    400, f"bad replica payload: "
-                         f"{type(error).__name__}: {error}") from None
-            cache = self.core.cache
-            if cache is not None:
-                await self._in_thread(cache.put_many, items)
-            await responder.send_json(200, {
-                "ok": True, "stored": len(items) if cache is not None else 0})
         elif method == "POST" and path == "/ring":
             payload = request.json()
             nodes = payload.get("nodes")
@@ -303,13 +295,17 @@ class ClusterWorker(HTTPNode):
                 raise RequestError(
                     400, "'nodes' must be a non-empty list of worker URLs")
             timeout_ms = payload.get("timeout_ms")
+            recovery = payload.get("recovery", False)
+            if not isinstance(recovery, bool):
+                raise RequestError(400, "'recovery' must be true or false")
             peers = await self._in_thread(
                 lambda: self.configure_peers(
                     nodes,
                     self_url=payload.get("self"),
                     replicas=int(payload.get("replicas", 64)),
                     timeout_s=(float(timeout_ms) / 1000.0
-                               if timeout_ms is not None else None)))
+                               if timeout_ms is not None else None),
+                    recovery=recovery))
             await responder.send_json(200, {"ok": True, "peers": peers,
                                             "self": self.peer_cache.self_url})
         elif method == "POST" and path == "/explore":
@@ -330,23 +326,14 @@ class ClusterWorker(HTTPNode):
         """The ``POST /cache/lookup`` answer: local tiers only."""
         cache = self.core.cache
         found = cache.peek_many(keys) if cache is not None else {}
-        return wire.frame_texts("results", {key: entry.text
-                                            for key, entry in found.items()})
+        return wire.frame_texts({key: entry.text
+                                 for key, entry in found.items()})
 
     def stats_dict(self) -> Dict[str, object]:
         payload = self.core.stats_dict()
         payload.update(role="worker", name=self.name, version=__version__,
                        uptime_s=self.uptime_s())
         return payload
-
-
-def _replicas(body: bytes) -> List[Tuple[str, CachedResult, None]]:
-    """The ``put_many`` items of a ``POST /cache/replicate`` body.  Each
-    text is decoded once, to validate it, and stored verbatim."""
-    texts = wire.unframe_texts("entries", body)
-    for text in texts.values():
-        NetworkResult.from_json(text)
-    return [(key, CachedResult(text), None) for key, text in texts.items()]
 
 
 def build_worker(store_path: Optional[str] = None,

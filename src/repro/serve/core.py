@@ -3,7 +3,7 @@
 :class:`ServiceCore` is the submission engine behind every node: request
 coalescing, the bounded-admission backpressure, the warm-store fast path,
 the miss path (one batched peer-tier probe for the keys a request claims
-on a cluster shard, then execution), sweep execution and the stats
+on a cluster shard in a recovery window, then execution), sweep execution and the stats
 surface, with no opinion about the wire protocol in front of it.
 :class:`~repro.cluster.worker.ClusterWorker` is the one HTTP node that
 fronts it -- ``loom-repro serve`` runs a single worker, ``loom-repro
@@ -318,8 +318,8 @@ class ServiceCore:
         self.stats = ServiceStats()
         #: The cluster peer tier a worker installs on ``POST /ring``
         #: (:class:`repro.cluster.peercache.PeerCacheBackend`): asked once
-        #: per request for its claimed misses, sent every fresh result.
-        #: ``None`` otherwise.
+        #: per request for its claimed misses (it answers only inside a
+        #: recovery window).  ``None`` otherwise.
         self.peers = None
         self._inflight: Dict[str, _Inflight] = {}
         self._pending_batches = 0
@@ -376,8 +376,8 @@ class ServiceCore:
         Point order is preserved.  Already-stored keys are answered from the
         cache (no lock, no admission needed); keys another request is
         currently resolving are joined (coalesced); the rest are claimed by
-        this request, asked of the peer tier once (when the node has one)
-        and otherwise executed here as one executor batch -- which counts as
+        this request, asked of the peer tier once (when the node has one and
+        its recovery window is open) and otherwise executed here as one executor batch -- which counts as
         *one* unit against the ``queue_limit`` admission bound, however many
         jobs it carries.
         Raises :class:`Backpressure` when the service already has
@@ -476,11 +476,11 @@ class ServiceCore:
 
         The claimed keys are asked of the peer tier in one batch (other
         requests for them coalesced onto this one, so nobody else probes
-        them); peer answers are cached here in one write and reported
-        ``cached``.  The rest execute as one executor batch, and their
-        fresh results are replicated to the peer tier in one batch, fire
-        and forget.  A fresh result is encoded once (the executor's cache
-        write memoises its text); the reply and the replica reuse it.
+        them); outside its recovery window the tier asks nobody.  Peer
+        answers are cached here in one write and reported ``cached``.  The
+        rest execute as one executor batch, whose cache write stores them
+        locally.  A fresh result is encoded once (that write memoises its
+        text); the reply reuses it.
         """
         peers = self.peers
         missing = own
@@ -498,11 +498,8 @@ class ServiceCore:
             return
         with self._execute_lock:
             results = self.executor.run([job for job, _ in missing])
-        fresh = [(key, CachedResult.of(result))
-                 for (_, key), result in zip(missing, results)]
-        resolved.update(fresh)
-        if peers is not None:
-            peers.replicate_many(fresh)
+        resolved.update((key, CachedResult.of(result))
+                        for (_, key), result in zip(missing, results))
 
     def lookup(self, key: str) -> Tuple[str, Optional[CachedResult]]:
         """Look a content key up: ('done', entry), ('pending', None) or

@@ -111,7 +111,6 @@ class TestSplicedPath:
             cold = client.submit_points(CLUSTER_POINTS)
             assert {entry.status for entry in cold} == {"executed"}
             for worker in workers:
-                assert worker.peer_cache.flush_writes(timeout_s=10.0)
                 worker.core.cache.clear()  # warm answers come from SQLite
             warm = client.submit_points(CLUSTER_POINTS)
             streamed = client.submit_points_stream(CLUSTER_POINTS)
