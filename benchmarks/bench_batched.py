@@ -22,11 +22,21 @@ gate, the comparison is on the *dimensionless speedup ratio*, so runner
 speed does not matter.  Every benchmark run first asserts both sides
 produced results bit-identical to each other and, on a sample, to the event
 engine, so a run doubles as a validation run.
+
+``--check`` also gates what a never-seen design costs: 8-job batches of
+designs this process has not simulated (network x stock design x scale x
+ABin size, each at its own clock) must run within 1.5x of the same batches
+run again with every memo warm, both timed in this process's CPU seconds.
+That is the cold path of a service sweeping new design points: the engine
+derives each design's record from its spec, so the first sight of a design
+costs little more than its evaluation.
 """
 
 import argparse
+import itertools
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -51,6 +61,24 @@ SPEEDUP_FLOOR = 10.0
 #: Fraction of the baseline speedup the measured speedup may lose before the
 #: regression gate fails (0.20 = "fails on >20% slowdown").
 REGRESSION_TOLERANCE = 0.20
+
+#: Ceiling on never-seen designs' per-job time over the memo-warm per-job
+#: time of the same batches (``--check``).
+COLD_RATIO_CEILING = 1.5
+
+#: The never-seen batches' axes: the stock designs the paper compares and a
+#: few networks of different depths, over a range of scales and ABin sizes.
+_COLD_NETWORKS = ("nin", "alexnet", "googlenet", "vgg19")
+_COLD_DESIGNS = (
+    AcceleratorSpec.create("dpnn"),
+    AcceleratorSpec.create("stripes"),
+    AcceleratorSpec.create("dstripes"),
+    AcceleratorSpec.create("loom", bits_per_cycle=1),
+    AcceleratorSpec.create("loom", bits_per_cycle=2),
+    AcceleratorSpec.create("loom", bits_per_cycle=4),
+)
+_COLD_MACS = (32, 64, 128, 256, 512)
+_COLD_ABIN_BYTES = tuple(1024 << j for j in range(8))
 
 
 def _sweep_jobs():
@@ -121,6 +149,74 @@ def measure_batched(repeats: int = 5) -> dict:
     }
 
 
+def _never_seen_batches(rng, clocks, count: int, size: int = 8):
+    """``count`` batches of ``size`` jobs, every one a design this process
+    has not seen: each takes the next clock of ``clocks``."""
+    return [[SimJob(network=NetworkSpec(rng.choice(_COLD_NETWORKS)),
+                    accelerator=rng.choice(_COLD_DESIGNS),
+                    config=AcceleratorConfig(
+                        equivalent_macs=rng.choice(_COLD_MACS),
+                        abin_bytes=rng.choice(_COLD_ABIN_BYTES),
+                        clock_ghz=0.5 + next(clocks) * 1e-6))
+             for _ in range(size)]
+            for _ in range(count)]
+
+
+def _cpu_seconds(task) -> float:
+    start = time.process_time()
+    task()
+    return time.process_time() - start
+
+
+def measure_cold_designs(rounds: int = 15, batches: int = 20) -> dict:
+    """Per-job time of never-seen designs against the same batches again.
+
+    Each round draws fresh batches, runs them once (every design record is
+    derived) and then three more times with every memo warm, taking the
+    median warm pass; the reported ratio is the median of the rounds' cold
+    / warm ratios.  A cold pass cannot be repeated, so the warm side gets no
+    best-of either: a burst of load on a shared host is as likely to land
+    on either side.  The networks' layer tables are built before the first
+    round: a network is not a design.
+    """
+    import random
+
+    rng = random.Random(24)
+    clocks = itertools.count()
+    simulate_jobs_batched([SimJob(network=NetworkSpec(name),
+                                  accelerator=_COLD_DESIGNS[0])
+                           for name in _COLD_NETWORKS])
+    colds, warms = [], []
+    for _ in range(rounds):
+        sweep = _never_seen_batches(rng, clocks, batches)
+
+        def run():
+            for batch in sweep:
+                simulate_jobs_batched(batch)
+
+        colds.append(_cpu_seconds(run))
+        warms.append(statistics.median(_cpu_seconds(run) for _ in range(3)))
+    jobs = batches * len(sweep[0])
+    return {
+        "rounds": rounds,
+        "jobs_per_round": jobs,
+        "cold_us_per_job": statistics.median(colds) / jobs * 1e6,
+        "warm_us_per_job": statistics.median(warms) / jobs * 1e6,
+        "ratio": statistics.median(c / w for c, w in zip(colds, warms)),
+    }
+
+
+def format_cold_designs(measured: dict) -> str:
+    return "\n".join([
+        "== never-seen designs vs the same batches memo-warm ==",
+        f"{measured['rounds']} rounds of {measured['jobs_per_round']} jobs "
+        f"in 8-job batches (CPU time, medians)",
+        f"never-seen: {measured['cold_us_per_job']:>7.1f} us/job   "
+        f"memo-warm: {measured['warm_us_per_job']:>7.1f} us/job   "
+        f"{measured['ratio']:>5.2f}x (ceiling {COLD_RATIO_CEILING}x)",
+    ])
+
+
 def format_batched(measured: dict) -> str:
     return "\n".join([
         "== sweep simulation: one batched call vs one call per job ==",
@@ -160,6 +256,15 @@ def test_bench_batched_speedup(artefacts):
     )
 
 
+def test_bench_never_seen_designs_cost_near_warm(artefacts):
+    measured = measure_cold_designs()
+    artefacts["batched-cold-designs"] = format_cold_designs(measured)
+    assert measured["ratio"] <= COLD_RATIO_CEILING, (
+        f"never-seen designs cost {measured['ratio']:.2f}x the memo-warm "
+        f"per-job time (ceiling {COLD_RATIO_CEILING}x)"
+    )
+
+
 # -- script mode (the CI gate) -------------------------------------------------
 
 
@@ -172,7 +277,9 @@ def main(argv=None) -> int:
     parser.add_argument("--check", default=None, metavar="BASELINE",
                         help="fail if the speedup regressed more than "
                              f"{REGRESSION_TOLERANCE * 100:.0f}%% vs "
-                             "BASELINE (JSON)")
+                             "BASELINE (JSON), or if never-seen designs "
+                             f"cost more than {COLD_RATIO_CEILING}x the "
+                             "memo-warm per-job time")
     args = parser.parse_args(argv)
     measured = measure_batched(repeats=args.repeats)
     print(format_batched(measured))
@@ -180,6 +287,9 @@ def main(argv=None) -> int:
         print(f"FAIL: speedup {measured['speedup']:.2f}x is below the "
               f"{SPEEDUP_FLOOR:.0f}x floor", file=sys.stderr)
         return 1
+    if args.check is not None:
+        measured["never_seen_designs"] = measure_cold_designs()
+        print(format_cold_designs(measured["never_seen_designs"]))
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(measured, handle, indent=2, sort_keys=True)
@@ -190,6 +300,12 @@ def main(argv=None) -> int:
             baseline = json.load(handle)
         print("regression gate:",
               check_against_baseline(measured, baseline))
+        cold = measured["never_seen_designs"]
+        if cold["ratio"] > COLD_RATIO_CEILING:
+            print(f"FAIL: never-seen designs cost {cold['ratio']:.2f}x the "
+                  f"memo-warm per-job time (ceiling {COLD_RATIO_CEILING}x)",
+                  file=sys.stderr)
+            return 1
     return 0
 
 

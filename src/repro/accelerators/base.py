@@ -34,7 +34,8 @@ from repro.memory.sram import SRAMBuffer
 from repro.nn.network import LayerWithPrecision
 from repro.sim.results import LayerResult
 
-__all__ = ["AcceleratorConfig", "Accelerator", "ceil_div", "LANES_PER_UNIT"]
+__all__ = ["AcceleratorConfig", "Accelerator", "ceil_div", "LANES_PER_UNIT",
+           "default_am_bytes", "default_wm_bytes", "inner_product_units"]
 
 #: Activations (and weights per filter) processed per inner-product unit per
 #: cycle in the baseline -- N in the paper.
@@ -55,6 +56,28 @@ _SCALAR_FIELDS = (("equivalent_macs", int), ("clock_ghz", float),
                   ("am_capacity_bytes", int), ("wm_capacity_bytes", int),
                   ("abin_bytes", int), ("about_bytes", int),
                   ("charge_offchip_energy", bool))
+
+
+def default_am_bytes(activations_serial: bool) -> int:
+    """Default activation-memory capacity: 1 MB when activations are stored
+    bit-serially (Loom, Stripes), 2 MB otherwise (Section 4.5)."""
+    base = (_LOOM_AM_BYTES_AT_128 if activations_serial
+            else _DPNN_AM_BYTES_AT_128)
+    return max(64 * 1024, int(base))
+
+
+def default_wm_bytes(weights_serial: bool, scale: float) -> int:
+    """Default weight-memory capacity, scaled with the number of
+    concurrently processed filters (``scale`` = equivalent MACs / 128)."""
+    base = (_LOOM_WM_BYTES_AT_128 if weights_serial
+            else _DPNN_WM_BYTES_AT_128)
+    return max(64 * 1024, int(base * scale))
+
+
+def inner_product_units(equivalent_macs: int) -> int:
+    """Inner-product units (k in the paper) of the bit-parallel design at
+    ``equivalent_macs``: also Stripes' concurrent filters."""
+    return equivalent_macs // LANES_PER_UNIT
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -165,14 +188,11 @@ class Accelerator(abc.ABC):
         return self.uses_bit_interleaved_storage
 
     def default_am_bytes(self) -> int:
-        base = (_LOOM_AM_BYTES_AT_128 if self.stores_activations_serially
-                else _DPNN_AM_BYTES_AT_128)
-        return max(64 * 1024, int(base))
+        return default_am_bytes(self.stores_activations_serially)
 
     def default_wm_bytes(self) -> int:
-        base = (_LOOM_WM_BYTES_AT_128 if self.stores_weights_serially
-                else _DPNN_WM_BYTES_AT_128)
-        return max(64 * 1024, int(base * self.config.scale))
+        return default_wm_bytes(self.stores_weights_serially,
+                                self.config.scale)
 
     def _build_hierarchy(self) -> MemoryHierarchy:
         am_bytes = self.config.am_capacity_bytes or self.default_am_bytes()

@@ -17,6 +17,7 @@ from repro.accelerators.base import (
     AcceleratorConfig,
     LANES_PER_UNIT,
     ceil_div,
+    inner_product_units,
 )
 from repro.nn.layers import Conv2D, FullyConnected
 from repro.nn.network import LayerWithPrecision
@@ -37,7 +38,7 @@ class DPNN(Accelerator):
     @property
     def num_ip_units(self) -> int:
         """Number of inner-product units (k in the paper, 8 at the 128 scale)."""
-        return self.config.equivalent_macs // LANES_PER_UNIT
+        return inner_product_units(self.config.equivalent_macs)
 
     # -- cycles -------------------------------------------------------------------
 

@@ -25,12 +25,11 @@ class DStripes(Stripes):
 
     name = "DStripes"
 
+    DEFAULT_DYNAMIC_PRECISION = DynamicPrecisionModel(enabled=True)
+
     def __init__(self, config: Optional[AcceleratorConfig] = None,
                  dynamic_precision: Optional[DynamicPrecisionModel] = None) -> None:
-        super().__init__(
-            config,
-            dynamic_precision=dynamic_precision or DynamicPrecisionModel(enabled=True),
-        )
+        super().__init__(config, dynamic_precision=dynamic_precision)
         if not self.dynamic_precision.enabled:
             raise ValueError(
                 "DStripes requires an enabled DynamicPrecisionModel; "

@@ -21,6 +21,7 @@ from repro.accelerators.base import (
     AcceleratorConfig,
     LANES_PER_UNIT,
     ceil_div,
+    inner_product_units,
 )
 from repro.accelerators.dpnn import DPNN
 from repro.nn.layers import Conv2D
@@ -39,13 +40,15 @@ class Stripes(Accelerator):
     #: serial activations (matching Loom's 16 window lanes).
     WINDOW_LANES = 16
 
+    #: The precision model when none is given: plain Stripes uses only the
+    #: static per-layer profile precisions.
+    DEFAULT_DYNAMIC_PRECISION = DynamicPrecisionModel(enabled=False)
+
     def __init__(self, config: Optional[AcceleratorConfig] = None,
                  dynamic_precision: Optional[DynamicPrecisionModel] = None) -> None:
         super().__init__(config)
-        # Plain Stripes uses only the static per-layer profile precisions.
-        self.dynamic_precision = dynamic_precision or DynamicPrecisionModel(
-            enabled=False
-        )
+        self.dynamic_precision = (dynamic_precision
+                                  or self.DEFAULT_DYNAMIC_PRECISION)
         # A DPNN instance with the same configuration provides the FCL timing
         # (Stripes matches the bit-parallel engine on FCLs).
         self._dpnn = DPNN(config)
@@ -70,7 +73,7 @@ class Stripes(Accelerator):
     @property
     def filter_lanes(self) -> int:
         """Concurrent filters (same as the baseline's inner-product unit count)."""
-        return self.config.equivalent_macs // LANES_PER_UNIT
+        return inner_product_units(self.config.equivalent_macs)
 
     # -- cycles -------------------------------------------------------------------
 

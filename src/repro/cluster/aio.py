@@ -129,6 +129,19 @@ class HTTPResponder:
         self.close_after = False
         #: Correlation id echoed as ``X-Request-Id`` on the response.
         self.request_id: Optional[str] = None
+        #: Called with the status once, just before the response head is
+        #: written, so whatever it counts is visible before the client can
+        #: read the answer.
+        self.on_head: Optional[Callable[[int], None]] = None
+
+    def _begin(self, status: int) -> None:
+        """Claim this request's one response."""
+        if self.responded:
+            raise RuntimeError("response already sent")
+        self.responded = True
+        self.status = status
+        if self.on_head is not None:
+            self.on_head(status)
 
     def _head(self, status: int, headers: Dict[str, str]) -> bytes:
         reason = _REASONS.get(status, "OK")
@@ -143,10 +156,7 @@ class HTTPResponder:
 
     async def send(self, status: int, body: bytes, content_type: str,
                    headers: Optional[Dict[str, str]] = None) -> None:
-        if self.responded:
-            raise RuntimeError("response already sent")
-        self.responded = True
-        self.status = status
+        self._begin(status)
         head = {"Content-Type": content_type,
                 "Content-Length": str(len(body))}
         head.update(headers or {})
@@ -170,11 +180,8 @@ class HTTPResponder:
                            headers: Optional[Dict[str, str]] = None) -> None:
         """Begin a chunked response (NDJSON or SSE); write with
         :meth:`write_chunk`, end with :meth:`finish_stream`."""
-        if self.responded:
-            raise RuntimeError("response already sent")
-        self.responded = True
+        self._begin(200)
         self.streaming = True
-        self.status = 200
         head = {"Content-Type": content_type,
                 "Transfer-Encoding": "chunked",
                 "Cache-Control": "no-store"}

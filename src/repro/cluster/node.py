@@ -14,7 +14,10 @@ per-request scope, defined once:
 * the one exception-to-status mapping, :func:`error_reply`;
 * the ``requests``/``errors`` counters and the ``loom_<role>_requests_total``
   / ``loom_<role>_request_seconds`` / ``loom_<role>_uptime_seconds`` series,
-  all counted from the response status.
+  all counted from the response status.  A request is counted when its
+  response head is written -- before the client can have the answer, so a
+  caller that got its reply always sees it counted -- and its latency is
+  observed when the handler ends.
 
 Subclasses implement ``_route``, ``_count_request`` and ``stop``.
 """
@@ -176,6 +179,12 @@ class HTTPNode:
         started = time.monotonic()
         path = request.path.rstrip("/") or "/"
         label = path_label(path)
+
+        def count(status: int) -> None:
+            self._count_request(label, status)
+            self._requests_total.inc(path=label, status=str(status))
+
+        responder.on_head = count
         tracer = get_tracer()
         try:
             with tracer.remote_parent(request.headers.get("traceparent")):
@@ -193,9 +202,8 @@ class HTTPNode:
                     if span is not None:
                         span.set_attr("status", responder.status)
         finally:
-            status = responder.status if responder.status is not None else 500
-            self._count_request(label, status)
-            self._requests_total.inc(path=label, status=str(status))
+            if not responder.responded:
+                count(500)
             self._request_seconds.observe(time.monotonic() - started,
                                           path=label)
 

@@ -21,7 +21,11 @@ the validator will tell you).
 All functions accept NumPy integer/float arrays (or scalars) and broadcast
 elementwise; integer inputs must stay below 2**53 for the intermediate
 products to remain exact in float64, which holds by orders of magnitude for
-every network the paper evaluates.
+every network the paper evaluates.  Design flags (dynamic precision, bits
+per cycle, filter replication, cascading) may be per-row arrays too: a
+branch the scalar model takes per design is chosen per row with
+``np.where``, never folded into the arithmetic (``x + 0.0`` is not ``x``
+when ``x`` is ``-0.0``), so each row's bits match its own design's.
 
 Unlike their scalar counterparts these helpers do *not* re-validate their
 operands on every call: they sit in the vector engine's inner loop (where an
@@ -33,7 +37,7 @@ performs the full set of range checks once per table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from repro.accelerators.base import LANES_PER_UNIT
 from repro.core.scheduler import LoomGeometry
 
 __all__ = [
+    "any_row",
     "ceil_div_array",
     "check_table_operands",
     "effective_activation_bits_array",
@@ -53,6 +58,12 @@ __all__ = [
     "dpnn_fc_cycles_array",
     "stripes_conv_cycles_array",
 ]
+
+
+def any_row(flag) -> bool:
+    """Whether ``flag`` -- a per-row array or one plane-wide value -- is set
+    on any row (without ``np.any``'s Python-level dispatch)."""
+    return bool(flag.any()) if isinstance(flag, np.ndarray) else bool(flag)
 
 
 def ceil_div_array(a, b):
@@ -89,21 +100,29 @@ def check_table_operands(windows, terms, outputs, act_bits, weight_bits):
 
 def effective_activation_bits_array(
     profile_bits,
-    enabled: bool,
-    activation_reduction: float,
-    bits_per_cycle: int = 1,
+    enabled,
+    activation_reduction,
+    bits_per_cycle=1,
 ):
-    """Vector mirror of ``DynamicPrecisionModel.effective_activation_bits``."""
+    """Vector mirror of ``DynamicPrecisionModel.effective_activation_bits``;
+    ``enabled`` and ``bits_per_cycle`` may be per-row arrays."""
     profile_bits = np.asarray(profile_bits, dtype=np.int64)
-    if bits_per_cycle < 1:
+    if any_row(bits_per_cycle < 1):
         raise ValueError(f"bits_per_cycle must be >= 1, got {bits_per_cycle}")
     rounded_profile = bits_per_cycle * (-(-profile_bits // bits_per_cycle))
-    if not enabled:
+    if not any_row(enabled):
         return rounded_profile.astype(np.float64)
     effective = activation_reduction * profile_bits
-    if bits_per_cycle > 1:
+    multi_bit = bits_per_cycle > 1
+    if isinstance(multi_bit, np.ndarray):
+        effective = np.where(multi_bit,
+                             effective + (bits_per_cycle - 1) / 2.0, effective)
+    elif multi_bit:
         effective = effective + (bits_per_cycle - 1) / 2.0
-    return np.minimum(np.maximum(1.0, effective), rounded_profile)
+    dynamic = np.minimum(np.maximum(1.0, effective), rounded_profile)
+    if isinstance(enabled, np.ndarray):
+        return np.where(enabled, dynamic, rounded_profile.astype(np.float64))
+    return dynamic
 
 
 def effective_weight_bits_array(profile_bits):
@@ -115,8 +134,9 @@ def effective_weight_bits_array(profile_bits):
 # -- Loom schedules -----------------------------------------------------------
 
 
-def steps_for_activation_bits_array(activation_bits, bits_per_cycle: int):
-    """Vector mirror of ``LoomGeometry.steps_for_activation_bits``.
+def steps_for_activation_bits_array(activation_bits, bits_per_cycle):
+    """Vector mirror of ``LoomGeometry.steps_for_activation_bits``
+    (``bits_per_cycle`` may be a per-row array).
 
     Integral precisions take the exact ``ceil(Pa / b)`` path; fractional
     (dynamically reduced averages) divide straight through, exactly as the
@@ -130,8 +150,7 @@ def steps_for_activation_bits_array(activation_bits, bits_per_cycle: int):
     return np.where(integral, exact, activation_bits / bits_per_cycle)
 
 
-@dataclass(frozen=True, eq=False)
-class PlaneGeometry:
+class PlaneGeometry(NamedTuple):
     """Array-valued :class:`~repro.core.scheduler.LoomGeometry`: one SIP grid
     shape per plane row.
 
@@ -144,23 +163,16 @@ class PlaneGeometry:
     design points* in a single closed-form pass; a one-design plane passes
     plain integers, which broadcast the same way.
 
-    ``lanes`` and ``bits_per_cycle`` stay scalar: lanes is the architectural
-    constant ``LANES_PER_UNIT`` for every Loom configuration, and designs
-    with different activation bits-per-cycle go into separate planes (the
-    serial-step selection branches on it at the Python level).
+    ``bits_per_cycle`` may be per row as well (LM1b, LM2b and LM4b designs
+    share a plane); ``lanes`` is the architectural constant
+    ``LANES_PER_UNIT`` for every Loom configuration.
     """
 
     filter_rows: np.ndarray
     window_columns: np.ndarray
     num_sips: np.ndarray
-    bits_per_cycle: int = 1
+    bits_per_cycle: np.ndarray = 1
     lanes: int = LANES_PER_UNIT
-
-    def steps_for_activation_bits(self, activation_bits: float) -> float:
-        """Scalar delegate (``bits_per_cycle`` is uniform across the plane)."""
-        return LoomGeometry(
-            bits_per_cycle=self.bits_per_cycle
-        ).steps_for_activation_bits(activation_bits)
 
 
 def loom_conv_cycles_array(
@@ -170,14 +182,15 @@ def loom_conv_cycles_array(
     activation_serial_steps,
     weight_serial_bits,
     geometry: LoomGeometry,
-    replicate_filters: bool = False,
+    replicate_filters=False,
 ) -> np.ndarray:
     """Total Loom CVL cycles: mirrors ``ConvSchedule.total_cycles`` on the
     schedule that ``schedule_conv_layer`` builds (including the filter
     replication mapping and the exposed weight-load fill cycle).
 
     ``geometry`` may be a scalar :class:`LoomGeometry` or an array-valued
-    :class:`PlaneGeometry` (one grid shape per row)."""
+    :class:`PlaneGeometry` (one grid shape per row), and
+    ``replicate_filters`` a per-row array."""
     windows = np.asarray(windows, dtype=np.int64)
     terms = np.asarray(terms, dtype=np.int64)
     filters = np.asarray(filters, dtype=np.int64)
@@ -186,13 +199,13 @@ def loom_conv_cycles_array(
     term_chunks = ceil_div_array(terms, geometry.lanes)
     filter_chunks = ceil_div_array(filters, geometry.filter_rows)
     replication = np.ones_like(filters)
-    if replicate_filters:
+    if any_row(replicate_filters):
         candidate = np.maximum(1, geometry.filter_rows // np.maximum(filters, 1))
         max_useful = np.maximum(
             1, ceil_div_array(windows, geometry.window_columns)
         )
         replication = np.where(
-            filters < geometry.filter_rows,
+            replicate_filters & (filters < geometry.filter_rows),
             np.minimum(candidate, max_useful),
             replication,
         )
@@ -207,31 +220,37 @@ def loom_fc_cycles_array(
     terms,
     weight_serial_bits,
     geometry: LoomGeometry,
-    use_cascading: bool = True,
+    use_cascading=True,
 ) -> np.ndarray:
     """Total Loom FCL cycles: mirrors ``FCSchedule.total_cycles`` on the
     schedule ``schedule_fc_layer`` builds (cascade slicing, column stagger
     and the cascade-reduction tail).
 
     ``geometry`` may be a scalar :class:`LoomGeometry` or an array-valued
-    :class:`PlaneGeometry` (one grid shape per row)."""
+    :class:`PlaneGeometry` (one grid shape per row), and ``use_cascading``
+    a per-row array."""
     outputs = np.asarray(outputs, dtype=np.int64)
     terms = np.asarray(terms, dtype=np.int64)
     weight_bits = np.asarray(weight_serial_bits, dtype=np.float64)
-    if use_cascading:
+    slices = np.ones_like(outputs)
+    if any_row(use_cascading):
         raw = geometry.num_sips // np.maximum(outputs, 1)
         slices = np.where(
-            outputs >= geometry.num_sips,
-            np.ones_like(outputs),
+            use_cascading & (outputs < geometry.num_sips),
             np.maximum(1, np.minimum(geometry.window_columns, raw)),
+            slices,
         )
-    else:
-        slices = np.ones_like(outputs)
     concurrent = np.maximum(1, geometry.num_sips // slices)
     output_chunks = ceil_div_array(outputs, concurrent)
     terms_per_slice = ceil_div_array(terms, slices)
     term_chunks = ceil_div_array(terms_per_slice, geometry.lanes)
-    activation_steps = geometry.steps_for_activation_bits(LANES_PER_UNIT)
+    # The integral ``steps_for_activation_bits(LANES_PER_UNIT)``.
+    bits_per_cycle = geometry.bits_per_cycle
+    if isinstance(bits_per_cycle, np.ndarray):
+        activation_steps = ceil_div_array(
+            LANES_PER_UNIT, bits_per_cycle).astype(np.float64)
+    else:
+        activation_steps = float(-(-LANES_PER_UNIT // bits_per_cycle))
     stagger = geometry.window_columns - 1
     reduction = np.where(slices > 1, slices - 1, np.zeros_like(slices))
     return (output_chunks * term_chunks * (activation_steps * weight_bits)

@@ -47,6 +47,13 @@ class Loom(Accelerator):
 
     name = "Loom"
 
+    #: The LM1b / LM2b / LM4b variants: activation bits per cycle.
+    BITS_PER_CYCLE = (1, 2, 4)
+
+    #: The precision model when none is given: runtime activation
+    #: reduction on, as in the paper's main results.
+    DEFAULT_DYNAMIC_PRECISION = DynamicPrecisionModel()
+
     def __init__(
         self,
         config: Optional[AcceleratorConfig] = None,
@@ -57,12 +64,13 @@ class Loom(Accelerator):
         use_cascading: bool = True,
         replicate_filters: bool = False,
     ) -> None:
-        if bits_per_cycle not in (1, 2, 4):
+        if bits_per_cycle not in self.BITS_PER_CYCLE:
             raise ValueError(
                 f"bits_per_cycle must be 1, 2 or 4, got {bits_per_cycle}"
             )
         self.bits_per_cycle = bits_per_cycle
-        self.dynamic_precision = dynamic_precision or DynamicPrecisionModel()
+        self.dynamic_precision = (dynamic_precision
+                                  or self.DEFAULT_DYNAMIC_PRECISION)
         self.use_effective_weight_precision = use_effective_weight_precision
         self.window_fanout = window_fanout
         self.use_cascading = use_cascading
@@ -73,7 +81,12 @@ class Loom(Accelerator):
             bits_per_cycle=bits_per_cycle,
             window_fanout=window_fanout,
         )
-        self.name = f"Loom-{bits_per_cycle}b"
+        self.name = self.variant_name(bits_per_cycle)
+
+    @staticmethod
+    def variant_name(bits_per_cycle: int) -> str:
+        """Display name of the LM-``bits_per_cycle``b variant."""
+        return f"Loom-{bits_per_cycle}b"
 
     # -- storage --------------------------------------------------------------------
 

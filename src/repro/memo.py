@@ -10,15 +10,12 @@ unbounded.
 
 import functools
 
-__all__ = ["DESIGN_MEMO_SIZE", "PLANE_MEMO_SIZE", "POINT_MEMO_SIZE",
-           "clear_memos", "memo"]
+__all__ = ["DESIGN_MEMO_SIZE", "POINT_MEMO_SIZE", "clear_memos", "memo"]
 
 #: Per design point: above a 3072-point warm working set.
 POINT_MEMO_SIZE = 8192
 #: Per design or network.
 DESIGN_MEMO_SIZE = 1024
-#: Per multi-design plane, which holds per-row arrays.
-PLANE_MEMO_SIZE = 128
 
 _MEMOS = []
 

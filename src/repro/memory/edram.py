@@ -16,7 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EDRAMMemory"]
+__all__ = ["EDRAMMemory", "size_factor", "tech_factor"]
+
+
+def size_factor(capacity_bytes: int) -> float:
+    """Growth of per-bit access energy with capacity (longer bit/word
+    lines): one place for the models and the vector engine's records."""
+    mb = max(capacity_bytes / (1024.0 * 1024.0), 1.0 / 1024.0)
+    return 1.0 + 0.10 * math.log2(max(1.0, mb * 4.0))
+
+
+def tech_factor(technology_nm: float) -> float:
+    """Scaling of dynamic energy with feature size."""
+    return (technology_nm / 65.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -66,11 +78,10 @@ class EDRAMMemory:
         return self.capacity_bytes / (1024.0 * 1024.0)
 
     def _size_factor(self) -> float:
-        mb = max(self.capacity_mb, 1.0 / 1024.0)
-        return 1.0 + 0.10 * math.log2(max(1.0, mb * 4.0))
+        return size_factor(self.capacity_bytes)
 
     def _tech_factor(self) -> float:
-        return (self.technology_nm / 65.0) ** 2
+        return tech_factor(self.technology_nm)
 
     def access_energy_pj(self, bits: float | None = None) -> float:
         """Energy to read or write ``bits`` bits (default one full access).

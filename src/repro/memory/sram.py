@@ -18,7 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SRAMBuffer"]
+__all__ = ["SRAMBuffer", "size_factor", "tech_factor"]
+
+
+def size_factor(capacity_bytes: int) -> float:
+    """Energy grows mildly with capacity (longer bit/word lines): one place
+    for the models and the vector engine's records."""
+    kb = capacity_bytes / 1024.0
+    return 1.0 + 0.08 * math.log2(max(1.0, kb))
+
+
+def tech_factor(technology_nm: float) -> float:
+    """Quadratic-ish scaling of dynamic energy with feature size."""
+    return (technology_nm / 65.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -72,13 +84,10 @@ class SRAMBuffer:
         return max(1, self.capacity_bits // (self.width_bits * self.banks))
 
     def _size_factor(self) -> float:
-        """Energy grows mildly with capacity (longer bit/word lines)."""
-        kb = self.capacity_bytes / 1024.0
-        return 1.0 + 0.08 * math.log2(max(1.0, kb))
+        return size_factor(self.capacity_bytes)
 
     def _tech_factor(self) -> float:
-        """Quadratic-ish scaling of dynamic energy with feature size."""
-        return (self.technology_nm / 65.0) ** 2
+        return tech_factor(self.technology_nm)
 
     # -- CACTI-like outputs ------------------------------------------------------
 

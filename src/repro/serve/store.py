@@ -57,11 +57,13 @@ from repro.sim.jobs.cache import CacheBackend, CachedResult, StoreItem
 __all__ = ["SQLiteResultStore", "SCHEMA_VERSION"]
 
 #: Payload format tag stored with every row; bump when the layout changes.
-_FORMAT = 1
+#: Format 2 is the columnar result text.
+_FORMAT = 2
 
 #: Database schema version (``PRAGMA user_version``); bump on layout changes.
-#: Version 2 added the ``crc`` column.
-SCHEMA_VERSION = 2
+#: Version 2 added the ``crc`` column; version 3 holds columnar result
+#: texts, so opening a version-2 store (row-form texts) resets it.
+SCHEMA_VERSION = 3
 
 #: Keys per ``IN (...)`` list: under the 999 host parameters older SQLite
 #: builds allow in one statement.

@@ -85,13 +85,25 @@ def _dstripes_factory(config, options):
     return DStripes(config, **options)
 
 
-#: Registry of accelerator factories: ``kind -> factory(config, options)``.
-ACCELERATOR_KINDS = {
+#: The stock kinds' factories.  A kind registered to its stock factory has
+#: a vector kernel (:func:`stock_kind`); any other factory is an exotic
+#: design that the vector engine builds and runs on the event engine.
+_STOCK_FACTORIES = {
     "dpnn": _dpnn_factory,
     "stripes": _stripes_factory,
     "dstripes": _dstripes_factory,
     "loom": _loom_factory,
 }
+
+#: Registry of accelerator factories: ``kind -> factory(config, options)``.
+ACCELERATOR_KINDS = dict(_STOCK_FACTORIES)
+
+
+def stock_kind(kind: str) -> bool:
+    """Whether ``kind`` names a stock design: registered to its stock
+    factory, so a spec of it describes the exact stock class."""
+    factory = _STOCK_FACTORIES.get(kind)
+    return factory is not None and ACCELERATOR_KINDS.get(kind) is factory
 
 
 #: Lazily imported accelerator class per kind (kept in lockstep with
@@ -106,11 +118,9 @@ _KIND_CLASSES = {
 assert set(_KIND_CLASSES) == set(ACCELERATOR_KINDS)
 
 
-@memo(None)
-def _kind_defaults(kind: str) -> Tuple[Tuple[str, object], ...]:
-    """Constructor defaults for a kind (canonicalised), for key normalisation."""
+def kind_class(kind: str) -> type:
+    """The accelerator class a registered ``kind`` names."""
     import importlib
-    import inspect
 
     if kind not in _KIND_CLASSES:
         raise ValueError(
@@ -118,9 +128,17 @@ def _kind_defaults(kind: str) -> Tuple[Tuple[str, object], ...]:
             f"available: {sorted(ACCELERATOR_KINDS)}"
         )
     module_name, class_name = _KIND_CLASSES[kind]
-    cls = getattr(importlib.import_module(module_name), class_name)
+    return getattr(importlib.import_module(module_name), class_name)
+
+
+@memo(None)
+def _kind_defaults(kind: str) -> Tuple[Tuple[str, object], ...]:
+    """Constructor defaults for a kind (canonicalised), for key normalisation."""
+    import inspect
+
     defaults = []
-    for name, parameter in inspect.signature(cls.__init__).parameters.items():
+    for name, parameter in inspect.signature(
+            kind_class(kind).__init__).parameters.items():
         if name in ("self", "config") or parameter.default is inspect.Parameter.empty:
             continue
         defaults.append((name, _canonical_value(parameter.default)))
@@ -463,17 +481,40 @@ def network_kind_counts(name: str) -> Dict[str, int]:
     return counts
 
 
+def accelerator_options(spec: AcceleratorSpec) -> Dict[str, object]:
+    """The constructor keyword options ``spec`` gives, dataclass options
+    rebuilt from their fields (constructor defaults not filled in)."""
+    options = spec.options_dict()
+    for key in _DATACLASS_OPTIONS.keys() & options.keys():
+        options[key] = _DATACLASS_OPTIONS[key](**dict(options[key]))
+    return options
+
+
+def constructor_options(spec: AcceleratorSpec) -> Optional[Dict[str, object]]:
+    """Every constructor option of ``spec``'s kind: the given ones over the
+    constructor defaults, or ``None`` when ``spec`` gives an option the
+    constructor does not take."""
+    options = dict(_kind_defaults(spec.kind))
+    given = accelerator_options(spec)
+    if not given.keys() <= options.keys():
+        return None
+    options.update(given)
+    return options
+
+
 @memo(DESIGN_MEMO_SIZE)
 def build_accelerator(spec: AcceleratorSpec,
                       config: "Optional[AcceleratorConfig]" = None):
     """Instantiate the accelerator described by ``spec`` (memoised, LRU
-    bounded at :data:`~repro.memo.DESIGN_MEMO_SIZE` designs)."""
-    options = spec.options_dict()
-    for key in _DATACLASS_OPTIONS.keys() & options.keys():
-        options[key] = _DATACLASS_OPTIONS[key](**dict(options[key]))
+    bounded at :data:`~repro.memo.DESIGN_MEMO_SIZE` designs).
+
+    The vector engine never needs one: it derives a stock design's record
+    from the spec itself (:mod:`repro.sim.batched`).  The event engine
+    and exotic kinds do.
+    """
     factory = ACCELERATOR_KINDS[spec.kind]
     return factory(config if config is not None else _default_config(),
-                   options)
+                   accelerator_options(spec))
 
 
 def execute_job(job: SimJob, engine: Optional[str] = None) -> NetworkResult:

@@ -1,21 +1,25 @@
-"""Result dataclasses for accelerator simulations.
+"""Result records for accelerator simulations.
 
 Every accelerator model in this repository produces a :class:`LayerResult`
 per compute layer, which records execution cycles, memory traffic and energy.
-:class:`NetworkResult` aggregates them and :func:`compare` produces the
-relative speedup / energy-efficiency numbers that the paper's tables report.
+:class:`NetworkResult` aggregates them -- held as one column per
+:class:`LayerResult` field, which is also its JSON form -- and
+:func:`compare` produces the relative speedup / energy-efficiency numbers
+that the paper's tables report.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "LayerResult",
     "NetworkResult",
     "ComparisonResult",
+    "LAYER_FIELDS",
     "compare",
     "combine_layer_results",
 ]
@@ -92,12 +96,7 @@ class LayerResult:
         return self.layer_kind == "matmul"
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-data form (for the on-disk result cache and tooling).
-
-        Equal to ``dataclasses.asdict(self)``, field for field and in
-        order, without its recursive deep copy: every field but ``extra``
-        is a scalar.
-        """
+        """Plain-data form of one layer: ``dataclasses.asdict(self)``."""
         return {
             "layer_name": self.layer_name,
             "layer_kind": self.layer_kind,
@@ -115,72 +114,185 @@ class LayerResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "LayerResult":
-        """Inverse of :meth:`to_dict`; equal to ``cls(**data)``.
-
-        A plain dict holding exactly the twelve fields (every decoded
-        tier's case) skips the keyword call: the instance is built with
-        ``object.__new__`` and its attributes stored in field order, as
-        the vector engine's scatter does, and ``__post_init__``'s checks
-        run inline.  Any other key set, a subclass, or a value those
-        checks reject takes ``cls(**data)``, so every error stays the
-        same.
-        """
-        if (cls is LayerResult and type(data) is dict
-                and data.keys() == _LAYER_FIELDS):
-            kind = data["layer_kind"]
-            cycles = data["cycles"]
-            if kind in _LAYER_KINDS and not cycles < 0:
-                compute_cycles = data["compute_cycles"]
-                memory_cycles = data["memory_cycles"]
-                if compute_cycles == 0.0 and memory_cycles == 0.0:
-                    compute_cycles = cycles
-                layer = object.__new__(LayerResult)
-                layer.layer_name = data["layer_name"]
-                layer.layer_kind = kind
-                layer.cycles = cycles
-                layer.compute_cycles = compute_cycles
-                layer.memory_cycles = memory_cycles
-                layer.energy_pj = data["energy_pj"]
-                layer.weight_bits_read = data["weight_bits_read"]
-                layer.activation_bits_read = data["activation_bits_read"]
-                layer.activation_bits_written = data["activation_bits_written"]
-                layer.macs = data["macs"]
-                layer.utilization = data["utilization"]
-                layer.extra = data["extra"]
-                return layer
+        """Inverse of :meth:`to_dict`: ``cls(**data)``."""
         return cls(**data)
 
 
-#: The fields ``LayerResult.from_dict``'s fast path stores, spelled out:
-#: a field added to the class but not to the fast path takes the
-#: constructor, never a half-built instance.
-_LAYER_FIELDS = frozenset((
-    "layer_name", "layer_kind", "cycles", "compute_cycles", "memory_cycles",
-    "energy_pj", "weight_bits_read", "activation_bits_read",
-    "activation_bits_written", "macs", "utilization", "extra"))
 _LAYER_KINDS = ("conv", "fc", "matmul")
 
+#: The columns of a :class:`NetworkResult`: every :class:`LayerResult`
+#: field, in declaration order.
+LAYER_FIELDS = tuple(f.name for f in fields(LayerResult))
+_FIELD_SET = frozenset(LAYER_FIELDS)
 
-@dataclass
+
+def _check_columns(columns) -> None:
+    """Validate a decoded ``layers`` mapping.
+
+    A layer-level value :class:`LayerResult` rejects is rejected with the
+    constructor's own error; anything but one equal-length list per field
+    (a row-form ``layers`` list included) raises ``TypeError`` or
+    ``ValueError``.
+    """
+    if type(columns) is not dict:
+        raise TypeError(f"layers must map each field to a column, "
+                        f"got {type(columns).__name__}")
+    if columns.keys() != _FIELD_SET:
+        raise ValueError(f"layers must hold exactly the columns "
+                         f"{list(LAYER_FIELDS)}, got {sorted(columns)}")
+    count = len(columns["layer_name"])
+    for name in LAYER_FIELDS:
+        column = columns[name]
+        if type(column) is not list or len(column) != count:
+            raise ValueError(f"column {name!r} must be a list of {count} "
+                             f"values")
+    for kind, cycles in zip(columns["layer_kind"], columns["cycles"]):
+        if kind not in _LAYER_KINDS or cycles < 0:
+            # The constructor raises its own error for this layer.
+            LayerResult(layer_name="", layer_kind=kind, cycles=cycles)
+
+
+def _columns_of(layers: Iterable[LayerResult]) -> Dict[str, list]:
+    """Fresh columns holding ``layers``' fields."""
+    columns: Dict[str, list] = {name: [] for name in LAYER_FIELDS}
+    appends = [columns[name].append for name in LAYER_FIELDS]
+    for layer in layers:
+        for append, value in zip(appends, (
+                layer.layer_name, layer.layer_kind, layer.cycles,
+                layer.compute_cycles, layer.memory_cycles, layer.energy_pj,
+                layer.weight_bits_read, layer.activation_bits_read,
+                layer.activation_bits_written, layer.macs, layer.utilization,
+                dict(layer.extra))):
+            append(value)
+    return columns
+
+
+def _layers_of(columns: Dict[str, list]) -> List[LayerResult]:
+    """The :class:`LayerResult` rows of validated ``columns``.
+
+    Each row is built with ``__new__`` plus attribute stores in field order:
+    the columns were checked when they were made (:func:`_check_columns`
+    or the engine's closed forms), so ``__post_init__`` has nothing left to
+    do, and storing attributes one by one keeps CPython's shared-key
+    instance layout.
+    """
+    new = LayerResult.__new__
+    layers: List[LayerResult] = []
+    append = layers.append
+    for (name, kind, cycles, compute, memory, energy, weights, act_in,
+         act_out, macs, utilization, extra) in zip(
+            *[columns[field_name] for field_name in LAYER_FIELDS]):
+        layer = new(LayerResult)
+        layer.layer_name = name
+        layer.layer_kind = kind
+        layer.cycles = cycles
+        layer.compute_cycles = compute
+        layer.memory_cycles = memory
+        layer.energy_pj = energy
+        layer.weight_bits_read = weights
+        layer.activation_bits_read = act_in
+        layer.activation_bits_written = act_out
+        layer.macs = macs
+        layer.utilization = utilization
+        layer.extra = extra
+        append(layer)
+    return layers
+
+
 class NetworkResult:
     """Aggregated result of running one network on one accelerator.
 
+    A result holds its layers in one of two forms: as columns (one list
+    per :class:`LayerResult` field, :data:`LAYER_FIELDS`), which is how the
+    vector engine and the codec make results, or as a list of
+    :class:`LayerResult` rows.  Reading :attr:`layers` turns columns into
+    rows once, and from then on the rows are the result (callers may
+    mutate them, as they may any list they are handed); the aggregates,
+    :meth:`to_dict` and ``==`` read whichever form is held, so a result
+    that is only encoded or summed never builds a row.
+
     :meth:`to_json` / :meth:`from_json` are the one codec a result crosses
-    a cache tier or the wire through; the text is memoised on the object
-    (not a dataclass field), so a result is encoded at most once.
+    a cache tier or the wire through; the text is memoised on the object,
+    so a result is encoded at most once.
     """
 
-    network: str
-    accelerator: str
-    layers: List[LayerResult] = field(default_factory=list)
-    clock_ghz: float = 1.0
+    __hash__ = None  # mutable, compared by value
 
-    #: Memoised :meth:`to_json` text (a plain class attribute, not a field).
-    _json = None
+    def __init__(self, network: str, accelerator: str,
+                 layers: Optional[List[LayerResult]] = None,
+                 clock_ghz: float = 1.0) -> None:
+        self.network = network
+        self.accelerator = accelerator
+        self.clock_ghz = clock_ghz
+        self._layers = [] if layers is None else layers
+        self._columns: Optional[Dict[str, list]] = None
+        #: Memoised :meth:`to_json` text.
+        self._json: Optional[str] = None
+
+    @classmethod
+    def _of_columns(cls, network: str, accelerator: str, clock_ghz: float,
+                    columns: Dict[str, list]) -> "NetworkResult":
+        """A result holding ``columns`` as they are (not copied or checked)."""
+        result = cls.__new__(cls)
+        result.network = network
+        result.accelerator = accelerator
+        result.clock_ghz = clock_ghz
+        result._layers = None
+        result._columns = columns
+        result._json = None
+        return result
+
+    @property
+    def layers(self) -> List[LayerResult]:
+        """The per-layer results, in network order."""
+        layers = self._layers
+        if layers is None:
+            columns = self._columns
+            if columns is None:  # another thread built the rows meanwhile
+                return self._layers
+            layers = self._layers = _layers_of(columns)
+            self._columns = None
+        return layers
+
+    @layers.setter
+    def layers(self, layers: List[LayerResult]) -> None:
+        self._layers = layers
+        self._columns = None
+        self._json = None
 
     def add(self, result: LayerResult) -> None:
         self.layers.append(result)
         self._json = None
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.network, self.accelerator, self.clock_ghz)
+                == (other.network, other.accelerator, other.clock_ghz)
+                and self._held_columns() == other._held_columns())
+
+    def __repr__(self) -> str:
+        return (f"NetworkResult(network={self.network!r}, "
+                f"accelerator={self.accelerator!r}, layers={self.layers!r}, "
+                f"clock_ghz={self.clock_ghz!r})")
+
+    def _held_columns(self) -> Dict[str, list]:
+        """The columns held, or columns built from the rows held (read-only)."""
+        columns = self._columns
+        if columns is None:
+            columns = _columns_of(self.layers)
+        return columns
+
+    def _column(self, name: str, kind: Optional[str]) -> list:
+        """Field ``name`` of the layers of ``kind`` (all when ``None``)."""
+        columns = self._columns
+        if columns is None:
+            return [getattr(lr, name) for lr in self.select(kind)]
+        values = columns[name]
+        if kind is None:
+            return values
+        return [value for value, layer_kind
+                in zip(values, columns["layer_kind"]) if layer_kind == kind]
 
     # -- selections ----------------------------------------------------------
 
@@ -193,16 +305,18 @@ class NetworkResult:
     # -- aggregates ----------------------------------------------------------
 
     def total_cycles(self, kind: Optional[str] = None) -> float:
-        return sum(lr.cycles for lr in self.select(kind))
+        return sum(self._column("cycles", kind))
 
     def total_energy_pj(self, kind: Optional[str] = None) -> float:
-        return sum(lr.energy_pj for lr in self.select(kind))
+        return sum(self._column("energy_pj", kind))
 
     def total_traffic_bits(self, kind: Optional[str] = None) -> float:
-        return sum(lr.total_traffic_bits for lr in self.select(kind))
+        return sum(map(_traffic, self._column("weight_bits_read", kind),
+                       self._column("activation_bits_read", kind),
+                       self._column("activation_bits_written", kind)))
 
     def total_macs(self, kind: Optional[str] = None) -> int:
-        return sum(lr.macs for lr in self.select(kind))
+        return sum(self._column("macs", kind))
 
     def execution_time_s(self, kind: Optional[str] = None) -> float:
         """Execution time in seconds at the configured clock."""
@@ -216,11 +330,12 @@ class NetworkResult:
 
     def average_utilization(self, kind: Optional[str] = None) -> float:
         """Cycle-weighted average datapath utilisation."""
-        layers = self.select(kind)
-        total = sum(lr.cycles for lr in layers)
+        cycles = self._column("cycles", kind)
+        total = sum(cycles)
         if total <= 0:
             return 1.0
-        return sum(lr.utilization * lr.cycles for lr in layers) / total
+        return sum(map(operator.mul, self._column("utilization", kind),
+                       cycles)) / total
 
     def layer(self, name: str) -> LayerResult:
         for lr in self.layers:
@@ -231,27 +346,48 @@ class NetworkResult:
     # -- (de)serialisation ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-data form (for the on-disk result cache and tooling)."""
+        """Plain-data form: ``{"network", "accelerator", "clock_ghz",
+        "layers": {<field>: [one value per layer], ...}}``, one column per
+        :class:`LayerResult` field (:data:`LAYER_FIELDS` order).  The
+        columns are fresh lists."""
+        columns = self._columns
+        if columns is None:
+            columns = _columns_of(self.layers)
+        else:
+            columns = {name: (list(values) if name != "extra"
+                              else list(map(dict, values)))
+                       for name, values in columns.items()}
         return {
             "network": self.network,
             "accelerator": self.accelerator,
             "clock_ghz": self.clock_ghz,
-            "layers": [lr.to_dict() for lr in self.layers],
+            "layers": columns,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "NetworkResult":
-        decode = LayerResult.from_dict
-        return cls(
-            network=data["network"],
-            accelerator=data["accelerator"],
-            clock_ghz=data["clock_ghz"],
-            layers=[decode(lr) for lr in data["layers"]],
-        )
+        """Inverse of :meth:`to_dict`.  The result keeps ``data``'s column
+        lists (it does not copy them); raises ``KeyError``, ``TypeError``
+        or ``ValueError`` for data that is not a result, a row-form
+        ``layers`` list included."""
+        columns = data["layers"]
+        _check_columns(columns)
+        compute, memory = columns["compute_cycles"], columns["memory_cycles"]
+        if 0.0 in compute:
+            # LayerResult's fix-up: a layer that records neither split
+            # was compute bound.
+            columns = dict(columns)
+            columns["compute_cycles"] = [
+                cycles if computed == 0.0 and waited == 0.0 else computed
+                for cycles, computed, waited
+                in zip(columns["cycles"], compute, memory)]
+        return cls._of_columns(data["network"], data["accelerator"],
+                               data["clock_ghz"], columns)
 
     def to_json(self) -> str:
         """The result's JSON text: ``json.dumps(self.to_dict())``, encoded
-        once and memoised (:meth:`add` forgets it).
+        once and memoised (:meth:`add` and setting :attr:`layers` forget
+        it).
 
         This text is the result's form at rest (every cache tier) and on
         the wire; ``repr`` round-trips float64 exactly, so
@@ -269,6 +405,11 @@ class NetworkResult:
         result = cls.from_dict(json.loads(text))
         result._json = text
         return result
+
+
+def _traffic(weights: float, act_in: float, act_out: float) -> float:
+    """:attr:`LayerResult.total_traffic_bits`, from its three columns."""
+    return weights + act_in + act_out
 
 
 @dataclass(frozen=True)

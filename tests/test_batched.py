@@ -10,13 +10,16 @@ edges (empty batch, single job, cross-design merging, fallback ordering).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.accelerators.base import AcceleratorConfig
 from repro.memo import DESIGN_MEMO_SIZE, POINT_MEMO_SIZE, clear_memos
 from repro.sim import batched
 from repro.sim.batched import (
-    _design_signature,
+    _design_record,
+    _spec_record,
     simulate_jobs_batched,
     simulate_layer_table,
     stack_layer_tables,
@@ -180,36 +183,52 @@ class TestBatchedVsPerJob:
             2.0 * results[0].total_cycles())
 
 
+def _count_planes(monkeypatch):
+    """Count the planes the vector engine evaluates from here on."""
+    evaluated = []
+    original = batched._plane_numbers
+
+    def counting(plane):
+        evaluated.append(plane)
+        return original(plane)
+
+    monkeypatch.setattr(batched, "_plane_numbers", counting)
+    return evaluated
+
+
 class TestDesignSignatures:
+    """Designs share a plane exactly when they run on one kernel."""
+
     def test_scale_variants_share_a_plane(self):
         spec = AcceleratorSpec.create("loom")
-        small = build_accelerator(spec, AcceleratorConfig(equivalent_macs=64))
-        large = build_accelerator(spec, AcceleratorConfig(equivalent_macs=512))
-        assert _design_signature(small) == _design_signature(large)
+        small = _spec_record(spec, AcceleratorConfig(equivalent_macs=64))
+        large = _spec_record(spec, AcceleratorConfig(equivalent_macs=512))
+        assert small.kernel == large.kernel == "loom"
 
-    def test_serial_width_variants_do_not(self):
-        one = build_accelerator(AcceleratorSpec.create("loom"),
-                                AcceleratorConfig())
-        two = build_accelerator(AcceleratorSpec.create("loom",
-                                                       bits_per_cycle=2),
-                                AcceleratorConfig())
-        assert _design_signature(one) != _design_signature(two)
+    def test_serial_width_variants_share_a_plane(self, monkeypatch):
+        planes = _count_planes(monkeypatch)
+        jobs = [SimJob(_NETWORKS[0], AcceleratorSpec.create(
+                    "loom", bits_per_cycle=width), AcceleratorConfig())
+                for width in (1, 2, 4)]
+        _jobs_equal(simulate_jobs_batched(jobs), _reference(jobs))
+        assert len(planes) == 1
+        assert planes[0].params["bits_per_cycle"].tolist() == [1] * 8 \
+            + [2] * 8 + [4] * 8
 
     def test_kind_variants_do_not(self):
-        loom = build_accelerator(AcceleratorSpec.create("loom"),
-                                 AcceleratorConfig())
-        stripes = build_accelerator(AcceleratorSpec.create("stripes"),
-                                    AcceleratorConfig())
-        assert _design_signature(loom) != _design_signature(stripes)
+        loom = _spec_record(AcceleratorSpec.create("loom"),
+                            AcceleratorConfig())
+        stripes = _spec_record(AcceleratorSpec.create("stripes"),
+                               AcceleratorConfig())
+        assert loom.kernel != stripes.kernel
 
     def test_design_alone_equals_design_in_a_plane(self):
-        # _DESIGNS[3..5] are Loom-1b at three scales: one signature, so
+        # _DESIGNS[3..5] are Loom-1b at three scales: one kernel, so
         # batched together they share one multi-design plane.
         jobs = [SimJob(network=_NETWORKS[4], accelerator=spec, config=config)
                 for spec, config in _DESIGNS[3:6]]
-        accelerators = [build_accelerator(j.accelerator, j.config)
-                        for j in jobs]
-        assert len({_design_signature(a) for a in accelerators}) == 1
+        assert len({_spec_record(j.accelerator, j.config).kernel
+                    for j in jobs}) == 1
         together = simulate_jobs_batched(jobs)
         alone = [simulate_jobs_batched([job])[0] for job in jobs]
         _jobs_equal(together, alone)
@@ -355,19 +374,179 @@ class TestBoundedMemos:
                        AcceleratorConfig(clock_ghz=2.0 + index / 100_000))
                 for index in range(3 * POINT_MEMO_SIZE + 1)]
         first = jobs[0]
-        evicted = build_accelerator(first.accelerator, first.config)
+        evicted = _spec_record(first.accelerator, first.config)
         for job in jobs:
             jobs_spec.job_key(job)
         assert jobs_spec.job_key.cache_info().currsize <= POINT_MEMO_SIZE
         designs = jobs[1:3 * DESIGN_MEMO_SIZE + 2]
         assert len(simulate_jobs_batched(designs)) == len(designs)
-        assert build_accelerator.cache_info().currsize <= DESIGN_MEMO_SIZE
-        assert batched._design_record.cache_info().maxsize == DESIGN_MEMO_SIZE
-        assert batched._design_record.cache_info().currsize \
+        assert batched._spec_record.cache_info().maxsize == DESIGN_MEMO_SIZE
+        assert batched._spec_record.cache_info().currsize \
             <= DESIGN_MEMO_SIZE
-        # The first design's accelerator was evicted; it is rebuilt, and
-        # the rebuilt design is still bit-identical to the event engine.
-        assert build_accelerator(first.accelerator, first.config) \
-            is not evicted
+        # The first design's record was evicted; it is derived again, and
+        # the design is still bit-identical to the event engine.
+        assert _spec_record(first.accelerator, first.config) is not evicted
         _jobs_equal(simulate_jobs_batched([first]), _reference([first]))
+        assert build_accelerator.cache_info().currsize <= DESIGN_MEMO_SIZE
 
+
+
+# -- records from specs, planes per kernel ----------------------------------------
+
+_STOCK_KINDS = ("dpnn", "stripes", "dstripes", "loom")
+
+
+@st.composite
+def _configs(draw):
+    from repro.energy.tech import TSMC_65NM
+    from repro.memory.dram import LPDDR4_4267, DRAMChannel
+
+    macs = draw(st.sampled_from((16, 32, 48, 64, 128, 256, 512)))
+    dram = draw(st.sampled_from((
+        None, LPDDR4_4267,
+        DRAMChannel("slow", transfer_rate_mts=800.0, efficiency=0.5,
+                    energy_pj_per_bit=0.0))))
+    tech = draw(st.sampled_from((
+        TSMC_65NM, dataclasses.replace(TSMC_65NM, activity_factor=0.4))))
+    return AcceleratorConfig(
+        equivalent_macs=macs,
+        clock_ghz=draw(st.sampled_from((0.5, 1.0, 1.337, 2.0))),
+        am_capacity_bytes=draw(st.sampled_from((None, 64 * 1024, 1 << 20))),
+        wm_capacity_bytes=draw(st.sampled_from((None, 512 * 1024, 3 << 20))),
+        abin_bytes=draw(st.sampled_from((1, 1024, 8 * 1024, 1 << 16))),
+        about_bytes=draw(st.sampled_from((512, 8 * 1024))),
+        dram=dram,
+        charge_offchip_energy=draw(st.booleans()),
+        tech=tech,
+    )
+
+
+@st.composite
+def _specs(draw, macs: int = 16):
+    """A stock spec valid at every scale that is a multiple of ``macs``."""
+    kind = draw(st.sampled_from(_STOCK_KINDS))
+    options = {}
+    if kind != "dpnn" and draw(st.booleans()):
+        dynamic = {}
+        if kind != "dstripes" and draw(st.booleans()):
+            dynamic["enabled"] = draw(st.booleans())
+        if draw(st.booleans()):
+            dynamic["activation_reduction"] = draw(
+                st.sampled_from((0.5, 0.78, 1.0)))
+        options["dynamic_precision"] = dynamic
+    if kind == "loom":
+        for name in ("use_effective_weight_precision", "use_cascading",
+                     "replicate_filters"):
+            if draw(st.booleans()):
+                options[name] = draw(st.booleans())
+        options["bits_per_cycle"] = draw(st.sampled_from((1, 2, 4)))
+        options["window_fanout"] = draw(st.sampled_from(
+            [f for f in (1, 2, 4, 16) if macs % f == 0]))
+    return AcceleratorSpec.create(kind, **options)
+
+
+@st.composite
+def _designs(draw):
+    config = draw(_configs())
+    return draw(_specs(config.equivalent_macs)), config
+
+
+class TestSpecRecords:
+    """A design's record derived from its spec equals the one read off the
+    accelerator that spec builds."""
+
+    @given(design=_designs())
+    @settings(max_examples=150, deadline=None)
+    def test_spec_records_equal_records_of_built_accelerators(self, design):
+        spec, config = design
+        derived = _spec_record(spec, config)
+        built = _design_record(build_accelerator(spec, config))
+        assert derived == built
+        assert repr(derived) == repr(built)  # float bits and types too
+
+    @pytest.mark.parametrize("kind, options", [
+        ("loom", {"bits_per_cycle": 3}),
+        ("loom", {"window_fanout": 3}),
+        ("loom", {"warp": True}),
+        ("dstripes", {"dynamic_precision": {"enabled": False}}),
+        ("stripes", {"dynamic_precision": {"activation_reduction": 0.0}}),
+        ("dpnn", {"bits_per_cycle": 2}),
+    ])
+    def test_an_invalid_spec_raises_the_constructors_error(self, kind,
+                                                            options):
+        spec = AcceleratorSpec.create(kind, **options)
+        config = AcceleratorConfig(equivalent_macs=64)
+        with pytest.raises(Exception) as built:
+            build_accelerator.__wrapped__(spec, config)
+        with pytest.raises(type(built.value)) as derived:
+            simulate_jobs_batched([SimJob(_NETWORKS[2], spec, config)])
+        assert str(derived.value) == str(built.value)
+
+    def test_a_non_canonical_option_is_read_off_the_built_design(self):
+        # A raw spec keeps a spelling create() would have normalised; the
+        # constructor's view of it (a Loom-Trueb) is what the record reads.
+        spec = AcceleratorSpec("loom", (("bits_per_cycle", True),))
+        job = SimJob(_NETWORKS[0], spec)
+        (result,) = simulate_jobs_batched([job])
+        assert result.accelerator == "Loom-Trueb"
+        _jobs_equal([result], _reference([job]))
+
+
+class TestKernelPlanes:
+    @given(picks=st.lists(
+        st.tuples(st.integers(0, len(_NETWORKS) - 1), _designs()),
+        min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_flag_planes_equal_the_event_engine(self, picks):
+        jobs = [SimJob(_NETWORKS[n], spec, config)
+                for n, (spec, config) in picks]
+        _jobs_equal(simulate_jobs_batched(jobs), _reference(jobs))
+
+    def test_a_mixed_batch_takes_one_plane_per_kernel(self, monkeypatch):
+        planes = _count_planes(monkeypatch)
+        jobs = [SimJob(network, spec, config)
+                for network in _NETWORKS[:3] for spec, config in _DESIGNS]
+        _jobs_equal(simulate_jobs_batched(jobs), _reference(jobs))
+        assert sorted(plane.kernel for plane in planes) \
+            == ["dpnn", "loom", "stripes"]
+
+    def test_the_vector_path_never_builds_an_accelerator(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the vector engine built an accelerator")
+
+        clear_memos()
+        monkeypatch.setattr(jobs_spec, "build_accelerator", forbidden)
+        jobs = [SimJob(network, spec, config)
+                for network in _NETWORKS for spec, config in _DESIGNS]
+        results = simulate_jobs_batched(jobs)
+        monkeypatch.undo()
+        _jobs_equal(results, _reference(jobs))
+
+    def test_exotic_subclasses_fall_back_inside_mixed_planes(
+            self, monkeypatch):
+        from repro.accelerators import DStripes
+
+        class TunedDStripes(DStripes):
+            def datapath_pj_per_cycle(self):
+                return 2.0 * super().datapath_pj_per_cycle()
+
+        monkeypatch.setitem(jobs_spec.ACCELERATOR_KINDS, "tuned",
+                            lambda config, options: TunedDStripes(config))
+        monkeypatch.setitem(jobs_spec._KIND_CLASSES, "tuned",
+                            ("repro.accelerators", "DStripes"))
+        # A stock kind re-registered to another factory is exotic too.
+        monkeypatch.setitem(jobs_spec.ACCELERATOR_KINDS, "stripes",
+                            lambda config, options: TunedDStripes(config))
+        jobs = [SimJob(_NETWORKS[n], spec, config)
+                for n in (0, 4) for spec, config in _DESIGNS]
+        jobs[3:3] = [SimJob(_NETWORKS[1], AcceleratorSpec("tuned")),
+                     SimJob(_NETWORKS[2], AcceleratorSpec("stripes"))]
+        try:
+            results = simulate_jobs_batched(jobs)
+            _jobs_equal(results, _reference(jobs))
+        finally:
+            clear_memos()  # build_accelerator memoised the re-registered kind
+        assert results[3].accelerator == results[4].accelerator == "DStripes"
+        assert results[3].total_energy_pj() > simulate_jobs_batched(
+            [SimJob(_NETWORKS[1], AcceleratorSpec.create("dstripes"))]
+        )[0].total_energy_pj()

@@ -363,6 +363,18 @@ class TestMetricsEndpoints:
             assert "loom_worker_cache_hit_ratio 0.5" in text
             assert "loom_worker_jobs_executed_total 1" in text
 
+    def test_a_request_is_counted_before_its_answer_arrives(self):
+        # A node counts a request when it writes the response head, so a
+        # caller holding its answer always sees it counted (not only once
+        # the handler has finished after the bytes went out).
+        with ClusterWorker() as worker:
+            client = ServeClient(worker.url, timeout_s=60.0)
+            for done in range(1, 51):
+                client.submit(MATRIX[done % 2])
+                assert worker._requests_total.value(
+                    path="/jobs", status="200") == done
+                assert worker.core.stats.requests == done
+
 
 class TestRateLimiting:
     def test_burst_exhaustion_answers_429_with_retry_after(self):

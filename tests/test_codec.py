@@ -2,26 +2,37 @@
 
 ``NetworkResult.to_json`` / ``from_json`` are the only encoding a result
 takes at rest and on the wire: every cache tier holds the text, and the
-nodes splice it into their bodies.  These tests pin that the round trip is
-exact (field for field, float bits included) for drawn design points and
-hand-picked edge values, and that results served warm from a live cluster's
-SQLite stores -- spliced, never re-encoded -- equal the event engine.
+nodes splice it into their bodies.  The text is columnar -- ``{"network",
+"accelerator", "clock_ghz", "layers": {<field>: [...]}}``, one list per
+``LayerResult`` field.  These tests pin that the round trip is exact (field
+for field, float bits included, re-encoding byte-identical) for drawn
+design points, drawn layers and hand-picked edge values; that decoding
+rejects what ``LayerResult`` rejects, and the old row form outright (a peer
+answering one is a miss); and that results served warm from a live
+cluster's SQLite stores -- spliced, never re-encoded -- equal the event
+engine.
 """
 
+import contextlib
 import dataclasses
+import json
 import math
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterCoordinator
+from repro.cluster import ClusterCoordinator, PeerCacheBackend, wire
 from repro.cluster.worker import build_worker
 from repro.explore.space import canonical_point, point_to_job
 from repro.nn import available_networks
 from repro.serve import ServeClient
 from repro.sim.batched import simulate_jobs_batched
 from repro.sim.jobs import ACCELERATOR_KINDS, execute_job
-from repro.sim.results import _LAYER_FIELDS, LayerResult, NetworkResult
+from repro.sim.results import LAYER_FIELDS, LayerResult, NetworkResult
 from repro.sim.validate import compare_layer_results
 
 points = st.fixed_dictionaries({
@@ -44,9 +55,12 @@ def assert_same(decoded, original):
         == (original.network, original.accelerator, original.clock_ghz)
     # Equal values that print differently (-0.0 vs 0.0) differ here.
     assert decoded.to_dict() == original.to_dict()
+    text = original.to_json()
+    # Re-encoding is byte-identical from the columns and from the rows.
+    assert NetworkResult.from_dict(json.loads(text)).to_json() == text
     assert NetworkResult(decoded.network, decoded.accelerator,
                          list(decoded.layers),
-                         decoded.clock_ghz).to_json() == original.to_json()
+                         decoded.clock_ghz).to_json() == text
 
 
 class TestCodec:
@@ -75,6 +89,51 @@ class TestCodec:
         assert decoded.layers[1].macs == 2 ** 64 + 7
         assert decoded.layers[0].extra == {"avg_activation_bits": 3.25,
                                            "avg_weight_bits": -0.0}
+
+    @given(rows=st.lists(st.fixed_dictionaries({
+        "layer_name": st.text(max_size=8),
+        "layer_kind": st.sampled_from(("conv", "fc", "matmul")),
+        "cycles": st.one_of(st.sampled_from((0.0, -0.0, 5e-324)),
+                            st.floats(min_value=0.0, allow_infinity=False),
+                            st.integers(0, 2 ** 70)),
+        "compute_cycles": st.floats(allow_nan=False),
+        "memory_cycles": st.floats(allow_nan=False),
+        "energy_pj": st.floats(allow_nan=False),
+        "macs": st.integers(0, 2 ** 70),
+        "utilization": st.floats(allow_nan=False),
+        "extra": st.dictionaries(st.text(max_size=4),
+                                 st.floats(allow_nan=False), max_size=2),
+    }), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_layers_round_trip_exactly(self, rows):
+        result = NetworkResult("n", "a", [LayerResult(**row) for row in rows],
+                               clock_ghz=0.1 + 0.2)
+        assert_same(NetworkResult.from_json(result.to_json()), result)
+
+    def test_the_text_is_columnar(self):
+        (result,) = simulate_jobs_batched([_job({"network": "alexnet",
+                                                 "accelerator": "loom"})])
+        data = json.loads(result.to_json())
+        assert list(data) == ["network", "accelerator", "clock_ghz",
+                              "layers"]
+        assert list(data["layers"]) == list(LAYER_FIELDS)
+        assert data["layers"]["layer_name"][:2] == ["conv1", "conv2"]
+        assert {len(column) for column in data["layers"].values()} \
+            == {len(result.layers)}
+
+    def test_a_column_held_result_never_builds_rows(self):
+        (result,) = simulate_jobs_batched([_job({"network": "nin",
+                                                 "accelerator": "dpnn"})])
+        decoded = NetworkResult.from_json(result.to_json())
+        for held in (result, decoded):
+            held.to_json()
+            held.to_dict()
+            held.total_cycles("conv"), held.average_utilization()
+            assert held == decoded
+            assert held._layers is None  # still columns
+        assert decoded.total_traffic_bits("fc") \
+            == sum(lr.total_traffic_bits for lr in result.layers if lr.is_fc)
+        assert result._layers is not None and result._columns is None
 
     def test_encoding_is_memoised_until_the_result_changes(self):
         result = NetworkResult(network="n", accelerator="a")
@@ -134,7 +193,7 @@ class TestSplicedPath:
                                               event.clock_ghz)
 
 
-# -- LayerResult.from_dict's fast path ------------------------------------------
+# -- decoding columns into layers ------------------------------------------------
 
 #: Floats with the cycle fix-up's zeros (both signs) drawn often.
 floats = st.one_of(st.sampled_from((0.0, -0.0, 1.0)), st.floats())
@@ -168,21 +227,31 @@ def _outcome(build, data):
         return type(error), str(error)
 
 
+def _columnar(rows):
+    """The columnar ``to_dict`` form of layer dicts ``rows``."""
+    return {"network": "n", "accelerator": "a", "clock_ghz": 1.0,
+            "layers": {name: [row[name] for row in rows]
+                       for name in LAYER_FIELDS}}
+
+
+def _decoded_layers(rows):
+    return NetworkResult.from_dict(_columnar(rows)).layers
+
+
 class TestLayerDecode:
-    @given(data=layer_dicts)
+    @given(rows=st.lists(layer_dicts, max_size=4))
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_keyword_constructor(self, data):
-        fast = LayerResult.from_dict(data)
-        slow = LayerResult(**data)
-        assert type(fast) is LayerResult
-        assert _spelling(fast) == _spelling(slow)
-        assert fast.extra is slow.extra is data["extra"]
+    def test_matches_the_keyword_constructor(self, rows):
+        decoded = _decoded_layers(rows)
+        assert [_spelling(layer) for layer in decoded] \
+            == [_spelling(LayerResult(**row)) for row in rows]
+        for layer, row in zip(decoded, rows):
+            assert type(layer) is LayerResult
+            assert layer.extra is row["extra"]
 
     def test_rejects_what_the_constructor_rejects_with_the_same_error(self):
         good = LayerResult(layer_name="l", layer_kind="conv",
                            cycles=1.0).to_dict()
-        missing = dict(good)
-        del missing["cycles"]
         bad = [
             {**good, "layer_kind": "pool"},
             {**good, "layer_kind": ["conv"]},
@@ -190,15 +259,33 @@ class TestLayerDecode:
             {**good, "cycles": "1"},
             {**good, "compute_cycles": 0.0, "memory_cycles": 0.0,
              "cycles": -0.5},
-            missing,
-            {**good, "unknown": 1},
-            {"layer_name": "l", "layer_kind": "conv"},
-            [("layer_name", "l")],
         ]
-        for data in bad:
-            expected = _outcome(lambda d: LayerResult(**d), data)
-            assert isinstance(expected, tuple), data  # it does raise
-            assert _outcome(LayerResult.from_dict, data) == expected, data
+        for row in bad:
+            expected = _outcome(lambda d: LayerResult(**d), row)
+            assert isinstance(expected, tuple), row  # it does raise
+            assert _outcome(_decoded_layers, [good, row]) == expected, row
+
+    def test_rejects_anything_but_one_list_per_field(self):
+        good = _columnar([LayerResult(layer_name="l", layer_kind="conv",
+                                      cycles=1.0).to_dict()])
+        columns = good["layers"]
+        missing = dict(columns)
+        del missing["cycles"]
+        bad = [
+            missing,
+            {**columns, "unknown": [1]},
+            {**columns, "cycles": (1.0,)},
+            {**columns, "cycles": [1.0, 2.0]},
+            [dict(zip(LAYER_FIELDS, values))
+             for values in zip(*columns.values())],  # the row form
+            "layers",
+        ]
+        for layers in bad:
+            with pytest.raises((TypeError, ValueError)):
+                NetworkResult.from_dict({**good, "layers": layers})
+        with pytest.raises(KeyError):
+            NetworkResult.from_dict({"network": "n", "accelerator": "a",
+                                     "layers": columns})
 
     def test_a_partial_dict_takes_the_constructor_and_its_defaults(self):
         data = {"layer_name": "l", "layer_kind": "conv", "cycles": 4.0}
@@ -208,17 +295,20 @@ class TestLayerDecode:
     def test_compute_cycles_fix_up_is_kept(self):
         base = LayerResult(layer_name="l", layer_kind="fc",
                            cycles=7.0).to_dict()
-        both_zero = LayerResult.from_dict(
-            {**base, "compute_cycles": 0.0, "memory_cycles": -0.0})
+        both_zero, memory_bound = _decoded_layers([
+            {**base, "compute_cycles": 0.0, "memory_cycles": -0.0},
+            {**base, "compute_cycles": 0.0, "memory_cycles": 3.0}])
         assert both_zero.compute_cycles == 7.0
-        memory_bound = LayerResult.from_dict(
-            {**base, "compute_cycles": 0.0, "memory_cycles": 3.0})
         assert memory_bound.compute_cycles == 0.0
         assert memory_bound.memory_cycles == 3.0
 
-    def test_the_fast_path_stores_every_field(self):
-        assert _LAYER_FIELDS == {
-            f.name for f in dataclasses.fields(LayerResult)}
+    def test_the_columns_are_every_field(self):
+        assert LAYER_FIELDS == tuple(
+            f.name for f in dataclasses.fields(LayerResult))
+        result = NetworkResult("n", "a", [LayerResult(
+            layer_name="l", layer_kind="conv", cycles=1.0,
+            extra={"x": 1.0})])
+        assert tuple(result.to_dict()["layers"]) == LAYER_FIELDS
 
     def test_a_subclass_takes_the_constructor(self):
         class Tagged(LayerResult):
@@ -231,3 +321,67 @@ class TestLayerDecode:
         decoded = Tagged.from_dict(data)
         assert type(decoded) is Tagged
         assert decoded.extra == {"tagged": 1.0}
+
+
+# -- the row form is refused ---------------------------------------------------------
+
+
+def _row_form_text(result):
+    """``result`` in the row form texts used before the columnar codec."""
+    return json.dumps({"network": result.network,
+                       "accelerator": result.accelerator,
+                       "clock_ghz": result.clock_ghz,
+                       "layers": [layer.to_dict() for layer in result.layers]})
+
+
+@contextlib.contextmanager
+def row_form_peer(text):
+    """A fake peer answering every ``POST /cache/lookup`` key with
+    ``text``; yields its URL."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            keys = json.loads(self.rfile.read(
+                int(self.headers.get("Content-Length", 0))))["keys"]
+            body = wire.frame_texts({key: text for key in keys})
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+
+
+class TestRowForm:
+    def test_a_row_form_text_fails_from_json(self):
+        (result,) = simulate_jobs_batched([_job({"network": "nin",
+                                                 "accelerator": "loom"})])
+        with pytest.raises(TypeError):
+            NetworkResult.from_json(_row_form_text(result))
+
+    def test_a_peer_answering_the_row_form_counts_a_miss(self):
+        (result,) = simulate_jobs_batched([_job({"network": "nin",
+                                                 "accelerator": "loom"})])
+        with row_form_peer(_row_form_text(result)) as url:
+            backend = PeerCacheBackend(self_url="http://nowhere:1",
+                                       timeout_s=5.0)
+            backend.configure([url, "http://nowhere:1"],
+                              self_url="http://nowhere:1", recovery=True)
+            try:
+                assert backend.load_many(["k" * 64, "j" * 64]) == {}
+                assert backend.peer_misses == 2
+                assert backend.peer_hits == 0
+            finally:
+                backend.close()

@@ -9,11 +9,12 @@ import repro
 from repro import memo
 from repro.explore import space
 from repro.serve.core import keyed_jobs
-from repro.sim.batched import simulate_jobs_batched
+from repro.sim.batched import simulate_jobs_batched, simulate_layer_table
+from repro.sim.jobs.spec import _spec_layer_table, build_accelerator
 
 #: Memos over a fixed domain (accelerator kinds, config classes): the only
 #: unbounded ones.
-FIXED_DOMAIN = frozenset({"_kind_defaults", "_config_layout", "_stock_kinds"})
+FIXED_DOMAIN = frozenset({"_kind_defaults", "_config_layout"})
 
 
 def all_memos():
@@ -35,7 +36,8 @@ def all_memos():
 
 
 def warm_every_memo():
-    """Reach every memo once: raw points with overrides, a shared plane."""
+    """Reach every memo once: raw points with overrides, a shared plane,
+    and a live accelerator (the event engine's and instances' path)."""
     points = [{"network": network, "accelerator": "loom",
                "equivalent_macs": macs, **overrides}
               for network, overrides in (("resnet18", {"groups": 2}),
@@ -44,12 +46,14 @@ def warm_every_memo():
     assert space._structural_overrides_feasible(points[0])
     jobs = [job for job, _ in keyed_jobs(points)]
     simulate_jobs_batched(jobs)
+    simulate_layer_table(build_accelerator(jobs[0].accelerator, jobs[0].config),
+                         _spec_layer_table(jobs[0].network))
 
 
 class TestRegistry:
     def test_every_memo_is_registered(self):
         memos = all_memos()
-        assert len(memos) >= 14
+        assert len(memos) >= 13
         unregistered = [name for name, cached in memos
                         if not any(cached is known for known in memo._MEMOS)]
         assert unregistered == []
@@ -62,8 +66,7 @@ class TestRegistry:
                 assert maxsize is None, name
             else:
                 assert maxsize in (memo.POINT_MEMO_SIZE,
-                                   memo.DESIGN_MEMO_SIZE,
-                                   memo.PLANE_MEMO_SIZE), name
+                                   memo.DESIGN_MEMO_SIZE), name
 
     def test_clear_memos_empties_every_memo(self):
         memo.clear_memos()

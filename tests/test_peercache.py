@@ -75,6 +75,7 @@ def _post_ring(worker, payload):
         with urllib.request.urlopen(request, timeout=10.0) as response:
             return response.status
     except urllib.error.HTTPError as error:
+        error.close()  # it holds the connection's socket
         return error.code
 
 
@@ -288,6 +289,7 @@ class TestPeerCacheUnit:
                     method="POST")
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     urllib.request.urlopen(request, timeout=10.0)
+                excinfo.value.close()
                 assert excinfo.value.code == 400
             assert worker.core.stats.requests == 0
             assert worker.core.stats.errors == 0
@@ -302,6 +304,7 @@ class TestPeerCacheUnit:
                 headers={"Content-Type": "application/json"}, method="POST")
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=10.0)
+            excinfo.value.close()
             assert excinfo.value.code == 404
             assert len(worker.core.cache) == 0
 
@@ -525,6 +528,7 @@ class TestRingPush:
                 headers={"Content-Type": "application/json"}, method="POST")
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=10.0)
+            excinfo.value.close()
             assert excinfo.value.code == 400
 
     def test_metrics_page_grows_the_peer_cache_series(self):

@@ -159,15 +159,19 @@ class TestPlaneMembershipIsInvisible:
            scales=st.lists(st.sampled_from([16, 32, 64, 256]),
                            min_size=2, max_size=4))
     def test_shared_plane_rows_match_event(self, lw, scales):
-        from repro.sim.batched import _design_plane, _simulate_plane
+        from repro.sim.batched import (
+            _design_plane,
+            _design_record,
+            _simulate_plane,
+        )
 
         table = build_layer_table([lw])
         for make in (DPNN, Stripes, DStripes, Loom,
                      lambda config: Loom(config, bits_per_cycle=2)):
             designs = [make(AcceleratorConfig(equivalent_macs=macs))
                        for macs in scales]
-            shared = _simulate_plane(
-                _design_plane([(design, table) for design in designs]))
+            shared = _simulate_plane(_design_plane(
+                [(_design_record(design), [table]) for design in designs]))
             assert shared == [design.simulate_layer(lw)
                               for design in designs]
 

@@ -13,6 +13,7 @@ import multiprocessing
 import sqlite3
 import sys
 import threading
+import zlib
 
 import pytest
 
@@ -136,12 +137,44 @@ class TestSchemaVersioning:
             conn.execute("PRAGMA user_version = 1")
         conn.close()
         store = SQLiteResultStore(path)
-        assert SCHEMA_VERSION == 2
+        assert SCHEMA_VERSION == 3
         assert store.schema_resets == 1
         assert len(store) == 0
         assert store.load(KEY) is None
         store.store(KEY, _result())
         assert store.load(KEY).to_dict() == _result().to_dict()
+        store.close()
+
+    def test_schema_2_store_is_reset_on_open(self, tmp_path):
+        # Schema 3 holds columnar result texts; a v2 database holds
+        # row-form texts (a per-layer list of objects) that no longer
+        # decode, so it is wiped and counted on open.
+        path = tmp_path / "cache.db"
+        original = _result()
+        row_form = json.dumps({
+            "network": original.network,
+            "accelerator": original.accelerator,
+            "clock_ghz": original.clock_ghz,
+            "layers": [layer.to_dict() for layer in original.layers],
+        })
+        conn = sqlite3.connect(str(path))
+        with conn:
+            conn.execute(
+                "CREATE TABLE results (key TEXT PRIMARY KEY, format INTEGER "
+                "NOT NULL, spec TEXT, result TEXT NOT NULL, crc INTEGER NOT "
+                "NULL, created_at REAL NOT NULL, last_used_at REAL NOT NULL, "
+                "hits INTEGER NOT NULL DEFAULT 0)")
+            conn.execute(
+                "INSERT INTO results VALUES (?, 1, NULL, ?, ?, 0.0, 0.0, 0)",
+                (KEY, row_form, zlib.crc32(row_form.encode("utf-8"))))
+            conn.execute("PRAGMA user_version = 2")
+        conn.close()
+        store = SQLiteResultStore(path)
+        assert store.schema_resets == 1
+        assert len(store) == 0
+        assert store.load(KEY) is None
+        store.store(KEY, original)
+        assert store.load(KEY).result == original
         store.close()
 
     def test_non_sqlite_file_is_replaced(self, tmp_path):
@@ -234,7 +267,7 @@ class TestCorruptRows:
         store.store(KEY, _result(cycles=100.0))
         (payload,) = store._conn.execute(
             "SELECT result FROM results WHERE key = ?", (KEY,)).fetchone()
-        edited = payload.replace('"cycles": 100.0', '"cycles": 900.0', 1)
+        edited = payload.replace('"cycles": [100.0', '"cycles": [900.0', 1)
         assert edited != payload
         assert NetworkResult.from_dict(json.loads(edited)).total_cycles() \
             == 950.0
