@@ -19,9 +19,13 @@ measures the batched-vs-per-job speedup over a 240-point Loom design sweep
 asserts the >= 10x target, and -- when given a committed baseline -- fails
 if the measured speedup regressed by more than 20%.  Like the simulator
 gate, the comparison is on the *dimensionless speedup ratio*, so runner
-speed does not matter.  Every benchmark run first asserts both sides
-produced results bit-identical to each other and, on a sample, to the event
-engine, so a run doubles as a validation run.
+speed does not matter.  The two sides run as interleaved pairs, each timed
+in process CPU seconds, and the speedup is the median of the per-pair
+ratios: the batched side is one call of a few milliseconds, so a burst of
+load on a shared host could otherwise land in every sample of it.  Every
+benchmark run first asserts both sides produced results bit-identical to
+each other and, on a sample, to the event engine, so a run doubles as a
+validation run.
 
 ``--check`` also gates what a never-seen design costs: 8-job batches of
 designs this process has not simulated (network x stock design x scale x
@@ -104,26 +108,26 @@ def _sweep_jobs():
     return jobs
 
 
-def _best_of(repeats, task):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        task()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _cpu_seconds(task) -> float:
+    start = time.process_time()
+    task()
+    return time.process_time() - start
 
 
 def _one_job_at_a_time(jobs):
     return [simulate_jobs_batched([job])[0] for job in jobs]
 
 
-def measure_batched(repeats: int = 5) -> dict:
-    """Time one batched call vs a loop of one-job calls over the sweep.
+def measure_batched(repeats: int = 9) -> dict:
+    """Time one batched call vs a loop of one-job calls over the sweep, in
+    ``repeats`` interleaved pairs; the speedup is the median pair's ratio.
 
     Both sides run once untimed first: that warms the shared memos (layer
-    tables, accelerator instances, design planes) so the timed passes
-    compare steady-state calls, and the warm-up results are asserted
-    bit-identical field for field (a sample also against the event engine).
+    tables, accelerator instances, design planes), and the warm-up results
+    are asserted bit-identical field for field (a sample also against the
+    event engine).  In each pair, each side's timed call follows an untimed
+    call of the same side, so the timed calls compare steady-state calls
+    rather than a call in the other side's wake.
     """
     jobs = _sweep_jobs()
     batched = simulate_jobs_batched(jobs)
@@ -135,17 +139,36 @@ def measure_batched(repeats: int = 5) -> dict:
                 f"results disagree on job {index} "
                 f"({jobs[index].network.name}); run `loom-repro validate`"
             )
-    per_job_s = _best_of(repeats, lambda: _one_job_at_a_time(jobs))
-    batched_s = _best_of(repeats, lambda: simulate_jobs_batched(jobs))
+    def per_job_side() -> float:
+        _one_job_at_a_time(jobs)  # back in steady state after the other side
+        return _cpu_seconds(lambda: _one_job_at_a_time(jobs))
+
+    def batched_side() -> float:
+        simulate_jobs_batched(jobs)
+        return _cpu_seconds(lambda: simulate_jobs_batched(jobs))
+
+    per_jobs, batcheds, ratios = [], [], []
+    for pair in range(repeats):
+        # Alternate which side goes first, so neither always runs in the
+        # other's wake.
+        if pair % 2:
+            batched_s = batched_side()
+            per_job_s = per_job_side()
+        else:
+            per_job_s = per_job_side()
+            batched_s = batched_side()
+        per_jobs.append(per_job_s)
+        batcheds.append(batched_s)
+        ratios.append(per_job_s / batched_s)
     return {
         "benchmark": "batched-sweep-engine",
         "network": "alexnet",
         "design_points": len(jobs),
         "layers_simulated": sum(len(r.layers) for r in batched),
         "repeats": repeats,
-        "per_job_s": per_job_s,
-        "batched_s": batched_s,
-        "speedup": per_job_s / batched_s,
+        "per_job_s": statistics.median(per_jobs),
+        "batched_s": statistics.median(batcheds),
+        "speedup": statistics.median(ratios),
     }
 
 
@@ -160,12 +183,6 @@ def _never_seen_batches(rng, clocks, count: int, size: int = 8):
                         clock_ghz=0.5 + next(clocks) * 1e-6))
              for _ in range(size)]
             for _ in range(count)]
-
-
-def _cpu_seconds(task) -> float:
-    start = time.process_time()
-    task()
-    return time.process_time() - start
 
 
 def measure_cold_designs(rounds: int = 15, batches: int = 20) -> dict:
@@ -222,7 +239,8 @@ def format_batched(measured: dict) -> str:
         "== sweep simulation: one batched call vs one call per job ==",
         f"{measured['design_points']} design points, "
         f"{measured['layers_simulated']} layers "
-        f"(best of {measured['repeats']})",
+        f"(process CPU, medians of {measured['repeats']} interleaved "
+        "pairs)",
         f"per-job: {measured['per_job_s'] * 1e3:>8.3f} ms   "
         f"batched: {measured['batched_s'] * 1e3:>8.3f} ms   "
         f"{measured['speedup']:>6.2f}x",
@@ -270,8 +288,9 @@ def test_bench_never_seen_designs_cost_near_warm(artefacts):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="best-of repetitions per timed side (default: 5)")
+    parser.add_argument("--repeats", type=int, default=9,
+                        help="interleaved timed pairs; the speedup is their "
+                             "median ratio (default: 9)")
     parser.add_argument("--output", default=None, metavar="PATH",
                         help="write the measurements as JSON to PATH")
     parser.add_argument("--check", default=None, metavar="BASELINE",

@@ -72,6 +72,7 @@ from repro.cluster.aio import (
     HTTPRequest,
     HTTPResponder,
     RequestError,
+    compute_backoff,
     fetch,
     fetch_json,
 )
@@ -79,7 +80,6 @@ from repro.cluster.node import HTTPNode, error_reply
 from repro.cluster.ratelimit import RateLimiter
 from repro.cluster.ring import ConsistentHashRing
 from repro.obs import Span, get_logger, get_tracer
-from repro.serve.client import compute_backoff
 from repro.serve.core import (
     _networks_payload,
     keyed_jobs,
@@ -92,6 +92,9 @@ from repro.sim.results import NetworkResult
 __all__ = ["ClusterCoordinator", "ShardState"]
 
 _log = get_logger("cluster.coordinator")
+
+#: Points keyed between two yields to the event loop.
+_KEYS_PER_YIELD = 64
 
 
 async def _gather_bools(coroutines) -> List[bool]:
@@ -404,15 +407,21 @@ class ClusterCoordinator(HTTPNode):
 
     # -- fan-out --------------------------------------------------------------
 
-    async def _keys_for(self, points: Sequence[Mapping[str, object]]
-                        ) -> List[str]:
-        """Content keys for ``points`` (validates them as a side effect)."""
+    @staticmethod
+    async def _keys_for(points: Sequence[Mapping[str, object]]) -> List[str]:
+        """Content keys for ``points`` (validates them as a side effect).
 
-        def _compute() -> List[str]:
-            return [key for _, key in keyed_jobs(points)]
-
-        return await asyncio.get_running_loop().run_in_executor(None,
-                                                                _compute)
+        Derived on the loop: a warm point is a memo hit, cheaper than any
+        hop to a thread.  A large cold batch yields to the loop every
+        :data:`_KEYS_PER_YIELD` points, so other connections keep moving.
+        """
+        keys: List[str] = []
+        for start in range(0, len(points), _KEYS_PER_YIELD):
+            if start:
+                await asyncio.sleep(0)
+            keys.extend(key for _, key in
+                        keyed_jobs(points[start:start + _KEYS_PER_YIELD]))
+        return keys
 
     async def _submit_to_shard(self, url: str,
                                points: List[Mapping[str, object]]

@@ -9,8 +9,10 @@ per-request scope, defined once:
 * a low-cardinality path label (keys collapse into ``/jobs/<key>``,
   unknown paths into ``<other>``);
 * a ``<role>.<METHOD> <label>`` span joined to the caller's trace, and a
-  correlation id (the span id, or random when tracing is off) sent as
-  ``X-Request-Id`` on every response and as ``request_id`` in error bodies;
+  correlation id (the span id, or a per-node counter when tracing is off)
+  sent as ``X-Request-Id`` on every response and as ``request_id`` in
+  error bodies -- one span and one histogram observation per request, and
+  no other per-request objects when tracing is off;
 * the one exception-to-status mapping, :func:`error_reply`;
 * the ``requests``/``errors`` counters and the ``loom_<role>_requests_total``
   / ``loom_<role>_request_seconds`` / ``loom_<role>_uptime_seconds`` series,
@@ -24,6 +26,8 @@ Subclasses implement ``_route``, ``_count_request`` and ``stop``.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 import threading
 import time
@@ -42,6 +46,9 @@ from repro.serve.core import Backpressure
 __all__ = ["HTTPNode", "error_reply", "path_label"]
 
 _log = get_logger("cluster.node")
+
+#: The span scope of a request that carries no ``traceparent``.
+_NO_PARENT = contextlib.nullcontext()
 
 #: Paths that label themselves; everything else is ``<other>``.
 _ROUTES = frozenset(("/", "/jobs", "/explore", "/networks", "/healthz",
@@ -90,6 +97,10 @@ class HTTPNode:
         self._stop_lock = threading.Lock()
         self._stopped = False
         self.metrics = MetricsRegistry()
+        #: Request ids when tracing is off (with it on, the span id): a
+        #: random per-node prefix and a counter, unique per node.
+        self._id_prefix = os.urandom(4).hex()
+        self._ids = itertools.count()
         self._requests_total = self.metrics.counter(
             f"loom_{self.role}_requests_total",
             "HTTP requests handled, by path and status.",
@@ -178,34 +189,48 @@ class HTTPNode:
                       responder: HTTPResponder) -> None:
         started = time.monotonic()
         path = request.path.rstrip("/") or "/"
-        label = path_label(path)
-
-        def count(status: int) -> None:
-            self._count_request(label, status)
-            self._requests_total.inc(path=label, status=str(status))
-
-        responder.on_head = count
+        label = responder.label = path_label(path)
+        responder.on_head = self._count
         tracer = get_tracer()
         try:
-            with tracer.remote_parent(request.headers.get("traceparent")):
+            if not tracer.enabled:
+                responder.request_id = self._request_id()
+                await self._answer(request, responder, path)
+                return
+            parent = request.headers.get("traceparent")
+            with (tracer.remote_parent(parent) if parent is not None
+                  else _NO_PARENT):
                 with tracer.span(f"{self.role}.{request.method} {label}",
                                  path=path, node=self.name or self.role
                                  ) as span:
                     responder.request_id = (span.span_id if span is not None
-                                            else os.urandom(8).hex())
-                    try:
-                        await self._route(request, responder, path)
-                    except Exception as error:
-                        if responder.responded:
-                            raise  # mid-stream: the server ends the stream
-                        await self._send_error(responder, error)
+                                            else self._request_id())
+                    await self._answer(request, responder, path)
                     if span is not None:
                         span.set_attr("status", responder.status)
         finally:
             if not responder.responded:
-                count(500)
+                self._count(label, 500)
             self._request_seconds.observe(time.monotonic() - started,
                                           path=label)
+
+    def _request_id(self) -> str:
+        return f"{self._id_prefix}{next(self._ids):08x}"
+
+    def _count(self, label: str, status: int) -> None:
+        """Count one answered request (the responder calls this as its
+        head goes out)."""
+        self._count_request(label, status)
+        self._requests_total.inc(path=label, status=str(status))
+
+    async def _answer(self, request: HTTPRequest, responder: HTTPResponder,
+                      path: str) -> None:
+        try:
+            await self._route(request, responder, path)
+        except Exception as error:
+            if responder.responded:
+                raise  # mid-stream: the server ends the stream
+            await self._send_error(responder, error)
 
     async def _send_error(self, responder: HTTPResponder,
                           error: Exception) -> None:

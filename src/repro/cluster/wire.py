@@ -29,6 +29,8 @@ __all__ = ["entry", "frame_entries", "frame_texts", "ndjson_line",
 
 
 def _string(value: str) -> bytes:
+    if value.isascii() and value.isalnum():  # nothing to escape
+        return b'"%s"' % value.encode("ascii")
     return json.dumps(value).encode("utf-8")
 
 

@@ -29,13 +29,17 @@ GET       /trace         this process's recorded spans
 POST      /shutdown      graceful stop (finishes in-flight work first)
 ========  =============  ====================================================
 
-The event loop only parses and routes; executions run on a small thread
-pool (``asyncio.to_thread``-style) because a simulation batch is seconds of
-blocking NumPy work, and the core's locks already serialise what must be
-serialised.  Request coalescing, bounded-admission 429 backpressure, the
-warm-store fast path and the miss path all come from the core; request ids,
-spans, the error mapping and the counters from
-:class:`~repro.cluster.node.HTTPNode`.
+Cache reads run on the event loop, compute in the pool.  The loop answers
+a ``POST /jobs`` batch whose keys all hit the memory or SQLite tier, a
+``GET /jobs/<key>`` and a ``POST /cache/lookup`` itself: each is a lookup,
+and a hop to a thread would cost more than the answer.  A batch with any
+miss goes to a small thread pool once, carrying what the loop looked up
+(:class:`~repro.serve.core.Lookup`), because a simulation batch is blocking
+NumPy work; execution, store writes and peer probes all run there, and
+the core's locks already serialise what must be serialised.  Request
+coalescing, bounded-admission 429 backpressure, the warm-store fast path
+and the miss path all come from the core; request ids, spans, the error
+mapping and the counters from :class:`~repro.cluster.node.HTTPNode`.
 
 On ``POST /ring`` the worker builds a
 :class:`~repro.cluster.peercache.PeerCacheBackend` and hands it to the core
@@ -69,6 +73,7 @@ from repro.cluster.node import HTTPNode
 from repro.cluster.peercache import PeerCacheBackend
 from repro.obs import get_logger, get_tracer
 from repro.serve.core import (
+    Lookup,
     ServiceCore,
     _networks_payload,
     parse_jobs_request,
@@ -242,8 +247,14 @@ class ClusterWorker(HTTPNode):
         method = request.method
         if method == "POST" and path == "/jobs":
             points, single = parse_jobs_request(request.json())
-            await responder.send(200, await self._in_thread(
-                self._jobs_body, points, single), "application/json")
+            submitted = self.core.submit_points(points, on_loop=True)
+            if isinstance(submitted, Lookup):  # a key missed: compute
+                body = await self._in_thread(
+                    lambda: self._jobs_body(self.core.finish(submitted),
+                                            single))
+            else:
+                body = self._jobs_body(submitted, single)
+            await responder.send(200, body, "application/json")
         elif method == "GET" and path == "/healthz":
             await responder.send_json(200, {
                 "ok": True,
@@ -271,7 +282,7 @@ class ClusterWorker(HTTPNode):
                 "networks": await self._in_thread(_networks_payload)})
         elif method == "GET" and path.startswith("/jobs/"):
             key = path[len("/jobs/"):]
-            status, found = await self._in_thread(self.core.lookup, key)
+            status, found = self.core.lookup(key)
             if status == "done":
                 await responder.send(200, wire.entry(key, "done", found.text),
                                      "application/json")
@@ -285,8 +296,8 @@ class ClusterWorker(HTTPNode):
             if not isinstance(keys, list) or \
                     not all(isinstance(key, str) for key in keys):
                 raise RequestError(400, "'keys' must be a list of strings")
-            await responder.send(200, await self._in_thread(
-                self._peer_lookup, keys), "application/json")
+            await responder.send(200, self._peer_lookup(keys),
+                                 "application/json")
         elif method == "POST" and path == "/ring":
             payload = request.json()
             nodes = payload.get("nodes")
@@ -316,10 +327,11 @@ class ClusterWorker(HTTPNode):
         else:
             raise RequestError(404, f"unknown path {request.path!r}")
 
-    def _jobs_body(self, points, single: bool) -> bytes:
+    @staticmethod
+    def _jobs_body(submitted, single: bool) -> bytes:
         """The ``POST /jobs`` answer: one entry, or a framed batch."""
         entries = [wire.entry(done.key, done.status, done.text)
-                   for done in self.core.submit_points(points)]
+                   for done in submitted]
         return entries[0] if single else wire.frame_entries(entries)
 
     def _peer_lookup(self, keys: Sequence[str]) -> bytes:

@@ -23,6 +23,7 @@ threads) and render deterministically (sorted label sets).
 
 from __future__ import annotations
 
+import bisect
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -69,17 +70,18 @@ class _Instrument:
         self.name = name
         self.help_text = help_text
         self.labelnames = tuple(labelnames)
+        self._labelset = frozenset(self.labelnames)
         self._lock = threading.Lock()
 
     def _labels_tuple(self, labelvalues: Dict[str, object]
                       ) -> Tuple[Tuple[str, str], ...]:
-        if set(labelvalues) != set(self.labelnames):
+        if labelvalues.keys() != self._labelset:
             raise ValueError(
                 f"{self.name} expects labels {self.labelnames}, "
                 f"got {tuple(sorted(labelvalues))}"
             )
-        return tuple((name, str(labelvalues[name]))
-                     for name in self.labelnames)
+        return tuple([(name, str(labelvalues[name]))
+                      for name in self.labelnames])
 
     def header(self) -> List[str]:
         return [f"# HELP {self.name} {self.help_text}",
@@ -183,6 +185,8 @@ class Histogram(_Instrument):
         self.buckets = tuple(sorted(buckets))
         if not self.buckets:
             raise ValueError("a histogram needs at least one bucket bound")
+        #: Per series, how many observations fell in each bucket alone
+        #: (the last slot: above every bound); render() accumulates them.
         self._counts: Dict[Tuple[Tuple[str, str], ...], List[int]] = {}
         self._sums: Dict[Tuple[Tuple[str, str], ...], float] = {}
         self._totals: Dict[Tuple[Tuple[str, str], ...], int] = {}
@@ -190,10 +194,10 @@ class Histogram(_Instrument):
     def observe(self, value: float, **labelvalues: object) -> None:
         key = self._labels_tuple(labelvalues)
         with self._lock:
-            counts = self._counts.setdefault(key, [0] * len(self.buckets))
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[index] += 1
+            counts = self._counts.get(key)
+            if counts is None:
+                counts = self._counts[key] = [0] * (len(self.buckets) + 1)
+            counts[bisect.bisect_left(self.buckets, value)] += 1
             self._sums[key] = self._sums.get(key, 0.0) + value
             self._totals[key] = self._totals.get(key, 0) + 1
 
@@ -208,15 +212,16 @@ class Histogram(_Instrument):
             keys = sorted(self._counts)
             if not keys and not self.labelnames:
                 keys = [()]
-                self._counts[()] = [0] * len(self.buckets)
+                self._counts[()] = [0] * (len(self.buckets) + 1)
                 self._sums[()] = 0.0
                 self._totals[()] = 0
             for key in keys:
-                counts = self._counts[key]
-                for bound, count in zip(self.buckets, counts):
+                cumulative = 0
+                for bound, count in zip(self.buckets, self._counts[key]):
+                    cumulative += count
                     labels = key + (("le", _format_value(bound)),)
                     lines.append(f"{self.name}_bucket{_render_labels(labels)} "
-                                 f"{count}")
+                                 f"{cumulative}")
                 labels = key + (("le", "+Inf"),)
                 lines.append(f"{self.name}_bucket{_render_labels(labels)} "
                              f"{self._totals[key]}")

@@ -257,45 +257,66 @@ class Tracer:
 
     # -- spans ----------------------------------------------------------------
 
-    @contextlib.contextmanager
     def span(self, name: str, **attrs: object):
-        """Open a span named ``name``; yields the live :class:`Span`.
+        """Open a span named ``name``; the ``with`` block gets the live
+        :class:`Span`.
 
-        Yields ``None`` when tracing is disabled (callers must tolerate
+        Gives ``None`` when tracing is disabled (callers must tolerate
         it).  An exception escaping the block marks the span
         ``status="error"`` (and re-raises); the span is recorded either
         way.
         """
         if not self._enabled:
-            yield None
-            return
-        parent = self._current.get()
+            return _NO_SPAN
+        return _SpanScope(self, name, attrs)
+
+
+#: The ``with`` scope of a span while tracing is disabled.
+_NO_SPAN = contextlib.nullcontext()
+
+
+class _SpanScope:
+    """The ``with`` scope of one enabled span (a class rather than a
+    generator: a span opens on every request and executor phase)."""
+
+    __slots__ = ("_tracer", "_name", "_attrs", "_span", "_token", "_started")
+
+    def __init__(self, tracer: Tracer, name: str,
+                 attrs: Dict[str, object]) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attrs = attrs
+
+    def __enter__(self) -> Span:
+        tracer = self._tracer
+        parent = tracer._current.get()
         context = SpanContext(
             trace_id=parent.trace_id if parent is not None
             else _new_trace_id(),
             span_id=_new_span_id(),
         )
-        span = Span(
-            name=name,
+        span = self._span = Span(
+            name=self._name,
             trace_id=context.trace_id,
             span_id=context.span_id,
             parent_id=parent.span_id if parent is not None else None,
             start_s=time.time(),
-            attrs=dict(attrs),
-            service=self.service,
+            attrs=self._attrs,
+            service=tracer.service,
             thread=threading.current_thread().name,
         )
-        token = self._current.set(context)
-        started = time.perf_counter()
-        try:
-            yield span
-        except BaseException:
+        self._token = tracer._current.set(context)
+        self._started = time.perf_counter()
+        return span
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        span = self._span
+        if exc_type is not None:
             span.status = "error"
-            raise
-        finally:
-            span.duration_s = time.perf_counter() - started
-            self._current.reset(token)
-            self.recorder.record(span)
+        span.duration_s = time.perf_counter() - self._started
+        self._tracer._current.reset(self._token)
+        self._tracer.recorder.record(span)
+        return False
 
 
 def chrome_trace(spans: Iterable[Span]) -> Dict[str, object]:

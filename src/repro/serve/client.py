@@ -1,55 +1,41 @@
 """Thin stdlib HTTP client for ``loom-repro serve`` and cluster nodes.
 
 :class:`ServeClient` speaks the JSON protocol of
-:mod:`repro.cluster.worker` with nothing but :mod:`http.client` -- no
-dependencies, so any Python process (another CLI invocation, a notebook, a
-CI smoke script) can submit simulations to a warm server.  Each thread
-keeps one keep-alive connection per client and reuses it request after
-request; a connection the server closed while it sat idle is retried once
-on a fresh one.  Server-side failures are raised as :class:`ServeError`
-carrying the HTTP status and, for 429 backpressure responses, the
-``Retry-After`` hint.
+:mod:`repro.cluster.worker` over plain sockets and the cluster's own
+HTTP/1.1 codec (:mod:`repro.cluster.aio`) -- no dependencies, so any Python
+process (another CLI invocation, a notebook, a CI smoke script) can submit
+simulations to a warm server.  Each thread keeps one keep-alive socket per
+client and reuses it request after request; a connection the server closed
+while it sat idle is retried once on a fresh one.  NDJSON and SSE answers
+are read chunk by chunk as they arrive.  Server-side failures are raised as
+:class:`ServeError` carrying the HTTP status and, for 429 backpressure
+responses, the ``Retry-After`` hint.
 """
 
 from __future__ import annotations
 
 import contextlib
-import http.client
 import json
-import random
 import socket
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
+from repro.cluster.aio import (
+    compute_backoff,
+    parse_response_head,
+    read_chunked,
+    write_head,
+)
 from repro.obs.trace import get_tracer
 from repro.sim.results import NetworkResult
 
 __all__ = ["ServeClient", "ServeError", "SubmittedJob", "compute_backoff"]
 
-_BACKOFF_RNG = random.Random()
-
-
-def compute_backoff(attempt: int, retry_after_s: Optional[float] = None,
-                    base_s: float = 0.05, cap_s: float = 5.0,
-                    rng: Optional[random.Random] = None) -> float:
-    """Capped exponential backoff with jitter, honouring ``Retry-After``.
-
-    The delay for retry ``attempt`` (0-based) is
-    ``min(cap_s, base_s * 2**attempt)`` scaled by a jitter factor uniform in
-    ``[0.5, 1.0]`` -- so a burst of clients refused together does not retry
-    in lockstep.  A server-provided ``retry_after_s`` acts as a *floor*:
-    the server knows how long its queue is, and retrying sooner than it
-    asked just earns another refusal.
-    """
-    if attempt < 0:
-        raise ValueError(f"attempt must be >= 0, got {attempt}")
-    delay = min(cap_s, base_s * (2.0 ** attempt))
-    delay *= 0.5 + 0.5 * (rng or _BACKOFF_RNG).random()
-    if retry_after_s is not None:
-        delay = max(delay, float(retry_after_s))
-    return delay
+#: Largest response head the client reads.
+_MAX_HEAD_BYTES = 64 * 1024
 
 
 class ServeError(Exception):
@@ -85,17 +71,153 @@ class SubmittedJob:
     result: NetworkResult
 
 
-def _close_all(connections: Dict[threading.Thread,
-                                 http.client.HTTPConnection]) -> None:
-    for connection in connections.values():
-        connection.close()
-    connections.clear()
+class _Stale(ConnectionError):
+    """The server closed a connection before any byte of the answer."""
 
 
 #: A pooled connection the server closed while it idled fails with one of
 #: these before any response byte arrives; the request is sent once more.
-_STALE = (http.client.RemoteDisconnected, ConnectionResetError,
-          ConnectionAbortedError, BrokenPipeError)
+_STALE = (_Stale, ConnectionResetError, ConnectionAbortedError,
+          BrokenPipeError)
+
+
+class _Connection:
+    """One keep-alive socket and the bytes read ahead on it."""
+
+    __slots__ = ("address", "timeout_s", "sock", "_buffer")
+
+    def __init__(self, address: Tuple[str, int], timeout_s: float) -> None:
+        self.address = address
+        self.timeout_s = timeout_s
+        #: The open socket; ``None`` until the first request and after the
+        #: connection is given up.
+        self.sock: Optional[socket.socket] = None
+        self._buffer = bytearray()
+
+    def open(self) -> None:
+        self.sock = socket.create_connection(self.address,
+                                             timeout=self.timeout_s)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
+        self._buffer.clear()
+
+    def _fill(self) -> bool:
+        """Read what the socket has; ``False`` at EOF."""
+        data = self.sock.recv(262144)
+        self._buffer += data
+        return bool(data)
+
+    def read_head(self) -> bytes:
+        """The next response head; :class:`_Stale` when the server hung up
+        before sending a byte of it."""
+        buffer = self._buffer
+        scanned = 0
+        while True:
+            end = buffer.find(b"\r\n\r\n", scanned)
+            if end >= 0:
+                head = bytes(buffer[:end])
+                del buffer[:end + 4]
+                return head
+            if len(buffer) > _MAX_HEAD_BYTES:
+                raise ValueError("response head too large")
+            scanned = max(0, len(buffer) - 3)
+            if not self._fill():
+                if buffer:
+                    raise ConnectionResetError("server hung up mid-head")
+                raise _Stale("server closed the connection")
+
+    def read_exact(self, size: int) -> bytes:
+        buffer = self._buffer
+        while len(buffer) < size:
+            if not self._fill():
+                raise ConnectionResetError("server hung up mid-body")
+        data = bytes(buffer[:size])
+        del buffer[:size]
+        return data
+
+    def read_line(self) -> bytes:
+        buffer = self._buffer
+        scanned = 0
+        while True:
+            end = buffer.find(b"\n", scanned)
+            if end >= 0:
+                line = bytes(buffer[:end + 1])
+                del buffer[:end + 1]
+                return line
+            scanned = len(buffer)
+            if not self._fill():
+                raise ConnectionResetError("server hung up mid-line")
+
+    def read_to_eof(self) -> bytes:
+        while self._fill():
+            pass
+        data = bytes(self._buffer)
+        self._buffer.clear()
+        return data
+
+
+class _Response:
+    """One response: its status and headers, and its body read on demand.
+    A connection is kept for the next request only once its body has been
+    read to the end and the server did not say ``Connection: close``."""
+
+    def __init__(self, connection: _Connection, status: int,
+                 headers: Dict[str, str]) -> None:
+        self.connection = connection
+        self.status = status
+        self.headers = headers
+        self.complete = False
+
+    def _done(self) -> None:
+        self.complete = True
+        if self.headers.get("connection", "").lower() == "close":
+            self.connection.close()
+
+    def read(self) -> bytes:
+        """The whole body."""
+        headers = self.headers
+        if "content-length" in headers:
+            body = self.connection.read_exact(int(headers["content-length"]))
+        elif headers.get("transfer-encoding", "").lower() == "chunked":
+            body = b"".join(self.chunks())
+        else:  # no framing: the body runs to EOF, which ends the connection
+            body = self.connection.read_to_eof()
+            self.connection.close()
+        self._done()
+        return body
+
+    def chunks(self) -> Iterator[bytes]:
+        """The chunks of a chunked body, as they arrive."""
+        try:
+            yield from read_chunked(self.connection.read_line,
+                                    self.connection.read_exact)
+        except ValueError as error:
+            raise ConnectionError(f"bad chunked body: {error}") from None
+        self._done()
+
+    def lines(self) -> Iterator[bytes]:
+        """The body's lines (NDJSON entries, SSE fields) as they arrive."""
+        if self.headers.get("transfer-encoding", "").lower() != "chunked":
+            yield from self.read().splitlines(keepends=True)
+            return
+        pending = b""
+        for chunk in self.chunks():
+            pending += chunk
+            *lines, pending = pending.split(b"\n")
+            for line in lines:
+                yield line + b"\n"
+        if pending:
+            yield pending
+
+
+def _close_all(connections: Dict[threading.Thread, _Connection]) -> None:
+    for connection in list(connections.values()):
+        connection.close()
+    connections.clear()
 
 
 class ServeClient:
@@ -110,9 +232,12 @@ class ServeClient:
                 f"only http:// URLs are supported, got {base_url!r}")
         self._netloc, slash, base = rest.partition("/")
         self._base_path = "/" + base if slash else ""
+        host, colon, port = self._netloc.rpartition(":")
+        if not colon or port.endswith("]"):  # no port, or a bare [v6]
+            host, port = self._netloc, "80"
+        self._address = (host.strip("[]"), int(port))
         #: One keep-alive connection per thread that used this client.
-        self._connections: Dict[threading.Thread,
-                                http.client.HTTPConnection] = {}
+        self._connections: Dict[threading.Thread, _Connection] = {}
         self._lock = threading.Lock()
         weakref.finalize(self, _close_all, self._connections)
 
@@ -124,19 +249,19 @@ class ServeClient:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's keep-alive connection (opened on first use)."""
+    def _connection(self) -> _Connection:
+        """This thread's keep-alive connection (its socket opens on first
+        use)."""
         thread = threading.current_thread()
-        with self._lock:
-            connection = self._connections.get(thread)
-            if connection is None:
+        connection = self._connections.get(thread)
+        if connection is None:
+            with self._lock:
                 # An exited thread cannot use its connection again.
                 for gone in [t for t in self._connections
                              if not t.is_alive()]:
                     self._connections.pop(gone).close()
-                connection = self._connections[thread] = \
-                    http.client.HTTPConnection(self._netloc,
-                                               timeout=self.timeout_s)
+                connection = self._connections[thread] = _Connection(
+                    self._address, self.timeout_s)
         return connection
 
     def _transport_error(self, error: BaseException) -> ServeError:
@@ -146,26 +271,30 @@ class ServeClient:
                                f"{error}")
 
     def _send(self, method: str, path: str, payload: Optional[dict],
-              accept: Optional[str]
-              ) -> "tuple[http.client.HTTPConnection, http.client.HTTPResponse]":
-        """Issue one request on this thread's connection."""
-        headers = {"Content-Type": "application/json"}
+              accept: Optional[str]) -> _Response:
+        """Issue one request on this thread's connection; its response
+        with the head read."""
+        body = (json.dumps(payload).encode("utf-8")
+                if payload is not None else b"")
+        headers = {"Host": self._netloc, "Content-Type": "application/json",
+                   "Content-Length": len(body)}
         if accept is not None:
             headers["Accept"] = accept
         # Propagate the caller's trace context so server-side spans link
         # into the same trace (one sweep -> one cross-process trace).
         get_tracer().inject_headers(headers)
-        body = (json.dumps(payload).encode("utf-8")
-                if payload is not None else None)
+        request = write_head(f"{method} {self._base_path + path} HTTP/1.1",
+                             headers) + body
         connection = self._connection()
         for attempt in range(2):
             reused = connection.sock is not None
             try:
                 if not reused:
-                    connection.connect()
-                connection.request(method, self._base_path + path,
-                                   body=body, headers=headers)
-                return connection, connection.getresponse()
+                    connection.open()
+                connection.sock.sendall(request)
+                status, response_headers = parse_response_head(
+                    connection.read_head())
+                return _Response(connection, status, response_headers)
             except _STALE as error:
                 connection.close()
                 if not (reused and attempt == 0):
@@ -173,7 +302,7 @@ class ServeClient:
             except socket.timeout:
                 connection.close()
                 raise
-            except (OSError, http.client.HTTPException) as error:
+            except (OSError, ValueError) as error:
                 connection.close()
                 raise self._transport_error(error) from error
         raise AssertionError("unreachable")  # pragma: no cover
@@ -181,48 +310,48 @@ class ServeClient:
     @contextlib.contextmanager
     def _response(self, method: str, path: str,
                   payload: Optional[dict] = None,
-                  accept: Optional[str] = None
-                  ) -> Iterator[http.client.HTTPResponse]:
+                  accept: Optional[str] = None) -> Iterator[_Response]:
         """One 2xx response; a non-2xx answer raises :class:`ServeError`.
         A response not read to its end closes its connection, which could
         not carry another request."""
-        connection, response = self._send(method, path, payload, accept)
+        response = self._send(method, path, payload, accept)
         try:
             if not 200 <= response.status < 300:
                 self._raise_serve_error(response)
             yield response
         except socket.timeout:
             raise
-        except (OSError, http.client.HTTPException) as error:
+        except OSError as error:
             raise self._transport_error(error) from error
         finally:
-            if not response.isclosed():
-                response.close()
-                connection.close()
+            if not response.complete:
+                response.connection.close()
 
     @staticmethod
-    def _raise_serve_error(response: http.client.HTTPResponse) -> None:
+    def _raise_serve_error(response: _Response) -> None:
         # float(), not int(): a proxy (or a future sub-second backpressure
         # hint) may send a fractional Retry-After; truncating it to int --
         # or dropping it -- makes clients retry sooner than asked.
         retry_after: Optional[float] = None
-        header = response.headers.get("Retry-After")
+        header = response.headers.get("retry-after")
         if header is not None:
             try:
                 retry_after = float(header)
             except ValueError:
                 retry_after = None
+        body = response.read()
         try:
-            message = json.loads(response.read().decode("utf-8"))["error"]
+            message = json.loads(body)["error"]
         except (ValueError, KeyError, TypeError):
-            message = response.reason
+            message = f"HTTP {response.status}"
         raise ServeError(response.status, message,
                          retry_after_s=retry_after) from None
 
     def _request(self, method: str, path: str,
                  payload: Optional[dict] = None) -> dict:
         with self._response(method, path, payload) as response:
-            return json.loads(response.read().decode("utf-8"))
+            body = response.read()
+        return json.loads(body)
 
     @staticmethod
     def _submitted(entry: Mapping[str, object]) -> SubmittedJob:
@@ -304,9 +433,9 @@ class ServeClient:
         with self._response("POST", "/jobs",
                             {"points": [dict(p) for p in points]},
                             accept="application/x-ndjson") as response:
-            content_type = (response.headers.get("Content-Type") or "")
+            content_type = response.headers.get("content-type", "")
             if "application/x-ndjson" not in content_type:
-                payload = json.loads(response.read().decode("utf-8"))
+                payload = json.loads(response.read())
                 submitted = [self._submitted(entry)
                              for entry in payload["results"]]
                 if on_entry is not None:
@@ -314,13 +443,15 @@ class ServeClient:
                         on_entry(index, job)
                 return submitted
             submitted = []
-            for raw_line in response:
+            lines = response.lines()
+            for raw_line in lines:
                 line = raw_line.strip()
                 if not line:
                     continue
-                entry = json.loads(line.decode("utf-8"))
+                entry = json.loads(line)
                 if entry.get("done"):
-                    response.read()  # the terminal chunk: reuse the socket
+                    for _ in lines:  # the terminal chunk: reuse the socket
+                        pass
                     break
                 if "error" in entry:
                     raise ServeError(int(entry.get("status", 500)),
@@ -358,14 +489,14 @@ class ServeClient:
         payload = {"space": dict(space), **options, "stream": True}
         with self._response("POST", "/explore", payload,
                             accept="text/event-stream") as response:
-            content_type = (response.headers.get("Content-Type") or "")
+            content_type = response.headers.get("content-type", "")
             if "text/event-stream" not in content_type:
-                result = json.loads(response.read().decode("utf-8"))
+                result = json.loads(response.read())
                 yield "result", result
                 yield "end", {"complete": True}
                 return
             event: Optional[str] = None
-            for raw_line in response:
+            for raw_line in response.lines():
                 line = raw_line.decode("utf-8").rstrip("\r\n")
                 if line.startswith("event:"):
                     event = line[len("event:"):].strip()

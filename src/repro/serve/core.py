@@ -25,7 +25,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.explore.engine import explore
 from repro.explore.search import strategy_from_request
@@ -36,8 +36,8 @@ from repro.sim.jobs import (
 )
 from repro.sim.results import NetworkResult
 
-__all__ = ["Backpressure", "ServiceCore", "ServiceStats", "keyed_jobs",
-           "parse_explore_request", "parse_jobs_request"]
+__all__ = ["Backpressure", "Lookup", "ServiceCore", "ServiceStats",
+           "keyed_jobs", "parse_explore_request", "parse_jobs_request"]
 
 #: Keys a ``POST /explore`` body may carry (``stream`` is read by fronts
 #: that can stream; the rest become :func:`~repro.explore.engine.explore`
@@ -100,9 +100,13 @@ def _frozen(value):
         return _TRUE if value else _FALSE
     if kind is dict:
         spelling = [_DICT]
+        append = spelling.append
         for name, item in value.items():
-            spelling.append(name if type(name) is str else _frozen(name))
-            spelling.append(_frozen(item))
+            append(name if type(name) is str else _frozen(name))
+            # A str, int or None item spells as itself: no call for it.
+            item_kind = type(item)
+            append(item if item_kind is str or item_kind is int
+                   or item is None else _frozen(item))
         return tuple(spelling)
     if kind is list or kind is tuple:
         return (_LIST if kind is list else _TUPLE,
@@ -276,6 +280,24 @@ class _Submitted:
         return self.cached.text
 
 
+class Lookup:
+    """A batch's ``(job, key)`` entries and what the memory and store tiers
+    held for them: what an event loop hands a thread when a key missed."""
+
+    __slots__ = ("entries", "found", "keys")
+
+    def __init__(self, entries: List[Tuple[SimJob, str]],
+                 found: Dict[str, CachedResult]) -> None:
+        self.entries = entries
+        self.found = found
+        #: The batch's distinct keys.
+        self.keys = {key for _, key in entries}
+
+    def __len__(self) -> int:
+        """The batch's points, as many as its answer will hold."""
+        return len(self.entries)
+
+
 class ServiceCore:
     """Coalescing, backpressure, execution and stats for one serve node.
 
@@ -370,39 +392,54 @@ class ServiceCore:
                 self._pending_batches -= 1
 
     def submit_points(self, raw_points: Sequence[Mapping[str, object]],
-                      timeout_s: Optional[float] = None) -> List[_Submitted]:
+                      timeout_s: Optional[float] = None,
+                      on_loop: bool = False
+                      ) -> Union[List[_Submitted], "Lookup"]:
         """Resolve a batch of raw point mappings into results.
 
         Point order is preserved.  Already-stored keys are answered from the
         cache (no lock, no admission needed); keys another request is
         currently resolving are joined (coalesced); the rest are claimed by
         this request, asked of the peer tier once (when the node has one and
-        its recovery window is open) and otherwise executed here as one executor batch -- which counts as
-        *one* unit against the ``queue_limit`` admission bound, however many
-        jobs it carries.
+        its recovery window is open) and otherwise executed here as one
+        executor batch -- which counts as *one* unit against the
+        ``queue_limit`` admission bound, however many jobs it carries.
         Raises :class:`Backpressure` when the service already has
         ``queue_limit`` admitted batches, and ``ValueError`` for malformed
         points.
+
+        A caller on an event loop passes ``on_loop=True``: the points are
+        keyed and looked up in the memory and store tiers, and when every
+        key hits the answers come back as usual.  Otherwise nothing is
+        claimed or counted yet, and the call returns the :class:`Lookup`
+        for :meth:`finish` to complete on a thread.
         """
-        timeout_s = timeout_s if timeout_s is not None else self.wait_timeout_s
         entries = keyed_jobs(raw_points)
+        # No service lock: warm keys resolve straight from the (internally
+        # locked) cache in one batched lookup, so warm traffic never
+        # serialises behind another request's admission or bookkeeping.
+        # peek_many(), not get_many(): a missed key is counted once, by the
+        # executor's recheck_many() (see _resolve_owned).
+        found = (self.cache.peek_many(key for _, key in entries)
+                 if self.cache is not None else {})
+        lookup = Lookup(entries, found)
+        if on_loop and len(found) < len(lookup.keys):
+            return lookup
+        return self.finish(lookup, timeout_s)
 
-        statuses: Dict[str, str] = {}
-        resolved: Dict[str, CachedResult] = {}
-        # Pass 1, no service lock: warm keys resolve straight from the
-        # (internally locked) cache in one batched lookup, so warm traffic
-        # never serialises behind another request's admission or
-        # bookkeeping.  peek_many(), not get_many(): cold keys get their
-        # authoritative (counted) lookup inside executor.run, so misses are
-        # not double-counted in /stats.
-        if self.cache is not None:
-            resolved.update(self.cache.peek_many(key for _, key in entries))
-            statuses.update(dict.fromkeys(resolved, "cached"))
-
+    def finish(self, lookup: "Lookup",
+               timeout_s: Optional[float] = None) -> List[_Submitted]:
+        """Resolve a batch :meth:`submit_points` has looked up: claim its
+        missed keys (or join their owners), execute what this request owns
+        and wait for the rest.  Blocks; see :meth:`submit_points`."""
+        timeout_s = timeout_s if timeout_s is not None else self.wait_timeout_s
+        entries = lookup.entries
+        resolved = dict(lookup.found)
+        statuses = dict.fromkeys(resolved, "cached")
         waits: Dict[str, _Inflight] = {}
         own: List[Tuple[object, str]] = []
         coalesced = 0
-        if len(resolved) < len({key for _, key in entries}):
+        if len(resolved) < len(lookup.keys):
             with self._lock:
                 for job, key in entries:
                     if key in statuses:
@@ -427,10 +464,10 @@ class ServiceCore:
                     for _, key in own:
                         self._inflight[key] = _Inflight()
         # Admission succeeded: commit the request-level counters.
-        self._bump("submitted_points", len(entries))
-        self._bump("store_answers",
-                   sum(1 for s in statuses.values() if s == "cached"))
-        self._bump("coalesced", coalesced)
+        with self._stats_lock:
+            self.stats.submitted_points += len(entries)
+            self.stats.store_answers += len(lookup.found)
+            self.stats.coalesced += coalesced
 
         if own:
             error: Optional[BaseException] = None
@@ -497,7 +534,8 @@ class ServiceCore:
         if not missing:
             return
         with self._execute_lock:
-            results = self.executor.run([job for job, _ in missing])
+            results = self.executor.run([job for job, _ in missing],
+                                        probed=True)
         resolved.update((key, CachedResult.of(result))
                         for (_, key), result in zip(missing, results))
 

@@ -257,13 +257,22 @@ class ResultCache:
 
         For probe-style lookups (the service's pre-admission pass, result
         lookups by key, a peer's ``POST /cache/lookup``) that are followed
-        by an authoritative :meth:`get_many` -- or by nothing at all -- so
-        hit-rate statistics stay meaningful.
+        by a counted :meth:`recheck_many` of the misses -- or by nothing at
+        all -- so hit-rate statistics stay meaningful.
         """
         return self._lookup_many(keys, count_miss=False)
 
-    def _lookup_many(self, keys: Iterable[str],
-                     count_miss: bool) -> Dict[str, CachedResult]:
+    def recheck_many(self, keys: Iterable[str]) -> Dict[str, CachedResult]:
+        """Like :meth:`get_many` for keys a :meth:`peek_many` just missed.
+
+        Memory is asked again, so a result another thread stored since is
+        still found; the backend is not, since it already missed.  Each
+        miss is counted here, once.
+        """
+        return self._lookup_many(keys, count_miss=True, ask_backend=False)
+
+    def _lookup_many(self, keys: Iterable[str], count_miss: bool,
+                     ask_backend: bool = True) -> Dict[str, CachedResult]:
         found: Dict[str, CachedResult] = {}
         missing = []
         with self._lock:
@@ -275,6 +284,9 @@ class ResultCache:
                 else:
                     missing.append(key)
             self.stats.memory_hits += len(found)
+            if missing and not ask_backend:
+                self.stats.misses += len(missing)
+                missing = []
         if not missing:
             return found
         # Backend I/O runs outside the cache-wide lock (the backend carries

@@ -195,7 +195,8 @@ class JobExecutor:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, jobs: Iterable[SimJob]) -> List[NetworkResult]:
+    def run(self, jobs: Iterable[SimJob],
+            probed: bool = False) -> List[NetworkResult]:
         """Execute ``jobs`` and return their results in submission order.
 
         Within the batch, jobs with identical content keys are simulated
@@ -205,15 +206,21 @@ class JobExecutor:
         duplicates once the job they piggyback on has resolved).  A cached
         job's result is decoded from the cache's text; repeats of a key in
         one batch share one object.
+
+        ``probed`` says the caller's :meth:`ResultCache.peek_many` has just
+        missed every job's key, so the lookup asks memory again but not
+        the backend (:meth:`ResultCache.recheck_many`): one store read per
+        cold key, and each miss counted once.
         """
         from repro.sim.batched import get_default_engine
 
         jobs = list(jobs)
         with get_tracer().span("executor.run", jobs=len(jobs),
                                engine=get_default_engine()):
-            return self._run(jobs)
+            return self._run(jobs, probed)
 
-    def _run(self, jobs: List[SimJob]) -> List[NetworkResult]:
+    def _run(self, jobs: List[SimJob],
+             probed: bool) -> List[NetworkResult]:
         keys = [job_key(job) for job in jobs]
         total = len(jobs)
         self.stats.submitted += total
@@ -239,7 +246,8 @@ class JobExecutor:
         pending: List[SimJob] = []
         pending_keys: List[str] = []
         with self._phase("cache_lookup", jobs=total):
-            cached = self.cache.get_many(first_index)
+            cached = (self.cache.recheck_many(first_index) if probed
+                      else self.cache.get_many(first_index))
             for key, index in first_index.items():
                 if key in cached:
                     resolved[key] = cached[key].result

@@ -119,6 +119,7 @@ class LayerResult:
 
 
 _LAYER_KINDS = ("conv", "fc", "matmul")
+_KINDS = frozenset(_LAYER_KINDS)
 
 #: The columns of a :class:`NetworkResult`: every :class:`LayerResult`
 #: field, in declaration order.
@@ -146,10 +147,20 @@ def _check_columns(columns) -> None:
         if type(column) is not list or len(column) != count:
             raise ValueError(f"column {name!r} must be a list of {count} "
                              f"values")
-    for kind, cycles in zip(columns["layer_kind"], columns["cycles"]):
-        if kind not in _LAYER_KINDS or cycles < 0:
+    kinds, cycles = columns["layer_kind"], columns["cycles"]
+    try:
+        # Every kind known and no cycle count negative: one set check and
+        # one min().  A NaN that comes first makes min() NaN, and an
+        # unhashable kind or an uncomparable count raises TypeError; both
+        # take the loop below, like any layer the constructor rejects.
+        if not count or (_KINDS.issuperset(kinds) and min(cycles) >= 0):
+            return
+    except TypeError:
+        pass
+    for kind, layer_cycles in zip(kinds, cycles):
+        if kind not in _LAYER_KINDS or layer_cycles < 0:
             # The constructor raises its own error for this layer.
-            LayerResult(layer_name="", layer_kind=kind, cycles=cycles)
+            LayerResult(layer_name="", layer_kind=kind, cycles=layer_cycles)
 
 
 def _columns_of(layers: Iterable[LayerResult]) -> Dict[str, list]:

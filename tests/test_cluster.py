@@ -638,10 +638,19 @@ class TestKeepAlive:
                 MATRIX[:2])
             direct = ServeClient(worker.url, timeout_s=60.0)
             direct.healthz()
-            assert direct._connection().sock is not None  # held open, idle
+            sock = direct._connection().sock
+            # Held open and idle at both ends: the client's socket, and on
+            # the worker that one plus the coordinator's pooled connection.
+            assert sock is not None and sock.fileno() >= 0
+            assert len(worker._server._connections) >= 2
             started = time.monotonic()
             worker.stop()
             assert time.monotonic() - started < 2.0
+            # The worker let go of the idle connection: the client reads EOF.
+            sock.settimeout(5.0)
+            assert sock.recv(1) == b""
+            assert len(worker._server._connections) == 0
+            direct.close()
         finally:
             coordinator.stop()
             worker.stop()
@@ -670,11 +679,17 @@ class TestKeepAlive:
         try:
             client.healthz()
             connection = client._connection()
-            assert connection.sock is not None
+            sock = connection.sock
+            # Held open between requests, at both ends.
+            assert sock is not None and sock.fileno() >= 0
+            assert len(worker._server._connections) == 1
             client.shutdown()
-            # The reply said Connection: close, so the client let go.
+            # The reply said Connection: close, so the client let go: the
+            # socket is closed, not just dropped.
             assert connection.sock is None
+            assert sock.fileno() == -1
             worker.wait_until_stopped(poll_s=0.05)
+            assert len(worker._server._connections) == 0
             started = time.monotonic()
             with pytest.raises(ServeError) as excinfo:
                 client.healthz()
@@ -727,3 +742,288 @@ class TestKeepAlive:
         assert len(set(accepted[:2])) == 1
         assert accepted[2] == accepted[3] != accepted[4]
         assert accepted[2] != accepted[0]
+
+
+@contextlib.contextmanager
+def _echo_server():
+    """An ``AsyncHTTPServer`` answering each request with what it saw."""
+    from repro.cluster.aio import AsyncHTTPServer
+
+    async def handler(request, responder):
+        await responder.send_json(200, {
+            "method": request.method, "path": request.path,
+            "body": request.body.decode("utf-8"), "client": request.client})
+
+    server = AsyncHTTPServer(handler)
+    server.start()
+    try:
+        yield server
+    finally:
+        server.stop()
+
+
+def _raw_exchange(port, data, pause_s=0.0):
+    """Send ``data`` on a raw socket (byte by byte when ``pause_s`` is
+    set) and read until the server closes it or 5 s pass."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if pause_s:
+            for byte in data:
+                sock.sendall(bytes([byte]))
+                time.sleep(pause_s)
+        else:
+            sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
+
+
+def _responses(raw):
+    """``[(status, headers, body)]`` of Content-Length responses in
+    ``raw``."""
+    from repro.cluster.aio import parse_response_head
+
+    answers = []
+    while raw:
+        head, _, raw = raw.partition(b"\r\n\r\n")
+        status, headers = parse_response_head(head)
+        length = int(headers["content-length"])
+        answers.append((status, headers, raw[:length]))
+        raw = raw[length:]
+    return answers
+
+
+@contextlib.contextmanager
+def _dribbling_server(response):
+    """A one-shot raw server that reads one request head and answers
+    ``response`` one byte per TCP segment."""
+    import socket
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            request = b""
+            while b"\r\n\r\n" not in request:
+                request += conn.recv(65536)
+            for byte in response:
+                conn.sendall(bytes([byte]))
+                time.sleep(0.0005)
+            conn.recv(65536)  # until the client hangs up
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{port}"
+    finally:
+        listener.close()
+        thread.join(timeout=10)
+
+
+class TestTransport:
+    """The HTTP/1.1 codec, the protocol server and both clients."""
+
+    REQUEST = (b"POST /echo?x=1 HTTP/1.1\r\nHost: t\r\n"
+               b"Content-Length: 11\r\nConnection: close\r\n\r\nhello world")
+
+    def test_a_request_split_byte_by_byte_is_parsed(self):
+        with _echo_server() as server:
+            raw = _raw_exchange(server.port, self.REQUEST, pause_s=0.001)
+        [(status, headers, body)] = _responses(raw)
+        assert status == 200 and headers["connection"] == "close"
+        assert json.loads(body)["body"] == "hello world"
+        assert json.loads(body)["path"] == "/echo"
+
+    def test_a_response_split_byte_by_byte_is_read_by_both_clients(self):
+        from repro.cluster.aio import fetch
+
+        body = json.dumps({"ok": True, "pad": "x" * 40}).encode()
+        response = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+        with _dribbling_server(response) as url:
+            client = ServeClient(url, timeout_s=10.0)
+            assert client.healthz() == json.loads(body)
+            client.close()
+        with _dribbling_server(response) as url:
+            async def scenario():
+                from repro.cluster.aio import close_idle_connections
+
+                try:
+                    return await fetch(url, "GET", "/healthz", timeout_s=10.0)
+                finally:
+                    await close_idle_connections()
+
+            reply = asyncio.run(scenario())
+        assert reply.status == 200 and reply.json() == json.loads(body)
+
+    def test_pipelined_requests_are_answered_in_order(self):
+        requests = b"".join(
+            b"POST /%d HTTP/1.1\r\nContent-Length: 1\r\n\r\n%d" % (n, n)
+            for n in range(3))
+        with _echo_server() as server:
+            raw = _raw_exchange(server.port, requests)
+        answers = _responses(raw)
+        assert [json.loads(body)["path"] for _, _, body in answers] \
+            == ["/0", "/1", "/2"]
+        assert [json.loads(body)["body"] for _, _, body in answers] \
+            == ["0", "1", "2"]
+        assert len({json.loads(body)["client"] for _, _, body in answers}) \
+            == 1
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GARBAGE\r\n\r\n",
+        b"GET / HTTP/2.0\r\n\r\n",
+        b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n",
+        b"POST / HTTP/1.1\r\nContent-Length: -4\r\n\r\n",
+        b"GET / HTTP/1.1\r\nHost: t\r\n",  # the peer hung up mid-head
+    ])
+    def test_a_malformed_request_is_a_400_and_closes(self, request_bytes):
+        with _echo_server() as server:
+            raw = _raw_exchange(server.port, request_bytes)
+        [(status, headers, body)] = _responses(raw)
+        assert status == 400 and headers["connection"] == "close"
+        assert "error" in json.loads(body)
+
+    def test_an_oversized_head_or_body_is_a_413(self):
+        from repro.cluster.aio import MAX_BODY_BYTES
+
+        huge_head = (b"GET / HTTP/1.1\r\nX-Pad: " + b"x" * (70 * 1024)
+                     + b"\r\n\r\n")
+        huge_body = (b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                     % (MAX_BODY_BYTES + 1))
+        with _echo_server() as server:
+            for request_bytes in (huge_head, huge_body):
+                [(status, headers, body)] = _responses(
+                    _raw_exchange(server.port, request_bytes))
+                assert status == 413 and headers["connection"] == "close"
+                assert b"too large" in body
+
+    def test_an_idle_connection_is_closed_after_the_timeout(self,
+                                                            monkeypatch):
+        import socket
+
+        from repro.cluster import aio
+
+        monkeypatch.setattr(aio, "_KEEPALIVE_TIMEOUT_S", 0.3)
+        with _echo_server() as server:
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=5.0) as sock:
+                sock.sendall(b"GET /a HTTP/1.1\r\n\r\n")
+                time.sleep(0.1)
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200 OK")
+                started = time.monotonic()
+                assert sock.recv(1) == b""  # idle: the server hung up
+                assert 0.1 < time.monotonic() - started < 3.0
+            # A head that dribbles in past the timeout is cut off too.
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=5.0) as sock:
+                sock.sendall(b"GET /slow HTTP/1.1\r\n")
+                assert sock.recv(1) == b""
+            for _ in range(100):  # connection_lost runs just after
+                if not server._connections:
+                    break
+                time.sleep(0.01)
+            assert not server._connections
+
+    def test_serve_client_retries_a_stale_connection_once(self, monkeypatch):
+        from repro.cluster import aio
+
+        monkeypatch.setattr(aio, "_KEEPALIVE_TIMEOUT_S", 0.2)
+        with _echo_server() as server:
+            client = ServeClient(server.url, timeout_s=10.0)
+            first = client.healthz()
+            sock = client._connection().sock
+            time.sleep(0.6)  # the server closes the idle connection
+            second = client.healthz()
+            assert client._connection().sock is not sock
+            client.close()
+        # The retry went out on a fresh connection.
+        assert first["client"] != second["client"]
+
+    def test_ndjson_and_sse_split_across_chunks_reach_the_client(self):
+        from repro.cluster import wire
+        from repro.cluster.aio import AsyncHTTPServer
+        from repro.sim.jobs import execute_job
+        from repro.explore.space import canonical_point, point_to_job
+
+        point = {"network": "alexnet", "accelerator": "loom"}
+        job = point_to_job(canonical_point(point))
+        result = execute_job(job)
+        entry = wire.entry(job_key(job), "executed", result.to_json())
+
+        def pieces(data, size=7):
+            return [data[i:i + size] for i in range(0, len(data), size)]
+
+        async def handler(request, responder):
+            if request.path == "/jobs":
+                await responder.start_stream("application/x-ndjson")
+                body = (wire.ndjson_line(0, entry) + wire.ndjson_line(1, entry)
+                        + b'{"done": true, "count": 2}\n')
+            else:
+                await responder.start_stream("text/event-stream")
+                body = b"".join(
+                    b"event: %s\ndata: %s\n\n" % (name.encode(),
+                                                  json.dumps(data).encode())
+                    for name, data in (("start", {"n": 1}),
+                                       ("progress", {"done": 1}),
+                                       ("end", {"complete": True})))
+            for piece in pieces(body):
+                await responder.write_chunk(piece)
+            await responder.finish_stream()
+
+        server = AsyncHTTPServer(handler)
+        server.start()
+        try:
+            client = ServeClient(server.url, timeout_s=10.0)
+            seen = []
+            jobs = client.submit_points_stream(
+                [point, point], on_entry=lambda i, job: seen.append(i))
+            assert seen == [0, 1]
+            assert [job.status for job in jobs] == ["executed", "executed"]
+            assert compare_layer_results(jobs[0].result.layers,
+                                         result.layers) == []
+            sock = client._connection().sock
+            assert len(client.submit_points_stream([point, point])) == 2
+            # The NDJSON stream was read to its end: one connection.
+            assert client._connection().sock is sock
+            events = list(client.explore_stream({"axes": {}}))
+            assert events == [("start", {"n": 1}), ("progress", {"done": 1}),
+                              ("end", {"complete": True})]
+            client.close()
+        finally:
+            server.stop()
+
+
+def test_coordinator_keys_a_large_batch_without_stalling_its_loop():
+    points = (MATRIX * 22)[:130]
+
+    async def scenario():
+        ticks = 0
+
+        async def ticker():
+            nonlocal ticks
+            while True:
+                ticks += 1
+                await asyncio.sleep(0)
+
+        task = asyncio.get_running_loop().create_task(ticker())
+        await asyncio.sleep(0)
+        before = ticks
+        keys = await ClusterCoordinator._keys_for(points)
+        task.cancel()
+        await asyncio.gather(task, return_exceptions=True)
+        return ticks - before, keys
+
+    ticks, keys = asyncio.run(scenario())
+    assert keys == [_key(point) for point in points]
+    # 130 points key in three slices of at most 64, yielding between them.
+    assert ticks >= 2

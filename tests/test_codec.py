@@ -22,7 +22,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterCoordinator, PeerCacheBackend, wire
@@ -32,7 +32,12 @@ from repro.nn import available_networks
 from repro.serve import ServeClient
 from repro.sim.batched import simulate_jobs_batched
 from repro.sim.jobs import ACCELERATOR_KINDS, execute_job
-from repro.sim.results import LAYER_FIELDS, LayerResult, NetworkResult
+from repro.sim.results import (
+    LAYER_FIELDS,
+    LayerResult,
+    NetworkResult,
+    _check_columns,
+)
 from repro.sim.validate import compare_layer_results
 
 points = st.fixed_dictionaries({
@@ -156,6 +161,16 @@ CLUSTER_POINTS = [
 
 
 class TestSplicedPath:
+    @given(key=st.text(max_size=70), status=st.text(max_size=10),
+           value=st.dictionaries(st.text(max_size=5), st.floats(),
+                                 max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_an_entry_is_what_json_dumps_writes(self, key, status, value):
+        text = json.dumps(value)
+        assert wire.entry(key, status, text) == json.dumps(
+            {"key": key, "status": status,
+             "result": json.loads(text)}).encode("utf-8")
+
     def test_warm_store_answers_through_a_cluster_match_the_event_engine(
             self, tmp_path):
         workers = [build_worker(str(tmp_path / f"worker-{index}.db"))
@@ -238,6 +253,36 @@ def _decoded_layers(rows):
     return NetworkResult.from_dict(_columnar(rows)).layers
 
 
+#: Odd values a decoded JSON text may hold where a layer kind or a cycle
+#: count belongs: unknown strings, other JSON types (unhashable included)
+#: and, for counts, NaN, infinities and negatives.
+_odd_kinds = st.one_of(
+    st.text(max_size=3), st.none(), st.integers(-2, 2), st.booleans(),
+    st.lists(st.just("conv"), max_size=1),
+    st.dictionaries(st.just("k"), st.just("conv"), max_size=1))
+_odd_cycles = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, -1),
+    st.booleans(), st.none(), st.text(max_size=2),
+    st.lists(st.integers(0, 1), max_size=1))
+
+
+def _with_odd(values, odd):
+    """``values`` with each ``(index, value)`` of ``odd`` put in place."""
+    values = list(values)
+    for index, value in odd:
+        if values:
+            values[index % len(values)] = value
+    return values
+
+
+def _per_layer_check(columns):
+    """The column check's reference: every layer through the constructor's
+    tests, one by one."""
+    for kind, cycles in zip(columns["layer_kind"], columns["cycles"]):
+        if kind not in ("conv", "fc", "matmul") or cycles < 0:
+            LayerResult(layer_name="", layer_kind=kind, cycles=cycles)
+
+
 class TestLayerDecode:
     @given(rows=st.lists(layer_dicts, max_size=4))
     @settings(max_examples=300, deadline=None)
@@ -264,6 +309,26 @@ class TestLayerDecode:
             expected = _outcome(lambda d: LayerResult(**d), row)
             assert isinstance(expected, tuple), row  # it does raise
             assert _outcome(_decoded_layers, [good, row]) == expected, row
+
+    @given(kinds=st.lists(st.sampled_from(["conv", "fc", "matmul"]),
+                          min_size=6, max_size=6),
+           cycles=st.lists(st.floats(0.0, 1e9) | st.integers(0, 10 ** 6),
+                           min_size=6, max_size=6),
+           count=st.integers(0, 6),
+           odd_kinds=st.lists(st.tuples(st.integers(0, 5), _odd_kinds),
+                              max_size=2),
+           odd_cycles=st.lists(st.tuples(st.integers(0, 5), _odd_cycles),
+                               max_size=2))
+    @example(kinds=["conv"] * 6, cycles=[1.0] * 6, count=2, odd_kinds=[],
+             odd_cycles=[(0, math.nan), (1, -1)])  # a NaN that comes first
+    @settings(max_examples=500, deadline=None)
+    def test_the_fast_column_check_accepts_exactly_what_the_loop_does(
+            self, kinds, cycles, count, odd_kinds, odd_cycles):
+        columns = {name: [0.0] * count for name in LAYER_FIELDS}
+        columns["layer_kind"] = _with_odd(kinds[:count], odd_kinds)
+        columns["cycles"] = _with_odd(cycles[:count], odd_cycles)
+        assert _outcome(_check_columns, columns) \
+            == _outcome(_per_layer_check, columns)
 
     def test_rejects_anything_but_one_list_per_field(self):
         good = _columnar([LayerResult(layer_name="l", layer_kind="conv",

@@ -35,7 +35,7 @@ from repro.serve import (
     ServeError,
     ServiceCore,
 )
-from repro.serve.core import _Inflight
+from repro.serve.core import Lookup, _Inflight
 from repro.sim.jobs import (
     AcceleratorSpec,
     JobExecutor,
@@ -687,6 +687,77 @@ class TestShutdown:
                 assert resp.status == 200
         with pytest.raises(urllib.error.URLError):
             urllib.request.urlopen(url + "/healthz", timeout=2)
+
+
+class TestOneLookupPerColdKey:
+    """A cold key is read from the store once, and its miss counted once."""
+
+    A = {"network": "alexnet", "accelerator": "loom"}
+    B = {"network": "nin", "accelerator": "dpnn"}
+    C = {"network": "alexnet", "accelerator": "dstripes"}
+    D = {"network": "nin", "accelerator": "loom"}
+
+    def test_a_fixed_sequence_keeps_its_hit_and_miss_counters(self,
+                                                              tmp_path):
+        # The counters are the ones the two-lookup path (a probe, then the
+        # executor's own get_many) reported for the same sequence.
+        store = SQLiteResultStore(tmp_path / "serve.db")
+        executor = JobExecutor(cache=ResultCache(backend=store,
+                                                 max_memory_entries=2))
+        with serving(executor=executor) as (_, client):
+            client.submit_points([self.A, self.B, self.A])  # cold, repeat
+            client.submit_points([self.A])  # warm, from memory
+            client.submit_points([self.B, self.C, self.D])  # evicts
+            client.submit_points([self.A, self.B])  # from the store
+            client.result(client.submit(self.C).key)
+            stats = client.stats()
+            client.close()
+        assert {name: stats["cache"][name] for name in (
+            "memory_hits", "disk_hits", "misses", "stores", "evictions")} \
+            == {"memory_hits": 3, "disk_hits": 3, "misses": 4, "stores": 4,
+                "evictions": 5}
+        assert {name: stats["executor"][name] for name in (
+            "submitted", "executed", "cache_hits", "dedup_hits")} \
+            == {"submitted": 4, "executed": 4, "cache_hits": 0,
+                "dedup_hits": 0}
+        assert {name: stats["service"][name] for name in (
+            "submitted_points", "store_answers", "coalesced")} \
+            == {"submitted_points": 10, "store_answers": 5, "coalesced": 0}
+
+    def test_the_loop_phase_answers_hits_and_hands_misses_on(self):
+        core = ServiceCore()
+        try:
+            batch = [self.A, self.B, self.A]
+            handed = core.submit_points(batch, on_loop=True)
+            # A miss: nothing claimed or counted yet, the lookup carried on.
+            assert isinstance(handed, Lookup) and len(handed) == 3
+            assert core.stats.submitted_points == 0 and not core._inflight
+            assert [entry.status for entry in core.finish(handed)] \
+                == ["executed"] * 3
+            warm = core.submit_points(batch, on_loop=True)
+            assert [entry.status for entry in warm] == ["cached"] * 3
+            assert core.stats.submitted_points == 6
+            assert core.executor.stats.executed == 2
+        finally:
+            core.close()
+
+    def test_a_cold_request_reads_the_store_once_per_key_chunk(
+            self, tmp_path, monkeypatch):
+        from repro.serve import store as store_module
+
+        monkeypatch.setattr(store_module, "_KEY_CHUNK", 2)
+        store = SQLiteResultStore(tmp_path / "serve.db")
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        executor = JobExecutor(cache=ResultCache(backend=store))
+        with serving(executor=executor) as (_, client):
+            client.submit_points([self.A, self.B, self.C, self.D, self.A])
+            reads = [sql for sql in statements
+                     if sql.startswith("SELECT key, format")]
+            # Four distinct keys in chunks of two: two SELECTs, all from
+            # the one lookup before the executor runs.
+            assert len(reads) == 2
+            client.close()
 
 
 class TestRemoteExecutorProtocol:
