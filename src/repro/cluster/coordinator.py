@@ -176,8 +176,6 @@ class ClusterCoordinator(HTTPNode):
         membership itself is fixed for the coordinator's lifetime.
     host / port:
         Bind address; ``port=0`` asks the OS for a free port.
-    replicas:
-        Virtual nodes per worker on the hash ring.
     rate_limiter:
         Optional :class:`RateLimiter` applied to execution-bearing routes
         (``/jobs``, ``/explore``).  ``None`` disables rate limiting.
@@ -208,7 +206,6 @@ class ClusterCoordinator(HTTPNode):
         workers: Sequence[str],
         host: str = "127.0.0.1",
         port: int = 0,
-        replicas: int = 64,
         rate_limiter: Optional[RateLimiter] = None,
         health_interval_s: float = 2.0,
         shard_timeout_s: float = 600.0,
@@ -225,7 +222,7 @@ class ClusterCoordinator(HTTPNode):
         }
         if len(self.shards) != len(workers):
             raise ValueError(f"duplicate worker URLs in {list(workers)}")
-        self.ring = ConsistentHashRing(self.shards, replicas=replicas)
+        self.ring = ConsistentHashRing(self.shards)
         self.rate_limiter = rate_limiter
         if not math.isfinite(peer_timeout_s) or peer_timeout_s <= 0:
             raise ValueError(
@@ -367,7 +364,6 @@ class ClusterCoordinator(HTTPNode):
         payload = {
             "nodes": list(self.shards),
             "self": url,
-            "replicas": self.ring.replicas,
             "timeout_ms": self.peer_timeout_s * 1000.0,
             "recovery": shard.ring_pushes > 0,
         }

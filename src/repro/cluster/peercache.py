@@ -43,23 +43,28 @@ which never reaches this class, so a lookup cannot chain through the ring.
 An answer arrives framed by :mod:`repro.cluster.wire`; it is decoded once,
 to validate it, then cached as the text it arrived as.
 
-The backend runs its network I/O on a private asyncio loop in a daemon
-thread (reusing :func:`repro.cluster.aio.fetch` and its keep-alive
-connections), so it can be driven from the synchronous core without
-touching the worker's own event loop.
+The tier runs its network I/O on the event loop of the worker that builds
+it, through :func:`repro.cluster.aio.fetch` and that loop's keep-alive
+connections, which the worker's server closes when it stops.
+:meth:`~PeerCacheBackend.load_many` is called from the worker's compute
+pool and waits there; on the loop's own thread it answers nothing rather
+than block the loop it waits on.
+
+The ring has :class:`~repro.cluster.ring.ConsistentHashRing`'s 64 virtual
+nodes per member, as the coordinator's does, so both sides agree on who
+owns a key.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import math
 import threading
 import time
 from typing import Dict, Iterable, List, Optional
 
 from repro.cluster import wire
-from repro.cluster.aio import TIMEOUTS, close_idle_connections, fetch
+from repro.cluster.aio import TIMEOUTS, fetch
 from repro.obs.metrics import PEER_LATENCY_BUCKETS, MetricsRegistry
 from repro.cluster.ring import ConsistentHashRing
 from repro.sim.jobs.cache import CachedResult
@@ -83,11 +88,9 @@ class PeerCacheBackend:
 
     Parameters
     ----------
-    ring / self_url:
-        Ring membership and this shard's own URL.  Both may be deferred to
-        :meth:`configure` (the worker learns membership from the
-        coordinator's ``POST /ring``); until configured, and outside a
-        recovery window, :meth:`load_many` answers nothing.
+    loop:
+        The event loop of the worker that builds the tier; every peer
+        request runs on it.
     timeout_s:
         Strict budget for one batched peer lookup, queueing included:
         finite and > 0.  On expiry the outstanding requests are abandoned
@@ -97,15 +100,19 @@ class PeerCacheBackend:
         Optional :class:`MetricsRegistry` to surface
         ``loom_peer_cache_{hits,misses,timeouts}_total`` counters and the
         ``loom_peer_cache_fetch_seconds`` histogram on ``/metrics``.
+
+    Membership arrives through :meth:`configure` (the worker learns it
+    from the coordinator's ``POST /ring``); until then, and outside a
+    recovery window, :meth:`load_many` answers nothing.
     """
 
-    def __init__(self, ring: Optional[ConsistentHashRing] = None,
-                 self_url: str = "",
+    def __init__(self, loop: asyncio.AbstractEventLoop,
                  timeout_s: float = 1.0,
                  metrics: Optional[MetricsRegistry] = None) -> None:
+        self.loop = loop
         self.timeout_s = timeout_s
-        self.ring = ring
-        self.self_url = self_url.rstrip("/")
+        self.ring: Optional[ConsistentHashRing] = None
+        self.self_url = ""
         #: Peer-tier counters (plain ints; /stats + tests read them).
         self.peer_hits = 0
         self.peer_misses = 0
@@ -113,9 +120,6 @@ class PeerCacheBackend:
         self._lock = threading.Lock()
         self._cooldown_until: Dict[str, float] = {}
         self._recovery_until = 0.0
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_thread: Optional[threading.Thread] = None
-        self._closed = False
         #: ``loom_peer_cache_<outcome>_total`` counters by outcome.
         self._metrics: Dict[str, object] = {}
         self._fetch_seconds = None
@@ -155,16 +159,13 @@ class PeerCacheBackend:
     # -- membership -----------------------------------------------------------
 
     def configure(self, nodes: List[str], self_url: Optional[str] = None,
-                  replicas: int = 64, recovery: bool = False) -> None:
+                  recovery: bool = False) -> None:
         """(Re)build the ring over ``nodes``; idempotent membership update.
 
-        ``replicas`` must match the coordinator's ring or the two sides
-        would disagree about key ownership.  ``recovery`` opens a
-        :data:`RECOVERY_WINDOW_S` window from now; without it an open
-        window stays as it is.
+        ``recovery`` opens a :data:`RECOVERY_WINDOW_S` window from now;
+        without it an open window stays as it is.
         """
-        ring = ConsistentHashRing((url.rstrip("/") for url in nodes),
-                                  replicas=replicas)
+        ring = ConsistentHashRing(url.rstrip("/") for url in nodes)
         with self._lock:
             self.ring = ring
             if self_url is not None:
@@ -201,11 +202,13 @@ class PeerCacheBackend:
 
         Returns the answered keys; a miss, a timeout, a dead or
         cooling-down peer and an unconfigured ring all leave a key out.
-        Outside the recovery window nothing is asked or counted.  The
-        caller always has local compute to fall back on, so nothing here
-        raises.
+        Outside the recovery window, on the worker loop's own thread
+        (which a wait here would deadlock) and once that loop has stopped,
+        nothing is asked or counted.
+        The caller always has local compute to fall back on, so nothing
+        here raises.
         """
-        if not self.recovering:
+        if not self.recovering or not self._may_wait():
             return {}
         by_peer: Dict[str, List[str]] = {}
         for key in dict.fromkeys(keys):
@@ -218,76 +221,32 @@ class PeerCacheBackend:
                        if started < self._cooldown_until.get(peer, 0.0)]
         for peer in cooling:
             self._count("timeouts", len(by_peer.pop(peer)))
+        futures = {}
+        for peer, peer_keys in by_peer.items():
+            request = fetch(peer, "POST", "/cache/lookup",
+                            payload={"keys": peer_keys},
+                            timeout_s=self.timeout_s)
+            try:
+                futures[peer] = asyncio.run_coroutine_threadsafe(request,
+                                                                 self.loop)
+            except RuntimeError:  # the worker's loop closed meanwhile
+                request.close()
+                self._count("timeouts", len(peer_keys))
         found: Dict[str, CachedResult] = {}
-        if not by_peer:
-            return found
-        try:
-            loop = self._ensure_loop()
-        except RuntimeError:  # closed mid-request
-            self._count("timeouts", sum(map(len, by_peer.values())))
-            return found
-        futures = {
-            peer: asyncio.run_coroutine_threadsafe(
-                fetch(peer, "POST", "/cache/lookup",
-                      payload={"keys": peer_keys},
-                      timeout_s=self.timeout_s), loop)
-            for peer, peer_keys in by_peer.items()
-        }
         for peer, future in futures.items():
             found.update(self._collect(peer, by_peer[peer], future, started))
         return found
 
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            loop, thread = self._loop, self._loop_thread
-            self._loop = self._loop_thread = None
-        if loop is not None:
-            # Cancel and drain any still-pending fetch, and close the idle
-            # pooled connections, before stopping the loop, so transports
-            # close on a live loop instead of complaining from the garbage
-            # collector.
-            async def _drain() -> None:
-                tasks = [task for task in asyncio.all_tasks()
-                         if task is not asyncio.current_task()]
-                for task in tasks:
-                    task.cancel()
-                await asyncio.gather(*tasks, return_exceptions=True)
-                await close_idle_connections()
-
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    _drain(), loop).result(timeout=5.0)
-            except (concurrent.futures.TimeoutError, RuntimeError):
-                pass  # best effort: the loop stops either way
-            loop.call_soon_threadsafe(loop.stop)
-            if thread is not None:
-                thread.join(timeout=5.0)
-
     # -- peer I/O -------------------------------------------------------------
 
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("peer cache backend is closed")
-            if self._loop is not None:
-                return self._loop
-            loop = asyncio.new_event_loop()
-            ready = threading.Event()
-
-            def _run() -> None:
-                asyncio.set_event_loop(loop)
-                loop.call_soon(ready.set)
-                loop.run_forever()
-                loop.close()
-
-            thread = threading.Thread(target=_run, daemon=True,
-                                      name="loom-peer-cache-io")
-            thread.start()
-            self._loop = loop
-            self._loop_thread = thread
-        ready.wait(timeout=5.0)
-        return loop
+    def _may_wait(self) -> bool:
+        """Whether this thread may wait on the worker's loop: it runs, and
+        on another thread."""
+        try:
+            running = asyncio.get_running_loop()
+        except RuntimeError:
+            running = None
+        return running is not self.loop and self.loop.is_running()
 
     def _collect(self, peer: str, keys: List[str], future,
                  started: float) -> Dict[str, CachedResult]:

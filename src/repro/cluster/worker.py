@@ -35,19 +35,21 @@ a ``POST /jobs`` batch whose keys all hit the memory or SQLite tier, a
 and a hop to a thread would cost more than the answer.  A batch with any
 miss goes to a small thread pool once, carrying what the loop looked up
 (:class:`~repro.serve.core.Lookup`), because a simulation batch is blocking
-NumPy work; execution, store writes and peer probes all run there, and
-the core's locks already serialise what must be serialised.  Request
-coalescing, bounded-admission 429 backpressure, the warm-store fast path
-and the miss path all come from the core; request ids, spans, the error
-mapping and the counters from :class:`~repro.cluster.node.HTTPNode`.
+NumPy work; execution and store writes run there, a peer probe waits there
+while its requests go out on the loop, and the core's locks already
+serialise what must be serialised.  Request coalescing, bounded-admission
+429 backpressure, the warm-store fast path and the miss path all come from
+the core; request ids, spans, the error mapping and the counters from
+:class:`~repro.cluster.node.HTTPNode`.
 
 On ``POST /ring`` the worker builds a
-:class:`~repro.cluster.peercache.PeerCacheBackend` and hands it to the core
-as its peer tier.  After a recovery push (this node rejoined the ring), a
-key this node claims is asked of its ring peer once before it is
-simulated -- one request per peer for a whole ``POST /jobs`` batch -- for
-:data:`~repro.cluster.peercache.RECOVERY_WINDOW_S`; otherwise a claimed
-key is simulated and written to the local tiers only.
+:class:`~repro.cluster.peercache.PeerCacheBackend` on its own event loop
+and hands it to the core as its peer tier; the ring has 64 virtual nodes
+per member, as the coordinator's does.  After a recovery push (this node
+rejoined the ring), a key this node claims is asked of its ring peer once
+before it is simulated -- one request per peer for a whole ``POST /jobs``
+batch -- for :data:`~repro.cluster.peercache.RECOVERY_WINDOW_S`;
+otherwise a claimed key is simulated and written to the local tiers only.
 ``/cache/lookup`` answers from the local tiers alone, so peer traffic
 ends at the first hop.
 
@@ -175,8 +177,6 @@ class ClusterWorker(HTTPNode):
             self._pool.shutdown(wait=True)
             self._pool = None
         self.core.close(drain_timeout_s)
-        if self.peer_cache is not None:
-            self.peer_cache.close()
         _log.info("worker.stopped", name=self.name)
 
     # -- peer cache tier ------------------------------------------------------
@@ -188,12 +188,12 @@ class ClusterWorker(HTTPNode):
 
     def configure_peers(self, nodes: Sequence[str],
                         self_url: Optional[str] = None,
-                        replicas: int = 64,
                         timeout_s: Optional[float] = None,
                         recovery: bool = False) -> int:
         """Activate (or re-shape) the peer cache tier over ``nodes``.
 
-        Installs a :class:`PeerCacheBackend` as the core's peer tier.
+        Installs a :class:`PeerCacheBackend` on this worker's event loop
+        as the core's peer tier, so the worker must be running.
         ``recovery`` opens its recovery window, in which a key this node
         claims is asked of its ring-preferred peer before the executor
         simulates it.  Idempotent: a second call updates ring membership
@@ -210,13 +210,16 @@ class ClusterWorker(HTTPNode):
                     raise RuntimeError(
                         "this worker's executor has no result cache to "
                         "hold peer answers")
+                if self.loop is None:
+                    raise RuntimeError("worker is not running")
                 # Unconfigured, the tier answers nothing, so a push that
                 # fails validation below is inert.
-                self.core.peers = PeerCacheBackend(metrics=self.metrics)
+                self.core.peers = PeerCacheBackend(self.loop,
+                                                   metrics=self.metrics)
             if timeout_s is not None:
                 self.core.peers.timeout_s = timeout_s  # validates
             self.core.peers.configure(list(nodes), self_url=own,
-                                      replicas=replicas, recovery=recovery)
+                                      recovery=recovery)
             return sum(1 for node in nodes if node.rstrip("/") != own)
 
     # -- request handling -----------------------------------------------------
@@ -313,7 +316,6 @@ class ClusterWorker(HTTPNode):
                 lambda: self.configure_peers(
                     nodes,
                     self_url=payload.get("self"),
-                    replicas=int(payload.get("replicas", 64)),
                     timeout_s=(float(timeout_ms) / 1000.0
                                if timeout_ms is not None else None),
                     recovery=recovery))

@@ -6,9 +6,12 @@ on every invocation.  This package keeps those ingredients *hot* in one
 long-running process:
 
 * :class:`~repro.serve.store.SQLiteResultStore` -- the one persistent
-  :class:`~repro.sim.jobs.CacheBackend`: every simulated result in a single
-  WAL-mode SQLite database, with concurrent readers, schema versioning and
-  an optional LRU entry bound.
+  store, behind a :class:`~repro.sim.jobs.ResultCache`'s memory tier: every
+  simulated result in a single WAL-mode SQLite database, with concurrent
+  readers, schema versioning and an optional LRU entry bound.  A cluster
+  worker adds a peer tier
+  (:class:`~repro.cluster.peercache.PeerCacheBackend`) on its miss path;
+  it runs on the worker's own event loop.
 * :class:`~repro.serve.core.ServiceCore` -- the HTTP-independent node core:
   request coalescing (N concurrent identical submissions simulate once), a
   bounded in-flight queue with 429 + ``Retry-After`` backpressure, sweep

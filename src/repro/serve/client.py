@@ -24,6 +24,8 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from repro.cluster.aio import (
+    _MAX_HEAD_BYTES,
+    _content_length,
     compute_backoff,
     parse_response_head,
     read_chunked,
@@ -33,9 +35,6 @@ from repro.obs.trace import get_tracer
 from repro.sim.results import NetworkResult
 
 __all__ = ["ServeClient", "ServeError", "SubmittedJob", "compute_backoff"]
-
-#: Largest response head the client reads.
-_MAX_HEAD_BYTES = 64 * 1024
 
 
 class ServeError(Exception):
@@ -180,8 +179,12 @@ class _Response:
     def read(self) -> bytes:
         """The whole body."""
         headers = self.headers
-        if "content-length" in headers:
-            body = self.connection.read_exact(int(headers["content-length"]))
+        try:
+            length = _content_length(headers)
+        except ValueError as error:
+            raise ConnectionError(f"bad response: {error}") from None
+        if length is not None:
+            body = self.connection.read_exact(length)
         elif headers.get("transfer-encoding", "").lower() == "chunked":
             body = b"".join(self.chunks())
         else:  # no framing: the body runs to EOF, which ends the connection

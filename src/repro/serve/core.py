@@ -573,12 +573,7 @@ class ServiceCore:
             payload["cache"] = dict(self.cache.stats.to_dict(),
                                     memory_entries=len(self.cache))
             backend = self.cache.backend
-            store = None
-            if backend is not None:
-                store = (backend.stats_dict()
-                         if hasattr(backend, "stats_dict")
-                         else {"backend": backend.describe(),
-                               "entries": len(backend)})
+            store = backend.stats_dict() if backend is not None else None
             if self.peers is not None:
                 # The peer tier's counters, with the local tier under
                 # "local" (the memory layer on a storeless node).

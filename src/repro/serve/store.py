@@ -1,4 +1,4 @@
-"""SQLite-backed simulation result store (a :class:`CacheBackend`).
+"""SQLite-backed simulation result store: the one persistent tier.
 
 The one persistent result format: ``loom-repro --cache-dir DIR`` keeps its
 results in ``DIR/results.db`` and every serve node keeps one, so many
@@ -52,7 +52,7 @@ import zlib
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.sim.jobs.cache import CacheBackend, CachedResult, StoreItem
+from repro.sim.jobs.cache import CachedResult, StoreItem
 
 __all__ = ["SQLiteResultStore", "SCHEMA_VERSION"]
 
@@ -90,15 +90,23 @@ CREATE INDEX IF NOT EXISTS results_last_used ON results (last_used_at)
 """
 
 
-class SQLiteResultStore(CacheBackend):
-    """Concurrent-access persistent result store in one SQLite database."""
+class SQLiteResultStore:
+    """Concurrent-access persistent result store in one SQLite database.
+
+    The persistent tier behind a :class:`~repro.sim.jobs.cache.ResultCache`.
+    Damaged storage is a miss, never an error: a row that is missing *or*
+    unreadable is left out of :meth:`load_many` (the latter counted in
+    ``invalid_entries``).  Loads answer
+    :class:`~repro.sim.jobs.cache.CachedResult` entries holding the stored
+    text; stores persist ``result.to_json()``.  Safe to call from many
+    threads and processes.
+    """
 
     name = "sqlite store"
 
     def __init__(self, path: os.PathLike,
                  max_entries: Optional[int] = None,
                  timeout_s: float = 30.0) -> None:
-        super().__init__()
         if max_entries is not None and max_entries < 1:
             raise ValueError(
                 f"max_entries must be >= 1 (or None for unbounded), "
@@ -107,6 +115,8 @@ class SQLiteResultStore(CacheBackend):
         self.path = Path(path).expanduser()
         self.max_entries = max_entries
         self.timeout_s = timeout_s
+        #: Rows that were present but unreadable/mismatched on load.
+        self.invalid_entries = 0
         #: Times the store was wiped for a schema/file-format mismatch.
         self.schema_resets = 0
         #: LRU evictions performed by the ``max_entries`` bound.
@@ -172,15 +182,19 @@ class SQLiteResultStore(CacheBackend):
             conn.execute(_CREATE_LRU_INDEX)
             conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
-    # -- CacheBackend protocol -----------------------------------------------
+    # -- load / store --------------------------------------------------------
 
     def load(self, key: str) -> Optional[CachedResult]:
+        """The stored entry for ``key``, or ``None`` if absent or bad."""
         return self.load_many((key,)).get(key)
 
     def store(self, key: str, result, spec: Optional[str] = None) -> None:
+        """Persist ``result.to_json()`` under ``key``; ``spec``, when given,
+        is the key's preimage text, kept verbatim for audit."""
         self.store_many(((key, result, spec),))
 
     def load_many(self, keys: Iterable[str]) -> Dict[str, CachedResult]:
+        """The stored entries for ``keys``; absent or bad keys are omitted."""
         keys = list(dict.fromkeys(keys))
         found: Dict[str, CachedResult] = {}
         if not keys:
@@ -221,6 +235,7 @@ class SQLiteResultStore(CacheBackend):
         return found
 
     def store_many(self, items: Iterable[StoreItem]) -> None:
+        """Persist every ``(key, result, spec)`` of ``items``."""
         # A key repeated in the batch keeps its last result.
         rows = {key: (result, spec) for key, result, spec in items}
         if not rows:

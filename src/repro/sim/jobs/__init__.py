@@ -29,7 +29,6 @@ every unique job exactly once across all of its tables and figures.
 """
 
 from repro.sim.jobs.cache import (
-    CacheBackend,
     CachedResult,
     CacheStats,
     ResultCache,
@@ -60,7 +59,6 @@ from repro.sim.jobs.spec import (
 __all__ = [
     "ACCELERATOR_KINDS",
     "AcceleratorSpec",
-    "CacheBackend",
     "CacheStats",
     "CachedResult",
     "ExecutorStats",

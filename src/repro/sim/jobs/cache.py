@@ -3,15 +3,11 @@
 The cache maps a :func:`~repro.sim.jobs.spec.job_key` content hash to the
 JSON text of the :class:`~repro.sim.results.NetworkResult` the job
 produced.  Lookups go through an in-memory dict first; an optional
-persistent :class:`CacheBackend` makes results survive across processes and
-invocations, which is what lets a repeated ``loom-repro all`` -- or a
-long-running ``loom-repro serve`` process -- skip every simulation it has
-already done.
-
-One backend ships with the repository:
-:class:`repro.serve.store.SQLiteResultStore`, a single SQLite database in
-WAL mode, safe for concurrent readers and multiple client processes, with
-schema versioning and an optional LRU entry bound.  ``loom-repro
+persistent store behind it -- :class:`repro.serve.store.SQLiteResultStore`,
+one SQLite database in WAL mode, the repository's one persistent store --
+makes results survive across processes and invocations, which is what lets
+a repeated ``loom-repro all`` -- or a long-running ``loom-repro serve``
+process -- skip every simulation it has already done.  ``loom-repro
 --cache-dir DIR`` installs one at ``DIR/results.db``, and every serve node
 keeps one.  An unreadable or mismatched entry is counted in
 ``stats.invalid_disk_entries`` and treated as a miss rather than crashing
@@ -25,9 +21,9 @@ grow without limit.  All ``ResultCache`` operations are thread-safe.
 
 Every operation is batch-shaped: :meth:`ResultCache.get_many`,
 :meth:`~ResultCache.peek_many` and :meth:`~ResultCache.put_many` (and the
-backend's :meth:`~CacheBackend.load_many` / :meth:`~CacheBackend.store_many`)
-take a whole request's keys at once, so a persistent backend can answer a
-batch with one query and persist it in one transaction.  ``get``, ``peek``,
+store's ``load_many`` / ``store_many``) take a whole request's keys at
+once, so the store answers a batch with one query and persists it in one
+transaction.  ``get``, ``peek``,
 ``put``, ``load`` and ``store`` are the one-key forms.
 
 Both tiers hold a result as its JSON text
@@ -40,7 +36,7 @@ a ``to_json()`` (a :class:`~repro.sim.results.NetworkResult` or a
 
 These two tiers are local to the process: no ``ResultCache`` operation ever
 does network I/O.  A cluster worker's peer tier
-(:class:`repro.cluster.peercache.PeerCacheBackend`) is not a backend here;
+(:class:`repro.cluster.peercache.PeerCacheBackend`) is not part of it:
 the worker's :class:`~repro.serve.core.ServiceCore` consults it on its miss
 path, after this cache has missed.
 
@@ -50,15 +46,17 @@ builds its own object.
 
 from __future__ import annotations
 
-import abc
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from repro.sim.results import NetworkResult
 
-__all__ = ["CacheBackend", "CacheStats", "CachedResult", "ResultCache"]
+if TYPE_CHECKING:
+    from repro.serve.store import SQLiteResultStore
+
+__all__ = ["CacheStats", "CachedResult", "ResultCache"]
 
 
 class CachedResult:
@@ -104,9 +102,8 @@ StoreItem = Tuple[str, object, Optional[str]]
 class CacheStats:
     """Counters describing what the cache did for a run.
 
-    ``disk_hits`` counts lookups answered by the persistent backend
-    (whatever its storage medium); ``invalid_disk_entries`` counts backend
-    entries that were unreadable or mismatched and therefore treated as
+    ``disk_hits`` counts lookups answered by the persistent store;
+    ``invalid_disk_entries`` counts store entries that were unreadable or mismatched and therefore treated as
     misses; ``evictions`` counts in-memory entries dropped by the
     ``max_memory_entries`` LRU bound.
     """
@@ -138,77 +135,15 @@ class CacheStats:
         }
 
 
-class CacheBackend(abc.ABC):
-    """Persistent key -> result-text store behind a ResultCache.
-
-    Implementations must be tolerant of damaged storage: :meth:`load` returns
-    ``None`` (and :meth:`load_many` omits the key) for entries that are
-    missing *or* unreadable (counting the latter in ``invalid_entries``) and
-    never raises for bad data -- a cache entry is always recomputable, so
-    corruption is a miss, not an error.  Implementations must also be safe
-    to call from multiple threads.  Loads answer :class:`CachedResult`
-    entries holding the stored text; stores persist ``result.to_json()``.
-    The batch forms default to a loop over the one-key forms; a backend
-    that can do better overrides them.
-    """
-
-    #: Display name used in executor summaries (e.g. ``"disk cache"``).
-    name: str = "backend"
-
-    #: Whether :meth:`store` wants the audit ``spec`` text (the job's
-    #: :func:`~repro.sim.jobs.spec.spec_payload`, whose sha256 is the key).
-    #: Executors skip building it for backends that discard it.
-    keeps_spec: bool = True
-
-    def __init__(self) -> None:
-        #: Entries that were present but unreadable/mismatched on load.
-        self.invalid_entries = 0
-
-    @abc.abstractmethod
-    def load(self, key: str) -> Optional[CachedResult]:
-        """Return the stored entry for ``key``, or ``None`` if absent/bad."""
-
-    @abc.abstractmethod
-    def store(self, key: str, result, spec: Optional[str] = None) -> None:
-        """Persist ``result.to_json()`` under ``key``; ``spec``, when
-        given, is the key's preimage text, kept verbatim for audit."""
-
-    def load_many(self, keys: Iterable[str]) -> Dict[str, CachedResult]:
-        """The stored entries for ``keys``; absent or bad keys are omitted."""
-        found: Dict[str, CachedResult] = {}
-        for key in dict.fromkeys(keys):
-            result = self.load(key)
-            if result is not None:
-                found[key] = result
-        return found
-
-    def store_many(self, items: Iterable[StoreItem]) -> None:
-        """Persist every ``(key, result, spec)`` of ``items``."""
-        for key, result, spec in items:
-            self.store(key, result, spec)
-
-    @abc.abstractmethod
-    def contains(self, key: str) -> bool:
-        """Whether an entry for ``key`` exists (without loading it)."""
-
-    @abc.abstractmethod
-    def __len__(self) -> int:
-        """Number of persisted entries."""
-
-    def close(self) -> None:
-        """Release any held resources (connections, handles)."""
-
-    def describe(self) -> str:
-        return self.name
-
-
 class ResultCache:
-    """In-memory (plus optional persistent-backend) store of results by key.
+    """In-memory (plus optional persistent) store of results by key.
 
     Parameters
     ----------
     backend:
-        Optional persistent :class:`CacheBackend` behind the memory layer.
+        Optional persistent
+        :class:`~repro.serve.store.SQLiteResultStore` behind the memory
+        layer.
     max_memory_entries:
         Optional LRU bound on the in-memory dict.  ``None`` (the default)
         keeps every result for the life of the process -- fine for one-shot
@@ -218,7 +153,7 @@ class ResultCache:
         remain loadable from it.
     """
 
-    def __init__(self, *, backend: Optional[CacheBackend] = None,
+    def __init__(self, *, backend: Optional["SQLiteResultStore"] = None,
                  max_memory_entries: Optional[int] = None) -> None:
         if max_memory_entries is not None and max_memory_entries < 1:
             raise ValueError(

@@ -265,9 +265,8 @@ class JobExecutor:
                     f"({total - len(pending)} cached/deduplicated)"
                 )
             # The audit spec on persistent entries (the key's preimage) is
-            # only worth building when there is a backend that stores it.
-            keep_spec = (self.cache.backend is not None
-                         and self.cache.backend.keeps_spec)
+            # only worth building when there is a store that keeps it.
+            keep_spec = self.cache.backend is not None
 
             def on_result(position, result):
                 job, key = pending[position], pending_keys[position]

@@ -25,7 +25,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterCoordinator, PeerCacheBackend, wire
+from repro.cluster import (ClusterCoordinator, ClusterWorker, PeerCacheBackend,
+                           wire)
 from repro.cluster.worker import build_worker
 from repro.explore.space import canonical_point, point_to_job
 from repro.nn import available_networks
@@ -439,14 +440,11 @@ class TestRowForm:
     def test_a_peer_answering_the_row_form_counts_a_miss(self):
         (result,) = simulate_jobs_batched([_job({"network": "nin",
                                                  "accelerator": "loom"})])
-        with row_form_peer(_row_form_text(result)) as url:
-            backend = PeerCacheBackend(self_url="http://nowhere:1",
-                                       timeout_s=5.0)
+        with row_form_peer(_row_form_text(result)) as url, \
+                ClusterWorker() as host:
+            backend = PeerCacheBackend(host.loop, timeout_s=5.0)
             backend.configure([url, "http://nowhere:1"],
                               self_url="http://nowhere:1", recovery=True)
-            try:
-                assert backend.load_many(["k" * 64, "j" * 64]) == {}
-                assert backend.peer_misses == 2
-                assert backend.peer_hits == 0
-            finally:
-                backend.close()
+            assert backend.load_many(["k" * 64, "j" * 64]) == {}
+            assert backend.peer_misses == 2
+            assert backend.peer_hits == 0

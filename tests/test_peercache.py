@@ -88,10 +88,10 @@ def _open_windows(workers):
         assert worker.peer_cache.recovering
 
 
-def _on_loop(coordinator, coroutine):
-    """Run ``coroutine`` on the coordinator's event loop; its result."""
+def _on_loop(node, coroutine):
+    """Run ``coroutine`` on ``node``'s event loop; its result."""
     return asyncio.run_coroutine_threadsafe(
-        coroutine, coordinator.loop).result(timeout=30.0)
+        coroutine, node.loop).result(timeout=30.0)
 
 
 def _peer_requests(worker):
@@ -121,6 +121,14 @@ def peer_cluster(n=2, coordinator_kwargs=None, store_dir=None):
         coordinator.stop()
         for worker in workers:
             worker.stop()
+
+
+@contextlib.contextmanager
+def worker_loop():
+    """A running worker's event loop, for a tier built outside a worker
+    (the worker's stop closes the connections the tier pooled on it)."""
+    with ClusterWorker() as host:
+        yield host.loop
 
 
 @contextlib.contextmanager
@@ -195,30 +203,31 @@ def counting_peer(hold=None):
 class TestPeerCacheUnit:
     def test_local_hit_never_asks_the_peer(self):
         core = ServiceCore()
-        core.peers = PeerCacheBackend(timeout_s=0.2)
-        # The ring routes everything to an address that would explode if
-        # contacted; a local hit must answer before routing even matters.
-        core.peers.configure(["http://self:1", "http://peer:1"],
-                             self_url="http://self:1", recovery=True)
-        core.cache.put(_point_key(POINT), _result())
-        [entry] = core.submit_points([POINT])
-        assert entry.status == "cached"
-        assert entry.result.to_dict() == _result().to_dict()
-        assert core.peers.peer_hits == core.peers.peer_misses == 0
-        assert core.peers.peer_timeouts == 0
-        core.peers.close()
+        with worker_loop() as loop:
+            core.peers = PeerCacheBackend(loop, timeout_s=0.2)
+            # The ring routes everything to an address that would explode
+            # if contacted; a local hit must answer before routing even
+            # matters.
+            core.peers.configure(["http://self:1", "http://peer:1"],
+                                 self_url="http://self:1", recovery=True)
+            core.cache.put(_point_key(POINT), _result())
+            [entry] = core.submit_points([POINT])
+            assert entry.status == "cached"
+            assert entry.result.to_dict() == _result().to_dict()
+            assert core.peers.peer_hits == core.peers.peer_misses == 0
+            assert core.peers.peer_timeouts == 0
         core.close()
 
     def test_unconfigured_backend_behaves_like_its_local_tier(self):
-        backend = PeerCacheBackend()
-        assert backend.load(KEY) is None  # no ring: nothing to ask
         core = ServiceCore()
-        core.peers = backend
-        assert core.submit_points([POINT])[0].status == "executed"
-        assert core.submit_points([POINT])[0].status == "cached"
-        assert backend.peer_hits == backend.peer_misses == 0
-        assert backend.peer_timeouts == 0
-        backend.close()
+        with worker_loop() as loop:
+            backend = PeerCacheBackend(loop)
+            assert backend.load(KEY) is None  # no ring: nothing to ask
+            core.peers = backend
+            assert core.submit_points([POINT])[0].status == "executed"
+            assert core.submit_points([POINT])[0].status == "cached"
+            assert backend.peer_hits == backend.peer_misses == 0
+            assert backend.peer_timeouts == 0
         core.close()
 
     def test_peer_hit_is_fetched_and_copied_into_the_local_tier(self):
@@ -240,20 +249,17 @@ class TestPeerCacheUnit:
             assert worker.core.executor.stats.executed == 0
 
     def test_peer_miss_is_counted_and_returns_none(self):
-        with ClusterWorker() as peer:
-            backend = PeerCacheBackend(self_url="http://nowhere:1",
-                                       timeout_s=5.0)
+        with ClusterWorker() as peer, worker_loop() as loop:
+            backend = PeerCacheBackend(loop, timeout_s=5.0)
             backend.configure([peer.url, "http://nowhere:1"],
                               self_url="http://nowhere:1", recovery=True)
             assert backend.load(KEY) is None
             assert backend.peer_misses == 1
             assert backend.peer_hits == 0
-            backend.close()
 
     def test_slow_peer_times_out_within_budget_and_degrades(self):
-        with black_hole() as url:
-            backend = PeerCacheBackend(self_url="http://nowhere:1",
-                                       timeout_s=0.3)
+        with black_hole() as url, worker_loop() as loop:
+            backend = PeerCacheBackend(loop, timeout_s=0.3)
             backend.configure([url, "http://nowhere:1"],
                               self_url="http://nowhere:1", recovery=True)
             started = time.monotonic()
@@ -261,23 +267,21 @@ class TestPeerCacheUnit:
             elapsed = time.monotonic() - started
             assert elapsed < 2.0  # the strict budget, not a hung socket
             assert backend.peer_timeouts >= 1
-            backend.close()
 
     def test_dead_peer_cooldown_skips_repeat_timeouts(self):
         # Connection refused (no listener) -> cooldown: the second miss
         # must not pay another connection attempt.
-        backend = PeerCacheBackend(self_url="http://nowhere:1",
-                                   timeout_s=0.5)
-        backend.configure(["http://127.0.0.1:9", "http://nowhere:1"],
-                          self_url="http://nowhere:1", recovery=True)
-        assert backend.load(KEY) is None
-        first = backend.peer_timeouts
-        assert first >= 1
-        started = time.monotonic()
-        assert backend.load("x" * 64) is None
-        assert time.monotonic() - started < 0.2  # skipped, not re-dialed
-        assert backend.peer_timeouts == first + 1
-        backend.close()
+        with worker_loop() as loop:
+            backend = PeerCacheBackend(loop, timeout_s=0.5)
+            backend.configure(["http://127.0.0.1:9", "http://nowhere:1"],
+                              self_url="http://nowhere:1", recovery=True)
+            assert backend.load(KEY) is None
+            first = backend.peer_timeouts
+            assert first >= 1
+            started = time.monotonic()
+            assert backend.load("x" * 64) is None
+            assert time.monotonic() - started < 0.2  # skipped, not re-dialed
+            assert backend.peer_timeouts == first + 1
 
     def test_malformed_peer_bodies_answer_400_off_the_client_counters(self):
         with ClusterWorker() as worker:
@@ -309,12 +313,13 @@ class TestPeerCacheUnit:
             assert len(worker.core.cache) == 0
 
     def test_timeout_must_be_positive(self):
-        backend = PeerCacheBackend(timeout_s=0.5)
-        for timeout_s in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="timeout_s"):
-                PeerCacheBackend(timeout_s=timeout_s)
-            with pytest.raises(ValueError, match="timeout_s"):
-                backend.timeout_s = timeout_s
+        with worker_loop() as loop:
+            backend = PeerCacheBackend(loop, timeout_s=0.5)
+            for timeout_s in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="timeout_s"):
+                    PeerCacheBackend(loop, timeout_s=timeout_s)
+                with pytest.raises(ValueError, match="timeout_s"):
+                    backend.timeout_s = timeout_s
         assert backend.timeout_s == 0.5  # a rejected budget changes nothing
 
     def test_coordinator_rejects_a_non_finite_peer_budget(self):
@@ -326,7 +331,8 @@ class TestPeerCacheUnit:
                                    peer_timeout_s=timeout_s)
 
     def test_stats_dict_reports_peer_counters(self):
-        backend = PeerCacheBackend(timeout_s=0.7)
+        with worker_loop() as loop:
+            backend = PeerCacheBackend(loop, timeout_s=0.7)
         backend.configure(["http://a:1", "http://b:1"],
                           self_url="http://a:1")
         stats = backend.stats_dict()
@@ -337,7 +343,67 @@ class TestPeerCacheUnit:
         assert stats["recovering"] is False
         backend.configure(["http://a:1", "http://b:1"], recovery=True)
         assert backend.stats_dict()["recovering"] is True
-        backend.close()
+
+
+class TestWorkerLoop:
+    """The tier runs on its worker's event loop: no loop or thread of its
+    own."""
+
+    def test_a_recovering_worker_asks_its_live_peer_on_its_own_loop(self):
+        expected = _simulated(POINT)
+        with ClusterWorker() as peer, ClusterWorker() as worker:
+            peer.core.cache.put(_point_key(POINT), expected)
+            worker.configure_peers([worker.url, peer.url],
+                                   self_url=worker.url, recovery=True)
+            assert worker.peer_cache.loop is worker.loop
+            entry = ServeClient(worker.url, timeout_s=60.0).submit(POINT)
+            assert entry.status == "cached"
+            assert worker.peer_cache.peer_hits == 1
+            assert worker.core.executor.stats.executed == 0
+            assert [thread.name for thread in threading.enumerate()
+                    if thread.name == "loom-peer-cache-io"] == []
+
+    def test_load_many_on_the_loop_thread_asks_no_peer(self):
+        with ClusterWorker() as worker, counting_peer() as (peer, probes):
+            worker.configure_peers([worker.url, peer], self_url=worker.url,
+                                   timeout_s=5.0, recovery=True)
+
+            async def on_loop():
+                started = time.monotonic()
+                found = worker.peer_cache.load_many([KEY])
+                return found, time.monotonic() - started
+
+            found, elapsed = _on_loop(worker, on_loop())
+            assert found == {}
+            assert elapsed < 0.1  # at once, not after the budget
+            assert probes == []
+            assert worker.peer_cache.stats_dict()["peer_timeouts"] == 0
+            # Off the loop the same call asks the peer.
+            assert worker.peer_cache.load_many([KEY]) == {}
+            assert probes == [[KEY]]
+
+    def test_stop_closes_the_connections_the_tier_pooled(self):
+        import gc
+        import warnings
+
+        from repro.cluster import aio
+
+        with ClusterWorker() as peer:
+            worker = ClusterWorker()
+            worker.start()
+            worker.configure_peers([worker.url, peer.url],
+                                   self_url=worker.url, recovery=True)
+            assert worker.peer_cache.load_many([KEY]) == {}
+            loop = worker.loop
+            assert aio._IDLE.get(loop)  # a keep-alive connection to peer
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                worker.stop()
+                gc.collect()
+            assert loop.is_closed()
+            assert aio._IDLE.get(loop) is None
+            assert [str(warning.message) for warning in caught
+                    if issubclass(warning.category, ResourceWarning)] == []
 
 
 class TestMissPath:
@@ -513,6 +579,18 @@ class TestRingPush:
             assert _post_ring(worker, dict(ring, recovery="yes")) == 400
             assert _post_ring(worker, dict(ring, recovery=True)) == 200
             assert worker.peer_cache.recovering
+
+    def test_ring_keeps_64_virtual_nodes_whatever_the_body_says(self):
+        with ClusterWorker() as worker:
+            started = time.monotonic()
+            assert _post_ring(worker, {"nodes": [worker.url,
+                                                 "http://other:1"],
+                                       "self": worker.url,
+                                       "replicas": 50000}) == 200
+            assert time.monotonic() - started < 1.0
+            ring = worker.peer_cache.ring
+            assert ring.replicas == 64
+            assert len(ring._positions) == 2 * 64
 
     def test_healthz_reports_whether_the_worker_holds_a_ring(self):
         with ClusterWorker() as worker:

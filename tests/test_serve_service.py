@@ -405,6 +405,7 @@ class TestValidation:
                 node.url + "/jobs", data=b"", method="POST")
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=10)
+            excinfo.value.close()  # it holds the connection's socket
             assert excinfo.value.code == 400
 
     def test_submit_points_rejects_non_mappings(self):
@@ -592,6 +593,40 @@ class TestClientTransport:
             client.healthz()
         assert excinfo.value.status == 503
         assert "connection" in str(excinfo.value)
+
+    @pytest.mark.parametrize("length", ["-5", "abc"])
+    def test_a_bad_content_length_is_a_transport_error(self, length):
+        # Regression: "-5" read the body minus its last 5 bytes and "abc"
+        # raised a bare ValueError; both must be the retryable 503 a bad
+        # chunk line already is.
+        import socket
+
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def answer():
+            connection, _ = listener.accept()
+            with connection:
+                connection.recv(65536)
+                connection.sendall(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: "
+                    + length.encode("ascii") + b"\r\n\r\n"
+                    + b'{"ok": true, "name": "raw"}')
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        client = ServeClient(
+            f"http://127.0.0.1:{listener.getsockname()[1]}", timeout_s=5.0)
+        try:
+            with pytest.raises(ServeError) as excinfo:
+                client.healthz()
+        finally:
+            client.close()
+            thread.join(timeout=5.0)
+            listener.close()
+        assert excinfo.value.status == 503
+        assert "Content-Length" in excinfo.value.message
 
     def test_remote_executor_retries_through_a_brief_outage(self):
         # The wrapped 503 engages RemoteExecutor's backoff: one refused

@@ -1,10 +1,9 @@
-"""Tests for the SQLite result store and the pluggable cache backends.
+"""Tests for the SQLite result store, the one persistent cache tier.
 
-Covers the ISSUE-mandated behaviours: WAL-mode concurrent access, schema
-versioning (incompatible databases are wiped, not fatal), the LRU entry
-bound, corrupt rows/files being treated as misses, and -- for every
-persistent backend -- threads and processes racing the same key without
-corrupting an entry or changing the result.
+Covers WAL-mode concurrent access, schema versioning (incompatible
+databases are wiped, not fatal), the LRU entry bound, corrupt rows/files
+being treated as misses, and threads and processes racing the same key
+without corrupting an entry or changing the result.
 """
 
 import hashlib
@@ -19,7 +18,6 @@ import pytest
 
 from repro.serve.store import SCHEMA_VERSION, SQLiteResultStore
 from repro.sim.jobs import JobExecutor, ResultCache, job_key, spec_dict
-from repro.sim.jobs.cache import CacheBackend
 from repro.sim.results import LayerResult, NetworkResult
 
 
@@ -68,10 +66,6 @@ class TestSQLiteStoreBasics:
         second = SQLiteResultStore(path)
         assert second.load(KEY).to_dict() == _result().to_dict()
         second.close()
-
-    def test_is_a_cache_backend(self, tmp_path):
-        assert isinstance(SQLiteResultStore(tmp_path / "cache.db"),
-                          CacheBackend)
 
     def test_stats_dict_reports_store_state(self, tmp_path):
         store = SQLiteResultStore(tmp_path / "cache.db", max_entries=10)
@@ -530,13 +524,9 @@ def _thread_race(backend_factory, workers=8, rounds=10):
     return backend, errors
 
 
-#: Every persistent CacheBackend, by parametrize id.
-_BACKENDS = {"sqlite": SQLiteResultStore}
-
-
-def _process_worker(backend_kind, path, rounds):
+def _process_worker(path, rounds):
     """Race body run in a separate process (module-level: must pickle)."""
-    backend = _BACKENDS[backend_kind](path)
+    backend = SQLiteResultStore(path)
     payload = _result()
     for _ in range(rounds):
         backend.store(KEY, payload)
@@ -547,13 +537,11 @@ def _process_worker(backend_kind, path, rounds):
 
 class TestConcurrentAccess:
     """Two threads/processes racing one key must yield one
-    execution-equivalent result and no corrupt entries -- on every
-    backend."""
+    execution-equivalent result and no corrupt entries."""
 
-    @pytest.mark.parametrize("backend_kind", sorted(_BACKENDS))
-    def test_threads_racing_same_key(self, tmp_path, backend_kind):
+    def test_threads_racing_same_key(self, tmp_path):
         backend, errors = _thread_race(
-            lambda: _BACKENDS[backend_kind](tmp_path / "cache.db"))
+            lambda: SQLiteResultStore(tmp_path / "cache.db"))
         assert errors == []
         final = backend.load(KEY)
         assert final is not None
@@ -561,13 +549,12 @@ class TestConcurrentAccess:
         assert backend.invalid_entries == 0
         backend.close()
 
-    @pytest.mark.parametrize("backend_kind", sorted(_BACKENDS))
-    def test_processes_racing_same_key(self, tmp_path, backend_kind):
+    def test_processes_racing_same_key(self, tmp_path):
         path = tmp_path / "cache.db"
         context = multiprocessing.get_context()
         procs = [
             context.Process(target=_process_worker,
-                            args=(backend_kind, str(path), 10))
+                            args=(str(path), 10))
             for _ in range(2)
         ]
         for proc in procs:
@@ -576,7 +563,7 @@ class TestConcurrentAccess:
             proc.join(timeout=60)
             assert proc.exitcode == 0
         # The survivor entry must be a perfectly valid, equivalent result.
-        backend = _BACKENDS[backend_kind](path)
+        backend = SQLiteResultStore(path)
         final = backend.load(KEY)
         assert final is not None
         assert final.to_dict() == _result().to_dict()
