@@ -42,9 +42,10 @@ import random
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import (Awaitable, Callable, Dict, Iterator, List, Mapping,
-                    Optional, Tuple, Union)
+from typing import (Awaitable, Callable, Dict, FrozenSet, Iterator, List,
+                    Mapping, Optional, Tuple, Union)
 
+from repro.memo import DESIGN_MEMO_SIZE, memo
 from repro.obs.trace import get_tracer
 
 __all__ = ["AsyncHTTPServer", "HTTPReply", "HTTPRequest", "HTTPResponder",
@@ -245,6 +246,27 @@ class _Incoming:
 # -- requests and responses -----------------------------------------------------
 
 
+@memo(DESIGN_MEMO_SIZE)
+def _accepted(header: str) -> FrozenSet[str]:
+    """The media types an ``Accept`` header asks for: each range's type
+    (lower-cased, parameters dropped), unless its ``q`` is 0."""
+    accepted = set()
+    for media_range in header.split(","):
+        media_type, *parameters = media_range.split(";")
+        quality = 1.0
+        for parameter in parameters:
+            name, _, value = parameter.partition("=")
+            if name.strip().lower() == "q":
+                try:
+                    quality = float(value)
+                except ValueError:
+                    pass  # a malformed q is ignored
+        media_type = media_type.strip().lower()
+        if media_type and quality > 0:
+            accepted.add(media_type)
+    return frozenset(accepted)
+
+
 @dataclass
 class HTTPRequest:
     """One parsed request."""
@@ -267,8 +289,9 @@ class HTTPRequest:
         return payload
 
     def wants(self, content_type: str) -> bool:
-        """True when the Accept header asks for ``content_type``."""
-        return content_type in self.headers.get("accept", "")
+        """True when the Accept header names ``content_type`` (exactly, as
+        one of its media ranges) with a non-zero ``q``."""
+        return content_type in _accepted(self.headers.get("accept", ""))
 
 
 @dataclass

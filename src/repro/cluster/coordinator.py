@@ -28,8 +28,11 @@ run), and layers on the operational surface one box never needed:
 ========  =============  ====================================================
 method    path           behaviour
 ========  =============  ====================================================
-POST      /jobs          route a point batch across shards (JSON, or NDJSON
-                         stream with ``Accept: application/x-ndjson``)
+POST      /jobs          route a point batch across shards (JSON, or a
+                         packed frame when ``Accept`` names
+                         ``application/x-loom-packed``; streamed as it
+                         resolves when ``Accept`` also names
+                         ``application/x-ndjson``)
 POST      /explore       run a sweep through the shards (JSON, or SSE with
                          ``"stream": true`` / ``Accept: text/event-stream``)
 GET       /jobs/<key>    proxy a key lookup to its owning shard
@@ -47,10 +50,14 @@ Request bodies are parsed by the same functions a worker uses
 spans, request ids, error mapping, counters -- is
 :class:`~repro.cluster.node.HTTPNode`'s.
 
-Shard answers are never decoded: the coordinator checks each shard body's
-frame and entry count (:mod:`repro.cluster.wire`) and splices the entry
-bytes, in submission order, into its own answer.  Only a sweep run here
-(``POST /explore``) parses entries, because its strategies need results.
+The coordinator always asks its shards for packed frames, and never
+decodes one on the way to a packed client: it checks each shard body's
+content type, frame and entry count (:mod:`repro.cluster.wire`) and
+splices the entry bytes, in submission order, into its own answer.  A
+shard body that is not a whole packed frame counts as a dead shard (its
+points fail over).  A JSON client's answer is rendered here, from the
+entries; a sweep run here (``POST /explore``) decodes them, because its
+strategies need results.
 Connections to the shards are kept alive and reused
 (:func:`repro.cluster.aio.fetch`).
 """
@@ -95,6 +102,9 @@ _log = get_logger("cluster.coordinator")
 
 #: Points keyed between two yields to the event loop.
 _KEYS_PER_YIELD = 64
+
+#: What the coordinator asks of its shards: packed frames, always.
+_ACCEPT_PACKED = {"Accept": wire.PACKED}
 
 
 async def _gather_bools(coroutines) -> List[bool]:
@@ -433,7 +443,8 @@ class ClusterCoordinator(HTTPNode):
         for attempt in range(self.shard_backpressure_retries + 1):
             reply = await fetch(url, "POST", "/jobs",
                                 payload={"points": list(points)},
-                                timeout_s=self.shard_timeout_s)
+                                timeout_s=self.shard_timeout_s,
+                                headers=_ACCEPT_PACKED)
             if reply.status == 429 and \
                     attempt < self.shard_backpressure_retries:
                 retry_after: Optional[float] = None
@@ -453,7 +464,9 @@ class ClusterCoordinator(HTTPNode):
                     message = f"shard answered HTTP {reply.status}"
                 raise RequestError(reply.status, message)
             try:
-                entries = wire.unframe_entries(reply.body)
+                if reply.headers.get("content-type") != wire.PACKED:
+                    raise ValueError("not a packed frame")
+                entries = wire.unframe(reply.body)
             except ValueError as error:
                 raise ConnectionError(f"{url} answered a bad frame: "
                                       f"{error}") from None
@@ -698,33 +711,46 @@ class ClusterCoordinator(HTTPNode):
     async def _handle_jobs(self, request: HTTPRequest,
                            responder: HTTPResponder) -> None:
         points, single = parse_jobs_request(request.json())
+        packed = request.wants(wire.PACKED)
         if single or not request.wants("application/x-ndjson"):
             entries = await self._submit_points(points)
-            await responder.send(200, entries[0] if single
-                                 else wire.frame_entries(entries),
+            if packed:
+                await responder.send(200, wire.frame(entries), wire.PACKED)
+                return
+            rendered = [wire.json_entry(entry) for entry in entries]
+            await responder.send(200, rendered[0] if single
+                                 else wire.frame_entries(rendered),
                                  "application/json")
             return
-        # NDJSON stream: one line per resolved point, submission order,
-        # flushed as shard answers land -- then a terminal summary line.
+        # A stream: one entry per resolved point, submission order, flushed
+        # as shard answers land -- a packed frame's records, or NDJSON lines
+        # and then a terminal summary line.
         self._bump("streams")
-        await responder.start_stream("application/x-ndjson")
+        await responder.start_stream(wire.PACKED if packed
+                                     else "application/x-ndjson")
+        if packed:
+            await responder.write_chunk(wire.frame_head(len(points)))
 
         async def _emit(index: int, entry: bytes) -> None:
             self._stream_events_total.inc()
-            await responder.write_chunk(wire.ndjson_line(index, entry))
+            await responder.write_chunk(
+                wire.record(entry) if packed
+                else wire.ndjson_line(index, wire.json_entry(entry)))
 
         try:
             entries = await self._submit_points(points, emit=_emit)
         except Exception as error:  # noqa: BLE001 - the stream must end
             status, message, _ = error_reply(error)
             await responder.write_chunk(
-                (json.dumps({"error": message, "status": status})
-                 + "\n").encode("utf-8"))
+                wire.error_record(status, message) if packed
+                else (json.dumps({"error": message, "status": status})
+                      + "\n").encode("utf-8"))
             await responder.finish_stream()
             return
-        await responder.write_chunk(
-            (json.dumps({"done": True, "count": len(entries)}) + "\n")
-            .encode("utf-8"))
+        if not packed:
+            await responder.write_chunk(
+                (json.dumps({"done": True, "count": len(entries)}) + "\n")
+                .encode("utf-8"))
         await responder.finish_stream()
 
     async def _handle_explore(self, request: HTTPRequest,
@@ -823,18 +849,18 @@ class _ShardedExecutor:
         self.stats.submitted += len(jobs)
         future = asyncio.run_coroutine_threadsafe(
             self.coordinator._submit_points(points), loop)
-        entries = [json.loads(entry) for entry in
+        entries = [wire.unpack_entry(entry) for entry in
                    future.result(timeout=self.coordinator.shard_timeout_s)]
         results = []
         brief = []
-        for entry in entries:
-            if entry["status"] == "executed":
-                self.stats.record_execution(entry["key"])
+        for key, status, packed in entries:
+            if status == "executed":
+                self.stats.record_execution(key)
             else:  # "cached" or "coalesced": a shard reused a result
                 self.stats.cache_hits += 1
-            result = NetworkResult.from_dict(entry["result"])
+            result = NetworkResult.from_packed(packed)
             results.append(result)
-            brief.append({"key": entry["key"], "status": entry["status"],
+            brief.append({"key": key, "status": status,
                           "network": result.network,
                           "accelerator": result.accelerator,
                           "cycles": result.total_cycles()})

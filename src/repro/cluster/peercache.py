@@ -25,8 +25,9 @@ has claimed its keys.
   (``ring.node_for(key, exclude={self})``: the owner when this shard is
   not it, the failover successor when it is) and send each peer one
   ``POST /cache/lookup {"keys": [...]}``, all peers concurrently.  A peer
-  answers ``{"results": {key: result}}``; a key absent from ``results`` is
-  a miss.  The core stores the answers in its own cache, so each key
+  answers a packed frame (:mod:`repro.cluster.wire`) of the keys it holds;
+  a key absent from it is a miss, and so is every key of an answer that is
+  not a packed frame.  The core stores the answers in its own cache, so each key
   crosses the network at most once per shard.
 * **timeout budget** -- every batched lookup has a strict deadline
   (``timeout_s``) shared by its concurrent peer requests; a slow or dead
@@ -40,8 +41,8 @@ counts each of its keys).
 
 A peer serves ``POST /cache/lookup`` with ``ResultCache.peek_many``,
 which never reaches this class, so a lookup cannot chain through the ring.
-An answer arrives framed by :mod:`repro.cluster.wire`; it is decoded once,
-to validate it, then cached as the text it arrived as.
+Each answered result is decoded once, to validate it, then cached as the
+bytes it arrived as.
 
 The tier runs its network I/O on the event loop of the worker that builds
 it, through :func:`repro.cluster.aio.fetch` and that loop's keep-alive
@@ -268,13 +269,16 @@ class PeerCacheBackend:
         if self._fetch_seconds is not None:
             self._fetch_seconds.observe(time.monotonic() - started)
         found: Dict[str, CachedResult] = {}
+        asked = set(keys)
         try:
-            texts = (wire.unframe_texts(reply.body)
-                     if reply.status == 200 else {})
-            for key in keys:
-                if key in texts:
+            if reply.status != 200 or \
+                    reply.headers.get("content-type") != wire.PACKED:
+                raise ValueError("not a packed frame")
+            for entry in wire.unframe(reply.body):
+                key, _, packed = wire.unpack_entry(entry)
+                if key in asked:
                     found[key] = CachedResult(
-                        texts[key], NetworkResult.from_json(texts[key]))
+                        packed, NetworkResult.from_packed(packed))
         except (ValueError, KeyError, TypeError):
             found = {}  # unreadable answer: recompute every key locally
         self._count("hits", len(found))

@@ -16,8 +16,8 @@ GET       /jobs/<key>    look a finished result up by content key
 POST      /explore       run a design-space sweep against the warm store
 GET       /networks      the zoo with per-kind layer counts
 POST      /cache/lookup  the peer-cache wire: ``{"keys": [...]}`` answered
-                         ``{"results": {key: result}}`` from this node's
-                         local tiers only (``ResultCache.peek_many``)
+                         with a packed frame of the keys found in this
+                         node's local tiers only (``ResultCache.peek_many``)
 POST      /ring          accept ring membership from the coordinator and
                          activate the peer cache tier (``"recovery": true``
                          opens its recovery window)
@@ -56,9 +56,12 @@ ends at the first hop.
 The wire format for a job is a design-*point* mapping -- the same parameter
 namespace as ``loom-repro explore`` axes (``network`` / ``accuracy`` /
 ``accelerator`` / every ``AcceleratorConfig`` knob), canonicalised by
-:func:`repro.explore.space.canonical_point`.  Results go out as the JSON
-text the cache tiers hold, spliced into the body by
-:mod:`repro.cluster.wire`: a warm answer encodes and decodes nothing.
+:func:`repro.explore.space.canonical_point`.  Results go out as the packed
+bytes the cache tiers hold, spliced into a frame by
+:mod:`repro.cluster.wire`, when the request's ``Accept`` names
+:data:`~repro.cluster.wire.PACKED` (the coordinator and ``ServeClient``
+always do): a warm answer encodes and decodes nothing.  Any other client
+gets JSON, rendered here for it.
 """
 
 from __future__ import annotations
@@ -250,14 +253,16 @@ class ClusterWorker(HTTPNode):
         method = request.method
         if method == "POST" and path == "/jobs":
             points, single = parse_jobs_request(request.json())
+            packed = request.wants(wire.PACKED)
             submitted = self.core.submit_points(points, on_loop=True)
             if isinstance(submitted, Lookup):  # a key missed: compute
                 body = await self._in_thread(
                     lambda: self._jobs_body(self.core.finish(submitted),
-                                            single))
+                                            single, packed))
             else:
-                body = self._jobs_body(submitted, single)
-            await responder.send(200, body, "application/json")
+                body = self._jobs_body(submitted, single, packed)
+            await responder.send(200, body, wire.PACKED if packed
+                                 else "application/json")
         elif method == "GET" and path == "/healthz":
             await responder.send_json(200, {
                 "ok": True,
@@ -287,7 +292,8 @@ class ClusterWorker(HTTPNode):
             key = path[len("/jobs/"):]
             status, found = self.core.lookup(key)
             if status == "done":
-                await responder.send(200, wire.entry(key, "done", found.text),
+                await responder.send(200, wire.entry(key, "done",
+                                                     found.to_json()),
                                      "application/json")
             elif status == "pending":
                 await responder.send_json(202, {"key": key,
@@ -299,8 +305,7 @@ class ClusterWorker(HTTPNode):
             if not isinstance(keys, list) or \
                     not all(isinstance(key, str) for key in keys):
                 raise RequestError(400, "'keys' must be a list of strings")
-            await responder.send(200, self._peer_lookup(keys),
-                                 "application/json")
+            await responder.send(200, self._peer_lookup(keys), wire.PACKED)
         elif method == "POST" and path == "/ring":
             payload = request.json()
             nodes = payload.get("nodes")
@@ -330,9 +335,14 @@ class ClusterWorker(HTTPNode):
             raise RequestError(404, f"unknown path {request.path!r}")
 
     @staticmethod
-    def _jobs_body(submitted, single: bool) -> bytes:
-        """The ``POST /jobs`` answer: one entry, or a framed batch."""
-        entries = [wire.entry(done.key, done.status, done.text)
+    def _jobs_body(submitted, single: bool, packed: bool) -> bytes:
+        """The ``POST /jobs`` answer: a packed frame, or JSON -- one entry,
+        or a framed batch."""
+        if packed:
+            return wire.frame([wire.packed_entry(done.key, done.status,
+                                                 done.cached.packed)
+                               for done in submitted])
+        entries = [wire.entry(done.key, done.status, done.cached.to_json())
                    for done in submitted]
         return entries[0] if single else wire.frame_entries(entries)
 
@@ -340,8 +350,8 @@ class ClusterWorker(HTTPNode):
         """The ``POST /cache/lookup`` answer: local tiers only."""
         cache = self.core.cache
         found = cache.peek_many(keys) if cache is not None else {}
-        return wire.frame_texts({key: entry.text
-                                 for key, entry in found.items()})
+        return wire.frame([wire.packed_entry(key, "cached", entry.packed)
+                           for key, entry in found.items()])
 
     def stats_dict(self) -> Dict[str, object]:
         payload = self.core.stats_dict()

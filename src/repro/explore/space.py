@@ -416,22 +416,33 @@ def job_to_point(job: SimJob) -> Dict[str, object]:
     return point
 
 
+@memo(DESIGN_MEMO_SIZE)
+def _first_seen(spec):
+    """The first-seen spec equal to ``spec`` (while the memo holds it)."""
+    return spec
+
+
 def point_to_job(point: Mapping) -> SimJob:
-    """Translate one design point into its declarative :class:`SimJob`."""
+    """Translate one design point into its declarative :class:`SimJob`.
+
+    Equal network and accelerator specs come back as one object each
+    (:func:`_first_seen`), so a stream of points over a few designs holds
+    a few spec objects, not one per point.
+    """
     if "network" not in point:
         raise ValueError("design point needs a 'network' parameter "
                          "(axis or base value)")
     if "accelerator" not in point:
         raise ValueError("design point needs an 'accelerator' parameter "
                          "(axis or base value)")
-    network = NetworkSpec(
+    network = _first_seen(NetworkSpec(
         name=point["network"],
         accuracy=point.get("accuracy", "100%"),
         with_effective_weights=bool(point.get("with_effective_weights", False)),
         groups=point.get("groups"),
         heads=point.get("heads"),
-    )
-    accelerator = parse_accelerator(point["accelerator"])
+    ))
+    accelerator = _first_seen(parse_accelerator(point["accelerator"]))
     config_kwargs = {name: point[name] for name in CONFIG_PARAMETERS
                      if name in point}
     return SimJob(network=network, accelerator=accelerator,

@@ -1,13 +1,15 @@
 """Thin stdlib HTTP client for ``loom-repro serve`` and cluster nodes.
 
-:class:`ServeClient` speaks the JSON protocol of
-:mod:`repro.cluster.worker` over plain sockets and the cluster's own
-HTTP/1.1 codec (:mod:`repro.cluster.aio`) -- no dependencies, so any Python
-process (another CLI invocation, a notebook, a CI smoke script) can submit
-simulations to a warm server.  Each thread keeps one keep-alive socket per
+:class:`ServeClient` speaks the protocol of :mod:`repro.cluster.worker`
+over plain sockets and the cluster's own HTTP/1.1 codec
+(:mod:`repro.cluster.aio`) -- no dependencies, so any Python process
+(another CLI invocation, a notebook, a CI smoke script) can submit
+simulations to a warm server.  Batches ask for packed frames
+(:mod:`repro.cluster.wire`), so results arrive as the bytes the servers'
+caches hold and are decoded once, here.  Each thread keeps one keep-alive socket per
 client and reuses it request after request; a connection the server closed
-while it sat idle is retried once on a fresh one.  NDJSON and SSE answers
-are read chunk by chunk as they arrive.  Server-side failures are raised as
+while it sat idle is retried once on a fresh one.  Packed, NDJSON and SSE
+streams are read chunk by chunk as they arrive.  Server-side failures are raised as
 :class:`ServeError` carrying the HTTP status and, for 429 backpressure
 responses, the ``Retry-After`` hint.
 """
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
+from repro.cluster import wire
 from repro.cluster.aio import (
     _MAX_HEAD_BYTES,
     _content_length,
@@ -35,6 +38,10 @@ from repro.obs.trace import get_tracer
 from repro.sim.results import NetworkResult
 
 __all__ = ["ServeClient", "ServeError", "SubmittedJob", "compute_backoff"]
+
+
+#: What a streamed batch asks for: packed records as they resolve.
+_ACCEPT_STREAM = f"{wire.PACKED}, application/x-ndjson"
 
 
 class ServeError(Exception):
@@ -202,6 +209,32 @@ class _Response:
             raise ConnectionError(f"bad chunked body: {error}") from None
         self._done()
 
+    def media_type(self) -> str:
+        """The ``Content-Type`` without its parameters."""
+        return self.headers.get("content-type", "").split(";")[0].strip()
+
+    def entries(self) -> Iterator[bytes]:
+        """The entries of a packed frame body, as they arrive."""
+        if self.headers.get("transfer-encoding", "").lower() != "chunked":
+            yield from wire.unframe(self.read())
+            return
+        chunks = self.chunks()
+        pending = bytearray()
+
+        def read(size: int) -> bytes:
+            while len(pending) < size:
+                chunk = next(chunks, None)
+                if chunk is None:
+                    raise ConnectionResetError("server hung up mid-frame")
+                pending.extend(chunk)
+            data = bytes(pending[:size])
+            del pending[:size]
+            return data
+
+        yield from wire.iter_frame(read)
+        for _ in chunks:  # the terminal chunk: reuse the socket
+            pass
+
     def lines(self) -> Iterator[bytes]:
         """The body's lines (NDJSON entries, SSE fields) as they arrive."""
         if self.headers.get("transfer-encoding", "").lower() != "chunked":
@@ -364,6 +397,32 @@ class ServeClient:
             result=NetworkResult.from_dict(entry["result"]),
         )
 
+    @staticmethod
+    def _packed_jobs(response: _Response,
+                     on_entry: Optional[Callable[[int, SubmittedJob], None]]
+                     = None) -> List[SubmittedJob]:
+        """The jobs of a packed ``POST /jobs`` answer, in order; a stream's
+        error record raises :class:`ServeError`, anything but a packed
+        frame ``ConnectionError``."""
+        submitted: List[SubmittedJob] = []
+        entries = response.entries()
+        while True:
+            try:
+                entry = next(entries, None)
+                if entry is None:
+                    return submitted
+                key, status, packed = wire.unpack_entry(entry)
+                job = SubmittedJob(key=key, status=status,
+                                   result=NetworkResult.from_packed(packed))
+            except wire.StreamError as error:
+                raise ServeError(int(error.payload.get("status", 500)),
+                                 str(error)) from None
+            except (ValueError, KeyError, TypeError) as error:
+                raise ConnectionError(f"bad packed answer: {error}") from None
+            if on_entry is not None:
+                on_entry(len(submitted), job)
+            submitted.append(job)
+
     # -- API ------------------------------------------------------------------
 
     def healthz(self) -> dict:
@@ -394,9 +453,10 @@ class ServeClient:
     def submit_points(self, points: Sequence[Mapping[str, object]]
                       ) -> List[SubmittedJob]:
         """Submit a batch of points; resolutions come back in order."""
-        response = self._request("POST", "/jobs",
-                                 {"points": [dict(p) for p in points]})
-        return [self._submitted(entry) for entry in response["results"]]
+        with self._response("POST", "/jobs",
+                            {"points": [dict(p) for p in points]},
+                            accept=wire.PACKED) as response:
+            return self._packed_jobs(response)
 
     def result(self, key: str) -> Optional[NetworkResult]:
         """Fetch a finished result by content key (``None`` if unknown).
@@ -426,26 +486,20 @@ class ServeClient:
     ) -> List[SubmittedJob]:
         """Submit a batch and consume results as the server resolves them.
 
-        Against a cluster coordinator this streams NDJSON: ``on_entry(index,
-        job)`` fires per resolved point (in submission order) while later
-        points are still simulating.  Against a server that does not stream
-        (plain ``loom-repro serve`` answers a single JSON document) the
-        callback still fires per entry, just all at once -- same results
-        either way.
+        Against a cluster coordinator this streams a packed frame (NDJSON
+        from a server that streams JSON lines reads the same):
+        ``on_entry(index, job)`` fires per resolved point (in submission
+        order) while later points are still simulating.  Against a server
+        that does not stream (plain ``loom-repro serve`` answers a whole
+        frame) the callback still fires per entry, just all at once --
+        same results either way.
         """
         with self._response("POST", "/jobs",
                             {"points": [dict(p) for p in points]},
-                            accept="application/x-ndjson") as response:
-            content_type = response.headers.get("content-type", "")
-            if "application/x-ndjson" not in content_type:
-                payload = json.loads(response.read())
-                submitted = [self._submitted(entry)
-                             for entry in payload["results"]]
-                if on_entry is not None:
-                    for index, job in enumerate(submitted):
-                        on_entry(index, job)
-                return submitted
-            submitted = []
+                            accept=_ACCEPT_STREAM) as response:
+            if response.media_type() == wire.PACKED:
+                return self._packed_jobs(response, on_entry)
+            submitted = []  # NDJSON, from a server that streams JSON lines
             lines = response.lines()
             for raw_line in lines:
                 line = raw_line.strip()

@@ -265,7 +265,7 @@ class _Inflight:
 @dataclass
 class _Submitted:
     """Resolution of one submitted point: its result as the cache holds it
-    (JSON text, decoded only when :attr:`result` is read)."""
+    (packed bytes, decoded only when :attr:`result` is read)."""
 
     key: str
     status: str  # "cached", "executed" or "coalesced"
@@ -274,10 +274,6 @@ class _Submitted:
     @property
     def result(self) -> NetworkResult:
         return self.cached.result
-
-    @property
-    def text(self) -> str:
-        return self.cached.text
 
 
 class Lookup:
@@ -517,7 +513,7 @@ class ServiceCore:
         answers are cached here in one write and reported ``cached``.  The
         rest execute as one executor batch, whose cache write stores them
         locally.  A fresh result is encoded once (that write memoises its
-        text); the reply reuses it.
+        packed bytes); the reply reuses them.
         """
         peers = self.peers
         missing = own

@@ -20,19 +20,28 @@ threads *and* many client processes share it safely.
   forever.
 
 * **Batch-shaped** -- :meth:`~SQLiteResultStore.load_many` answers a whole
-  request's keys with one ``SELECT ... WHERE key IN (...)`` and bumps their
-  hit counts (and LRU recency) in one ``UPDATE``;
+  request's keys with one ``SELECT ... WHERE key IN (...)`` that returns
+  one aggregate row (the keys, formats, CRCs and sizes as JSON arrays and
+  the results concatenated), because the ``sqlite3`` module releases the
+  GIL around every row it steps to;
   :meth:`~SQLiteResultStore.store_many` writes a batch with one multi-row
-  ``INSERT`` and checks the entry bound once.  Each runs in one
-  transaction, so a request costs the same number of statements whether it
-  carries 4 keys or 400.  Key lists are chunked to stay under the 999-variable
-  limit of older SQLite builds.
+  ``INSERT`` and checks the entry bound once, in one transaction, so a
+  request costs the same number of statements whether it carries 4 keys or
+  400.  Key lists are chunked to stay under the 999-variable limit of older
+  SQLite builds.
+* **A read is a read** -- a warm ``load_many`` runs its ``SELECT`` and
+  writes nothing.  Each hit's count and recency stamp wait in memory; one
+  ``UPDATE ... FROM (VALUES ...)`` per chunk writes them when
+  ``store_many`` is about to evict (before the eviction, so the LRU bound
+  sees every load), when ``stats_dict()`` reports ``lifetime_hits``, on
+  ``close()``, and once :data:`_PENDING_TOUCHES` keys wait.  Another
+  process sharing the file sees a load's hit once one of those runs.
 
-A row holds a result as its JSON text
-(:meth:`~repro.sim.results.NetworkResult.to_json`), the exact bytes a node
-puts on the wire, with a ``format`` tag and a ``crc`` column (``zlib.crc32``
-of the UTF-8 text).  Loads check both and hand the text back unparsed; a row
-whose format or checksum mismatches is deleted, counted in
+A row holds a result as its packed bytes
+(:meth:`~repro.sim.results.NetworkResult.to_packed`, a ``BLOB``), the exact
+bytes nodes exchange, with a ``format`` tag and a ``crc`` column
+(``zlib.crc32`` of the bytes).  Loads check both and hand the bytes back
+undecoded; a row whose format or checksum mismatches is deleted, counted in
 ``invalid_entries`` and treated as a miss.  The ``spec`` column holds the
 job's canonical JSON text (:func:`~repro.sim.jobs.spec.spec_payload`),
 written verbatim, so every row checks as ``sha256(spec) == key``.
@@ -44,6 +53,7 @@ own locking with a generous busy timeout.
 
 from __future__ import annotations
 
+import json
 import os
 import sqlite3
 import threading
@@ -57,13 +67,14 @@ from repro.sim.jobs.cache import CachedResult, StoreItem
 __all__ = ["SQLiteResultStore", "SCHEMA_VERSION"]
 
 #: Payload format tag stored with every row; bump when the layout changes.
-#: Format 2 is the columnar result text.
-_FORMAT = 2
+#: Format 3 is the packed result.
+_FORMAT = 3
 
 #: Database schema version (``PRAGMA user_version``); bump on layout changes.
-#: Version 2 added the ``crc`` column; version 3 holds columnar result
-#: texts, so opening a version-2 store (row-form texts) resets it.
-SCHEMA_VERSION = 3
+#: Version 2 added the ``crc`` column; version 3 held columnar JSON texts;
+#: version 4 holds packed results in a ``BLOB``, so opening an older store
+#: resets it.
+SCHEMA_VERSION = 4
 
 #: Keys per ``IN (...)`` list: under the 999 host parameters older SQLite
 #: builds allow in one statement.
@@ -72,12 +83,18 @@ _KEY_CHUNK = 500
 #: Rows per multi-row ``INSERT`` (seven parameters each).
 _ROW_CHUNK = 999 // 7
 
+#: Hits per ``UPDATE ... FROM (VALUES ...)`` (three parameters each).
+_TOUCH_CHUNK = 999 // 3
+
+#: Keys whose hits may wait in memory before a load writes them.
+_PENDING_TOUCHES = 4096
+
 _CREATE_RESULTS = """
 CREATE TABLE IF NOT EXISTS results (
     key          TEXT PRIMARY KEY,
     format       INTEGER NOT NULL,
     spec         TEXT,
-    result       TEXT NOT NULL,
+    result       BLOB NOT NULL,
     crc          INTEGER NOT NULL,
     created_at   REAL NOT NULL,
     last_used_at REAL NOT NULL,
@@ -98,7 +115,7 @@ class SQLiteResultStore:
     unreadable is left out of :meth:`load_many` (the latter counted in
     ``invalid_entries``).  Loads answer
     :class:`~repro.sim.jobs.cache.CachedResult` entries holding the stored
-    text; stores persist ``result.to_json()``.  Safe to call from many
+    bytes; stores persist ``result.to_packed()``.  Safe to call from many
     threads and processes.
     """
 
@@ -121,6 +138,8 @@ class SQLiteResultStore:
         self.schema_resets = 0
         #: LRU evictions performed by the ``max_entries`` bound.
         self.evictions = 0
+        #: key -> [hits, last load time] not yet written to the database.
+        self._touched: Dict[str, list] = {}
         self._lock = threading.RLock()
         if self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -189,12 +208,15 @@ class SQLiteResultStore:
         return self.load_many((key,)).get(key)
 
     def store(self, key: str, result, spec: Optional[str] = None) -> None:
-        """Persist ``result.to_json()`` under ``key``; ``spec``, when given,
-        is the key's preimage text, kept verbatim for audit."""
+        """Persist ``result.to_packed()`` under ``key``; ``spec``, when
+        given, is the key's preimage text, kept verbatim for audit."""
         self.store_many(((key, result, spec),))
 
     def load_many(self, keys: Iterable[str]) -> Dict[str, CachedResult]:
-        """The stored entries for ``keys``; absent or bad keys are omitted."""
+        """The stored entries for ``keys``; absent or bad keys are omitted.
+
+        A hit is noted in memory, not written (see the module docstring).
+        """
         keys = list(dict.fromkeys(keys))
         found: Dict[str, CachedResult] = {}
         if not keys:
@@ -202,37 +224,73 @@ class SQLiteResultStore:
         with self._lock:
             damaged: List[str] = []
             for chunk in _chunks(keys, _KEY_CHUNK):
-                rows = self._conn.execute(
-                    "SELECT key, format, crc, result FROM results "
-                    f"WHERE key IN ({_marks(len(chunk))})", chunk).fetchall()
-                for key, row_format, crc, payload in rows:
-                    if row_format == _FORMAT and isinstance(payload, str) \
-                            and _crc(payload) == crc:
-                        found[key] = CachedResult(payload)
-                    else:
-                        damaged.append(key)
-            if not found and not damaged:
-                return found
-            # One transaction per batch: damaged rows are dropped (counted,
-            # recomputed upstream); the hit counter always moves (it feeds
-            # ``lifetime_hits`` in /stats and inspect(), bound or no
-            # bound), and the LRU recency touch only matters when
-            # ``max_entries`` can actually evict.
-            self.invalid_entries += len(damaged)
-            if self.max_entries is not None:
-                touch, stamp = "last_used_at = ?, hits = hits + 1", [time.time()]
-            else:
-                touch, stamp = "hits = hits + 1", []
-            with self._conn:
-                for chunk in _chunks(damaged, _KEY_CHUNK):
-                    self._conn.execute(
-                        f"DELETE FROM results WHERE key IN "
-                        f"({_marks(len(chunk))})", chunk)
-                for chunk in _chunks(list(found), _KEY_CHUNK):
-                    self._conn.execute(
-                        f"UPDATE results SET {touch} WHERE key IN "
-                        f"({_marks(len(chunk))})", stamp + chunk)
+                # One aggregate row per chunk, and none when nothing is
+                # found: the sqlite3 module releases the GIL around every
+                # step, and a busy process hands it back only after its
+                # switch interval, so each row stepped to costs a wait.
+                for found_keys, formats, crcs, sizes, payloads in \
+                        self._conn.execute(
+                            "SELECT keys, formats, crcs, sizes, payloads FROM "
+                            "(SELECT json_group_array(key) AS keys, "
+                            "json_group_array(format) AS formats, "
+                            "json_group_array(crc) AS crcs, "
+                            "json_group_array(length(CAST(result AS BLOB))) "
+                            "AS sizes, CAST(group_concat(result, '') AS BLOB) "
+                            "AS payloads, count(*) AS matched FROM results "
+                            f"WHERE key IN ({_marks(len(chunk))})) "
+                            "WHERE matched > 0", chunk).fetchall():
+                    start = 0
+                    for key, row_format, crc, size in zip(
+                            json.loads(found_keys), json.loads(formats),
+                            json.loads(crcs), json.loads(sizes)):
+                        payload = payloads[start:start + size]
+                        start += size
+                        if row_format == _FORMAT \
+                                and zlib.crc32(payload) == crc:
+                            found[key] = CachedResult(payload)
+                        else:
+                            damaged.append(key)
+            now = time.time()
+            touched = self._touched
+            for key in found:
+                touch = touched.get(key)
+                if touch is None:
+                    touched[key] = [1, now]
+                else:
+                    touch[0] += 1
+                    touch[1] = now
+            if damaged:
+                # Damaged rows are dropped (counted, recomputed upstream).
+                self.invalid_entries += len(damaged)
+                with self._conn:
+                    for chunk in _chunks(damaged, _KEY_CHUNK):
+                        self._conn.execute(
+                            f"DELETE FROM results WHERE key IN "
+                            f"({_marks(len(chunk))})", chunk)
+            if len(touched) > _PENDING_TOUCHES:
+                self._flush_touches()
         return found
+
+    def _flush_touches(self) -> None:
+        """Write the hits waiting in memory, in a transaction of their own
+        (the caller holds the lock)."""
+        if self._touched:
+            with self._conn:
+                self._write_touches()
+
+    def _write_touches(self) -> None:
+        """Write the hits waiting in memory: each key's count added to its
+        row's ``hits``, its last load stamped into ``last_used_at``.  The
+        caller holds the lock, inside a transaction."""
+        touched, self._touched = self._touched, {}
+        rows = [(key, hits, stamp) for key, (hits, stamp) in touched.items()]
+        for chunk in _chunks(rows, _TOUCH_CHUNK):
+            self._conn.execute(
+                "UPDATE results SET hits = hits + touched.column2, "
+                "last_used_at = MAX(last_used_at, touched.column3) FROM "
+                f"(VALUES {', '.join(['(?, ?, ?)'] * len(chunk))}) "
+                "AS touched WHERE results.key = touched.column1",
+                [field for row in chunk for field in row])
 
     def store_many(self, items: Iterable[StoreItem]) -> None:
         """Persist every ``(key, result, spec)`` of ``items``."""
@@ -243,9 +301,14 @@ class SQLiteResultStore:
         now = time.time()
         values = []
         for key, (result, spec) in rows.items():
-            text = result.to_json()
-            values.append((key, _FORMAT, spec, text, _crc(text), now, now))
+            packed = result.to_packed()
+            values.append((key, _FORMAT, spec, packed, zlib.crc32(packed),
+                           now, now))
         with self._lock, self._conn:
+            if self._touched:
+                # A replaced row starts its count afresh.
+                for key in rows:
+                    self._touched.pop(key, None)
             for chunk in _chunks(values, _ROW_CHUNK):
                 self._conn.execute(
                     "INSERT OR REPLACE INTO results "
@@ -258,6 +321,8 @@ class SQLiteResultStore:
                     "SELECT COUNT(*) FROM results").fetchone()
                 excess = count - self.max_entries
                 if excess > 0:
+                    # Recency decides what goes: write it first.
+                    self._write_touches()
                     cursor = self._conn.execute(
                         "DELETE FROM results WHERE key IN ("
                         "  SELECT key FROM results "
@@ -279,7 +344,9 @@ class SQLiteResultStore:
             return count
 
     def close(self) -> None:
+        """Write the hits waiting in memory, then close the database."""
         with self._lock:
+            self._flush_touches()
             self._conn.close()
 
     # -- introspection -------------------------------------------------------
@@ -342,8 +409,10 @@ class SQLiteResultStore:
                     conn.close()
 
     def stats_dict(self) -> Dict[str, object]:
-        """Store-level counters (the service's /stats ``store`` section)."""
+        """Store-level counters (the service's /stats ``store`` section);
+        writes the hits waiting in memory first."""
         with self._lock:
+            self._flush_touches()
             (entries,) = self._conn.execute(
                 "SELECT COUNT(*) FROM results").fetchone()
             (total_hits,) = self._conn.execute(
@@ -364,11 +433,6 @@ class SQLiteResultStore:
             "invalid_entries": self.invalid_entries,
             "schema_resets": self.schema_resets,
         }
-
-
-def _crc(text: str) -> int:
-    """The ``crc`` column of a row holding ``text``."""
-    return zlib.crc32(text.encode("utf-8"))
 
 
 def _chunks(items: Sequence, size: int):

@@ -1,7 +1,7 @@
 """Content-keyed result cache for simulation jobs.
 
 The cache maps a :func:`~repro.sim.jobs.spec.job_key` content hash to the
-JSON text of the :class:`~repro.sim.results.NetworkResult` the job
+packed bytes of the :class:`~repro.sim.results.NetworkResult` the job
 produced.  Lookups go through an in-memory dict first; an optional
 persistent store behind it -- :class:`repro.serve.store.SQLiteResultStore`,
 one SQLite database in WAL mode, the repository's one persistent store --
@@ -26,12 +26,13 @@ once, so the store answers a batch with one query and persists it in one
 transaction.  ``get``, ``peek``,
 ``put``, ``load`` and ``store`` are the one-key forms.
 
-Both tiers hold a result as its JSON text
-(:meth:`~repro.sim.results.NetworkResult.to_json`), the same bytes a serve
-node puts on the wire, so a warm hit does no encoding or decoding at all.
-The batch lookups answer :class:`CachedResult` entries -- the text, plus
-the result decoded lazily on first use -- and the stores take anything with
-a ``to_json()`` (a :class:`~repro.sim.results.NetworkResult` or a
+Both tiers hold a result as its packed bytes
+(:meth:`~repro.sim.results.NetworkResult.to_packed`), the same bytes nodes
+exchange, so a warm hit between nodes does no encoding or decoding at
+all; JSON is rendered only for a client that asks for it.  The batch
+lookups answer :class:`CachedResult` entries -- the bytes, plus the result
+decoded lazily on first use -- and the stores take anything with a
+``to_packed()`` (a :class:`~repro.sim.results.NetworkResult` or a
 :class:`CachedResult`).  The one-key ``get``/``peek`` decode.
 
 These two tiers are local to the process: no ``ResultCache`` operation ever
@@ -60,40 +61,44 @@ __all__ = ["CacheStats", "CachedResult", "ResultCache"]
 
 
 class CachedResult:
-    """One cached result: its JSON text, decoded only when asked.
+    """One cached result: its packed bytes, decoded only when asked.
 
-    ``text`` is :meth:`NetworkResult.to_json` output; :attr:`result` decodes
-    it on first access (with :meth:`NetworkResult.from_json`) and keeps the
-    object.  An entry built from a result in hand (:meth:`of`) starts
-    decoded.
+    ``packed`` is :meth:`NetworkResult.to_packed` output; :attr:`result`
+    decodes it on first access (with :meth:`NetworkResult.from_packed`)
+    and keeps the object.  An entry built from a result in hand (:meth:`of`)
+    starts decoded.
     """
 
-    __slots__ = ("text", "_result")
+    __slots__ = ("packed", "_result")
 
-    def __init__(self, text: str,
+    def __init__(self, packed: bytes,
                  result: Optional[NetworkResult] = None) -> None:
-        self.text = text
+        self.packed = packed
         self._result = result
 
     @classmethod
     def of(cls, result: NetworkResult) -> "CachedResult":
-        return cls(result.to_json(), result)
+        return cls(result.to_packed(), result)
 
     @property
     def result(self) -> NetworkResult:
         if self._result is None:
-            self._result = NetworkResult.from_json(self.text)
+            self._result = NetworkResult.from_packed(self.packed)
         return self._result
 
+    def to_packed(self) -> bytes:
+        return self.packed
+
     def to_json(self) -> str:
-        return self.text
+        """The JSON rendering, for a client that asked for JSON."""
+        return self.result.to_json()
 
     def to_dict(self) -> Dict[str, object]:
         return self.result.to_dict()
 
 
 #: One ``store_many`` item: ``(key, result, spec)``; ``result`` is anything
-#: with a ``to_json()`` (a NetworkResult or a CachedResult), ``spec`` the
+#: with a ``to_packed()`` (a NetworkResult or a CachedResult), ``spec`` the
 #: key's preimage text (:func:`~repro.sim.jobs.spec.spec_payload`) or None.
 StoreItem = Tuple[str, object, Optional[str]]
 
@@ -162,8 +167,8 @@ class ResultCache:
             )
         self.backend = backend
         self.max_memory_entries = max_memory_entries
-        #: key -> result text (``NetworkResult.to_json``), LRU order.
-        self._memory: "OrderedDict[str, str]" = OrderedDict()
+        #: key -> packed result (``NetworkResult.to_packed``), LRU order.
+        self._memory: "OrderedDict[str, bytes]" = OrderedDict()
         self._lock = threading.RLock()
         self.stats = CacheStats()
 
@@ -212,10 +217,10 @@ class ResultCache:
         missing = []
         with self._lock:
             for key in dict.fromkeys(keys):
-                text = self._memory.get(key)
-                if text is not None:
+                packed = self._memory.get(key)
+                if packed is not None:
                     self._memory.move_to_end(key)
-                    found[key] = CachedResult(text)
+                    found[key] = CachedResult(packed)
                 else:
                     missing.append(key)
             self.stats.memory_hits += len(found)
@@ -227,14 +232,14 @@ class ResultCache:
         # Backend I/O runs outside the cache-wide lock (the backend carries
         # its own), so warm memory hits never serialise behind another
         # thread's disk/SQLite access.  Concurrent same-key loads are
-        # idempotent: both threads remember the same stored text.
+        # idempotent: both threads remember the same stored bytes.
         loaded = (self.backend.load_many(missing)
                   if self.backend is not None else {})
         with self._lock:
             if self.backend is not None:
                 self.stats.invalid_disk_entries = self.backend.invalid_entries
             for key, entry in loaded.items():
-                self._remember(key, entry.text)
+                self._remember(key, entry.packed)
             self.stats.disk_hits += len(loaded)
             if count_miss:
                 self.stats.misses += len(missing) - len(loaded)
@@ -260,20 +265,20 @@ class ResultCache:
     def put_many(self, items: Iterable[StoreItem]) -> None:
         """Store every ``(key, result, spec)`` of ``items``; the backend
         persists the whole batch at once.  ``result`` is anything with a
-        ``to_json()``; a fresh NetworkResult is encoded here, once."""
+        ``to_packed()``; a fresh NetworkResult is encoded here, once."""
         items = list(items)
         if not items:
             return
         with self._lock:
             for key, result, _ in items:
-                self._remember(key, result.to_json())
+                self._remember(key, result.to_packed())
             self.stats.stores += len(items)
         if self.backend is not None:
             # Outside the lock: persisting must not block memory lookups.
             self.backend.store_many(items)
 
-    def _remember(self, key: str, text: str) -> None:
-        self._memory[key] = text
+    def _remember(self, key: str, packed: bytes) -> None:
+        self._memory[key] = packed
         self._memory.move_to_end(key)
         if self.max_memory_entries is not None:
             while len(self._memory) > self.max_memory_entries:

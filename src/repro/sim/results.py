@@ -3,17 +3,47 @@
 Every accelerator model in this repository produces a :class:`LayerResult`
 per compute layer, which records execution cycles, memory traffic and energy.
 :class:`NetworkResult` aggregates them -- held as one column per
-:class:`LayerResult` field, which is also its JSON form -- and
-:func:`compare` produces the relative speedup / energy-efficiency numbers
-that the paper's tables report.
+:class:`LayerResult` field -- and :func:`compare` produces the relative
+speedup / energy-efficiency numbers that the paper's tables report.
+
+A result has two encodings.  :meth:`NetworkResult.to_packed` is its form
+in every cache tier and between nodes; :meth:`NetworkResult.to_json` is
+the rendering served to clients that ask for JSON.  The packed layout
+(all integers little-endian):
+
+* a 20-byte prefix: the magic ``b"LRP1"``, then the layer count and the
+  lengths of the three JSON sections that follow, each a ``uint32``;
+* the **layout**, ``[layer_names, layer_kinds]``: the same bytes for
+  every result of a network;
+* the **design**, ``[network, accelerator]`` (with ``clock_ghz`` appended
+  when it is not a float);
+* the **data**, empty unless some layer has ``extra`` diagnostics
+  (``{"extra": [...]}``) or a numeric column does not fit its binary form
+  (``{"columns": {name: [...]}}``);
+* the **float block**: each float column not in the data, in
+  :data:`LAYER_FIELDS` order, one ``float64`` per layer, then
+  ``clock_ghz`` when it is a float;
+* ``macs`` as one ``int64`` per layer, unless it is in the data.
+
+A float column holding anything but floats, or a ``macs`` column holding
+anything but ints that fit int64, rides in the data as JSON, so types
+survive and the JSON rendering of a decoded result is byte-identical to
+the original's.  Decoding memoises the layout and design sections, which
+repeat across the results of one network and one design.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import struct
+import sys
+from array import array
+from itertools import chain
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
+
+from repro.memo import DESIGN_MEMO_SIZE, memo
 
 __all__ = [
     "LayerResult",
@@ -126,6 +156,13 @@ _KINDS = frozenset(_LAYER_KINDS)
 LAYER_FIELDS = tuple(f.name for f in fields(LayerResult))
 _FIELD_SET = frozenset(LAYER_FIELDS)
 
+#: The float columns, in :data:`LAYER_FIELDS` order.
+_FLOATS = tuple(name for name in LAYER_FIELDS if name not in
+                ("layer_name", "layer_kind", "macs", "extra"))
+#: Magic, then the layer count and the layout, design and data lengths.
+_PREFIX = struct.Struct("<4sIIII")
+_MAGIC = b"LRP1"
+
 
 def _check_columns(columns) -> None:
     """Validate a decoded ``layers`` mapping.
@@ -210,6 +247,147 @@ def _layers_of(columns: Dict[str, list]) -> List[LayerResult]:
     return layers
 
 
+def _fits(values: Iterable, kind: type) -> bool:
+    """Whether every value is exactly of type ``kind``."""
+    return {kind}.issuperset(map(type, values))
+
+
+def _json_bytes(value: object) -> bytes:
+    return json.dumps(value).encode("utf-8")
+
+
+#: Decoding reads the blocks as native ``array``s, which a big-endian
+#: host byte-swaps.
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+@memo(DESIGN_MEMO_SIZE)
+def _layout_bytes(names: tuple, kinds: tuple) -> bytes:
+    """The packed layout of layer ``names`` and ``kinds`` (strings)."""
+    return _json_bytes([names, kinds])
+
+
+@memo(DESIGN_MEMO_SIZE)
+def _design_bytes(network: str, accelerator: str) -> bytes:
+    """The packed design of a result whose clock is in its float block."""
+    return _json_bytes([network, accelerator])
+
+
+def _pack(network: str, accelerator: str, clock_ghz: float,
+          columns: Dict[str, list]) -> bytes:
+    """The packed form of a result (see the module docstring)."""
+    names, kinds = columns["layer_name"], columns["layer_kind"]
+    count = len(names)
+    # Only all-string keys are memoised: equal keys (1 and True) can
+    # spell differently.
+    if _fits(chain(names, kinds), str):
+        layout = _layout_bytes(tuple(names), tuple(kinds))
+    else:
+        layout = _json_bytes([names, kinds])
+    floats = [columns[name] for name in _FLOATS]
+    values = list(chain.from_iterable(floats))
+    kept: Dict[str, list] = {}
+    if not _fits(values, float):
+        kept = {name: column for name, column in zip(_FLOATS, floats)
+                if not _fits(column, float)}
+        values = [value for name, column in zip(_FLOATS, floats)
+                  if name not in kept for value in column]
+    if type(clock_ghz) is float:
+        values.append(clock_ghz)
+        if type(network) is str and type(accelerator) is str:
+            design = _design_bytes(network, accelerator)
+        else:
+            design = _json_bytes([network, accelerator])
+    else:
+        design = _json_bytes([network, accelerator, clock_ghz])
+    macs = columns["macs"]
+    packed_macs = b""
+    if _fits(macs, int):
+        try:
+            packed_macs = struct.pack(f"<{count}q", *macs)
+        except struct.error:  # beyond int64
+            kept["macs"] = macs
+    else:
+        kept["macs"] = macs
+    data: Dict[str, object] = {"columns": kept} if kept else {}
+    if any(columns["extra"]):
+        data["extra"] = columns["extra"]
+    data_bytes = _json_bytes(data) if data else b""
+    return b"".join([
+        _PREFIX.pack(_MAGIC, count, len(layout), len(design),
+                     len(data_bytes)),
+        layout, design, data_bytes, struct.pack(f"<{len(values)}d", *values),
+        packed_macs])
+
+
+@memo(DESIGN_MEMO_SIZE)
+def _layout(data: bytes) -> Tuple[tuple, tuple]:
+    """The layer names and kinds of a packed layout (one per network)."""
+    layout = json.loads(data)
+    if type(layout) is not list or len(layout) != 2 or \
+            any(type(column) is not list for column in layout):
+        raise ValueError("packed layout must be [names, kinds]")
+    return tuple(layout[0]), tuple(layout[1])
+
+
+@memo(DESIGN_MEMO_SIZE)
+def _design(data: bytes) -> tuple:
+    """``(network, accelerator)``, plus ``clock_ghz`` when it is not in the
+    float block, of a packed design."""
+    design = json.loads(data)
+    if type(design) is not list or len(design) not in (2, 3):
+        raise ValueError("packed design must be [network, accelerator] "
+                         "or [network, accelerator, clock_ghz]")
+    return tuple(design)
+
+
+def _unpack(data: bytes) -> Dict[str, object]:
+    """The :meth:`NetworkResult.to_dict` form of packed ``data``; raises
+    ``ValueError``, ``TypeError`` or ``KeyError`` for anything else."""
+    try:
+        magic, count, layout_size, design_size, data_size = \
+            _PREFIX.unpack_from(data)
+    except struct.error:
+        raise ValueError("packed result is too short") from None
+    if magic != _MAGIC:
+        raise ValueError(f"not a packed result (magic {magic!r})")
+    start = _PREFIX.size
+    names, kinds = _layout(data[start:start + layout_size])
+    start += layout_size
+    design = _design(data[start:start + design_size])
+    start += design_size
+    extras = json.loads(data[start:start + data_size]) if data_size else {}
+    start += data_size
+    kept = extras.get("columns", {}) if type(extras) is dict else None
+    if type(kept) is not dict:
+        raise TypeError("packed data must be a JSON object of columns "
+                        "and extras")
+    floats = [name for name in _FLOATS if name not in kept]
+    width = len(floats) * count + (len(design) == 2)
+    end = start + 8 * width
+    if len(data) != end + (0 if "macs" in kept else 8 * count):
+        raise ValueError("packed result has the wrong length")
+    block = array("d", data[start:end])
+    parts = dict(kept)
+    if "macs" not in kept:
+        macs = array("q", data[end:])
+        if _BIG_ENDIAN:
+            macs.byteswap()
+        parts["macs"] = macs.tolist()
+    if _BIG_ENDIAN:
+        block.byteswap()
+    values = block.tolist()
+    for position, name in enumerate(floats):
+        parts[name] = values[position * count:(position + 1) * count]
+    parts["layer_name"] = list(names)
+    parts["layer_kind"] = list(kinds)
+    extra = extras.get("extra")
+    parts["extra"] = [{} for _ in range(count)] if extra is None else extra
+    return {"network": design[0], "accelerator": design[1],
+            "clock_ghz": values[-1] if len(design) == 2 else design[2],
+            "layers": {name: parts[name] for name in LAYER_FIELDS}}
+
+
 class NetworkResult:
     """Aggregated result of running one network on one accelerator.
 
@@ -222,9 +400,10 @@ class NetworkResult:
     :meth:`to_dict` and ``==`` read whichever form is held, so a result
     that is only encoded or summed never builds a row.
 
-    :meth:`to_json` / :meth:`from_json` are the one codec a result crosses
-    a cache tier or the wire through; the text is memoised on the object,
-    so a result is encoded at most once.
+    :meth:`to_packed` / :meth:`from_packed` are the codec a result crosses
+    a cache tier or the wire through; :meth:`to_json` / :meth:`from_json`
+    render it for JSON clients.  Both encodings are memoised on the object,
+    so a result is encoded at most once in each.
     """
 
     __hash__ = None  # mutable, compared by value
@@ -237,8 +416,9 @@ class NetworkResult:
         self.clock_ghz = clock_ghz
         self._layers = [] if layers is None else layers
         self._columns: Optional[Dict[str, list]] = None
-        #: Memoised :meth:`to_json` text.
+        #: Memoised :meth:`to_json` text and :meth:`to_packed` bytes.
         self._json: Optional[str] = None
+        self._packed: Optional[bytes] = None
 
     @classmethod
     def _of_columns(cls, network: str, accelerator: str, clock_ghz: float,
@@ -251,6 +431,7 @@ class NetworkResult:
         result._layers = None
         result._columns = columns
         result._json = None
+        result._packed = None
         return result
 
     @property
@@ -270,10 +451,12 @@ class NetworkResult:
         self._layers = layers
         self._columns = None
         self._json = None
+        self._packed = None
 
     def add(self, result: LayerResult) -> None:
         self.layers.append(result)
         self._json = None
+        self._packed = None
 
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
@@ -395,14 +578,42 @@ class NetworkResult:
         return cls._of_columns(data["network"], data["accelerator"],
                                data["clock_ghz"], columns)
 
+    def to_packed(self) -> bytes:
+        """The result's packed bytes (see the module docstring), encoded
+        once and memoised (:meth:`add` and setting :attr:`layers` forget
+        them).
+
+        This is the result's form at rest (every cache tier) and between
+        nodes; ``from_packed(to_packed())`` is field-for-field equal to the
+        original, float bits and value types included.
+        """
+        packed = self._packed
+        if packed is None:
+            columns = self._columns
+            if columns is None:
+                columns = _columns_of(self.layers)
+            packed = self._packed = _pack(self.network, self.accelerator,
+                                          self.clock_ghz, columns)
+        return packed
+
+    @classmethod
+    def from_packed(cls, data: bytes) -> "NetworkResult":
+        """Decode :meth:`to_packed` bytes, validating them through
+        :meth:`from_dict`; raises ``ValueError``, ``KeyError`` or
+        ``TypeError`` for bytes that are not a result (a truncated one
+        included)."""
+        result = cls.from_dict(_unpack(data))
+        result._packed = data
+        return result
+
     def to_json(self) -> str:
         """The result's JSON text: ``json.dumps(self.to_dict())``, encoded
         once and memoised (:meth:`add` and setting :attr:`layers` forget
         it).
 
-        This text is the result's form at rest (every cache tier) and on
-        the wire; ``repr`` round-trips float64 exactly, so
-        ``from_json(to_json())`` is field-for-field equal to the original.
+        This is the rendering served to clients that ask for JSON;
+        ``repr`` round-trips float64 exactly, so ``from_json(to_json())``
+        is field-for-field equal to the original.
         """
         text = self._json
         if text is None:

@@ -1,23 +1,29 @@
-"""The one result codec and the spliced wire path.
+"""The result codecs and the spliced wire path.
 
-``NetworkResult.to_json`` / ``from_json`` are the only encoding a result
-takes at rest and on the wire: every cache tier holds the text, and the
-nodes splice it into their bodies.  The text is columnar -- ``{"network",
-"accelerator", "clock_ghz", "layers": {<field>: [...]}}``, one list per
-``LayerResult`` field.  These tests pin that the round trip is exact (field
-for field, float bits included, re-encoding byte-identical) for drawn
-design points, drawn layers and hand-picked edge values; that decoding
-rejects what ``LayerResult`` rejects, and the old row form outright (a peer
-answering one is a miss); and that results served warm from a live
-cluster's SQLite stores -- spliced, never re-encoded -- equal the event
-engine.
+``NetworkResult.to_packed`` / ``from_packed`` are the encoding a result
+takes at rest and between nodes: every cache tier holds the bytes, and the
+nodes splice them into packed frames.  ``to_json`` / ``from_json`` are the
+rendering for clients that ask for JSON; the text is columnar --
+``{"network", "accelerator", "clock_ghz", "layers": {<field>: [...]}}``,
+one list per ``LayerResult`` field.  These tests pin that both round trips
+are exact (field for field, float bits and value types included,
+re-encoding byte-identical) for drawn design points, drawn layers and
+hand-picked edge values, and that a packed round trip renders the same
+JSON bytes; that decoding rejects what ``LayerResult`` rejects, truncated
+packed bytes, and the old row form outright (a peer answering one is a
+miss); that a JSON client gets the same bytes it always did from a worker
+and from a coordinator; that a shard answering a bad frame is failed over;
+and that results served warm from a live cluster's SQLite stores --
+spliced, never re-encoded -- equal the event engine.
 """
 
 import contextlib
 import dataclasses
 import json
 import math
+import struct
 import threading
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -27,12 +33,14 @@ from hypothesis import strategies as st
 
 from repro.cluster import (ClusterCoordinator, ClusterWorker, PeerCacheBackend,
                            wire)
+from repro.cluster.aio import AsyncHTTPServer, HTTPRequest
 from repro.cluster.worker import build_worker
 from repro.explore.space import canonical_point, point_to_job
 from repro.nn import available_networks
-from repro.serve import ServeClient
+from repro.serve import ServeClient, ServeError
+from repro.serve.core import keyed_jobs, parse_jobs_request
 from repro.sim.batched import simulate_jobs_batched
-from repro.sim.jobs import ACCELERATOR_KINDS, execute_job
+from repro.sim.jobs import ACCELERATOR_KINDS, execute_job, job_key
 from repro.sim.results import (
     LAYER_FIELDS,
     LayerResult,
@@ -409,7 +417,8 @@ def row_form_peer(text):
         def do_POST(self):
             keys = json.loads(self.rfile.read(
                 int(self.headers.get("Content-Length", 0))))["keys"]
-            body = wire.frame_texts({key: text for key in keys})
+            body = json.dumps({"results": {key: json.loads(text)
+                                           for key in keys}}).encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -448,3 +457,319 @@ class TestRowForm:
             assert backend.load_many(["k" * 64, "j" * 64]) == {}
             assert backend.peer_misses == 2
             assert backend.peer_hits == 0
+
+
+# -- the packed codec ----------------------------------------------------------------
+
+
+def _bits(value):
+    """A value's type and spelling; a float's IEEE-754 bits.  NaN is NaN:
+    its payload does not survive JSON (``extra`` travels as JSON in both
+    codecs)."""
+    if type(value) is float and value == value:
+        return float, struct.pack("<d", value)
+    return type(value), repr(value)
+
+
+def _spelled(result):
+    """Every field of ``result`` by :func:`_bits`: equal exactly when two
+    results agree field for field, float bits and value types included."""
+    columns = result.to_dict()["layers"]
+    return ([_bits(result.network), _bits(result.accelerator),
+             _bits(result.clock_ghz)],
+            {name: [sorted((key, _bits(item)) for key, item in value.items())
+                    if name == "extra" else _bits(value)
+                    for value in values]
+             for name, values in columns.items()})
+
+
+#: Drawn results: any names, clocks of either number type and drawn layers
+#: (``-0.0``, ``5e-324``, infinities and NaN among the floats, ints up to
+#: 2**70 in a float column and in ``macs``, non-ASCII names and extras).
+results = st.builds(
+    lambda network, accelerator, clock_ghz, rows: NetworkResult(
+        network, accelerator, [LayerResult(**row) for row in rows],
+        clock_ghz=clock_ghz),
+    st.text(max_size=8), st.text(max_size=8),
+    st.one_of(st.sampled_from((1.0, -0.0, 5e-324)), st.floats(),
+              st.integers(-2 ** 70, 2 ** 70)),
+    st.lists(layer_dicts, max_size=5))
+
+
+def _edge_result():
+    result = NetworkResult(network="edgé", accelerator="Acc", clock_ghz=1.25)
+    result.add(LayerResult(
+        layer_name="conv1", layer_kind="conv", cycles=-0.0,
+        energy_pj=5e-324, weight_bits_read=math.inf, macs=2 ** 63 - 1,
+        extra={"avg_activation_bits": 3.25}))
+    result.add(LayerResult(layer_name="fc\n\x00é", layer_kind="fc",
+                           cycles=2 ** 70, macs=2 ** 64 + 7))
+    return result
+
+
+class TestPackedCodec:
+    @given(result=results)
+    @settings(max_examples=300, deadline=None)
+    def test_a_packed_round_trip_is_exact_and_renders_the_same_json(
+            self, result):
+        decoded = NetworkResult.from_packed(result.to_packed())
+        assert _spelled(decoded) == _spelled(result)
+        assert decoded.to_json() == result.to_json()
+
+    @given(point=points)
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_points_round_trip_exactly(self, point):
+        (result,) = simulate_jobs_batched([_job(point)])
+        decoded = NetworkResult.from_packed(result.to_packed())
+        assert_same(decoded, result)
+        assert decoded.to_json() == result.to_json()
+        assert len(result.to_packed()) < len(result.to_json())
+
+    def test_edge_values_round_trip(self):
+        result = _edge_result()
+        decoded = NetworkResult.from_packed(result.to_packed())
+        assert _spelled(decoded) == _spelled(result)
+        assert decoded.layers[1].macs == 2 ** 64 + 7
+        assert type(decoded.layers[1].cycles) is int
+        assert math.copysign(1.0, decoded.layers[0].cycles) == -1.0
+
+    def test_truncated_or_extended_bytes_are_rejected(self):
+        packed = _edge_result().to_packed()
+        for cut in range(len(packed)):
+            with pytest.raises((ValueError, TypeError, KeyError)):
+                NetworkResult.from_packed(packed[:cut])
+        with pytest.raises(ValueError):
+            NetworkResult.from_packed(packed + b"\x00")
+        with pytest.raises(ValueError):
+            NetworkResult.from_packed(b"JSON" + packed[4:])
+
+    def test_decoding_validates_through_from_dict(self):
+        bad = NetworkResult("n", "a", [LayerResult(
+            layer_name="l", layer_kind="conv", cycles=1.0)])
+        bad._layers[0].layer_kind = "pool"
+        with pytest.raises(ValueError, match="layer_kind"):
+            NetworkResult.from_packed(bad.to_packed())
+
+    def test_decoded_results_share_no_mutable_column(self):
+        # The layout and design sections are memoised; what a decode hands
+        # out must still be its own.
+        (result,) = simulate_jobs_batched([_job({"network": "nin",
+                                                 "accelerator": "loom"})])
+        packed = result.to_packed()
+        first, second = (NetworkResult.from_packed(packed) for _ in range(2))
+        for name in LAYER_FIELDS:
+            assert first._columns[name] is not second._columns[name]
+        assert first._columns["extra"][0] is not second._columns["extra"][0]
+        first.layers[0].layer_name = "renamed"
+        assert second.layers[0].layer_name == result.layers[0].layer_name
+
+    def test_encoding_is_memoised_until_the_result_changes(self):
+        result = NetworkResult(network="n", accelerator="a")
+        result.add(LayerResult(layer_name="l", layer_kind="conv", cycles=1.0))
+        packed = result.to_packed()
+        assert result.to_packed() is packed
+        result.add(LayerResult(layer_name="m", layer_kind="fc", cycles=2.0))
+        assert NetworkResult.from_packed(result.to_packed()) \
+            .layers[1].layer_name == "m"
+
+
+# -- JSON at the edge ------------------------------------------------------------------
+
+
+def _raw(url, path, payload=None, accept=None):
+    """``(content type, body)`` of one plain HTTP request."""
+    headers = {"Content-Type": "application/json"}
+    if accept is not None:
+        headers["Accept"] = accept
+    request = urllib.request.Request(
+        url + path, headers=headers, method="POST" if payload else "GET",
+        data=json.dumps(payload).encode("utf-8") if payload else None)
+    with urllib.request.urlopen(request, timeout=120.0) as response:
+        return response.headers["Content-Type"], response.read()
+
+
+EDGE_POINTS = CLUSTER_POINTS[:6]
+
+
+def _expected_entries(status):
+    """The JSON entries an in-process run renders for :data:`EDGE_POINTS`."""
+    jobs = [_job(point) for point in EDGE_POINTS]
+    return [wire.entry(job_key(job), status, result.to_json())
+            for job, result in zip(jobs, simulate_jobs_batched(jobs))]
+
+
+class TestJSONAtTheEdge:
+    def test_a_worker_renders_the_bytes_a_json_client_always_got(self):
+        with ClusterWorker() as worker:
+            body = {"points": EDGE_POINTS}
+            assert _raw(worker.url, "/jobs", body) == (
+                "application/json",
+                wire.frame_entries(_expected_entries("executed")))
+            cached = _expected_entries("cached")
+            # A worker never streams: an NDJSON client gets the document.
+            assert _raw(worker.url, "/jobs", body,
+                        accept="application/x-ndjson")[1] \
+                == wire.frame_entries(cached)
+            assert _raw(worker.url, "/jobs",
+                        {"point": EDGE_POINTS[0]})[1] == cached[0]
+
+    def test_a_coordinator_renders_the_bytes_a_json_client_always_got(self):
+        workers = [ClusterWorker() for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        coordinator = ClusterCoordinator([worker.url for worker in workers],
+                                         health_interval_s=60.0)
+        coordinator.start()
+        try:
+            body = {"points": EDGE_POINTS}
+            assert _raw(coordinator.url, "/jobs", body) == (
+                "application/json",
+                wire.frame_entries(_expected_entries("executed")))
+            cached = _expected_entries("cached")
+            content_type, streamed = _raw(coordinator.url, "/jobs", body,
+                                          accept="application/x-ndjson")
+            assert content_type == "application/x-ndjson"
+            assert streamed == b"".join(
+                wire.ndjson_line(index, entry)
+                for index, entry in enumerate(cached)) \
+                + b'{"done": true, "count": 6}\n'
+            key = json.loads(cached[0])["key"]
+            text = json.loads(cached[0])["result"]
+            assert _raw(coordinator.url, f"/jobs/{key}")[1] == wire.entry(
+                key, "done", json.dumps(text))
+            # Packed when asked: the same results, spliced.
+            content_type, packed = _raw(coordinator.url, "/jobs", body,
+                                        accept=wire.PACKED)
+            assert content_type == wire.PACKED
+            assert [wire.json_entry(entry) for entry in wire.unframe(packed)] \
+                == cached
+        finally:
+            coordinator.stop()
+            for worker in workers:
+                worker.stop()
+
+    @pytest.mark.parametrize("accept", [
+        "application/x-ndjson;q=0",
+        "application/x-ndjson-seq",
+        "application/x-loom-packed; q=0, application/x-ndjson;q=0.0",
+        "*/*",
+    ])
+    def test_a_refused_or_unknown_type_gets_the_json_document(self, accept):
+        workers = [ClusterWorker() for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        coordinator = ClusterCoordinator([worker.url for worker in workers],
+                                         health_interval_s=60.0)
+        coordinator.start()
+        try:
+            content_type, body = _raw(coordinator.url, "/jobs",
+                                      {"points": EDGE_POINTS[:2]},
+                                      accept=accept)
+        finally:
+            coordinator.stop()
+            for worker in workers:
+                worker.stop()
+        assert content_type == "application/json"
+        assert body == wire.frame_entries(_expected_entries("executed")[:2])
+
+
+class TestAccept:
+    @staticmethod
+    def _wants(header, media_type):
+        request = HTTPRequest(method="GET", path="/", headers={
+            "accept": header}, body=b"", client="127.0.0.1:1")
+        return request.wants(media_type)
+
+    def test_media_ranges_are_split_and_parameters_dropped(self):
+        header = "text/html, Application/X-NDJSON ;charset=utf-8;q=0.5"
+        assert self._wants(header, "application/x-ndjson")
+        assert self._wants(header, "text/html")
+        assert not self._wants(header, "application/json")
+
+    def test_q_zero_is_a_refusal(self):
+        for header in ("application/x-ndjson;q=0",
+                       "application/x-ndjson; q=0.000",
+                       "application/x-ndjson;Q=0"):
+            assert not self._wants(header, "application/x-ndjson"), header
+        assert self._wants("application/x-ndjson;q=bad",
+                           "application/x-ndjson")
+
+    def test_a_longer_type_does_not_select_a_shorter_one(self):
+        assert not self._wants("application/x-ndjson-seq",
+                               "application/x-ndjson")
+        assert not self._wants("*/*", wire.PACKED)
+        assert not self._wants("", "application/x-ndjson")
+
+
+# -- a shard that answers a bad frame ------------------------------------------------
+
+
+@contextlib.contextmanager
+def bad_shard(kind):
+    """A shard that simulates its points but answers a truncated packed
+    frame (``kind`` "truncated") or a JSON document ("json")."""
+    async def handler(request, responder):
+        if request.path == "/healthz":
+            await responder.send_json(200, {"ok": True, "ring": True})
+            return
+        points, _ = parse_jobs_request(request.json())
+        keyed = keyed_jobs(points)
+        entries = [wire.packed_entry(key, "executed", result.to_packed())
+                   for (_, key), result in zip(keyed, simulate_jobs_batched(
+                       [job for job, _ in keyed]))]
+        if kind == "truncated":
+            await responder.send(200, wire.frame(entries)[:-7], wire.PACKED)
+        else:
+            await responder.send(200, wire.frame_entries(
+                [wire.json_entry(entry) for entry in entries]),
+                "application/json")
+
+    server = AsyncHTTPServer(handler)
+    server.start()
+    try:
+        yield server.url
+    finally:
+        server.stop()
+
+
+class TestBadShardFrames:
+    @pytest.mark.parametrize("kind", ["truncated", "json"])
+    def test_a_bad_frame_fails_the_shard_over_bit_identically(self, kind):
+        with bad_shard(kind) as bad_url, ClusterWorker() as worker:
+            coordinator = ClusterCoordinator([bad_url, worker.url],
+                                             peer_cache=False,
+                                             health_interval_s=60.0)
+            coordinator.start()
+            try:
+                jobs = [_job(point) for point in CLUSTER_POINTS]
+                owners = [coordinator.ring.node_for(job_key(job))
+                          for job in jobs]
+                assert bad_url in owners and worker.url in owners
+                served = ServeClient(coordinator.url, timeout_s=120.0) \
+                    .submit_points(CLUSTER_POINTS)
+                assert not coordinator.shards[bad_url].healthy
+                assert coordinator.stats.shard_retries \
+                    == owners.count(bad_url)
+            finally:
+                coordinator.stop()
+        assert [job.status for job in served] \
+            == ["executed"] * len(CLUSTER_POINTS)
+        for job, entry, reference in zip(jobs, served,
+                                         simulate_jobs_batched(jobs)):
+            assert entry.key == job_key(job)
+            assert _spelled(entry.result) == _spelled(reference)
+
+    def test_a_failed_packed_stream_ends_in_its_error_record(self):
+        with ClusterWorker() as worker:
+            coordinator = ClusterCoordinator([worker.url], peer_cache=False,
+                                             health_interval_s=60.0)
+            coordinator.start()
+            try:
+                worker._server.stop(drain_timeout_s=0.0)
+                with pytest.raises(ServeError) as excinfo:
+                    ServeClient(coordinator.url, timeout_s=60.0) \
+                        .submit_points_stream(CLUSTER_POINTS[:2])
+            finally:
+                coordinator.stop()
+        assert excinfo.value.status == 503
+        assert "no healthy workers" in excinfo.value.message

@@ -8,6 +8,7 @@ them, so any change here invalidates warm caches and must be deliberate.
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -693,3 +694,34 @@ class TestPointMemo:
                     for raw in points]
         assert all(keys == expected for keys in answers)
         assert point_memo_size() == len(points)
+
+    def test_equal_specs_come_back_as_one_object_each(self):
+        # 4096 never-seen points over 6 networks x 6 designs: their jobs
+        # hold 6 network and 6 accelerator spec objects, not 4096 of each.
+        clear_memos()
+        points = [
+            {"network": network, "accelerator": dict(design),
+             "equivalent_macs": macs, "clock_ghz": clock}
+            for network, design, macs, clock in itertools.islice(
+                itertools.product(NETWORKS, PERFBENCH_ACCELERATORS,
+                                  (32, 64, 128, 256, 512),
+                                  [k / 1000 for k in range(500, 523)]),
+                4096)
+        ]
+        kinds = (NetworkSpec, AcceleratorSpec)
+
+        def alive():
+            gc.collect()
+            return {id(obj): obj for obj in gc.get_objects()
+                    if type(obj) in kinds}
+
+        before = alive()
+        jobs = [job for job, _ in keyed_jobs(points)]
+        assert len({job_key(job) for job in jobs}) == 4096
+        assert len({id(job.network) for job in jobs}) == 6
+        assert len({id(job.accelerator) for job in jobs}) == 6
+        made = [obj for key, obj in alive().items() if key not in before]
+        for spec_type in kinds:
+            assert sum(type(obj) is spec_type for obj in made) <= 6, \
+                spec_type.__name__
+

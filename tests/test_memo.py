@@ -7,10 +7,12 @@ import pkgutil
 
 import repro
 from repro import memo
+from repro.cluster.aio import HTTPRequest
 from repro.explore import space
 from repro.serve.core import keyed_jobs
 from repro.sim.batched import simulate_jobs_batched, simulate_layer_table
 from repro.sim.jobs.spec import _spec_layer_table, build_accelerator
+from repro.sim.results import NetworkResult
 
 #: Memos over a fixed domain (accelerator kinds, config classes): the only
 #: unbounded ones.
@@ -37,7 +39,8 @@ def all_memos():
 
 def warm_every_memo():
     """Reach every memo once: raw points with overrides, a shared plane,
-    and a live accelerator (the event engine's and instances' path)."""
+    a live accelerator (the event engine's and instances' path), a packed
+    round trip and an ``Accept`` header."""
     points = [{"network": network, "accelerator": "loom",
                "equivalent_macs": macs, **overrides}
               for network, overrides in (("resnet18", {"groups": 2}),
@@ -45,7 +48,10 @@ def warm_every_memo():
               for macs in (64, 128)]
     assert space._structural_overrides_feasible(points[0])
     jobs = [job for job, _ in keyed_jobs(points)]
-    simulate_jobs_batched(jobs)
+    result = simulate_jobs_batched(jobs)[0]
+    NetworkResult.from_packed(result.to_packed())
+    HTTPRequest(method="GET", path="/", headers={"accept": "*/*"}, body=b"",
+                client="").wants("application/json")
     simulate_layer_table(build_accelerator(jobs[0].accelerator, jobs[0].config),
                          _spec_layer_table(jobs[0].network))
 

@@ -787,8 +787,8 @@ class TestOneLookupPerColdKey:
         executor = JobExecutor(cache=ResultCache(backend=store))
         with serving(executor=executor) as (_, client):
             client.submit_points([self.A, self.B, self.C, self.D, self.A])
-            reads = [sql for sql in statements
-                     if sql.startswith("SELECT key, format")]
+            reads = [sql for sql in statements if sql.startswith("SELECT")
+                     and "FROM results WHERE key IN" in sql]
             # Four distinct keys in chunks of two: two SELECTs, all from
             # the one lookup before the executor runs.
             assert len(reads) == 2

@@ -10,12 +10,14 @@ import hashlib
 import json
 import multiprocessing
 import sqlite3
+import struct
 import sys
 import threading
 import zlib
 
 import pytest
 
+from repro.serve import store as store_module
 from repro.serve.store import SCHEMA_VERSION, SQLiteResultStore
 from repro.sim.jobs import JobExecutor, ResultCache, job_key, spec_dict
 from repro.sim.results import LayerResult, NetworkResult
@@ -131,7 +133,7 @@ class TestSchemaVersioning:
             conn.execute("PRAGMA user_version = 1")
         conn.close()
         store = SQLiteResultStore(path)
-        assert SCHEMA_VERSION == 3
+        assert SCHEMA_VERSION == 4
         assert store.schema_resets == 1
         assert len(store) == 0
         assert store.load(KEY) is None
@@ -162,6 +164,32 @@ class TestSchemaVersioning:
                 "INSERT INTO results VALUES (?, 1, NULL, ?, ?, 0.0, 0.0, 0)",
                 (KEY, row_form, zlib.crc32(row_form.encode("utf-8"))))
             conn.execute("PRAGMA user_version = 2")
+        conn.close()
+        store = SQLiteResultStore(path)
+        assert store.schema_resets == 1
+        assert len(store) == 0
+        assert store.load(KEY) is None
+        store.store(KEY, original)
+        assert store.load(KEY).result == original
+        store.close()
+
+    def test_schema_3_store_is_reset_on_open(self, tmp_path):
+        # Schema 4 holds packed results in a BLOB; a v3 database holds
+        # columnar JSON texts, so it is wiped and counted on open.
+        path = tmp_path / "cache.db"
+        original = _result()
+        text = original.to_json()
+        conn = sqlite3.connect(str(path))
+        with conn:
+            conn.execute(
+                "CREATE TABLE results (key TEXT PRIMARY KEY, format INTEGER "
+                "NOT NULL, spec TEXT, result TEXT NOT NULL, crc INTEGER NOT "
+                "NULL, created_at REAL NOT NULL, last_used_at REAL NOT NULL, "
+                "hits INTEGER NOT NULL DEFAULT 0)")
+            conn.execute(
+                "INSERT INTO results VALUES (?, 2, NULL, ?, ?, 0.0, 0.0, 0)",
+                (KEY, text, zlib.crc32(text.encode("utf-8"))))
+            conn.execute("PRAGMA user_version = 3")
         conn.close()
         store = SQLiteResultStore(path)
         assert store.schema_resets == 1
@@ -253,20 +281,31 @@ class TestCorruptRows:
         # The damaged row was deleted so it cannot poison later lookups.
         assert not store.contains(KEY)
 
-    def test_payload_edited_into_other_valid_json_is_a_counted_miss(
+    def test_payload_edited_into_another_valid_result_is_a_counted_miss(
             self, tmp_path):
-        # Rows are checked by CRC, not by parsing: a payload that still
-        # parses but no longer holds the stored result must not be served.
+        # Rows are checked by CRC, not by decoding: a payload that still
+        # decodes but no longer holds the stored result must not be served.
         store = SQLiteResultStore(tmp_path / "cache.db")
         store.store(KEY, _result(cycles=100.0))
         (payload,) = store._conn.execute(
             "SELECT result FROM results WHERE key = ?", (KEY,)).fetchone()
-        edited = payload.replace('"cycles": [100.0', '"cycles": [900.0', 1)
+        edited = payload.replace(struct.pack("<d", 100.0),
+                                 struct.pack("<d", 900.0), 1)
         assert edited != payload
-        assert NetworkResult.from_dict(json.loads(edited)).total_cycles() \
-            == 950.0
+        assert NetworkResult.from_packed(edited).total_cycles() == 950.0
         store._conn.execute(
             "UPDATE results SET result = ? WHERE key = ?", (edited, KEY))
+        store._conn.commit()
+        assert store.load(KEY) is None
+        assert store.invalid_entries == 1
+        assert not store.contains(KEY)
+        store.close()
+
+    def test_corrupted_crc_is_a_counted_miss(self, tmp_path):
+        store = SQLiteResultStore(tmp_path / "cache.db")
+        store.store(KEY, _result())
+        store._conn.execute(
+            "UPDATE results SET crc = crc + 1 WHERE key = ?", (KEY,))
         store._conn.commit()
         assert store.load(KEY) is None
         assert store.invalid_entries == 1
@@ -392,6 +431,36 @@ class TestBatchedStore:
             store._conn.set_trace_callback(None)
             counts.append(len(statements))
         assert counts[0] == counts[1]
+        store.close()
+
+    def test_a_warm_load_writes_nothing(self, tmp_path):
+        # A hit is noted in memory: the load is one SELECT per key chunk,
+        # with no UPDATE, INSERT or transaction.  The hits still reach the
+        # database, in order, before anything reads them.
+        store = SQLiteResultStore(tmp_path / "cache.db", max_entries=2000)
+        keys = [f"key{i:04d}" for i in range(1200)]
+        store.store_many([(key, _result(), None) for key in keys])
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        assert len(store.load_many(keys)) == 1200
+        store._conn.set_trace_callback(None)
+        assert len(statements) == 3  # 1200 keys in chunks of 500
+        assert all(statement.startswith("SELECT")
+                   for statement in statements)
+        assert not store._conn.in_transaction
+        assert store.stats_dict()["lifetime_hits"] == 1200
+
+    def test_waiting_hits_are_written_past_their_bound(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(store_module, "_PENDING_TOUCHES", 3)
+        path = tmp_path / "cache.db"
+        store = SQLiteResultStore(path)
+        keys = [f"key{i}" for i in range(4)]
+        store.store_many([(key, _result(), None) for key in keys])
+        store.load_many(keys[:3])
+        assert SQLiteResultStore.inspect(path)["lifetime_hits"] == 0
+        store.load_many(keys[3:])  # the fourth waiting key passes the bound
+        assert SQLiteResultStore.inspect(path)["lifetime_hits"] == 4
         store.close()
 
     def test_result_cache_batches_reach_the_backend_once(self, tmp_path):
